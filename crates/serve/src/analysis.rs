@@ -1,16 +1,25 @@
 //! Request parameters and the per-request analysis drivers.
 //!
-//! Both endpoints stream the upload exactly once: the body bytes flow
-//! through [`crate::digest::DigestReader`] (content addressing) into a
+//! Every endpoint decodes its upload exactly once, through one
+//! [`UploadStream`]: the body bytes flow through
+//! [`crate::digest::DigestReader`] (content addressing) into the format's
 //! chunked decoder — [`FastBtrtReader`] for `BTRT` uploads (the columnar
 //! slice fast path), [`ChunkedTraceReader`] for text — and every decoded
-//! chunk is folded into a [`DenseTraceStats`] on the way past:
-//! classification, simulation and profiling all ride the same pass, with
-//! per-branch statistics indexed by the reader's dense interned ids rather
-//! than a per-record map lookup. Peak memory per request is one chunk plus
-//! the interning/statistics tables, independent of upload length; the
-//! distinct-branch tables are additionally capped by the static-branch
-//! budget.
+//! chunk is folded into a [`DenseTraceStats`] on the way past, with
+//! per-branch statistics indexed by the decoder's dense interned ids rather
+//! than a per-record map lookup. Classification drains the stream, the
+//! streamed sweep feeds it to the fused engine, and batch admission collects
+//! its interned columns into an [`InternedTrace`].
+//!
+//! Memory: the streamed paths hold one chunk plus the interning/statistics
+//! tables, independent of upload length. Batch admission
+//! ([`materialize_sweep`]) additionally holds every conditional record of
+//! the upload as a 16 B interned record: peak heap growth is at most 48 B
+//! per conditional record plus 2 MiB (48 B while the record vector
+//! doubles), pinned by `tests/materialize_memory.rs`, which measures 34.7 B.
+//! That path is bounded by the `batch_upload_bytes` gate in front of it, not
+//! by the chunk size. The distinct-branch tables are capped by the
+//! static-branch budget on every path.
 
 use crate::error::ServeError;
 use btr_core::advisor::{ClassRecommendation, ComponentStyle, HybridAdvisor};
@@ -23,12 +32,12 @@ use btr_sim::config::PredictorFamily;
 use btr_sim::engine::{RunResult, SimEngine};
 use btr_sim::sweep::SweepResult;
 use btr_trace::io::chunked::TraceChunk;
+use btr_trace::io::text::TextRecordReader;
 use btr_trace::{
-    BranchRecord, ChunkStream, ChunkedTraceReader, DenseTraceStats, FastBtrtReader, InternedTrace,
-    Trace, TraceMetadata,
+    ChunkStream, ChunkedTraceReader, DenseTraceStats, FastBtrtReader, InternedTrace, TraceError,
+    TraceMetadata, TraceStats,
 };
 use btr_wire::{MapBuilder, Value, Wire};
-use std::cell::Cell;
 use std::io::Read;
 use std::sync::Arc;
 use stealpool::WorkStealingPool;
@@ -185,29 +194,13 @@ pub fn run_classify<R: Read>(
     scheme: BinningScheme,
     budgets: Budgets,
 ) -> Result<AnalysisOutcome, ServeError> {
-    let mut dense = DenseTraceStats::new();
-    let (metadata, records) = match format {
-        BodyFormat::Btrt => {
-            let mut reader =
-                FastBtrtReader::new(body, budgets.chunk_records).map_err(ServeError::from_trace)?;
-            let metadata = reader.metadata().clone();
-            let records = observe_all(&mut reader, &mut dense, budgets)?;
-            (metadata, records)
-        }
-        BodyFormat::Text => {
-            let mut reader = ChunkedTraceReader::text(body, budgets.chunk_records);
-            let records = observe_all(&mut reader, &mut dense, budgets)?;
-            let metadata = reader.source().metadata().clone();
-            (metadata, records)
-        }
-    };
-    let stats = dense.into_trace_stats();
-    let profile = ProgramProfile::from_stats(&stats);
+    let upload = UploadStream::open(body, format, budgets)?.drain()?;
+    let profile = ProgramProfile::from_stats(&upload.stats);
     let table = JointClassTable::from_profile(&profile, scheme);
     let value = MapBuilder::new()
-        .field("metadata", metadata.to_value())
-        .field("records", records)
-        .field("conditional", stats.total_conditional())
+        .field("metadata", upload.metadata.to_value())
+        .field("records", upload.records)
+        .field("conditional", upload.stats.total_conditional())
         .field("static_branches", profile.static_count() as u64)
         .field("scheme", scheme.to_value())
         .field(
@@ -234,7 +227,10 @@ pub fn run_classify<R: Read>(
             ),
         )
         .build();
-    Ok(AnalysisOutcome { value, records })
+    Ok(AnalysisOutcome {
+        value,
+        records: upload.records,
+    })
 }
 
 /// Streams `body` once through the fused multi-history engine and renders
@@ -256,62 +252,15 @@ pub fn run_sweep<R: Read>(
     budgets: Budgets,
     pool: &WorkStealingPool,
 ) -> Result<AnalysisOutcome, ServeError> {
-    let mut dense = DenseTraceStats::new();
-    let mut fused = family.fused_paper(histories);
-    let engine = SimEngine::new();
-    let budget_hit = Cell::new(false);
-    let (metadata, results, records) = match format {
-        BodyFormat::Btrt => {
-            let mut reader =
-                FastBtrtReader::new(body, budgets.chunk_records).map_err(ServeError::from_trace)?;
-            let metadata = reader.metadata().clone();
-            let results = engine.run_fused_streamed(
-                Observing {
-                    inner: &mut reader,
-                    stats: &mut dense,
-                    budgets,
-                    budget_hit: &budget_hit,
-                },
-                &mut fused,
-            );
-            let records = reader.records_read();
-            (metadata, results, records)
-        }
-        BodyFormat::Text => {
-            let mut reader = ChunkedTraceReader::text(body, budgets.chunk_records);
-            let results = engine.run_fused_streamed(
-                Observing {
-                    inner: &mut reader,
-                    stats: &mut dense,
-                    budgets,
-                    budget_hit: &budget_hit,
-                },
-                &mut fused,
-            );
-            let records = reader.records_read();
-            let metadata = reader.source().metadata().clone();
-            (metadata, results, records)
-        }
-    };
-    let results = match results {
-        Ok(results) => results,
-        Err(e) => {
-            if budget_hit.get() {
-                return Err(ServeError::BudgetExceeded {
-                    what: "static branches",
-                    limit: budgets.max_static_branches as u64,
-                });
-            }
-            return Err(ServeError::from_trace(e));
-        }
-    };
-    let stats = dense.into_trace_stats();
-    let profile = ProgramProfile::from_stats(&stats);
+    let mut stream = UploadStream::open(body, format, budgets)?;
+    let results =
+        SimEngine::new().run_fused_streamed(&mut stream, &mut family.fused_paper(histories))?;
+    let upload = stream.finish();
     Ok(render_sweep(
-        &metadata,
-        records,
-        stats.total_conditional(),
-        &profile,
+        &upload.metadata,
+        upload.records,
+        upload.stats.total_conditional(),
+        &ProgramProfile::from_stats(&upload.stats),
         family,
         histories,
         results,
@@ -339,8 +288,10 @@ pub struct MaterializedSweep {
 }
 
 /// Decodes a sweep upload into a [`MaterializedSweep`], enforcing the same
-/// per-chunk static-branch budget as the streaming path. Peak memory is the
-/// whole record list — callers gate this path on the declared upload size.
+/// static-branch budget as the streaming path. The interned trace is
+/// collected straight from the decoder's conditional columns, so peak memory
+/// is the upload's conditional records at 16 B each (plus vector growth) —
+/// callers gate this path on the declared upload size.
 ///
 /// # Errors
 ///
@@ -351,30 +302,14 @@ pub fn materialize_sweep<R: Read>(
     format: BodyFormat,
     budgets: Budgets,
 ) -> Result<MaterializedSweep, ServeError> {
-    let mut dense = DenseTraceStats::new();
-    let mut collected: Vec<BranchRecord> = Vec::new();
-    let (metadata, records) = match format {
-        BodyFormat::Btrt => {
-            let mut reader =
-                FastBtrtReader::new(body, budgets.chunk_records).map_err(ServeError::from_trace)?;
-            let metadata = reader.metadata().clone();
-            let records = collect_all(&mut reader, &mut dense, &mut collected, budgets)?;
-            (metadata, records)
-        }
-        BodyFormat::Text => {
-            let mut reader = ChunkedTraceReader::text(body, budgets.chunk_records);
-            let records = collect_all(&mut reader, &mut dense, &mut collected, budgets)?;
-            let metadata = reader.source().metadata().clone();
-            (metadata, records)
-        }
-    };
-    let stats = dense.into_trace_stats();
-    let interned = Trace::from_records(metadata.clone(), collected).intern();
+    let mut stream = UploadStream::open(body, format, budgets)?;
+    let interned = InternedTrace::from_chunks(&mut stream)?;
+    let upload = stream.finish();
     Ok(MaterializedSweep {
-        metadata,
-        profile: ProgramProfile::from_stats(&stats),
-        conditional: stats.total_conditional(),
-        records,
+        metadata: upload.metadata,
+        profile: ProgramProfile::from_stats(&upload.stats),
+        conditional: upload.stats.total_conditional(),
+        records: upload.records,
         interned: Arc::new(interned),
     })
 }
@@ -457,85 +392,113 @@ fn render_sweep(
     AnalysisOutcome { value, records }
 }
 
-/// Drains a chunk stream, folding every chunk's columns into the dense
-/// statistics and enforcing the static-branch budget after each chunk. Chunk
-/// buffers are recycled back to the stream, so steady-state decoding
-/// allocates nothing.
-fn observe_all<S: ChunkStream>(
-    stream: &mut S,
-    stats: &mut DenseTraceStats,
-    budgets: Budgets,
-) -> Result<u64, ServeError> {
-    let mut records = 0u64;
-    while let Some(chunk) = stream.pull() {
-        let chunk = chunk.map_err(ServeError::from_trace)?;
-        records += chunk.len() as u64;
-        stats.observe_chunk(&chunk);
-        stream.recycle(chunk);
-        if stats.static_conditional_count() > budgets.max_static_branches {
-            return Err(ServeError::BudgetExceeded {
-                what: "static branches",
-                limit: budgets.max_static_branches as u64,
-            });
-        }
-    }
-    Ok(records)
+/// The decoder behind an [`UploadStream`], one per body format.
+#[derive(Debug)]
+enum Decoder<R> {
+    Btrt(FastBtrtReader<R>),
+    Text(ChunkedTraceReader<TextRecordReader<R>>),
 }
 
-/// Drains a chunk stream like [`observe_all`], additionally collecting every
-/// record for materialization.
-fn collect_all<S: ChunkStream>(
-    stream: &mut S,
-    stats: &mut DenseTraceStats,
-    collected: &mut Vec<BranchRecord>,
-    budgets: Budgets,
-) -> Result<u64, ServeError> {
-    let mut records = 0u64;
-    while let Some(chunk) = stream.pull() {
-        let chunk = chunk.map_err(ServeError::from_trace)?;
-        records += chunk.len() as u64;
-        stats.observe_chunk(&chunk);
-        collected.extend_from_slice(chunk.records());
-        stream.recycle(chunk);
-        if stats.static_conditional_count() > budgets.max_static_branches {
-            return Err(ServeError::BudgetExceeded {
-                what: "static branches",
-                limit: budgets.max_static_branches as u64,
-            });
-        }
-    }
-    Ok(records)
+/// One upload, decoded once: a [`ChunkStream`] over the body format's
+/// decoder that folds every chunk into [`DenseTraceStats`] and counts the
+/// records on the way past, and cuts the stream off with
+/// [`TraceError::StaticBranchBudget`] (a 413) the moment the upload crosses
+/// the static-branch budget. Recycled chunks go back to the decoder, so
+/// steady-state decoding allocates nothing.
+#[derive(Debug)]
+struct UploadStream<R> {
+    decoder: Decoder<R>,
+    stats: DenseTraceStats,
+    records: u64,
+    max_static_branches: usize,
 }
 
-/// Tees a chunk stream into [`DenseTraceStats`] while the fused engine
-/// consumes it, and injects an error the moment the static-branch budget is
-/// crossed (flagged out-of-band so the caller can map it to a 413, not a
-/// 422). Recycled chunks are forwarded to the wrapped stream, so the engine's
-/// buffer reuse survives the tee.
-struct Observing<'a, S> {
-    inner: &'a mut S,
-    stats: &'a mut DenseTraceStats,
-    budgets: Budgets,
-    budget_hit: &'a Cell<bool>,
+/// What an [`UploadStream`] observed by the time it was finished.
+struct Ingested {
+    metadata: TraceMetadata,
+    stats: TraceStats,
+    records: u64,
 }
 
-impl<S: ChunkStream> ChunkStream for Observing<'_, S> {
-    fn pull(&mut self) -> Option<btr_trace::Result<TraceChunk>> {
-        let chunk = self.inner.pull()?;
-        if let Ok(chunk) = &chunk {
-            self.stats.observe_chunk(chunk);
-            if self.stats.static_conditional_count() > self.budgets.max_static_branches {
-                self.budget_hit.set(true);
-                return Some(Err(btr_trace::TraceError::Io(std::io::Error::other(
-                    "static-branch budget exceeded",
-                ))));
+impl<R: Read> UploadStream<R> {
+    /// Opens `body` with its format's decoder (a `BTRT` header is read and
+    /// validated here).
+    fn open(body: R, format: BodyFormat, budgets: Budgets) -> Result<Self, ServeError> {
+        let decoder = match format {
+            BodyFormat::Btrt => Decoder::Btrt(FastBtrtReader::new(body, budgets.chunk_records)?),
+            BodyFormat::Text => {
+                Decoder::Text(ChunkedTraceReader::text(body, budgets.chunk_records))
             }
+        };
+        Ok(UploadStream {
+            decoder,
+            stats: DenseTraceStats::new(),
+            records: 0,
+            max_static_branches: budgets.max_static_branches,
+        })
+    }
+
+    /// Pulls every chunk through, for consumers that need only the stats.
+    fn drain(mut self) -> Result<Ingested, ServeError> {
+        while let Some(chunk) = self.pull() {
+            let chunk = chunk?;
+            self.recycle(chunk);
         }
-        Some(chunk)
+        Ok(self.finish())
+    }
+
+    /// The metadata, statistics and record count seen so far. Text metadata
+    /// is read as it stands now, so comment lines between records — folded
+    /// in as the stream is read — count once the stream is drained.
+    fn finish(self) -> Ingested {
+        // Consuming the decoder frees its buffers before the statistics are
+        // converted, so the two never add up in a request's peak memory.
+        let metadata = match self.decoder {
+            Decoder::Btrt(reader) => reader.metadata().clone(),
+            Decoder::Text(reader) => reader.source().metadata().clone(),
+        };
+        Ingested {
+            metadata,
+            stats: self.stats.into_trace_stats(),
+            records: self.records,
+        }
+    }
+
+    fn decoder(&mut self) -> &mut dyn ChunkStream {
+        match &mut self.decoder {
+            Decoder::Btrt(reader) => reader,
+            Decoder::Text(reader) => reader,
+        }
+    }
+
+    fn over_budget(&self) -> bool {
+        self.stats.static_conditional_count() > self.max_static_branches
+    }
+}
+
+impl<R: Read> ChunkStream for UploadStream<R> {
+    fn pull(&mut self) -> Option<btr_trace::Result<TraceChunk>> {
+        // Fused after a budget breach, like the decoders after an error.
+        if self.over_budget() {
+            return None;
+        }
+        let chunk = match self.decoder().pull()? {
+            Ok(chunk) => chunk,
+            Err(e) => return Some(Err(e)),
+        };
+        self.records += chunk.len() as u64;
+        self.stats.observe_chunk(&chunk);
+        if self.over_budget() {
+            self.decoder().recycle(chunk);
+            return Some(Err(TraceError::StaticBranchBudget {
+                limit: self.max_static_branches as u64,
+            }));
+        }
+        Some(Ok(chunk))
     }
 
     fn recycle(&mut self, chunk: TraceChunk) {
-        self.inner.recycle(chunk);
+        self.decoder().recycle(chunk);
     }
 }
 
@@ -571,9 +534,6 @@ pub fn error_body(err: &ServeError) -> Value {
         .field("detail", err.to_string())
         .build()
 }
-
-/// Convenience re-export: metadata type the endpoint documents embed.
-pub type Metadata = TraceMetadata;
 
 #[cfg(test)]
 mod tests {

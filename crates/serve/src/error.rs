@@ -92,19 +92,26 @@ impl ServeError {
     }
 
     /// Classifies a trace-decode failure: client-caused malformations become
-    /// 422s, timeouts become 408s, transport failures stay I/O errors.
+    /// 422s, a static-branch budget breach a 413, transport failures go
+    /// through [`ServeError::from_io`].
     pub fn from_trace(e: TraceError) -> ServeError {
         match e {
             TraceError::Io(io) => ServeError::from_io(io),
+            TraceError::StaticBranchBudget { limit } => ServeError::BudgetExceeded {
+                what: "static branches",
+                limit,
+            },
             other => ServeError::UnprocessableTrace(other.to_string()),
         }
     }
 
     /// Classifies an I/O failure seen while reading the request: a socket
-    /// read timeout is the client's fault (408), anything else is transport.
+    /// read timeout (408) and a body ending before its declared length (400)
+    /// are the client's fault, anything else is transport.
     pub fn from_io(e: io::Error) -> ServeError {
         match e.kind() {
             io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => ServeError::Timeout,
+            io::ErrorKind::UnexpectedEof => ServeError::BadRequest(e.to_string()),
             _ => ServeError::Io(e),
         }
     }
@@ -197,6 +204,11 @@ mod tests {
         assert_eq!(ServeError::from_io(timeout).status(), 408);
         let refused = io::Error::new(io::ErrorKind::ConnectionReset, "gone");
         assert_eq!(ServeError::from_io(refused).status(), 500);
+        let short = io::Error::new(io::ErrorKind::UnexpectedEof, "body short");
+        assert_eq!(ServeError::from_io(short).status(), 400);
+        let budget = TraceError::StaticBranchBudget { limit: 16 };
+        let budget = ServeError::from_trace(budget);
+        assert_eq!((budget.status(), budget.code()), (413, "budget-exceeded"));
         let truncated = TraceError::UnexpectedEof {
             context: "record".into(),
         };

@@ -239,12 +239,15 @@ pub fn status_text(status: u16) -> &'static str {
 }
 
 /// Exposes exactly `limit` bytes of `inner`, then reports EOF: the streaming
-/// decoders behind an upload can never read past the declared body, and the
-/// per-connection memory budget follows from the chunk bound alone.
+/// decoders behind an upload can never read past the declared body. A body
+/// that ends sooner is an [`std::io::ErrorKind::UnexpectedEof`] error, never
+/// a clean EOF, and a failed read (e.g. a timeout) sticks, so later reads
+/// fail at once instead of waiting on the socket again.
 #[derive(Debug)]
 pub struct LimitedReader<R> {
     inner: R,
     remaining: u64,
+    failed: Option<std::io::ErrorKind>,
 }
 
 impl<R: Read> LimitedReader<R> {
@@ -253,6 +256,7 @@ impl<R: Read> LimitedReader<R> {
         LimitedReader {
             inner,
             remaining: limit,
+            failed: None,
         }
     }
 
@@ -264,15 +268,34 @@ impl<R: Read> LimitedReader<R> {
 
 impl<R: Read> Read for LimitedReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.remaining == 0 {
+        if let Some(kind) = self.failed {
+            return Err(kind.into());
+        }
+        if self.remaining == 0 || buf.is_empty() {
             return Ok(0);
         }
         let want = buf
             .len()
             .min(self.remaining.min(usize::MAX as u64) as usize);
-        let n = self.inner.read(&mut buf[..want])?;
-        self.remaining -= n as u64;
-        Ok(n)
+        match self.inner.read(&mut buf[..want]) {
+            Ok(0) => Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!(
+                    "body ended {} bytes short of its Content-Length",
+                    self.remaining
+                ),
+            )),
+            Ok(n) => {
+                self.remaining -= n as u64;
+                Ok(n)
+            }
+            Err(e) => {
+                if e.kind() != std::io::ErrorKind::Interrupted {
+                    self.failed = Some(e.kind());
+                }
+                Err(e)
+            }
+        }
     }
 }
 
@@ -367,5 +390,33 @@ mod tests {
         r.read_to_end(&mut all).expect("bounded read succeeds");
         assert_eq!(all, b"0123");
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn limited_reader_fails_a_body_shorter_than_declared() {
+        let mut r = LimitedReader::new("0123".as_bytes(), 10);
+        let mut all = Vec::new();
+        let err = r.read_to_end(&mut all).expect_err("short body must fail");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(err.to_string().contains("6 bytes short"), "{err}");
+        assert_eq!(all, b"0123");
+        let again = r.read(&mut [0u8; 4]).expect_err("still short");
+        assert_eq!(again.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn limited_reader_failures_stick() {
+        struct Stalled;
+        impl Read for Stalled {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::TimedOut.into())
+            }
+        }
+        let mut r = LimitedReader::new(Stalled, 10);
+        for _ in 0..2 {
+            let err = r.read(&mut [0u8; 4]).expect_err("stalled body fails");
+            assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
+        }
+        assert_eq!(r.remaining(), 10);
     }
 }

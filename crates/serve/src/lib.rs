@@ -5,8 +5,8 @@
 //! that exercises it.
 //!
 //! The daemon speaks a dependency-free slice of HTTP/1.1 over
-//! `std::net::TcpListener`. Uploaded traces (`BTRT` binary or text) stream
-//! through [`btr_trace::ChunkedTraceReader`] — an upload is never buffered
+//! `std::net::TcpListener`. Uploaded traces (`BTRT` binary or text) are
+//! decoded once, chunk by chunk — an upload's bytes are never buffered
 //! whole — into the classification profile, the fused multi-history sweep
 //! engine and the §5.4 hybrid advisor, and responses render as JSON or
 //! `BTRW` through the [`btr_wire::Wire`] data model, negotiated per request
@@ -17,8 +17,9 @@
 //! * **Content-addressed caching** ([`cache`]) — responses are keyed by
 //!   (body digest × canonical parameters) and replayed for identical
 //!   uploads; clients that present `X-Btr-Digest` skip the upload entirely.
-//! * **Memory budgets** ([`analysis`]) — per-connection peak memory is one
-//!   decode chunk plus capped interning tables, enforced while streaming.
+//! * **Memory budgets** ([`analysis`]) — streamed requests hold one decode
+//!   chunk plus capped interning tables; batch-admitted sweeps also hold
+//!   their conditional records, up to the `batch_upload_bytes` gate.
 //! * **Admission control** ([`server`]) — over-capacity requests get an
 //!   immediate 503, stalled peers are torn down by socket timeouts.
 //! * **Telemetry** ([`metrics`]) — `/metrics` serves the counters through

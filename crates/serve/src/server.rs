@@ -9,8 +9,9 @@
 //! * **Per-connection memory budget** — uploads stream through the chunked
 //!   decoder under a byte cap (`max_upload_bytes`, enforced before reading),
 //!   a chunk bound (`chunk_records`) and a distinct-branch cap
-//!   (`max_static_branches`), so a connection's peak memory is one chunk
-//!   plus bounded tables regardless of upload size.
+//!   (`max_static_branches`). Streamed requests hold one chunk plus bounded
+//!   tables regardless of upload size; a batch-admitted `/sweep` also holds
+//!   its conditional records, up to [`ServerConfig::batch_upload_bytes`].
 //!
 //! Successful analyses are cached content-addressed — see [`crate::cache`] —
 //! and replayed for clients that present the upload's digest.
@@ -23,6 +24,8 @@ use crate::error::ServeError;
 use crate::flight::{FlightOutcome, FlightTable};
 use crate::http::{LimitedReader, Request, Response};
 use crate::metrics::{Metrics, MetricsSnapshot};
+use btr_core::distribution::Metric;
+use btr_sim::config::PredictorFamily;
 use btr_wire::{json, MapBuilder, Value, Wire};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -53,7 +56,10 @@ pub struct ServerConfig {
     /// Sweep uploads declaring at most this many bytes are materialized and
     /// run through the shared SWAR batch scheduler, which coalesces
     /// concurrent sweeps into one engine pass; larger uploads keep the
-    /// constant-memory streaming path. Set to 0 to force streaming.
+    /// constant-memory streaming path. Set to 0 to force streaming. This
+    /// bounds the batch path's memory: at most 48 B of heap per conditional
+    /// record plus 2 MiB (`tests/materialize_memory.rs` measures 34.7 B), so
+    /// under ~260 MiB per connection at the 16 MiB default (~5.6M records).
     pub batch_upload_bytes: u64,
 }
 
@@ -310,8 +316,25 @@ fn encode(value: Value, btrw: bool, status: u16) -> Response {
     }
 }
 
+/// The parsed parameters of a `/sweep` request.
+struct SweepParams {
+    family: PredictorFamily,
+    metric: Metric,
+    histories: Vec<u32>,
+}
+
+/// What the single decoding pass over an upload produced, before the body
+/// is drained.
+enum Decoded<'a> {
+    /// A finished analysis.
+    Done(analysis::AnalysisOutcome),
+    /// A materialized sweep still to run as a batch lane, which needs the
+    /// final digest.
+    Batch(analysis::MaterializedSweep, &'a SweepParams),
+}
+
 /// The shared upload path behind `/classify` and `/sweep`: cache probe,
-/// admission, streaming analysis, cache fill.
+/// admission, one decoding pass, body drain, cache fill.
 fn analyze(
     request: &Request,
     body: &mut BufReader<TcpStream>,
@@ -320,31 +343,37 @@ fn analyze(
     let btrw = wants_btrw(request);
     let format = analysis::BodyFormat::from_content_type(request.header("content-type"))?;
     let scheme = analysis::parse_scheme(request.query_param("scheme"))?;
-    // The canonical parameter string doubles as the cache-key params: it
-    // pins everything that shapes the response bytes, including encoding.
-    let params = match request.path.as_str() {
-        "/classify" => format!(
-            "/classify?scheme={}&accept={}",
-            analysis::scheme_param(scheme),
-            if btrw { "btrw" } else { "json" },
-        ),
+    let sweep = match request.path.as_str() {
+        "/classify" => None,
         _ => {
             let family = analysis::parse_family(request.query_param("family"))?;
-            let metric = analysis::parse_metric(request.query_param("metric"))?;
-            let histories = analysis::parse_histories(request.query_param("histories"), family)?;
-            format!(
-                "/sweep?family={}&histories={}&metric={}&scheme={}&accept={}",
-                family.label().to_ascii_lowercase(),
-                histories
-                    .iter()
-                    .map(u32::to_string)
-                    .collect::<Vec<String>>()
-                    .join(","),
-                metric.label().to_ascii_lowercase(),
-                analysis::scheme_param(scheme),
-                if btrw { "btrw" } else { "json" },
-            )
+            Some(SweepParams {
+                family,
+                metric: analysis::parse_metric(request.query_param("metric"))?,
+                histories: analysis::parse_histories(request.query_param("histories"), family)?,
+            })
         }
+    };
+    // The canonical parameter string doubles as the cache-key params: it
+    // pins everything that shapes the response bytes, including encoding.
+    let accept = if btrw { "btrw" } else { "json" };
+    let params = match &sweep {
+        None => format!(
+            "/classify?scheme={}&accept={accept}",
+            analysis::scheme_param(scheme),
+        ),
+        Some(sweep) => format!(
+            "/sweep?family={}&histories={}&metric={}&scheme={}&accept={accept}",
+            sweep.family.label().to_ascii_lowercase(),
+            sweep
+                .histories
+                .iter()
+                .map(u32::to_string)
+                .collect::<Vec<String>>()
+                .join(","),
+            sweep.metric.label().to_ascii_lowercase(),
+            analysis::scheme_param(scheme),
+        ),
     };
 
     // Digest fast path: a client that already knows its upload's digest is
@@ -397,62 +426,59 @@ fn analyze(
         max_static_branches: shared.config.max_static_branches,
     };
     let mut upload = DigestReader::new(LimitedReader::new(body, declared));
-    let outcome = match request.path.as_str() {
-        "/classify" => analysis::run_classify(&mut upload, format, scheme, budgets),
-        _ => {
-            let family = analysis::parse_family(request.query_param("family"))?;
-            let metric = analysis::parse_metric(request.query_param("metric"))?;
-            let histories = analysis::parse_histories(request.query_param("histories"), family)?;
-            if declared <= shared.config.batch_upload_bytes {
-                // Batch admission: materialize the upload, then run it as
-                // one lane of the shared SWAR batch — concurrent sweeps of
-                // the same digest share a single first-level pass, and every
-                // concurrent sweep amortizes the engine task. Bit-identical
-                // to the streaming path below, so the cache sees one truth.
-                analysis::materialize_sweep(&mut upload, format, budgets).map(|materialized| {
-                    // Drain the declared tail now: the digest is the batch
-                    // grouping key, so it must be final before submission.
-                    let _ = io::copy(&mut upload, &mut io::sink());
-                    let digest = upload.digest().hex();
-                    shared.metrics.batched_lane();
-                    let results = shared.batch.run(
-                        digest,
-                        Arc::clone(&materialized.interned),
-                        family.fused_paper(&histories),
-                    );
-                    analysis::sweep_document(
-                        &materialized,
-                        family,
-                        &histories,
-                        results,
-                        metric,
-                        scheme,
-                        &shared.pool,
-                    )
-                })
-            } else {
-                analysis::run_sweep(
-                    &mut upload,
-                    format,
-                    scheme,
-                    metric,
-                    family,
-                    &histories,
-                    budgets,
-                    &shared.pool,
-                )
-            }
+    let decoded = match &sweep {
+        None => analysis::run_classify(&mut upload, format, scheme, budgets).map(Decoded::Done),
+        // Batch admission: materialize the upload, then run it as one lane
+        // of the shared SWAR batch — concurrent sweeps of the same digest
+        // share a single first-level pass, and every concurrent sweep
+        // amortizes the engine task. Bit-identical to the streaming path
+        // below, so the cache sees one truth.
+        Some(sweep) if declared <= shared.config.batch_upload_bytes => {
+            analysis::materialize_sweep(&mut upload, format, budgets)
+                .map(|materialized| Decoded::Batch(materialized, sweep))
+        }
+        Some(sweep) => analysis::run_sweep(
+            &mut upload,
+            format,
+            scheme,
+            sweep.metric,
+            sweep.family,
+            &sweep.histories,
+            budgets,
+            &shared.pool,
+        )
+        .map(Decoded::Done),
+    };
+    // Drain the unconsumed tail once, whatever the decode did, so the digest
+    // covers the whole body. A body that stalls (408) or ends short (400)
+    // fails here, ahead of the decode outcome: never a cached success.
+    let drained = io::copy(&mut upload, &mut io::sink());
+    shared.metrics.add_bytes_streamed(upload.bytes_read());
+    drained?;
+    let digest = upload.digest().hex();
+    let outcome = match decoded? {
+        Decoded::Done(outcome) => outcome,
+        Decoded::Batch(materialized, sweep) => {
+            shared.metrics.batched_lane();
+            let results = shared.batch.run(
+                digest.clone(),
+                Arc::clone(&materialized.interned),
+                sweep.family.fused_paper(&sweep.histories),
+            );
+            analysis::sweep_document(
+                &materialized,
+                sweep.family,
+                &sweep.histories,
+                results,
+                sweep.metric,
+                scheme,
+                &shared.pool,
+            )
         }
     };
-    // Drain any declared-but-unconsumed tail so the digest covers the whole
-    // body (bounded by the already-checked Content-Length).
-    let _ = io::copy(&mut upload, &mut io::sink());
-    shared.metrics.add_bytes_streamed(upload.bytes_read());
-    let outcome = outcome?;
     shared.metrics.add_records_decoded(outcome.records);
     shared.metrics.cache_miss();
 
-    let digest = upload.digest().hex();
     // The cached copy carries the digest but not the hit/store marker; each
     // reply stamps its own `X-Btr-Cache`.
     let base = encode(outcome.value, btrw, 200).with_header("X-Btr-Digest", digest.clone());

@@ -4,6 +4,7 @@
 //! the memory budgets, admission control and request timeouts.
 
 use btr_serve::client::{parse_response, send, ClientRequest, ClientResponse};
+use btr_serve::digest::DigestReader;
 use btr_serve::metrics::MetricsSnapshot;
 use btr_serve::{Server, ServerConfig, ServerHandle};
 use btr_trace::io::binary;
@@ -317,15 +318,24 @@ fn oversized_and_missing_content_lengths_are_refused_up_front() {
 #[test]
 fn static_branch_budget_maps_to_a_413_budget_error() {
     let (addr, _handle) = spawn(|config| config.max_static_branches = 16);
+    let (streaming_addr, streaming_handle) = spawn(|config| {
+        config.max_static_branches = 16;
+        config.batch_upload_bytes = 0;
+    });
     // 64 distinct sites against a budget of 16: the stream is cut off
-    // mid-flight with a typed budget error on both endpoints.
+    // mid-flight with a typed budget error on both endpoints, and on both
+    // sweep paths (batch and streamed through the fused engine).
     let body = btrt(2_000, 64);
-    let resp = post(&addr, "/classify", body.clone());
-    assert_eq!(resp.status, 413, "body: {}", resp.text());
-    assert_eq!(error_code(&resp), "budget-exceeded");
-    let resp = post(&addr, "/sweep?histories=0,1", body);
-    assert_eq!(resp.status, 413, "body: {}", resp.text());
-    assert_eq!(error_code(&resp), "budget-exceeded");
+    for (addr, target) in [
+        (&addr, "/classify"),
+        (&addr, "/sweep?histories=0,1"),
+        (&streaming_addr, "/sweep?histories=0,1"),
+    ] {
+        let resp = post(addr, target, body.clone());
+        assert_eq!(resp.status, 413, "{target} body: {}", resp.text());
+        assert_eq!(error_code(&resp), "budget-exceeded", "{target}");
+    }
+    assert_eq!(streaming_handle.metrics().batched_lanes, 0);
 }
 
 #[test]
@@ -354,6 +364,56 @@ fn stalled_connections_time_out_without_wedging_the_server() {
     assert_eq!(resp.status, 408);
     // And the server keeps serving.
     assert_eq!(get(&addr, "/healthz").status, 200);
+}
+
+#[test]
+fn bodies_that_stall_or_end_short_are_refused_and_never_cached() {
+    let (addr, _handle) = spawn(|config| config.request_timeout = Duration::from_millis(200));
+    // A complete trace plus trailing padding: the decoder finishes without
+    // waiting for more bytes, so only the drain of the declared tail can
+    // notice that the body never arrived in full.
+    let mut sent = btrt(1_000, 11);
+    sent.extend_from_slice(&[0u8; 64]);
+    let mut digest = DigestReader::new(sent.as_slice());
+    std::io::copy(&mut digest, &mut std::io::sink()).expect("in-memory digest");
+    let prefix_digest = digest.digest().hex();
+    let head = format!(
+        "POST /classify HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        sent.len() + 1_000
+    );
+    for (ends_short, status) in [(false, 408), (true, 400)] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(TIMEOUT))
+            .expect("read timeout");
+        stream.write_all(head.as_bytes()).expect("write head");
+        stream.write_all(&sent).expect("write partial body");
+        if ends_short {
+            stream
+                .shutdown(std::net::Shutdown::Write)
+                .expect("half-close ends the body early");
+        }
+        // Otherwise the socket stays open with the declared tail unsent.
+        let mut bytes = Vec::new();
+        stream.read_to_end(&mut bytes).expect("read response");
+        let resp = parse_response(&bytes).expect("well-formed refusal");
+        assert_eq!(
+            resp.status,
+            status,
+            "ends_short={ends_short}: {}",
+            resp.text()
+        );
+        assert_eq!(resp.header("x-btr-digest"), None);
+    }
+    // Nothing was cached under the digest of the prefix that did arrive.
+    let replay = send(
+        &addr,
+        &ClientRequest::post("/classify", Vec::new()).with_header("X-Btr-Digest", &prefix_digest),
+        TIMEOUT,
+    )
+    .expect("request must complete");
+    assert_ne!(replay.header("x-btr-cache"), Some("hit"));
+    assert_ne!(replay.status, 200);
 }
 
 #[test]

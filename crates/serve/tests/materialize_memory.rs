@@ -1,0 +1,128 @@
+//! Allocation-counting harness pinning the batch path's memory cost:
+//! `materialize_sweep` holds an upload's conditional records as 16 B
+//! interned records collected straight from the decoder's columns, so its
+//! peak heap growth per conditional record stays under a fixed bound instead
+//! of the record copies, second statistics pass and re-interning a
+//! materialized `Trace` would add.
+//!
+//! The whole test binary runs under a counting global allocator (integration
+//! tests are their own crates, so the workspace's `forbid(unsafe_code)` lib
+//! attribute does not apply here). The upload is encoded before the baseline
+//! is taken, so the measured peak is the materialization's own footprint.
+
+use btr_core::profile::ProgramProfile;
+use btr_serve::analysis::{materialize_sweep, BodyFormat, Budgets};
+use btr_serve::ServerConfig;
+use btr_trace::io::binary;
+use btr_trace::{BranchAddr, BranchKind, BranchRecord, InternedRecord, Outcome, TraceBuilder};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// A [`System`]-backed allocator tracking live bytes and the high-water mark.
+struct CountingAllocator;
+
+// SAFETY: both methods forward to `System` with the caller's pointer and
+// layout unchanged, so `System`'s guarantees carry over; the bookkeeping only
+// touches atomics and never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
+        // `layout`, which is exactly `System.alloc`'s.
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            let live = LIVE.fetch_add(layout.size(), Ordering::SeqCst) + layout.size();
+            PEAK.fetch_max(live, Ordering::SeqCst);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above, i.e. from `System` with
+        // this same `layout`.
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// 400k records over 512 static conditional branches, one in eight an
+/// unconditional call: a `BTRT` upload of the size the batch path admits.
+fn upload() -> (Vec<u8>, u64) {
+    let mut b = TraceBuilder::new("materialize-memory");
+    let mut state = 0x5eed_u64;
+    let mut conditional = 0u64;
+    for i in 0..400_000u64 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        if i % 8 == 7 {
+            b.push(
+                BranchRecord::new(BranchAddr::new(0x9000), BranchKind::Call, Outcome::Taken)
+                    .with_target(BranchAddr::new(0x1_0000)),
+            );
+        } else {
+            let addr = BranchAddr::new(0x40_0000 + ((state >> 40) % 512) * 4);
+            b.push(BranchRecord::conditional(
+                addr,
+                Outcome::from_bool((state >> 33) & 1 == 1),
+            ));
+            conditional += 1;
+        }
+    }
+    let mut bytes = Vec::new();
+    binary::write_trace(&mut bytes, &b.build()).expect("in-memory encode");
+    (bytes, conditional)
+}
+
+#[test]
+fn materialize_peak_heap_per_conditional_record_is_bounded() {
+    let (bytes, conditional) = upload();
+    let config = ServerConfig::default();
+    let budgets = Budgets {
+        chunk_records: config.chunk_records,
+        max_static_branches: config.max_static_branches,
+    };
+
+    let baseline = LIVE.load(Ordering::SeqCst);
+    PEAK.store(baseline, Ordering::SeqCst);
+    let materialized =
+        materialize_sweep(bytes.as_slice(), BodyFormat::Btrt, budgets).expect("valid upload");
+    let peak_delta = PEAK.load(Ordering::SeqCst).saturating_sub(baseline);
+
+    assert_eq!(materialized.conditional, conditional);
+    assert_eq!(materialized.interned.len() as u64, conditional);
+    assert_eq!(materialized.interned.static_count(), 512);
+    // Same ids and profile as materializing the eager trace.
+    let eager = binary::read_trace(&mut bytes.as_slice()).expect("valid upload");
+    assert_eq!(*materialized.interned, eager.intern());
+    assert_eq!(
+        materialized.profile,
+        ProgramProfile::from_stats(eager.stats())
+    );
+
+    // The stated bound: three interned records per conditional record (the
+    // 16 B record vector at the moment it doubles, old and new buffers both
+    // live) plus a fixed 2 MiB for the decoder's refill buffer, intern
+    // cache, chunk buffers and per-branch tables. Any 32 B `BranchRecord`
+    // copy of the upload held next to the interned records breaks it.
+    let per_record = 3 * std::mem::size_of::<InternedRecord>();
+    let fixed = 2 << 20;
+    let bound = per_record * conditional as usize + fixed;
+    println!(
+        "[materialize-memory] {conditional} conditional records: peak heap growth {:.2} MiB \
+         ({:.1} B per conditional record; bound {:.2} MiB)",
+        peak_delta as f64 / (1024.0 * 1024.0),
+        peak_delta as f64 / conditional as f64,
+        bound as f64 / (1024.0 * 1024.0),
+    );
+    assert!(
+        peak_delta <= bound,
+        "peak heap growth {peak_delta} B exceeds {per_record} B per conditional record \
+         + {fixed} B ({bound} B)"
+    );
+}

@@ -58,6 +58,12 @@ pub enum TraceError {
         /// Records actually decoded.
         actual: u64,
     },
+    /// The stream introduced more distinct static conditional branches than
+    /// its consumer budgeted for (the budget sizes the per-branch tables).
+    StaticBranchBudget {
+        /// The configured ceiling that was crossed.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -92,6 +98,9 @@ impl fmt::Display for TraceError {
                 f,
                 "trace header declared {declared} records but {actual} were decoded"
             ),
+            TraceError::StaticBranchBudget { limit } => {
+                write!(f, "trace exceeds the static-branch budget of {limit}")
+            }
         }
     }
 }
@@ -150,6 +159,7 @@ mod tests {
                 },
                 "declared 10",
             ),
+            (TraceError::StaticBranchBudget { limit: 16 }, "budget of 16"),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

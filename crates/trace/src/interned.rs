@@ -13,8 +13,8 @@
 //! and the id → address table converts back to the map-keyed form once per
 //! run instead of once per record.
 
+use crate::io::chunked::ChunkStream;
 use crate::record::{BranchAddr, BranchRecord, Outcome};
-use crate::trace::Trace;
 use std::collections::HashMap;
 
 /// One conditional branch execution with its address interned to a dense id.
@@ -116,8 +116,8 @@ impl IncrementalInterner {
     }
 }
 
-/// The conditional-branch stream of a [`Trace`] with addresses interned to
-/// dense `u32` ids.
+/// The conditional-branch stream of a [`crate::Trace`] with addresses
+/// interned to dense `u32` ids.
 ///
 /// Ids are assigned in first-appearance order, so interning is deterministic
 /// for a given record sequence; [`InternedTrace::addrs`] maps each id back to
@@ -141,17 +141,36 @@ pub struct InternedTrace {
 }
 
 impl InternedTrace {
-    /// Interns the conditional records of a trace (see [`Trace::intern`]).
-    pub fn from_trace(trace: &Trace) -> Self {
-        Self::from_conditional_records(trace.conditional_records())
-    }
-
-    /// Assembles an interned trace from already-interned parts: `addrs` in id
-    /// (first-appearance) order and records carrying ids into it. Used by the
-    /// streaming readers, whose persistent interner assigns exactly the ids
-    /// [`Trace::intern`] would.
-    pub(crate) fn from_parts(addrs: Vec<BranchAddr>, records: Vec<InternedRecord>) -> Self {
-        InternedTrace { addrs, records }
+    /// Collects a chunk stream's conditional columns into an interned trace,
+    /// recycling every chunk back to the stream. No record is re-interned:
+    /// the stream's persistent interner already assigns exactly the ids
+    /// [`crate::Trace::intern`] would, and since a dense id first appears on
+    /// its defining record, the id → address table grows whenever
+    /// `id == addrs.len()` — the rule the streamed engine paths use.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error the stream yields.
+    pub fn from_chunks<S: ChunkStream>(mut chunks: S) -> crate::Result<Self> {
+        let mut addrs = Vec::new();
+        let mut records = Vec::new();
+        while let Some(chunk) = chunks.pull() {
+            let chunk = chunk?;
+            records.reserve(chunk.cond_len());
+            for ((&addr, &id), &taken) in chunk
+                .cond_addrs()
+                .iter()
+                .zip(chunk.cond_ids())
+                .zip(chunk.cond_taken())
+            {
+                if id as usize == addrs.len() {
+                    addrs.push(addr);
+                }
+                records.push(InternedRecord::new(addr, id, taken));
+            }
+            chunks.recycle(chunk);
+        }
+        Ok(InternedTrace { addrs, records })
     }
 
     /// Interns a slice of records, all of which must be conditional.

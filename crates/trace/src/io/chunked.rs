@@ -16,11 +16,11 @@
 //! per-branch statistics in flat vectors and still merge bit-identically with
 //! the eager path.
 //!
-//! Any `Read` source works — a file opened via [`ChunkedTraceReader::open_btrt`]
-//! (which is `Read + Seek`, letting callers pre-position the stream with
-//! pread-style offsets before handing it over), a network socket, or an
-//! in-memory buffer; decoding itself is sequential because `BTRT` records are
-//! delta-encoded against their predecessor.
+//! Any `Read` source works — a file (`File::open` handed to
+//! [`ChunkedTraceReader::btrt`], which callers may pre-position with
+//! pread-style offsets first), a network socket, or an in-memory buffer;
+//! decoding itself is sequential because `BTRT` records are delta-encoded
+//! against their predecessor.
 //!
 //! ```
 //! use btr_trace::io::{binary, chunked::ChunkedTraceReader};
@@ -52,9 +52,7 @@ use crate::io::text::TextRecordReader;
 use crate::record::BranchRecord;
 use crate::trace::TraceMetadata;
 use crate::Result;
-use std::fs::File;
-use std::io::{BufReader, Read};
-use std::path::Path;
+use std::io::Read;
 
 /// Default records per chunk: 64 Ki records ≈ 2 MiB of decoded records, small
 /// enough to stay cache- and RAM-friendly, large enough to amortise per-chunk
@@ -219,17 +217,6 @@ impl<S: ChunkStream> ChunkStream for &mut S {
     }
 }
 
-/// Adapts any iterator of chunk results into a (non-recycling)
-/// [`ChunkStream`], for custom chunk sources that are not readers.
-#[derive(Debug)]
-pub struct ChunkIter<I>(pub I);
-
-impl<I: Iterator<Item = Result<TraceChunk>>> ChunkStream for ChunkIter<I> {
-    fn pull(&mut self) -> Option<Result<TraceChunk>> {
-        self.0.next()
-    }
-}
-
 /// Decodes a trace stream into bounded fixed-size [`TraceChunk`]s, interning
 /// conditional-branch addresses incrementally as they first appear.
 ///
@@ -276,22 +263,6 @@ impl<R: Read> ChunkedTraceReader<BinaryRecordReader<R>> {
     }
 }
 
-impl ChunkedTraceReader<BinaryRecordReader<BufReader<File>>> {
-    /// Opens a `BTRT` file for chunked decoding.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file cannot be opened or its header is invalid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_records` is zero.
-    pub fn open_btrt<P: AsRef<Path>>(path: P, chunk_records: usize) -> Result<Self> {
-        let file = File::open(path)?;
-        ChunkedTraceReader::btrt(BufReader::new(file), chunk_records)
-    }
-}
-
 impl<R: Read> ChunkedTraceReader<TextRecordReader<R>> {
     /// Starts chunked decoding of a text-format stream. The leading comment
     /// block is consumed eagerly so [`ChunkedTraceReader::metadata`] is
@@ -321,25 +292,6 @@ impl<R: Read> ChunkedTraceReader<TextRecordReader<R>> {
         let source = TextRecordReader::new(reader);
         let metadata = source.metadata().clone();
         ChunkedTraceReader::from_records(metadata, None, source, chunk_records)
-    }
-}
-
-impl ChunkedTraceReader<TextRecordReader<BufReader<File>>> {
-    /// Opens a text-format trace file for chunked decoding.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the file cannot be opened.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_records` is zero.
-    pub fn open_text<P: AsRef<Path>>(path: P, chunk_records: usize) -> Result<Self> {
-        let file = File::open(path)?;
-        Ok(ChunkedTraceReader::text(
-            BufReader::new(file),
-            chunk_records,
-        ))
     }
 }
 
@@ -655,15 +607,17 @@ mod tests {
     }
 
     #[test]
-    fn file_backed_reading_round_trips() {
+    fn file_backed_reading_round_trips() -> Result<()> {
         let trace = mixed_trace(57);
         let dir = std::env::temp_dir().join("btr-chunked-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("roundtrip-{}.btrt", std::process::id()));
-        std::fs::write(&path, encode(&trace)).unwrap();
-        let reader = ChunkedTraceReader::open_btrt(&path, 16).unwrap();
+        std::fs::write(&path, encode(&trace))?;
+        let file = std::io::BufReader::new(std::fs::File::open(&path)?);
+        let reader = ChunkedTraceReader::btrt(file, 16)?;
         let all: Vec<BranchRecord> = reader.flat_map(|c| c.unwrap().into_records()).collect();
         assert_eq!(all.as_slice(), trace.records());
         std::fs::remove_file(&path).ok();
+        Ok(())
     }
 }

@@ -34,7 +34,7 @@
 //! [`MAX_RECORD_BYTES`]: super::binary::MAX_RECORD_BYTES
 
 use crate::error::TraceError;
-use crate::interned::{IncrementalInterner, InternedRecord};
+use crate::interned::IncrementalInterner;
 use crate::io::binary::{
     kind_from_code, read_header, varint_error, CountingReader, FLAG_TAKEN, FLAG_TARGET, KIND_MASK,
     MAX_RECORD_BYTES,
@@ -169,16 +169,6 @@ impl<R: Read> FastBtrtReader<R> {
     /// The metadata decoded from the header.
     pub fn metadata(&self) -> &TraceMetadata {
         &self.metadata
-    }
-
-    /// The record count the header declared.
-    pub fn declared_count(&self) -> u64 {
-        self.declared
-    }
-
-    /// The configured records-per-chunk bound.
-    pub fn chunk_records(&self) -> usize {
-        self.chunk_records
     }
 
     /// Records decoded so far across all yielded chunks.
@@ -365,18 +355,8 @@ impl<R: Read> ChunkStream for FastBtrtReader<R> {
 /// Fails on any decode error the streaming fast path would report.
 pub fn read_interned_btrt<P: AsRef<Path>>(path: P) -> Result<(TraceMetadata, InternedTrace)> {
     let mut reader = FastBtrtReader::open(path, DEFAULT_CHUNK_RECORDS)?;
-    let mut records: Vec<InternedRecord> =
-        Vec::with_capacity(reader.declared_count().min(1 << 24) as usize);
-    while let Some(chunk) = reader.pull() {
-        let chunk = chunk?;
-        records.extend(chunk.conditional());
-        reader.recycle(chunk);
-    }
-    let metadata = reader.metadata.clone();
-    Ok((
-        metadata,
-        InternedTrace::from_parts(reader.interner.into_addrs(), records),
-    ))
+    let interned = InternedTrace::from_chunks(&mut reader)?;
+    Ok((reader.metadata, interned))
 }
 
 #[cfg(test)]

@@ -40,6 +40,6 @@ pub mod fast;
 pub mod text;
 
 pub use binary::{read_trace as read_binary, write_trace as write_binary, BinaryRecordReader};
-pub use chunked::{ChunkIter, ChunkStream, ChunkedTraceReader, TraceChunk, DEFAULT_CHUNK_RECORDS};
+pub use chunked::{ChunkStream, ChunkedTraceReader, TraceChunk, DEFAULT_CHUNK_RECORDS};
 pub use fast::{read_interned_btrt, FastBtrtReader};
 pub use text::{read_trace as read_text, write_trace as write_text, TextRecordReader};

@@ -44,9 +44,7 @@ pub mod wire;
 pub use error::TraceError;
 pub use filter::{ConditionalOnly, Sampled, Windowed};
 pub use interned::{IncrementalInterner, InternedRecord, InternedTrace};
-pub use io::chunked::{
-    ChunkIter, ChunkStream, ChunkedTraceReader, TraceChunk, DEFAULT_CHUNK_RECORDS,
-};
+pub use io::chunked::{ChunkStream, ChunkedTraceReader, TraceChunk, DEFAULT_CHUNK_RECORDS};
 pub use io::fast::{read_interned_btrt, FastBtrtReader};
 pub use record::{BranchAddr, BranchKind, BranchRecord, Outcome};
 pub use stats::{AddrStats, DenseTraceStats, TraceStats};

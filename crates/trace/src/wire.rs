@@ -76,6 +76,9 @@ impl Wire for TraceError {
                 .field("kind", "count_mismatch")
                 .field("declared", *declared)
                 .field("actual", *actual),
+            TraceError::StaticBranchBudget { limit } => b
+                .field("kind", "static_branch_budget")
+                .field("limit", *limit),
         }
         .build()
     }
@@ -127,6 +130,9 @@ impl Wire for TraceError {
             "count_mismatch" => TraceError::CountMismatch {
                 declared: value.get("declared")?.as_u64()?,
                 actual: value.get("actual")?.as_u64()?,
+            },
+            "static_branch_budget" => TraceError::StaticBranchBudget {
+                limit: value.get("limit")?.as_u64()?,
             },
             other => {
                 return Err(WireError::schema(format!(
@@ -181,6 +187,7 @@ mod tests {
                 declared: 10,
                 actual: 7,
             },
+            TraceError::StaticBranchBudget { limit: 16 },
         ];
         for err in errors {
             let via_json = TraceError::from_json(&err.to_json().unwrap()).unwrap();
