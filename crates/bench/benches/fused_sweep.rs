@@ -5,18 +5,20 @@
 //! directly the *history-point* throughput of a sweep and rate ratios are
 //! cost-per-point ratios. Three baselines, strongest first:
 //!
-//! * `per_history_17pass/…` — one monomorphized `run_dispatch` pass per
-//!   history over the pre-interned trace (the parallel runner's pre-fusion
-//!   grid cell). Fused wins ~2.9–3.5× per point against even this.
+//! * `per_history_17pass/…` — one monomorphized full-range
+//!   `run_window_dispatch` pass per history over the pre-interned trace (the
+//!   parallel runner's pre-fusion grid cell). Fused wins ~2.9–3.5× per point
+//!   against even this.
 //! * `per_history_17pass_dyn/…` — one `dyn` + `BTreeMap` `SimEngine::run`
 //!   pass per history (what the sequential `HistorySweep::run` executed
-//!   before fusion). Fused wins ~15–17× — this and the streamed baseline
-//!   are the per-pass sweeps the fused engine replaced, and where the ≥ 4×
-//!   per-point acceptance bound is measured (`BENCH_pr5.json`).
-//! * `per_history_17decode/…` — one chunked decode+simulate pass of the
-//!   serialized `BTRT` bytes per history (the pre-fusion streamed path,
-//!   which re-decodes per point). Fused-streamed wins ~5.7–6.1×.
+//!   before fusion). Fused wins ~15–17× — the per-pass sweep the fused
+//!   engine replaced, and where the ≥ 4× per-point acceptance bound is
+//!   measured (`BENCH_pr5.json`).
+//!
+//! `fused_sweep_streamed/fused_streamed_chunk64k/…` prices the same curve
+//! from one chunked decode pass of the serialized `BTRT` bytes.
 
+use btr_bench::run_full_window;
 use btr_predictors::fused::FusedSweepPredictor;
 use btr_sim::config::PredictorKind;
 use btr_sim::engine::SimEngine;
@@ -78,7 +80,7 @@ fn bench_fused_sweep(c: &mut Criterion) {
             b.iter(|| {
                 histories
                     .iter()
-                    .map(|&h| engine.run_dispatch(&interned, &mut kind_factory(h).build_dispatch()))
+                    .map(|&h| run_full_window(&engine, &interned, kind_factory(h)))
                     .collect::<Vec<_>>()
             })
         });
@@ -101,29 +103,14 @@ fn bench_fused_sweep(c: &mut Criterion) {
     }
     group.finish();
 
-    // The paper-scale comparison: a trace that lives as serialized bytes
-    // (too big to materialise) yields the curve either by re-decoding the
-    // stream once per history point (the pre-fusion streamed path) or from
-    // one fused chunked-decode pass.
+    // The paper-scale case: a trace that lives as serialized bytes (too big
+    // to materialise) yields the curve from one fused chunked-decode pass.
     let mut bytes = Vec::new();
     binary::write_trace(&mut bytes, &trace).unwrap();
     let mut group = c.benchmark_group("fused_sweep_streamed");
     group.sample_size(10);
     group.throughput(Throughput::Elements(records * points));
-    for (label, fused_factory, kind_factory) in families.iter().take(2) {
-        group.bench_function(format!("per_history_17decode/{label}"), |b| {
-            b.iter(|| {
-                histories
-                    .iter()
-                    .map(|&h| {
-                        let chunks = ChunkedTraceReader::btrt(bytes.as_slice(), 64 * 1024).unwrap();
-                        engine
-                            .run_streamed_dispatch(chunks, &mut kind_factory(h).build_dispatch())
-                            .unwrap()
-                    })
-                    .collect::<Vec<_>>()
-            })
-        });
+    for (label, fused_factory, _) in families.iter().take(2) {
         group.bench_function(format!("fused_streamed_chunk64k/{label}"), |b| {
             b.iter(|| {
                 let chunks = ChunkedTraceReader::btrt(bytes.as_slice(), 64 * 1024).unwrap();

@@ -2,6 +2,7 @@
 //! paths: the `dyn` + `BTreeMap` compatibility path versus the devirtualized,
 //! dense-indexed hot path over an interned trace.
 
+use btr_bench::run_full_window;
 use btr_predictors::prelude::*;
 use btr_sim::config::PredictorKind;
 use btr_sim::engine::SimEngine;
@@ -112,7 +113,7 @@ fn bench_predictors(c: &mut Criterion) {
             b.iter(|| engine.run(&trace, &mut *kind.build()))
         });
         group.bench_function(format!("interned_fused/{}", kind.label()), |b| {
-            b.iter(|| engine.run_dispatch(&interned, &mut kind.build_dispatch()))
+            b.iter(|| run_full_window(&engine, &interned, kind))
         });
     }
     // The one-off cost the interned path pays up front, for context: one

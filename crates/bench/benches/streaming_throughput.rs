@@ -1,13 +1,14 @@
-//! Streamed vs eager trace simulation: throughput and peak-allocation cost
-//! of the chunked I/O path (PR 3) against the eager read-then-dispatch path,
-//! plus the windowed-parallel path for one huge trace.
+//! Streamed vs eager trace simulation: throughput of the chunked fused
+//! sweep (`run_fused_streamed`, one PAs(h=8) slot) against the eager
+//! read-intern-simulate path, plus the windowed-parallel path for one huge
+//! trace.
 //!
 //! All variants decode the *same* in-memory `BTRT` byte stream, so the
 //! comparison covers the full pipeline each path really executes: decode (+
-//! intern) + simulate. The acceptance bar is streamed throughput within 20%
-//! of eager.
+//! intern) + simulate.
 
-use btr_sim::config::{PredictorKind, WarmupWindow, WindowConfig};
+use btr_bench::run_full_window;
+use btr_sim::config::{PredictorFamily, PredictorKind, WarmupWindow, WindowConfig};
 use btr_sim::engine::SimEngine;
 use btr_sim::runner::SuiteRunner;
 use btr_trace::io::binary;
@@ -55,18 +56,22 @@ fn bench_streaming(c: &mut Criterion) {
         b.iter(|| {
             let trace = binary::read_trace(&mut encoded.as_slice()).unwrap();
             let interned = trace.intern();
-            engine.run_dispatch(&interned, &mut kind.build_dispatch())
+            run_full_window(&engine, &interned, kind)
         })
     });
     for chunk_records in [1 << 12, DEFAULT_CHUNK_RECORDS, 1 << 20] {
         group.bench_function(
-            format!("streamed/chunk{}k/{}", chunk_records >> 10, kind.label()),
+            format!(
+                "fused_streamed/chunk{}k/{}",
+                chunk_records >> 10,
+                kind.label()
+            ),
             |b| {
                 b.iter(|| {
                     let chunks =
                         ChunkedTraceReader::btrt(encoded.as_slice(), chunk_records).unwrap();
                     engine
-                        .run_streamed_dispatch(chunks, &mut kind.build_dispatch())
+                        .run_fused_streamed(chunks, &mut PredictorFamily::PAs.fused_paper(&[8]))
                         .unwrap()
                 })
             },
@@ -94,7 +99,7 @@ fn bench_streaming(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(interned.len() as u64));
     group.bench_function(format!("sequential/{}", kind.label()), |b| {
-        b.iter(|| engine.run_dispatch(&interned, &mut kind.build_dispatch()))
+        b.iter(|| run_full_window(&engine, &interned, kind))
     });
     for warm in [4096usize, 65_536] {
         let cfg = WindowConfig::new(1 << 18).with_warmup_window(WarmupWindow::Records(warm));

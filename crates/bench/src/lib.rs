@@ -8,7 +8,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use btr_sim::config::{PredictorKind, WarmupWindow};
+use btr_sim::engine::{result_from_dense, RunResult, SimEngine};
 use btr_sim::experiments::{ExperimentContext, SuiteData};
+use btr_trace::InternedTrace;
 use btr_workloads::spec::{Benchmark, SuiteConfig};
 
 /// A small experiment context sized for Criterion runs: three benchmarks, a
@@ -32,4 +35,18 @@ pub fn bench_context() -> ExperimentContext {
 /// Prepares the shared suite data for a benchmark context.
 pub fn bench_data(ctx: &ExperimentContext) -> SuiteData {
     ctx.prepare()
+}
+
+/// One monomorphized per-predictor pass over a whole interned trace: a
+/// full-range [`SimEngine::run_window_dispatch`] folded into a [`RunResult`].
+/// The per-history baseline rows time this against the fused tiers.
+pub fn run_full_window(
+    engine: &SimEngine,
+    trace: &InternedTrace,
+    kind: PredictorKind,
+) -> RunResult {
+    let mut predictor = kind.build_dispatch();
+    let (len, full) = (trace.len(), WarmupWindow::FullPrefix);
+    let dense = engine.run_window_dispatch(trace, &mut predictor, 0, len, full);
+    result_from_dense(dense, trace.addrs())
 }

@@ -11,8 +11,8 @@
 //! of regenerating, which is how captured (non-synthetic) traces are swept.
 
 use crate::error::{Result, ShardError};
-use btr_sim::config::{PredictorFamily, PredictorKind, WarmupWindow};
-use btr_sim::engine::{result_from_dense, RunResult, SimEngine};
+use btr_sim::config::PredictorFamily;
+use btr_sim::engine::{BatchLane, SimEngine};
 use btr_sim::sweep::SweepResult;
 use btr_trace::{read_interned_btrt, InternedTrace};
 use btr_wire::{MapBuilder, Value, Wire, WireError};
@@ -47,24 +47,7 @@ impl SweepSpec {
     /// Validates the spec: non-empty axes, sorted unique histories within
     /// the family budget, positive partition parameters.
     pub fn validate(&self) -> Result<()> {
-        if self.histories.is_empty() {
-            return Err(ShardError::invalid_spec("no history lengths"));
-        }
-        if !self.histories.windows(2).all(|w| w[0] < w[1]) {
-            return Err(ShardError::invalid_spec(
-                "history lengths must be strictly increasing",
-            ));
-        }
-        if let Some(h) = self
-            .histories
-            .iter()
-            .find(|h| **h > self.family.max_history())
-        {
-            return Err(ShardError::invalid_spec(format!(
-                "history length {h} exceeds the {} budget",
-                self.family.label()
-            )));
-        }
+        validate_histories(self.family, &self.histories).map_err(ShardError::invalid_spec)?;
         if self.benchmarks.is_empty() {
             return Err(ShardError::invalid_spec("no benchmarks"));
         }
@@ -208,43 +191,25 @@ impl UnitSpec {
     /// this unit's history group over its window, and return the (unlabeled)
     /// partial.
     ///
-    /// With one window the whole trace runs on the fused sweep path — the
-    /// same path the sequential [`btr_sim::sweep::HistorySweep::run`]
-    /// reference uses. With several, each history simulates its window via
-    /// [`SimEngine::run_window_dispatch`] with [`WarmupWindow::FullPrefix`],
-    /// whose merged partials are pinned bit-identical to the sequential run.
-    /// Either way, merging every unit of a sweep reproduces the sequential
-    /// result bit for bit (pinned by `tests/fault_convergence.rs`).
+    /// The window `[start, end)` is one [`SimEngine::run_batch`] lane over
+    /// the trace cut at `end`, with the engine warmup set to `start`: the
+    /// fused predictor trains on `[0, start)` and scores `[start, end)` —
+    /// exactly what a full-prefix warmup window does, in one pass for the
+    /// whole history group. One window is simply `start = 0, end = len`.
+    /// Merging every unit of a sweep reproduces the sequential result bit
+    /// for bit (pinned by `tests/fault_convergence.rs`).
     pub fn execute(&self) -> Result<SweepResult> {
-        if self.histories.is_empty() {
-            return Err(ShardError::invalid_spec("unit has no history lengths"));
-        }
-        let interned = self.load_trace()?;
-        let engine = SimEngine::new();
-        if self.window_count <= 1 {
-            let mut fused = self.family.fused_paper(&self.histories);
-            let results = engine.run_fused(&interned, &mut fused);
-            let parts = self.histories.iter().copied().zip(results).collect();
-            return Ok(SweepResult::from_parts(self.family, parts));
-        }
-        let len = interned.records().len();
-        let (start, end) = UnitSpec::window_bounds(len, self.window_index, self.window_count);
-        let mut parts: Vec<(u32, RunResult)> = Vec::with_capacity(self.histories.len());
-        for &history in &self.histories {
-            let kind = match self.family {
-                PredictorFamily::PAs => PredictorKind::PAsPaper { history },
-                PredictorFamily::GAs => PredictorKind::GAsPaper { history },
-            };
-            let mut predictor = kind.build_dispatch();
-            let dense = engine.run_window_dispatch(
-                &interned,
-                &mut predictor,
-                start,
-                end,
-                WarmupWindow::FullPrefix,
-            );
-            parts.push((history, result_from_dense(dense, interned.addrs())));
-        }
+        validate_histories(self.family, &self.histories).map_err(ShardError::invalid_spec)?;
+        let mut interned = self.load_trace()?;
+        let (start, end) =
+            UnitSpec::window_bounds(interned.len(), self.window_index, self.window_count);
+        interned.truncate(end);
+        let lane = BatchLane::new(0, self.family.fused_paper(&self.histories));
+        let results = SimEngine::new()
+            .with_warmup(start as u64)
+            .run_batch(&[&interned], vec![lane])
+            .remove(0);
+        let parts = self.histories.iter().copied().zip(results).collect();
         Ok(SweepResult::from_parts(self.family, parts))
     }
 
@@ -296,17 +261,42 @@ impl Wire for UnitSpec {
                 "window {window_index} outside its window count {window_count}"
             )));
         }
+        let family = PredictorFamily::from_value(value.get("family")?)?;
+        let histories = histories_from_value(value.get("histories")?)?;
+        validate_histories(family, &histories).map_err(WireError::schema)?;
         Ok(UnitSpec {
             unit_id: u32::try_from(value.get("unit_id")?.as_u64()?)
                 .map_err(|_| WireError::schema("unit id exceeds u32"))?,
-            family: PredictorFamily::from_value(value.get("family")?)?,
-            histories: histories_from_value(value.get("histories")?)?,
+            family,
+            histories,
             benchmark: Benchmark::from_value(value.get("benchmark")?)?,
             config: SuiteConfig::from_value(value.get("config")?)?,
             window_index,
             window_count,
             trace_file: trace_file_from_value(value)?,
         })
+    }
+}
+
+/// The history rules every spec and unit obeys: non-empty, strictly
+/// increasing (so merged results come out in sweep order) and each within
+/// the family's budget (so building the predictor cannot fail).
+fn validate_histories(
+    family: PredictorFamily,
+    histories: &[u32],
+) -> std::result::Result<(), String> {
+    if histories.is_empty() {
+        return Err("no history lengths".to_string());
+    }
+    if !histories.windows(2).all(|w| w[0] < w[1]) {
+        return Err("history lengths must be strictly increasing".to_string());
+    }
+    match histories.iter().find(|h| **h > family.max_history()) {
+        Some(h) => Err(format!(
+            "history length {h} exceeds the {} budget",
+            family.label()
+        )),
+        None => Ok(()),
     }
 }
 
@@ -405,9 +395,23 @@ mod tests {
 
     #[test]
     fn out_of_range_window_index_rejected_on_decode() {
-        let mut unit = small_spec().plan_units().expect("spec is valid")[0].clone();
-        unit.window_index = 5;
-        let err = UnitSpec::from_btrw(&unit.to_btrw()).expect_err("bad window rejected");
-        assert!(err.to_string().contains("window"), "{err}");
+        let unit = small_spec().plan_units().expect("spec is valid")[0].clone();
+        // (window_index, histories, expected error text)
+        let cases = [
+            (5, unit.histories.clone(), "window"),
+            (0, vec![99], "budget"),
+            (0, vec![2, 2], "strictly increasing"),
+            (0, vec![], "no history lengths"),
+        ];
+        for (window_index, histories, expected) in cases {
+            let bad = UnitSpec {
+                window_index,
+                histories,
+                ..unit.clone()
+            };
+            let err = UnitSpec::from_btrw(&bad.to_btrw()).expect_err("bad unit rejected");
+            assert!(matches!(err, WireError::Schema { .. }), "{err:?}");
+            assert!(err.to_string().contains(expected), "{err}");
+        }
     }
 }

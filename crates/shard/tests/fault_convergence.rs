@@ -67,6 +67,32 @@ fn fault_free_sharded_run_matches_sequential_bit_for_bit() {
     let on_disk = fs::read(dir.final_path()).expect("final.btrw written");
     assert_eq!(on_disk, sequential_bytes(&spec));
     let _ = fs::remove_dir_all(dir.root());
+    // Both families and more window splits (one window is the whole trace),
+    // run in-process so the grid stays cheap.
+    for family in [PredictorFamily::PAs, PredictorFamily::GAs] {
+        for window_count in [1, 3, 4] {
+            let spec = SweepSpec {
+                family,
+                window_count,
+                ..small_spec()
+            };
+            let dir = fresh_dir(&format!("clean-{}-{window_count}", family.label()));
+            let config = CoordinatorConfig {
+                launcher: Launcher::InProcess,
+                ..CoordinatorConfig::default()
+            };
+            let merged = Coordinator::new(dir.clone(), config)
+                .run(spec.clone())
+                .expect("sharded sweep converges");
+            assert_eq!(
+                merged.to_btrw(),
+                sequential_bytes(&spec),
+                "{} with {window_count} windows",
+                family.label()
+            );
+            let _ = fs::remove_dir_all(dir.root());
+        }
+    }
 }
 
 #[test]

@@ -118,7 +118,8 @@ impl PredictorKind {
     }
 
     /// Builds the predictor as a [`DispatchPredictor`], the enum-dispatched
-    /// form [`crate::engine::SimEngine::run_dispatch`] monomorphizes over.
+    /// form [`crate::engine::SimEngine::run_window_dispatch`] monomorphizes
+    /// over.
     /// Every kind this enum can describe maps to a dispatch family, so the
     /// fast path covers the whole configuration space; `build` remains for
     /// predictors constructed outside it.
@@ -147,7 +148,7 @@ impl PredictorKind {
 }
 
 /// How much predictor state a parallel window re-warms before its scored
-/// region (see [`crate::engine::SimEngine::run_window`]).
+/// region (see [`crate::engine::SimEngine::run_window_dispatch`]).
 ///
 /// A window simulated in isolation starts from a cold predictor, so its first
 /// predictions would diverge from a sequential run. Replaying a warmup region
@@ -155,9 +156,9 @@ impl PredictorKind {
 ///
 /// * [`WarmupWindow::FullPrefix`] replays *everything* before the window. The
 ///   predictor state entering the scored region is then exactly the
-///   sequential state, so windowed results are **bit-identical** to
-///   [`crate::engine::SimEngine::run_dispatch`] — at the cost of O(n²/window)
-///   total replay work.
+///   sequential state, so windowed results are **bit-identical** to one
+///   full-range sequential run — at the cost of O(n²/window) total replay
+///   work.
 /// * [`WarmupWindow::Records(k)`] replays only the `k` records before the
 ///   window: O(n·k/window) extra work, results **approximate** — branch
 ///   history registers and counters re-converge within tens of records, so

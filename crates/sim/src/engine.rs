@@ -1,42 +1,29 @@
 //! The trace → predictor simulation engine.
 //!
-//! Two execution paths cover the same protocol:
+//! [`SimEngine`] has five entry points, one per caller:
 //!
-//! * [`SimEngine::run`] — the compatibility path: a `dyn BranchPredictor`
-//!   driven with predict-then-update calls, per-branch statistics in an
-//!   address-keyed `BTreeMap`. Works with any predictor, including hybrids
-//!   and wrappers built outside this crate.
-//! * [`SimEngine::run_interned`] / [`SimEngine::run_dispatch`] — the hot
-//!   path: a monomorphized loop over an [`InternedTrace`]'s contiguous
-//!   conditional records, the fused [`BranchPredictor::access`] call, and
-//!   per-branch statistics in a dense id-indexed vector. `run_dispatch`
-//!   matches a [`DispatchPredictor`] once per run so each family gets its
-//!   own fully inlined loop.
+//! * [`SimEngine::run`] — the `dyn` path: virtual predict-then-update calls
+//!   and an address-keyed map per record. It takes any predictor (the hybrid
+//!   ablation and the examples use it) and is the oracle the faster paths
+//!   are pinned against.
+//! * [`SimEngine::run_fused`] — the scalar fused tier: every history length
+//!   of one family from a single pass over an [`InternedTrace`]. The
+//!   sequential [`crate::sweep::HistorySweep`] reference runs on it.
+//! * [`SimEngine::run_fused_streamed`] — the same sweep from a
+//!   [`ChunkStream`], without materialising the trace (`btrd`'s streamed
+//!   `/sweep`).
+//! * [`SimEngine::run_batch`] — the planner: lanes over one or more traces,
+//!   run on the bit-sliced SWAR tier when they fit it and on
+//!   [`SimEngine::run_fused`] otherwise (`btrd`'s batch `/sweep`, the suite
+//!   runner and every `btr-shard` unit).
+//! * [`SimEngine::run_window_dispatch`] — one window of a trace on a fresh
+//!   [`DispatchPredictor`] after a warmup replay ([`WarmupWindow`]); the
+//!   suite runner's per-predictor windowed path. Over the full range with
+//!   [`WarmupWindow::FullPrefix`] it is the monomorphized per-predictor
+//!   reference the fused tiers are tested against.
 //!
-//! Both paths are bit-identical by construction, and the test suite asserts
-//! it for every predictor family.
-//!
-//! Two more paths cover paper-scale traces that cannot (or should not) be
-//! materialised:
-//!
-//! * [`SimEngine::run_streamed`] consumes bounded [`TraceChunk`]s from a
-//!   [`btr_trace::ChunkedTraceReader`], so peak memory is one chunk plus the
-//!   per-static-branch tables — independent of trace length — while staying
-//!   bit-identical to the eager hot path.
-//! * [`SimEngine::run_window`] simulates one window of a trace on a fresh
-//!   predictor after replaying a configurable warmup region
-//!   ([`WarmupWindow`]), producing a mergeable [`DenseMissTable`] partial;
-//!   the suite runner schedules windows of one huge trace across the
-//!   work-stealing pool this way.
-//!
-//! Finally, the *fused* paths simulate an entire history sweep in one pass:
-//!
-//! * [`SimEngine::run_fused`] drives a [`FusedSweepPredictor`] — every
-//!   history length of one family at once — over an interned trace, yielding
-//!   one [`RunResult`] per history slot from a single traversal.
-//! * [`SimEngine::run_fused_streamed`] does the same from [`TraceChunk`]s, so
-//!   a paper-scale trace produces the whole history curve from one chunked
-//!   decode pass instead of re-decoding the bytes per sweep point.
+//! Every path is bit-identical to the others where they overlap; the
+//! equivalence suites under `tests/` pin it.
 
 use crate::config::WarmupWindow;
 use btr_core::analysis::{miss_map_from_value, miss_map_to_value, BranchMissMap, DenseMissTable};
@@ -270,9 +257,9 @@ impl FusedMissAccumulator {
 /// Folds a dense per-id statistics table into a [`RunResult`], computing the
 /// overall statistics as the table's column sums (exact, since every scored
 /// record lands in the table) and resolving ids through `addrs`. Shared by
-/// every dense-table path (interned, streamed, windowed-merge) so they cannot
-/// drift apart; public so external window schedulers (the `btr-shard` worker)
-/// fold their [`SimEngine::run_window`] partials through the same code.
+/// every dense-table path (fused, windowed-merge) so they cannot drift
+/// apart; public so callers of [`SimEngine::run_window_dispatch`] fold their
+/// partials through the same code.
 pub fn result_from_dense(dense: DenseMissTable, addrs: &[BranchAddr]) -> RunResult {
     let mut overall = PredictionStats::new();
     for stats in dense.stats() {
@@ -503,9 +490,8 @@ impl SimEngine {
     /// Runs the predictor over every conditional branch of the trace.
     ///
     /// This is the compatibility path: virtual predict/update calls and an
-    /// address-keyed map per record. Prefer [`SimEngine::run_interned`] (or
-    /// [`SimEngine::run_dispatch`]) for sweeps — it is several times faster
-    /// and produces bit-identical results.
+    /// address-keyed map per record. Prefer [`SimEngine::run_batch`] for
+    /// sweeps — it is many times faster and produces bit-identical results.
     pub fn run(&self, trace: &Trace, predictor: &mut dyn BranchPredictor) -> RunResult {
         let mut result = RunResult::default();
         let mut seen = 0u64;
@@ -526,34 +512,6 @@ impl SimEngine {
         result
     }
 
-    /// Runs a concrete (monomorphized) predictor over an interned trace.
-    ///
-    /// Per dynamic branch this costs one fused [`BranchPredictor::access`]
-    /// call — inlinable, since `P` is concrete at each instantiation — and
-    /// one dense vector index, instead of two virtual calls and a
-    /// `BTreeMap` traversal. The dense statistics convert to the map-keyed
-    /// [`RunResult`] once at the end, so results are bit-identical to
-    /// [`SimEngine::run`].
-    pub fn run_interned<P: BranchPredictor>(
-        &self,
-        trace: &InternedTrace,
-        predictor: &mut P,
-    ) -> RunResult {
-        let mut dense = DenseMissTable::new(trace.static_count());
-        let records = trace.records();
-        let warmup = (self.warmup.min(records.len() as u64)) as usize;
-        for record in &records[..warmup] {
-            predictor.access(record.addr(), record.outcome());
-        }
-        for record in &records[warmup..] {
-            let hit = predictor.access(record.addr(), record.outcome());
-            dense.record(record.id(), hit);
-        }
-        // Every post-warmup record lands in the dense table, so the overall
-        // statistics are its column sums — no per-record aggregate needed.
-        result_from_dense(dense, trace.addrs())
-    }
-
     /// Runs a fused multi-history predictor over an interned trace, producing
     /// one [`RunResult`] per history slot (in `fused.histories()` order) from
     /// a **single** trace traversal.
@@ -562,8 +520,8 @@ impl SimEngine {
     /// once per history length, the fused run drives every slot's pattern
     /// table from one shared history register read per record (see
     /// [`FusedSweepPredictor`]), so the whole history curve costs one pass.
-    /// Results are bit-identical to running
-    /// [`SimEngine::run_dispatch`] once per history length with the
+    /// Results are bit-identical to one full-range
+    /// [`SimEngine::run_window_dispatch`] per history length with the
     /// standalone paper predictor — pinned by `tests/fused_equivalence.rs`.
     ///
     /// The engine's warmup exclusion applies to every slot identically, just
@@ -696,9 +654,13 @@ impl SimEngine {
     /// chunks are recycled back to the stream, so a recycling reader (e.g.
     /// [`btr_trace::FastBtrtReader`]) streams with zero per-chunk allocation.
     ///
-    /// The chunk contract matches [`SimEngine::run_streamed`]; results are
-    /// bit-identical to the eager [`SimEngine::run_fused`] over the same
-    /// records — pinned by `tests/fused_equivalence.rs`.
+    /// The chunks must arrive in stream order with ids assigned by one
+    /// persistent interner (what [`btr_trace::ChunkedTraceReader`] and
+    /// [`btr_trace::FastBtrtReader`] produce); the id → address table is
+    /// rebuilt from the columns, since a dense id first appears on its
+    /// defining record. Results are bit-identical to the eager
+    /// [`SimEngine::run_fused`] over the same records — pinned by
+    /// `tests/fused_equivalence.rs`.
     ///
     /// # Errors
     ///
@@ -741,94 +703,8 @@ impl SimEngine {
         Ok(acc.into_results(&addrs))
     }
 
-    /// Runs a concrete predictor over a [`ChunkStream`] without ever
-    /// materialising the whole trace: peak memory is one chunk plus the
-    /// per-static-branch tables, independent of trace length. Consumed
-    /// chunks are recycled back to the stream.
-    ///
-    /// The chunks must arrive in stream order with ids assigned by one
-    /// persistent interner (what [`btr_trace::ChunkedTraceReader`] and
-    /// [`btr_trace::FastBtrtReader`] produce); the id → address table is
-    /// rebuilt incrementally from the columns themselves, since a dense id
-    /// first appears on its defining record. Results are bit-identical to
-    /// [`SimEngine::run_dispatch`] over the eagerly-read trace — pinned by
-    /// `tests/streamed_equivalence.rs`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first decode error the chunk stream yields.
-    pub fn run_streamed<P, S>(
-        &self,
-        mut chunks: S,
-        predictor: &mut P,
-    ) -> btr_trace::Result<RunResult>
-    where
-        P: BranchPredictor,
-        S: ChunkStream,
-    {
-        let mut dense = DenseMissTable::new(0);
-        let mut addrs: Vec<BranchAddr> = Vec::new();
-        let mut seen = 0u64;
-        while let Some(chunk) = chunks.pull() {
-            let chunk = chunk?;
-            for ((&addr, &id), &taken) in chunk
-                .cond_addrs()
-                .iter()
-                .zip(chunk.cond_ids())
-                .zip(chunk.cond_taken())
-            {
-                if id as usize == addrs.len() {
-                    addrs.push(addr);
-                }
-                let hit = predictor.access(addr, Outcome::from_bool(taken));
-                seen += 1;
-                if seen <= self.warmup {
-                    continue;
-                }
-                dense.record_growing(id, hit);
-            }
-            chunks.recycle(chunk);
-        }
-        Ok(result_from_dense(dense, &addrs))
-    }
-
-    /// [`SimEngine::run_streamed`] for a [`DispatchPredictor`], selecting the
-    /// concrete family once per run so the chunk loop is monomorphized.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first decode error the chunk stream yields.
-    pub fn run_streamed_dispatch<S>(
-        &self,
-        chunks: S,
-        predictor: &mut DispatchPredictor,
-    ) -> btr_trace::Result<RunResult>
-    where
-        S: ChunkStream,
-    {
-        match predictor {
-            DispatchPredictor::TwoLevel(p) => self.run_streamed(chunks, p),
-            DispatchPredictor::Gshare(p) => self.run_streamed(chunks, p),
-            DispatchPredictor::Bimodal(p) => self.run_streamed(chunks, p),
-            DispatchPredictor::Static(p) => self.run_streamed(chunks, p),
-        }
-    }
-
-    /// Simulates one window `[start, end)` of an interned trace on a fresh
-    /// predictor, replaying a warmup region first, and returns the window's
-    /// per-id statistics partial (merge partials with
-    /// [`DenseMissTable::merge`]).
-    ///
-    /// The predictor is trained on `[warmup_window.warm_start(start), start)`
-    /// without recording statistics, then scored on `[start, end)`. With
-    /// [`WarmupWindow::FullPrefix`] the predictor enters the scored region in
-    /// exactly the sequential state, so merging all window partials is
-    /// bit-identical to one sequential run. The engine's own
-    /// [`SimEngine::warmup`] exclusion applies to *absolute* record indices,
-    /// so it composes with windowing exactly as in the sequential paths.
-    ///
-    /// Out-of-range bounds are clamped to the trace length.
-    pub fn run_window<P: BranchPredictor>(
+    /// The monomorphized body of [`SimEngine::run_window_dispatch`].
+    fn run_window<P: BranchPredictor>(
         &self,
         trace: &InternedTrace,
         predictor: &mut P,
@@ -853,8 +729,22 @@ impl SimEngine {
         dense
     }
 
-    /// [`SimEngine::run_window`] for a [`DispatchPredictor`], selecting the
-    /// concrete family once per window.
+    /// Simulates one window `[start, end)` of an interned trace on a fresh
+    /// predictor, replaying a warmup region first, and returns the window's
+    /// per-id statistics partial (merge partials with
+    /// [`DenseMissTable::merge`], fold them with [`result_from_dense`]). The
+    /// concrete family is selected once per window, so the record loop is
+    /// monomorphized.
+    ///
+    /// The predictor is trained on `[warmup_window.warm_start(start), start)`
+    /// without recording statistics, then scored on `[start, end)`. With
+    /// [`WarmupWindow::FullPrefix`] the predictor enters the scored region in
+    /// exactly the sequential state, so merging all window partials is
+    /// bit-identical to one sequential run. The engine's own
+    /// [`SimEngine::warmup`] exclusion applies to *absolute* record indices,
+    /// so it composes with windowing exactly as in the sequential paths.
+    ///
+    /// Out-of-range bounds are clamped to the trace length.
     pub fn run_window_dispatch(
         &self,
         trace: &InternedTrace,
@@ -868,22 +758,6 @@ impl SimEngine {
             DispatchPredictor::Gshare(p) => self.run_window(trace, p, start, end, warmup_window),
             DispatchPredictor::Bimodal(p) => self.run_window(trace, p, start, end, warmup_window),
             DispatchPredictor::Static(p) => self.run_window(trace, p, start, end, warmup_window),
-        }
-    }
-
-    /// Runs a [`DispatchPredictor`] over an interned trace, selecting the
-    /// concrete predictor family **once per run** so the record loop is fully
-    /// monomorphized and inlined per family.
-    pub fn run_dispatch(
-        &self,
-        trace: &InternedTrace,
-        predictor: &mut DispatchPredictor,
-    ) -> RunResult {
-        match predictor {
-            DispatchPredictor::TwoLevel(p) => self.run_interned(trace, p),
-            DispatchPredictor::Gshare(p) => self.run_interned(trace, p),
-            DispatchPredictor::Bimodal(p) => self.run_interned(trace, p),
-            DispatchPredictor::Static(p) => self.run_interned(trace, p),
         }
     }
 }
@@ -981,6 +855,20 @@ mod tests {
         b.build()
     }
 
+    /// A full-range [`SimEngine::run_window_dispatch`] folded into a
+    /// [`RunResult`]: the monomorphized per-predictor reference.
+    fn run_full_window(engine: SimEngine, trace: &InternedTrace, kind: PredictorKind) -> RunResult {
+        let mut predictor = kind.build_dispatch();
+        let dense = engine.run_window_dispatch(
+            trace,
+            &mut predictor,
+            0,
+            trace.len(),
+            WarmupWindow::FullPrefix,
+        );
+        result_from_dense(dense, trace.addrs())
+    }
+
     #[test]
     fn interned_and_dispatch_paths_match_dyn_path_bit_for_bit() {
         let trace = mixed_trace(5000);
@@ -996,12 +884,15 @@ mod tests {
             PredictorKind::StaticNotTaken,
         ] {
             let via_dyn = engine.run(&trace, &mut *kind.build());
-            let via_dispatch = engine.run_dispatch(&interned, &mut kind.build_dispatch());
+            let via_dispatch = run_full_window(engine, &interned, kind);
             assert_eq!(via_dyn, via_dispatch, "{} diverged", kind.label());
             // And the generic path with a concrete predictor agrees too.
             if let PredictorKind::GAsPaper { history } = kind {
                 let mut concrete = btr_predictors::twolevel::TwoLevelPredictor::gas_paper(history);
-                assert_eq!(via_dyn, engine.run_interned(&interned, &mut concrete));
+                let len = interned.len();
+                let dense =
+                    engine.run_window(&interned, &mut concrete, 0, len, WarmupWindow::FullPrefix);
+                assert_eq!(via_dyn, result_from_dense(dense, interned.addrs()));
             }
         }
     }
@@ -1014,7 +905,7 @@ mod tests {
             let engine = SimEngine::new().with_warmup(warmup);
             let kind = PredictorKind::PAsPaper { history: 4 };
             let via_dyn = engine.run(&trace, &mut *kind.build());
-            let via_fast = engine.run_dispatch(&interned, &mut kind.build_dispatch());
+            let via_fast = run_full_window(engine, &interned, kind);
             assert_eq!(via_dyn, via_fast, "warmup {warmup} diverged");
         }
     }
@@ -1027,7 +918,7 @@ mod tests {
         assert_eq!(result.overall.lookups, 0);
         assert_eq!(result.miss_rate(), None);
         assert!(result.per_branch.is_empty());
-        let fast = SimEngine::new().run_dispatch(&trace.intern(), &mut kind.build_dispatch());
+        let fast = run_full_window(SimEngine::new(), &trace.intern(), kind);
         assert_eq!(result, fast);
     }
 }

@@ -6,10 +6,11 @@
 //! * [`config`] — predictor configurations the harness knows how to build.
 //! * [`engine`] — runs a trace through a predictor, collecting overall and
 //!   per-branch hit/miss statistics. Offers a `dyn` compatibility path, a
-//!   devirtualized, dense-indexed hot path over interned traces
-//!   ([`engine::SimEngine::run_dispatch`]), and a fused multi-history path
-//!   that simulates a whole history sweep in one trace pass
-//!   ([`engine::SimEngine::run_fused`], with a chunk-streamed variant).
+//!   fused multi-history path that simulates a whole history sweep in one
+//!   trace pass ([`engine::SimEngine::run_fused`], with a chunk-streamed
+//!   variant), a batch planner that runs many sweeps on the SWAR tier
+//!   ([`engine::SimEngine::run_batch`]) and a monomorphized windowed path
+//!   ([`engine::SimEngine::run_window_dispatch`]).
 //! * [`sweep`] — history-length sweeps (0–16) for PAs and GAs, producing the
 //!   class × history matrices of the paper's figures; one fused pass per
 //!   trace instead of one pass per history length.

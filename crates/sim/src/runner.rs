@@ -187,8 +187,8 @@ impl SuiteRunner {
     /// exact-vs-approximate trade-off), and the per-window
     /// [`DenseMissTable`] partials are merged in window-index order, so the
     /// outcome is deterministic no matter how windows were scheduled — and
-    /// bit-identical to [`SimEngine::run_dispatch`] under
-    /// [`crate::config::WarmupWindow::FullPrefix`].
+    /// bit-identical to one full-range [`SimEngine::run_window_dispatch`]
+    /// under [`crate::config::WarmupWindow::FullPrefix`].
     pub fn run_trace_windowed(
         &self,
         trace: &InternedTrace,

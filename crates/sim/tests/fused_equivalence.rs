@@ -3,14 +3,14 @@
 //! Pins the guarantee the whole fused subsystem rests on: simulating every
 //! history length of a family from **one** trace pass
 //! ([`SimEngine::run_fused`], [`SimEngine::run_fused_streamed`]) is
-//! **bit-identical** to one [`SimEngine::run_dispatch`] pass per history
-//! length with the standalone paper predictor — across families (PAs, GAs,
+//! **bit-identical** to one full-range [`SimEngine::run_window_dispatch`]
+//! pass per history length with the standalone paper predictor — across families (PAs, GAs,
 //! gshare), history sets (dense 0..=16, sparse, singleton, unsorted),
 //! warmup settings, and arbitrary chunkings of the streamed path.
 
 use btr_predictors::fused::FusedSweepPredictor;
-use btr_sim::config::{PredictorFamily, PredictorKind};
-use btr_sim::engine::{RunResult, SimEngine};
+use btr_sim::config::{PredictorFamily, PredictorKind, WarmupWindow};
+use btr_sim::engine::{result_from_dense, RunResult, SimEngine};
 use btr_sim::runner::SuiteRunner;
 use btr_sim::sweep::HistorySweep;
 use btr_trace::io::binary;
@@ -86,8 +86,8 @@ impl Family {
     }
 }
 
-/// One standalone `run_dispatch` pass per history length — the reference the
-/// fused single-pass results must match bit for bit.
+/// One standalone full-range `run_window_dispatch` pass per history length —
+/// the reference the fused single-pass results must match bit for bit.
 fn per_history_reference(
     engine: &SimEngine,
     trace: &Trace,
@@ -97,7 +97,12 @@ fn per_history_reference(
     let interned = trace.intern();
     histories
         .iter()
-        .map(|&h| engine.run_dispatch(&interned, &mut family.kind(h).build_dispatch()))
+        .map(|&h| {
+            let mut predictor = family.kind(h).build_dispatch();
+            let (len, full) = (interned.len(), WarmupWindow::FullPrefix);
+            let dense = engine.run_window_dispatch(&interned, &mut predictor, 0, len, full);
+            result_from_dense(dense, interned.addrs())
+        })
         .collect()
 }
 

@@ -1,19 +1,15 @@
-//! Equivalence suite for the streaming and windowed simulation paths.
+//! Equivalence suite for the windowed simulation path.
 //!
-//! Pins the two guarantees the streaming subsystem rests on:
-//!
-//! 1. [`SimEngine::run_streamed`] over a chunked `BTRT` stream is
-//!    **bit-identical** to [`SimEngine::run_dispatch`] over the eagerly-read,
-//!    interned trace — for every predictor family, chunk size and warmup.
-//! 2. Windowed-parallel simulation with [`WarmupWindow::FullPrefix`] is
-//!    **bit-identical** to the sequential dispatch run, while finite warmup
-//!    windows diverge by a bounded, shrinking amount.
+//! Windowed-parallel simulation with [`WarmupWindow::FullPrefix`] is
+//! **bit-identical** to one full-range sequential
+//! [`SimEngine::run_window_dispatch`] run, while finite warmup windows
+//! diverge by a bounded, shrinking amount. (The streamed sweep path is
+//! pinned by `fused_equivalence.rs`.)
 
 use btr_sim::config::{PredictorKind, WarmupWindow, WindowConfig};
-use btr_sim::engine::SimEngine;
+use btr_sim::engine::{result_from_dense, RunResult, SimEngine};
 use btr_sim::runner::SuiteRunner;
-use btr_trace::io::binary;
-use btr_trace::{BranchAddr, BranchRecord, ChunkedTraceReader, Outcome, Trace, TraceBuilder};
+use btr_trace::{BranchAddr, BranchRecord, InternedTrace, Outcome, Trace, TraceBuilder};
 use btr_workloads::spec::{Benchmark, SuiteConfig};
 use proptest::prelude::*;
 
@@ -48,6 +44,15 @@ fn generated_trace() -> Trace {
     )
 }
 
+/// One full-range [`SimEngine::run_window_dispatch`] run folded into a
+/// [`RunResult`]: the sequential reference the windowed runs must match.
+fn sequential_run(trace: &InternedTrace, kind: PredictorKind) -> RunResult {
+    let mut predictor = kind.build_dispatch();
+    let (len, full) = (trace.len(), WarmupWindow::FullPrefix);
+    let dense = SimEngine::new().run_window_dispatch(trace, &mut predictor, 0, len, full);
+    result_from_dense(dense, trace.addrs())
+}
+
 fn predictor_kinds() -> Vec<PredictorKind> {
     vec![
         PredictorKind::PAsPaper { history: 8 },
@@ -59,67 +64,7 @@ fn predictor_kinds() -> Vec<PredictorKind> {
 }
 
 #[test]
-fn run_streamed_is_bit_identical_to_run_dispatch() {
-    for trace in [mixed_trace(6000, 0xfeed), generated_trace()] {
-        let mut buf = Vec::new();
-        binary::write_trace(&mut buf, &trace).unwrap();
-        let interned = trace.intern();
-        let engine = SimEngine::new();
-        for kind in predictor_kinds() {
-            let eager = engine.run_dispatch(&interned, &mut kind.build_dispatch());
-            for chunk_records in [1usize, 7, 4096, 10_000_000] {
-                let chunks = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
-                let streamed = engine
-                    .run_streamed_dispatch(chunks, &mut kind.build_dispatch())
-                    .unwrap();
-                assert_eq!(
-                    eager,
-                    streamed,
-                    "{} diverged at chunk size {chunk_records}",
-                    kind.label()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn run_streamed_honours_engine_warmup_identically() {
-    let trace = mixed_trace(3000, 0xabcd);
-    let mut buf = Vec::new();
-    binary::write_trace(&mut buf, &trace).unwrap();
-    let interned = trace.intern();
-    let kind = PredictorKind::PAsPaper { history: 4 };
-    for warmup in [0u64, 1, 137, 2999, 3000, 9999] {
-        let engine = SimEngine::new().with_warmup(warmup);
-        let eager = engine.run_dispatch(&interned, &mut kind.build_dispatch());
-        let chunks = ChunkedTraceReader::btrt(buf.as_slice(), 256).unwrap();
-        let streamed = engine
-            .run_streamed_dispatch(chunks, &mut kind.build_dispatch())
-            .unwrap();
-        assert_eq!(eager, streamed, "warmup {warmup} diverged");
-    }
-}
-
-#[test]
-fn run_streamed_propagates_decode_errors() {
-    let trace = mixed_trace(500, 0x1234);
-    let mut buf = Vec::new();
-    binary::write_trace(&mut buf, &trace).unwrap();
-    buf.truncate(buf.len() - 3);
-    let chunks = ChunkedTraceReader::btrt(buf.as_slice(), 64).unwrap();
-    let err = SimEngine::new()
-        .run_streamed_dispatch(chunks, &mut PredictorKind::StaticTaken.build_dispatch())
-        .unwrap_err();
-    assert!(
-        matches!(err, btr_trace::TraceError::TruncatedRecord { .. }),
-        "{err:?}"
-    );
-}
-
-#[test]
 fn windowed_full_prefix_warmup_is_bit_identical_to_dispatch() {
-    let engine = SimEngine::new();
     let runner = SuiteRunner::new(SuiteConfig::default()).with_threads(3);
     // Degenerate window sizes are O(n²/window) under full-prefix warmup, so
     // they run on a short trace; realistic sizes cover the longer traces.
@@ -132,7 +77,7 @@ fn windowed_full_prefix_warmup_is_bit_identical_to_dispatch() {
     for (trace, windows) in cases {
         let interned = trace.intern();
         for kind in predictor_kinds() {
-            let sequential = engine.run_dispatch(&interned, &mut kind.build_dispatch());
+            let sequential = sequential_run(&interned, kind);
             for &window in &windows {
                 let windowed =
                     runner.run_trace_windowed(&interned, kind, WindowConfig::new(window));
@@ -164,7 +109,6 @@ fn windowed_empty_trace_produces_empty_result() {
 fn finite_warmup_divergence_is_bounded_and_shrinks() {
     let trace = mixed_trace(20_000, 0xcafe);
     let interned = trace.intern();
-    let engine = SimEngine::new();
     let runner = SuiteRunner::new(SuiteConfig::default()).with_threads(4);
     // Bounds are calibrated to this deterministic workload (a third of its
     // outcomes are pure noise, the worst case for window re-convergence):
@@ -180,7 +124,7 @@ fn finite_warmup_divergence_is_bounded_and_shrinks() {
         ),
     ];
     for (kind, bounds) in cases {
-        let exact = engine.run_dispatch(&interned, &mut kind.build_dispatch());
+        let exact = sequential_run(&interned, kind);
         let exact_rate = exact.miss_rate().unwrap();
         let mut divergences = Vec::new();
         for (warm, bound) in bounds {
@@ -219,28 +163,9 @@ proptest! {
         let trace = mixed_trace(len, seed);
         let interned = trace.intern();
         let kind = PredictorKind::GAsPaper { history: 6 };
-        let sequential = SimEngine::new().run_dispatch(&interned, &mut kind.build_dispatch());
+        let sequential = sequential_run(&interned, kind);
         let runner = SuiteRunner::new(SuiteConfig::default()).with_threads(threads);
         let windowed = runner.run_trace_windowed(&interned, kind, WindowConfig::new(window));
         prop_assert_eq!(sequential, windowed);
-    }
-
-    #[test]
-    fn streamed_identity_holds_for_arbitrary_chunkings(
-        seed in any::<u64>(),
-        len in 0u64..1500,
-        chunk_records in 1usize..400,
-    ) {
-        let trace = mixed_trace(len, seed);
-        let mut buf = Vec::new();
-        binary::write_trace(&mut buf, &trace).unwrap();
-        let kind = PredictorKind::PAsPaper { history: 6 };
-        let engine = SimEngine::new();
-        let eager = engine.run_dispatch(&trace.intern(), &mut kind.build_dispatch());
-        let chunks = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
-        let streamed = engine
-            .run_streamed_dispatch(chunks, &mut kind.build_dispatch())
-            .unwrap();
-        prop_assert_eq!(eager, streamed);
     }
 }

@@ -1,5 +1,6 @@
 //! Allocation-counting harness proving the streamed path's memory bound: a
-//! multi-million-record synthetic trace simulates with peak heap growth
+//! multi-million-record synthetic trace sweeps through
+//! `SimEngine::run_fused_streamed` (PAs, h = 8) with peak heap growth
 //! bounded by the chunk size (plus the per-static-branch tables), not by
 //! trace length.
 //!
@@ -9,7 +10,7 @@
 //! generator — no encoded buffer, no record vector — so the measured peak is
 //! the streaming pipeline's own footprint.
 
-use btr_sim::config::PredictorKind;
+use btr_sim::config::PredictorFamily;
 use btr_sim::engine::SimEngine;
 use btr_trace::{
     BranchAddr, BranchRecord, ChunkedTraceReader, Outcome, TraceMetadata, DEFAULT_CHUNK_RECORDS,
@@ -103,13 +104,14 @@ fn streamed_peak_memory_is_bounded_by_chunk_size_not_trace_length() {
         source,
         chunk_records,
     );
-    let mut predictor = PredictorKind::PAsPaper { history: 8 }.build_dispatch();
+    let mut fused = PredictorFamily::PAs.fused_paper(&[8]);
 
     let baseline = LIVE.load(Ordering::SeqCst);
     PEAK.store(baseline, Ordering::SeqCst);
     let result = SimEngine::new()
-        .run_streamed_dispatch(reader, &mut predictor)
-        .expect("synthetic stream cannot fail");
+        .run_fused_streamed(reader, &mut fused)
+        .expect("synthetic stream cannot fail")
+        .remove(0);
     let peak_delta = PEAK.load(Ordering::SeqCst).saturating_sub(baseline);
 
     assert_eq!(result.overall.lookups, records);

@@ -1,10 +1,9 @@
 //! A trace truncated mid-record must surface as a clean typed error from the
-//! streaming simulation paths — and nothing from the torn tail may leak into
+//! streamed sweep path — and nothing from the torn tail may leak into
 //! statistics. This is the simulation-side half of the shard runner's
 //! torn-checkpoint story: a worker reading a half-written trace capture has
 //! to fail loudly, not score garbage.
 
-use btr_sim::config::PredictorKind;
 use btr_sim::engine::SimEngine;
 use btr_trace::io::binary;
 use btr_trace::{
@@ -31,25 +30,6 @@ fn encoded(trace: &Trace) -> Vec<u8> {
     let mut buf = Vec::new();
     binary::write_trace(&mut buf, trace).expect("trace encodes");
     buf
-}
-
-#[test]
-fn run_streamed_over_a_torn_trace_errors_instead_of_scoring_garbage() {
-    let trace = mixed_trace(200);
-    let buf = encoded(&trace);
-    // Cut a handful of bytes off the tail: the last record is torn.
-    for cut in [1usize, 2, 5] {
-        let torn = &buf[..buf.len() - cut];
-        let reader = ChunkedTraceReader::btrt(torn, 16).expect("header is intact");
-        let mut predictor = PredictorKind::PAsPaper { history: 4 }.build_dispatch();
-        let err = SimEngine::new()
-            .run_streamed_dispatch(reader, &mut predictor)
-            .expect_err("torn stream must not produce a result");
-        assert!(
-            matches!(err, TraceError::TruncatedRecord { .. }),
-            "cut={cut}: {err:?}"
-        );
-    }
 }
 
 #[test]

@@ -186,8 +186,8 @@ impl TraceChunk {
 
 /// A pull source of [`TraceChunk`]s with buffer recycling.
 ///
-/// This is the contract the streaming engine paths (`SimEngine::run_streamed`
-/// / `run_fused_streamed` in `btr-sim`) consume: pull the next chunk with
+/// This is the contract the streaming consumers (`SimEngine::run_fused_streamed`
+/// in `btr-sim`, [`crate::InternedTrace::from_chunks`]) use: pull the next chunk with
 /// [`ChunkStream::pull`], and once done with it hand the chunk *back*
 /// with [`ChunkStream::recycle`] so the reader can refill its buffers in
 /// place. With a consumer that recycles, steady-state streaming does zero
