@@ -86,19 +86,6 @@ use core::ops::Range;
 /// ([`FusedSweepPredictor::access_all`] reports hits as a `u64` bitmask).
 pub const MAX_FUSED_SLOTS: usize = 64;
 
-/// Largest combined PHT footprint (bytes) two slots may have and still be
-/// replayed through the interleaved pair kernel: both regions plus the
-/// 4 KB counter table, the block columns and the hit-lane column must
-/// stay L1-resident together, or the two random-access streams evict
-/// each other and the interleaving loses more to cache misses than it
-/// gains in overlap. Measured on the paper sweeps: pairing two 16 KB
-/// PAs slots (32 KB combined — the whole L1d) already ran slower than
-/// back-to-back singles, so the budget stays at half of a 32 KB L1d and
-/// the pair pass engages only for short-history slots — exactly the
-/// conflict-heavy regions where interleaving two independent
-/// read-modify-write chains pays.
-pub const SWAR_PAIR_BUDGET_BYTES: usize = 16 << 10;
-
 /// One byte of four cold 2-bit counters: each weakly not-taken, matching
 /// [`crate::counter::SaturatingCounter::two_bit`].
 const COLD_COUNTER_BYTE: u8 = 0b01_01_01_01;
@@ -687,11 +674,10 @@ impl FusedSweepPredictor {
         self.bhts.iter().map(|bht| (bht.index_bits, bht.width))
     }
 
-    /// Replays a loaded SWAR block against one slot's PHT through the
-    /// two-phase kernel, OR-ing each record's hit bit into `hit_lanes[i]`
-    /// at bit `slot` — the SWAR tier's counterpart of
-    /// [`FusedSweepPredictor::replay_slot_scored`], bit-identical to it
-    /// (pinned by the equivalence suites).
+    /// Replays a loaded SWAR block against every slot's PHT through the
+    /// two-phase kernel — the SWAR tier's counterpart of
+    /// [`FusedSweepPredictor::replay_slot_scored`] over all slots, one
+    /// after another, bit-identical to it (pinned by the equivalence suites).
     ///
     /// `row_map` translates this predictor's history-source groups to the
     /// block's pattern rows (from [`crate::swar::BatchLoader::for_lanes`])
@@ -700,20 +686,44 @@ impl FusedSweepPredictor {
     /// contents are transient, callers just reuse one allocation across
     /// calls.
     ///
-    /// `hit_lanes` is the lane's per-record hit-mask column: it must cover
-    /// the block and hold zeros at bit `slot` on entry. After every slot
-    /// replayed, fold the masks into id-indexed counts with
-    /// [`crate::swar::drain_hit_lanes`] (which also re-zeroes the column) —
-    /// scoring in the counter pass itself is a sequential OR, so the random
-    /// id-indexed accumulation is paid once per block instead of once per
-    /// (record, slot).
+    /// With `hit_lanes`, each record's hit bit for slot `s` is OR-ed into
+    /// `hit_lanes[i]` at bit `s`: the column must cover the block and hold
+    /// zeros on entry. After the call, fold the masks into id-indexed counts
+    /// with [`crate::swar::drain_hit_lanes`] (which also re-zeroes the
+    /// column) — scoring in the counter pass itself is a sequential OR, so
+    /// the random id-indexed accumulation is paid once per block instead of
+    /// once per (record, slot). Without it, counters train exactly the same
+    /// and nothing is recorded: the warmup form.
     ///
     /// # Panics
     ///
-    /// Panics if `slot >= self.slot_count()`, `row_map` does not cover this
-    /// predictor's groups, or the block's rows do not cover the mapped row.
+    /// Panics if `row_map` does not cover this predictor's groups or the
+    /// block's rows do not cover a mapped row.
+    pub fn replay_swar(
+        &mut self,
+        block: &SwarBlock,
+        row_map: &[usize],
+        lut: &CounterLut,
+        hit_lanes: Option<&mut [u64]>,
+        scratch: &mut SwarScratch,
+    ) {
+        match hit_lanes {
+            Some(hit_lanes) => {
+                for slot in 0..self.slots.len() {
+                    self.replay_swar_slot::<true>(slot, block, row_map, lut, hit_lanes, scratch);
+                }
+            }
+            None => {
+                for slot in 0..self.slots.len() {
+                    self.replay_swar_slot::<false>(slot, block, row_map, lut, &mut [], scratch);
+                }
+            }
+        }
+    }
+
+    /// One slot's SWAR replay ([`swar::replay_columns`]).
     #[inline]
-    pub fn replay_slot_swar(
+    fn replay_swar_slot<const SCORED: bool>(
         &mut self,
         slot: usize,
         block: &SwarBlock,
@@ -726,124 +736,12 @@ impl FusedSweepPredictor {
         let region = &mut self.arena[range];
         match self.core {
             FusedCore::Gshare => {
-                swar::replay_columns::<true, true>(region, lut, block, &pass, hit_lanes, scratch)
+                swar::replay_columns::<true, SCORED>(region, lut, block, &pass, hit_lanes, scratch)
             }
             FusedCore::GlobalTwoLevel | FusedCore::PerAddressTwoLevel => {
-                swar::replay_columns::<false, true>(region, lut, block, &pass, hit_lanes, scratch)
+                swar::replay_columns::<false, SCORED>(region, lut, block, &pass, hit_lanes, scratch)
             }
         }
-    }
-
-    /// Replays a loaded SWAR block against *two* slots' PHTs in one
-    /// interleaved counter pass — semantics identical to calling
-    /// [`FusedSweepPredictor::replay_slot_swar`] for `slots.0` then
-    /// `slots.1` (pinned by the equivalence suites), but the two
-    /// independent read-modify-write streams share one walk of the block:
-    /// loop overhead and the hit-lane OR are paid once per record pair,
-    /// and a short-history slot's same-byte store-forward stalls overlap
-    /// with the other slot's work instead of serializing the whole pass.
-    /// Contracts match [`FusedSweepPredictor::replay_slot_swar`].
-    ///
-    /// Pairing only pays while both regions stay cache-resident: two
-    /// full-size 32 KB slots thrash L1 against each other and run *slower*
-    /// interleaved than back-to-back. When the combined region footprint
-    /// exceeds [`SWAR_PAIR_BUDGET_BYTES`] this falls back to two
-    /// sequential single-slot replays — same results either way, so the
-    /// choice is purely a performance decision.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the [`FusedSweepPredictor::replay_slot_swar`]
-    /// conditions for either slot, or if `slots.0 == slots.1`.
-    #[inline]
-    pub fn replay_slot_pair_swar(
-        &mut self,
-        slots: (usize, usize),
-        block: &SwarBlock,
-        row_map: &[usize],
-        lut: &CounterLut,
-        hit_lanes: &mut [u64],
-        scratch: &mut SwarScratch,
-    ) {
-        if !self.swar_pair_fits(slots) {
-            self.replay_slot_swar(slots.0, block, row_map, lut, hit_lanes, scratch);
-            self.replay_slot_swar(slots.1, block, row_map, lut, hit_lanes, scratch);
-            return;
-        }
-        let core = self.core;
-        let (region_a, pass_a, region_b, pass_b) = self.swar_slot_pair(slots, row_map);
-        match core {
-            FusedCore::Gshare => swar::replay_columns_pair::<true, true>(
-                (region_a, &pass_a),
-                (region_b, &pass_b),
-                lut,
-                block,
-                hit_lanes,
-                scratch,
-            ),
-            FusedCore::GlobalTwoLevel | FusedCore::PerAddressTwoLevel => {
-                swar::replay_columns_pair::<false, true>(
-                    (region_a, &pass_a),
-                    (region_b, &pass_b),
-                    lut,
-                    block,
-                    hit_lanes,
-                    scratch,
-                )
-            }
-        }
-    }
-
-    /// [`FusedSweepPredictor::replay_slot_pair_swar`] without hit
-    /// accounting — the warmup form.
-    #[inline]
-    pub fn replay_slot_pair_swar_train(
-        &mut self,
-        slots: (usize, usize),
-        block: &SwarBlock,
-        row_map: &[usize],
-        lut: &CounterLut,
-        scratch: &mut SwarScratch,
-    ) {
-        if !self.swar_pair_fits(slots) {
-            self.replay_slot_swar_train(slots.0, block, row_map, lut, scratch);
-            self.replay_slot_swar_train(slots.1, block, row_map, lut, scratch);
-            return;
-        }
-        let core = self.core;
-        let (region_a, pass_a, region_b, pass_b) = self.swar_slot_pair(slots, row_map);
-        let mut no_hits: [u64; 0] = [];
-        match core {
-            FusedCore::Gshare => swar::replay_columns_pair::<true, false>(
-                (region_a, &pass_a),
-                (region_b, &pass_b),
-                lut,
-                block,
-                &mut no_hits,
-                scratch,
-            ),
-            FusedCore::GlobalTwoLevel | FusedCore::PerAddressTwoLevel => {
-                swar::replay_columns_pair::<false, false>(
-                    (region_a, &pass_a),
-                    (region_b, &pass_b),
-                    lut,
-                    block,
-                    &mut no_hits,
-                    scratch,
-                )
-            }
-        }
-    }
-
-    /// Whether two slots' PHT regions together fit the interleaved pair
-    /// pass's cache budget (see [`SWAR_PAIR_BUDGET_BYTES`]).
-    #[inline]
-    fn swar_pair_fits(&self, slots: (usize, usize)) -> bool {
-        let bytes = |slot: usize| {
-            let bits = self.slot_index_bits(&self.slots[slot]);
-            1usize << (bits - 2)
-        };
-        bytes(slots.0) + bytes(slots.1) <= SWAR_PAIR_BUDGET_BYTES
     }
 
     /// One slot's arena byte range and loop-invariant kernel parameters.
@@ -863,77 +761,6 @@ impl FusedSweepPredictor {
             slot_bit: slot as u32,
         };
         (base..base + (1usize << (index_bits - 2)), pass)
-    }
-
-    /// Two simultaneous mutable slot-region views plus their kernel
-    /// parameters, via a split of the arena at the later region's start
-    /// (slot regions never overlap by construction).
-    #[inline]
-    fn swar_slot_pair(
-        &mut self,
-        slots: (usize, usize),
-        row_map: &[usize],
-    ) -> (&mut [u8], swar::SlotPass, &mut [u8], swar::SlotPass) {
-        // Two distinct slots are an internal invariant of the pair-replay
-        // callers; equal slots would alias one region. Release builds still
-        // fail safe (the split-range slice indexing below panics on the
-        // bounds check) so the debug assert only sharpens the message.
-        debug_assert_ne!(slots.0, slots.1, "pair replay needs two distinct slots");
-        let (range_a, pass_a) = self.swar_slot_pass(slots.0, row_map);
-        let (range_b, pass_b) = self.swar_slot_pass(slots.1, row_map);
-        let flipped = range_b.start < range_a.start;
-        let (first, second) = if flipped {
-            (range_b.clone(), range_a.clone())
-        } else {
-            (range_a.clone(), range_b.clone())
-        };
-        debug_assert!(first.end <= second.start, "slot regions overlap");
-        let (low, high) = self.arena.split_at_mut(second.start);
-        let first_region = &mut low[first];
-        let second_region = &mut high[..second.end - second.start];
-        if flipped {
-            (second_region, pass_a, first_region, pass_b)
-        } else {
-            (first_region, pass_a, second_region, pass_b)
-        }
-    }
-
-    /// [`FusedSweepPredictor::replay_slot_swar`] without hit accounting:
-    /// counters train exactly the same, nothing is recorded. This is the
-    /// warmup form (records before the measurement window must shape
-    /// predictor state without contributing to miss tables).
-    #[inline]
-    pub fn replay_slot_swar_train(
-        &mut self,
-        slot: usize,
-        block: &SwarBlock,
-        row_map: &[usize],
-        lut: &CounterLut,
-        scratch: &mut SwarScratch,
-    ) {
-        let (range, pass) = self.swar_slot_pass(slot, row_map);
-        let region = &mut self.arena[range];
-        let mut no_hits: [u64; 0] = [];
-        match self.core {
-            FusedCore::Gshare => swar::replay_columns::<true, false>(
-                region,
-                lut,
-                block,
-                &pass,
-                &mut no_hits,
-                scratch,
-            ),
-            FusedCore::GlobalTwoLevel | FusedCore::PerAddressTwoLevel => {
-                swar::replay_columns::<false, false>(
-                    region,
-                    lut,
-                    block,
-                    &pass,
-                    &mut no_hits,
-                    scratch,
-                )
-            }
-        }
     }
 
     /// Slot loop for the two-level index form `history ++ address bits`.
@@ -1274,62 +1101,23 @@ mod tests {
                     &mut block,
                 );
                 // Treat the first block as warmup: both sides must train
-                // without scoring and still agree afterwards. The SWAR side
-                // replays slots in pairs with a single tail slot — the same
-                // shape the batch engine drives — so both the pair and the
-                // single-slot kernels are pinned here (17 slots → 8 pairs
-                // plus a tail).
-                let warmup = chunk_index == 0;
-                if warmup {
+                // without scoring and still agree afterwards.
+                if chunk_index == 0 {
                     for slot in 0..slots {
                         scalar.replay_slot(slot, &scalar_block, |_, _| {});
                     }
-                    let mut slot = 0;
-                    while slot + 1 < slots {
-                        swar_side.replay_slot_pair_swar_train(
-                            (slot, slot + 1),
-                            &block,
-                            &maps[0],
-                            &lut,
-                            &mut scratch,
-                        );
-                        slot += 2;
-                    }
-                    if slot < slots {
-                        swar_side.replay_slot_swar_train(
-                            slot,
-                            &block,
-                            &maps[0],
-                            &lut,
-                            &mut scratch,
-                        );
-                    }
+                    swar_side.replay_swar(&block, &maps[0], &lut, None, &mut scratch);
                 } else {
                     for (slot, hits) in scalar_hits.iter_mut().enumerate().take(slots) {
                         scalar.replay_slot_scored(slot, &scalar_block, &ids, hits);
                     }
-                    let mut slot = 0;
-                    while slot + 1 < slots {
-                        swar_side.replay_slot_pair_swar(
-                            (slot, slot + 1),
-                            &block,
-                            &maps[0],
-                            &lut,
-                            &mut hit_lanes,
-                            &mut scratch,
-                        );
-                        slot += 2;
-                    }
-                    if slot < slots {
-                        swar_side.replay_slot_swar(
-                            slot,
-                            &block,
-                            &maps[0],
-                            &lut,
-                            &mut hit_lanes,
-                            &mut scratch,
-                        );
-                    }
+                    swar_side.replay_swar(
+                        &block,
+                        &maps[0],
+                        &lut,
+                        Some(&mut hit_lanes),
+                        &mut scratch,
+                    );
                     drain_hit_lanes(&block, &mut hit_lanes, stride, &mut staged);
                 }
             }
@@ -1369,16 +1157,13 @@ mod tests {
         for batch in records.chunks(157) {
             loader.load_block(batch.iter().map(|&(a, o)| (a, o, stream_id(a))), &mut block);
             for (lane_index, lane) in lanes.iter_mut().enumerate() {
-                for slot in 0..lane.slot_count() {
-                    lane.replay_slot_swar(
-                        slot,
-                        &block,
-                        &maps[lane_index],
-                        &lut,
-                        &mut hit_lanes,
-                        &mut scratch,
-                    );
-                }
+                lane.replay_swar(
+                    &block,
+                    &maps[lane_index],
+                    &lut,
+                    Some(&mut hit_lanes),
+                    &mut scratch,
+                );
                 drain_hit_lanes(
                     &block,
                     &mut hit_lanes,
@@ -1438,7 +1223,7 @@ mod tests {
         let mut scratch = SwarScratch::new();
         for batch in records.chunks(256) {
             loader.load_block(batch.iter().map(|&(a, o)| (a, o, stream_id(a))), &mut block);
-            fused.replay_slot_swar(0, &block, &maps[0], &lut, &mut hit_lanes, &mut scratch);
+            fused.replay_swar(&block, &maps[0], &lut, Some(&mut hit_lanes), &mut scratch);
             for &(addr, outcome) in batch {
                 pht.predict_and_train(addr.low_bits(17), outcome);
             }

@@ -56,10 +56,8 @@
 //! manually unrolled four-wide to give the out-of-order window independent
 //! load→table→store chains, and the scored variant fuses the hit-lane OR
 //! into the same loop (split forms re-measured slower — see the comments in
-//! `replay_columns`). Slots replay in *pairs* when their combined PHT
-//! footprint fits [`crate::fused::SWAR_PAIR_BUDGET_BYTES`], interleaving
-//! two independent counter streams per pass; larger pairs fall back to
-//! back-to-back singles rather than thrash L1.
+//! `replay_columns`). Slots replay one after another, so only one slot's
+//! region competes with the table for L1 at a time.
 //!
 //! Scored replays accumulate per-record hit bits into a `u64` *hit-lane*
 //! column (bit = slot), which [`drain_hit_lanes`] expands into id-major
@@ -243,7 +241,7 @@ impl Default for CounterLut {
 /// Built by [`BatchLoader::new_block`] and filled by
 /// [`BatchLoader::load_block`] (a single-predictor run is just a batch of
 /// one lane); replayed by
-/// [`crate::fused::FusedSweepPredictor::replay_slot_swar`].
+/// [`crate::fused::FusedSweepPredictor::replay_swar`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwarBlock {
     capacity: usize,
@@ -367,13 +365,12 @@ pub(crate) struct SlotPass {
     pub slot_bit: u32,
 }
 
-/// Reusable packed-word columns for the replay kernels — one column per
-/// concurrently replayed slot. Contents are overwritten per call, capacity
-/// is kept, so one value serves every (block, lane, slot) replay of a run.
+/// The reusable packed-word column of the replay kernel. Contents are
+/// overwritten per call, capacity is kept, so one value serves every
+/// (block, lane, slot) replay of a run.
 #[derive(Default)]
 pub struct SwarScratch {
-    pub(crate) a: Vec<u32>,
-    pub(crate) b: Vec<u32>,
+    pub(crate) words: Vec<u32>,
 }
 
 impl SwarScratch {
@@ -437,7 +434,7 @@ fn pack_column<const XOR: bool>(block: &SwarBlock, pass: &SlotPass, scratch: &mu
 }
 
 /// The two-pass replay kernel: a vector pass packs the whole block's
-/// scratch words into `scratch.a` (≤ 8 KB, L1-resident), then the scalar
+/// scratch words into `scratch.words` (≤ 8 KB, L1-resident), then the scalar
 /// counter pass drains it through `lut` against the slot's arena region.
 /// With `SCORED`, each record's hit bit is OR-ed into `hit_lanes[i]` at
 /// bit `pass.slot_bit` — a *sequential* store stream, so the counter pass
@@ -466,8 +463,8 @@ pub(crate) fn replay_columns<const XOR: bool, const SCORED: bool>(
         !SCORED || hit_lanes.len() >= block.len(),
         "hit-lane column must cover the block"
     );
-    pack_column::<XOR>(block, pass, &mut scratch.a);
-    let words = &scratch.a;
+    pack_column::<XOR>(block, pass, &mut scratch.words);
+    let words = &scratch.words;
     // Pass 2 — the scalar counter pass: one L1 load from the region, one
     // from the 4 KB table, one store back — the counter step itself is the
     // table lookup. Scoring adds only a sequential OR into the hit-lane
@@ -500,58 +497,6 @@ pub(crate) fn replay_columns<const XOR: bool, const SCORED: bool>(
     } else {
         for &word in words.iter() {
             counter_step(region, table, word, at_mask);
-        }
-    }
-}
-
-/// [`replay_columns`] over *two* slots at once: both slots' scratch
-/// columns are packed, then a single counter pass walks the block
-/// stepping one counter in each region per record and merging both hit
-/// bits into one hit-lane OR. The two streams are independent
-/// read-modify-write chains, so the pass keeps the memory pipeline busy
-/// even when one slot's region is small enough that consecutive records
-/// collide on the same counter byte (the store-forward serialization that
-/// dominates short-history per-address slots), and the per-record loop
-/// overhead plus hit-lane RMW are amortized across two history points.
-/// Per-region update order is exactly block order, so results stay
-/// bit-identical to two sequential [`replay_columns`] calls (pinned by
-/// the equivalence suites).
-///
-/// `a` and `b` are `(region, pass)` views of two *distinct* slots; the
-/// `hit_lanes` contract matches [`replay_columns`].
-pub(crate) fn replay_columns_pair<const XOR: bool, const SCORED: bool>(
-    a: (&mut [u8], &SlotPass),
-    b: (&mut [u8], &SlotPass),
-    lut: &CounterLut,
-    block: &SwarBlock,
-    hit_lanes: &mut [u64],
-    scratch: &mut SwarScratch,
-) {
-    let (region_a, pass_a) = a;
-    let (region_b, pass_b) = b;
-    let table: &[u16; LUT_ENTRIES] = &lut.table;
-    let (Some(mask_a), Some(mask_b)) = (region_mask(region_a), region_mask(region_b)) else {
-        return;
-    };
-    debug_assert!(
-        !SCORED || hit_lanes.len() >= block.len(),
-        "hit-lane column must cover the block"
-    );
-    pack_column::<XOR>(block, pass_a, &mut scratch.a);
-    pack_column::<XOR>(block, pass_b, &mut scratch.b);
-    let (bit_a, bit_b) = (pass_a.slot_bit, pass_b.slot_bit);
-    let pairs = scratch.a.iter().zip(scratch.b.iter());
-    if SCORED {
-        let lanes = &mut hit_lanes[..scratch.a.len().min(scratch.b.len())];
-        for ((&wa, &wb), lane) in pairs.zip(lanes.iter_mut()) {
-            let ea = counter_step(region_a, table, wa, mask_a);
-            let eb = counter_step(region_b, table, wb, mask_b);
-            *lane |= (u64::from(ea >> 8) << bit_a) | (u64::from(eb >> 8) << bit_b);
-        }
-    } else {
-        for (&wa, &wb) in pairs {
-            counter_step(region_a, table, wa, mask_a);
-            counter_step(region_b, table, wb, mask_b);
         }
     }
 }

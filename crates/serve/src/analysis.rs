@@ -14,9 +14,10 @@
 //! Memory: the streamed paths hold one chunk plus the interning/statistics
 //! tables, independent of upload length. Batch admission
 //! ([`materialize_sweep`]) additionally holds every conditional record of
-//! the upload as a 16 B interned record: peak heap growth is at most 48 B
-//! per conditional record plus 2 MiB (48 B while the record vector
-//! doubles), pinned by `tests/materialize_memory.rs`, which measures 34.7 B.
+//! the upload in the decoder's 13 B address / id / outcome columns: peak
+//! heap growth is at most 39 B per conditional record plus 2 MiB (39 B
+//! while every column doubles at once), pinned by
+//! `tests/materialize_memory.rs`, which measures 20.8 B.
 //! That path is bounded by the `batch_upload_bytes` gate in front of it, not
 //! by the chunk size. The distinct-branch tables are capped by the
 //! static-branch budget on every path.
@@ -34,8 +35,8 @@ use btr_sim::sweep::SweepResult;
 use btr_trace::io::chunked::TraceChunk;
 use btr_trace::io::text::TextRecordReader;
 use btr_trace::{
-    ChunkStream, ChunkedTraceReader, DenseTraceStats, FastBtrtReader, InternedTrace, TraceError,
-    TraceMetadata, TraceStats,
+    BranchAddr, ChunkStream, ChunkedTraceReader, DenseTraceStats, FastBtrtReader, InternedTrace,
+    TraceError, TraceMetadata, TraceStats,
 };
 use btr_wire::{MapBuilder, Value, Wire};
 use std::io::Read;
@@ -283,15 +284,16 @@ pub struct MaterializedSweep {
     pub conditional: u64,
     /// Total records decoded.
     pub records: u64,
-    /// The interned trace, shared with the batch scheduler.
+    /// The interned trace — the upload's conditional columns plus the
+    /// id → address table — shared with the batch scheduler.
     pub interned: Arc<InternedTrace>,
 }
 
 /// Decodes a sweep upload into a [`MaterializedSweep`], enforcing the same
-/// static-branch budget as the streaming path. The interned trace is
-/// collected straight from the decoder's conditional columns, so peak memory
-/// is the upload's conditional records at 16 B each (plus vector growth) —
-/// callers gate this path on the declared upload size.
+/// static-branch budget as the streaming path. The interned trace appends
+/// the decoder's conditional columns chunk by chunk, so peak memory is the
+/// upload's conditional records at 13 B each (plus vector growth) — callers
+/// gate this path on the declared upload size.
 ///
 /// # Errors
 ///
@@ -499,6 +501,13 @@ impl<R: Read> ChunkStream for UploadStream<R> {
 
     fn recycle(&mut self, chunk: TraceChunk) {
         self.decoder().recycle(chunk);
+    }
+
+    fn addrs(&self) -> &[BranchAddr] {
+        match &self.decoder {
+            Decoder::Btrt(reader) => reader.addrs(),
+            Decoder::Text(reader) => reader.addrs(),
+        }
     }
 }
 

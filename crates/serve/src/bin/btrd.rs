@@ -62,9 +62,6 @@ fn apply_args(
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if config.analysis_threads == 0 || config.max_concurrent == 0 || config.chunk_records == 0 {
-        return Err("thread, concurrency and chunk bounds must be nonzero".into());
-    }
     Ok(())
 }
 

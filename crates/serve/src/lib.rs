@@ -19,7 +19,8 @@
 //!   uploads; clients that present `X-Btr-Digest` skip the upload entirely.
 //! * **Memory budgets** ([`analysis`]) — streamed requests hold one decode
 //!   chunk plus capped interning tables; batch-admitted sweeps also hold
-//!   their conditional records, up to the `batch_upload_bytes` gate.
+//!   their conditional records (13 B each, as address / id / outcome
+//!   columns), up to the `batch_upload_bytes` gate.
 //! * **Admission control** ([`server`]) — over-capacity requests get an
 //!   immediate 503, stalled peers are torn down by socket timeouts.
 //! * **Telemetry** ([`metrics`]) — `/metrics` serves the counters through

@@ -57,9 +57,9 @@ pub struct ServerConfig {
     /// run through the shared SWAR batch scheduler, which coalesces
     /// concurrent sweeps into one engine pass; larger uploads keep the
     /// constant-memory streaming path. Set to 0 to force streaming. This
-    /// bounds the batch path's memory: at most 48 B of heap per conditional
-    /// record plus 2 MiB (`tests/materialize_memory.rs` measures 34.7 B), so
-    /// under ~260 MiB per connection at the 16 MiB default (~5.6M records).
+    /// bounds the batch path's memory: at most 39 B of heap per conditional
+    /// record plus 2 MiB (`tests/materialize_memory.rs` measures 20.8 B), so
+    /// under ~210 MiB per connection at the 16 MiB default (~5.6M records).
     pub batch_upload_bytes: u64,
 }
 
@@ -134,11 +134,19 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fails if the address cannot be bound.
+    /// Fails with [`io::ErrorKind::InvalidInput`] if `analysis_threads`,
+    /// `max_concurrent` or `chunk_records` is zero, and otherwise if the
+    /// address cannot be bound.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
+        if config.analysis_threads == 0 || config.max_concurrent == 0 || config.chunk_records == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "thread, concurrency and chunk bounds must be nonzero",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let pool = WorkStealingPool::new(config.analysis_threads.max(1));
+        let pool = WorkStealingPool::new(config.analysis_threads);
         let cache = ResponseCache::new(config.cache_entries);
         let shared = Arc::new(Shared {
             config,
@@ -214,8 +222,10 @@ impl Server {
             let spawned = std::thread::Builder::new()
                 .name("btrd-conn".into())
                 .spawn(move || {
+                    // Released on unwind too: a panicking connection thread
+                    // must not leak its slot.
+                    let _slot = DecrementOnDrop(&shared.connections);
                     handle_connection(stream, &shared);
-                    shared.connections.fetch_sub(1, Ordering::SeqCst);
                 });
             if let Err(_e) = spawned {
                 // Thread exhaustion: undo the count; the stream drops closed.
@@ -508,6 +518,21 @@ mod tests {
         assert!(config.chunk_records >= 1);
         assert!(config.max_upload_bytes > 0);
         assert!(!config.request_timeout.is_zero());
+    }
+
+    #[test]
+    fn bind_rejects_every_zero_bound() {
+        let zeroed: [fn(&mut ServerConfig); 3] = [
+            |c| c.analysis_threads = 0,
+            |c| c.max_concurrent = 0,
+            |c| c.chunk_records = 0,
+        ];
+        for zero in zeroed {
+            let mut config = ServerConfig::default();
+            zero(&mut config);
+            let err = Server::bind(config.clone()).expect_err("zero bound must be rejected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{config:?}");
+        }
     }
 
     #[test]

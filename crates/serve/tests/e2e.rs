@@ -12,7 +12,7 @@ use btr_trace::{BranchAddr, BranchRecord, Outcome, Trace, TraceMetadata};
 use btr_wire::{Value, Wire};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -340,9 +340,22 @@ fn static_branch_budget_maps_to_a_413_budget_error() {
 
 #[test]
 fn saturation_is_a_clean_503_with_retry_after() {
-    // max_concurrent = 0 makes every analysis over capacity — the
-    // deterministic way to pin the backpressure path.
-    let (addr, _handle) = spawn(|config| config.max_concurrent = 0);
+    // One admission slot, held by an upload whose body never arrives: once
+    // the in-flight gauge shows it admitted, every further analysis is over
+    // capacity — the deterministic way to pin the backpressure path.
+    let (addr, handle) = spawn(|config| config.max_concurrent = 1);
+    let mut holder = TcpStream::connect(&addr).expect("connect");
+    holder
+        .write_all(b"POST /classify HTTP/1.1\r\nHost: t\r\nContent-Length: 4096\r\n\r\n")
+        .expect("write head");
+    let deadline = Instant::now() + TIMEOUT;
+    while handle.metrics().active_analyses == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the held upload was never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let resp = post(&addr, "/classify", btrt(500, 7));
     assert_eq!(resp.status, 503, "body: {}", resp.text());
     assert_eq!(error_code(&resp), "busy");
@@ -463,20 +476,18 @@ fn concurrent_identical_digests_coalesce_onto_one_analysis() {
         .to_string();
 
     // Leader: the real upload, presenting its digest so the computation is
-    // registered in flight; slow enough for followers to catch it.
-    let leader = {
-        let addr = addr.clone();
-        let body = body.clone();
-        let digest = digest.clone();
-        std::thread::spawn(move || {
-            send(
-                &addr,
-                &ClientRequest::post("/classify", body).with_header("X-Btr-Digest", &digest),
-                TIMEOUT,
-            )
-            .expect("leader request must complete")
-        })
-    };
+    // registered in flight. Only its head goes out now; the body is held
+    // back until the followers are released, so the leader cannot finish
+    // before the rendezvous below observes it.
+    let mut leader = TcpStream::connect(&addr).expect("connect");
+    leader
+        .set_read_timeout(Some(TIMEOUT))
+        .expect("read timeout");
+    let head = format!(
+        "POST /classify HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nX-Btr-Digest: {digest}\r\n\r\n",
+        body.len()
+    );
+    leader.write_all(head.as_bytes()).expect("write head");
     // Deterministic rendezvous: wait until the leader's analysis is
     // actually in flight before releasing the followers.
     let t0 = std::time::Instant::now();
@@ -485,7 +496,7 @@ fn concurrent_identical_digests_coalesce_onto_one_analysis() {
             t0.elapsed() < TIMEOUT,
             "leader never entered the admission gate"
         );
-        std::thread::yield_now();
+        std::thread::sleep(Duration::from_millis(1));
     }
     let followers: Vec<ClientResponse> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
@@ -503,12 +514,19 @@ fn concurrent_identical_digests_coalesce_onto_one_analysis() {
                 })
             })
             .collect();
+        // Followers wait on the leader's flight (or, arriving after it
+        // lands, hit its cache fill): release the leader's body.
+        leader.write_all(&body).expect("write leader body");
         handles
             .into_iter()
             .map(|h| h.join().expect("no follower panics"))
             .collect()
     });
-    let leader = leader.join().expect("leader thread joins");
+    let mut bytes = Vec::new();
+    leader
+        .read_to_end(&mut bytes)
+        .expect("read leader response");
+    let leader = parse_response(&bytes).expect("leader response is well-formed");
     assert_eq!(leader.status, 200);
     for follower in &followers {
         assert_eq!(follower.status, 200);

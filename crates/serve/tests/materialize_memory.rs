@@ -1,9 +1,9 @@
 //! Allocation-counting harness pinning the batch path's memory cost:
-//! `materialize_sweep` holds an upload's conditional records as 16 B
-//! interned records collected straight from the decoder's columns, so its
-//! peak heap growth per conditional record stays under a fixed bound instead
-//! of the record copies, second statistics pass and re-interning a
-//! materialized `Trace` would add.
+//! `materialize_sweep` holds an upload's conditional records as the
+//! decoder's own 13 B address / id / outcome columns, appended chunk by
+//! chunk, so its peak heap growth per conditional record stays under a fixed
+//! bound instead of the record copies, second statistics pass and
+//! re-interning a materialized `Trace` would add.
 //!
 //! The whole test binary runs under a counting global allocator (integration
 //! tests are their own crates, so the workspace's `forbid(unsafe_code)` lib
@@ -14,7 +14,7 @@ use btr_core::profile::ProgramProfile;
 use btr_serve::analysis::{materialize_sweep, BodyFormat, Budgets};
 use btr_serve::ServerConfig;
 use btr_trace::io::binary;
-use btr_trace::{BranchAddr, BranchKind, BranchRecord, InternedRecord, Outcome, TraceBuilder};
+use btr_trace::{BranchAddr, BranchKind, BranchRecord, Outcome, TraceBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -105,12 +105,16 @@ fn materialize_peak_heap_per_conditional_record_is_bounded() {
         ProgramProfile::from_stats(eager.stats())
     );
 
-    // The stated bound: three interned records per conditional record (the
-    // 16 B record vector at the moment it doubles, old and new buffers both
-    // live) plus a fixed 2 MiB for the decoder's refill buffer, intern
-    // cache, chunk buffers and per-branch tables. Any 32 B `BranchRecord`
-    // copy of the upload held next to the interned records breaks it.
-    let per_record = 3 * std::mem::size_of::<InternedRecord>();
+    // The stated bound: three copies of the 13 B column footprint per
+    // conditional record (every column at the moment it doubles, old and new
+    // buffers both live: 3 × (8 + 4 + 1) = 39 B) plus a fixed 2 MiB for the
+    // decoder's refill buffer, intern cache, chunk buffers and per-branch
+    // tables. Any 32 B `BranchRecord` copy of the upload held next to the
+    // columns breaks it.
+    let column_bytes = std::mem::size_of::<BranchAddr>()
+        + std::mem::size_of::<u32>()
+        + std::mem::size_of::<bool>();
+    let per_record = 3 * column_bytes;
     let fixed = 2 << 20;
     let bound = per_record * conditional as usize + fixed;
     println!(

@@ -22,8 +22,13 @@
 //!   [`WarmupWindow::FullPrefix`] it is the monomorphized per-predictor
 //!   reference the fused tiers are tested against.
 //!
-//! Every path is bit-identical to the others where they overlap; the
-//! equivalence suites under `tests/` pin it.
+//! Every path but [`SimEngine::run`] reads one record layout: the
+//! conditional columns of [`btr_trace::ConditionalColumns`] (address, dense
+//! id, outcome — 13 B per record), borrowed as a [`ConditionalView`] from an
+//! [`InternedTrace`] or straight from each streamed chunk, and cut into
+//! blocks with [`ConditionalView::slice`]. Every path is bit-identical to
+//! the others where they overlap; the equivalence suites under `tests/` pin
+//! it.
 
 use crate::config::WarmupWindow;
 use btr_core::analysis::{miss_map_from_value, miss_map_to_value, BranchMissMap, DenseMissTable};
@@ -31,7 +36,7 @@ use btr_predictors::dispatch::DispatchPredictor;
 use btr_predictors::fused::FusedSweepPredictor;
 use btr_predictors::predictor::{BranchPredictor, PredictionStats};
 use btr_predictors::swar::{self, BatchLoader, CounterLut, SwarBlock, SwarScratch};
-use btr_trace::{BranchAddr, ChunkStream, InternedTrace, Outcome, Trace, TraceChunk};
+use btr_trace::{BranchAddr, ChunkStream, ConditionalView, InternedTrace, Trace};
 use btr_wire::{MapBuilder, Value, Wire, WireError};
 
 /// Number of records per [`FusedBlock`] in the fused engine paths: small
@@ -82,12 +87,13 @@ struct SwarLaneState {
 }
 
 /// Drives `records` through one SWAR sub-group block by block: one shared
-/// first-level pass per block ([`BatchLoader::load_block`]), then every
-/// (lane, slot) replays it through the two-phase SWAR kernel. Warmup
-/// handling matches [`drive_fused_blocks`]: blocks are split at the warmup
-/// boundary, warm blocks train without scoring.
+/// first-level pass per block ([`BatchLoader::load_block`]), then every lane
+/// replays it through the two-phase SWAR kernel
+/// ([`FusedSweepPredictor::replay_swar`]). Warmup handling matches
+/// [`drive_fused_blocks`]: blocks are split at the warmup boundary, warm
+/// blocks train without scoring.
 ///
-/// Each slot's replay ORs its hit bits into a shared per-record hit-lane
+/// Each lane's replay ORs its hit bits into a shared per-record hit-lane
 /// column (sequential stores — the counter pass carries no random writes);
 /// [`swar::drain_hit_lanes`] then folds the column once per (lane, block)
 /// into id-major `u16` staging, flushed into the wide accumulators before
@@ -98,11 +104,11 @@ fn drive_swar_blocks(
     block: &mut SwarBlock,
     lanes: &mut [SwarLaneState],
     lut: &CounterLut,
-    records: &[btr_trace::InternedRecord],
+    records: ConditionalView<'_>,
     warmup: u64,
 ) {
     // Packed-word kernel buffers, one allocation reused across every
-    // (block, lane, slot) replay of this sub-group.
+    // (block, lane) replay of this sub-group.
     let mut scratch = SwarScratch::new();
     // Per-record hit-mask column, shared across lanes: each drain re-zeroes
     // it for the next lane (or block).
@@ -120,13 +126,12 @@ fn drive_swar_blocks(
     let mut offset = 0usize;
     while offset < records.len() {
         let pos = offset as u64;
-        let mut end = offset + FUSED_BLOCK_RECORDS.min(records.len() - offset);
-        if pos < warmup {
-            let to_boundary = usize::try_from(warmup - pos).unwrap_or(usize::MAX);
-            end = end.min(offset.saturating_add(to_boundary));
-        }
-        let batch = &records[offset..end];
-        loader.load_block(batch.iter().map(|r| (r.addr(), r.outcome(), r.id())), block);
+        let end = block_end(offset, records.len(), pos, warmup);
+        let batch = records.slice(offset..end);
+        loader.load_block(
+            batch.iter().map(|(addr, id, outcome)| (addr, outcome, id)),
+            block,
+        );
         if pos >= warmup {
             if staged_records + batch.len() > swar::MAX_STAGED_RECORDS {
                 flush_swar_stages(lanes, &mut stages);
@@ -134,60 +139,36 @@ fn drive_swar_blocks(
             }
             staged_records += batch.len();
             for (lane, (stride, staged)) in lanes.iter_mut().zip(stages.iter_mut()) {
-                for record in batch {
-                    lane.acc.lookups[record.id() as usize] += 1;
+                for &id in batch.ids() {
+                    lane.acc.lookups[id as usize] += 1;
                 }
-                // Slots replay in pairs — two interleaved counter streams
-                // per pass (see `replay_slot_pair_swar`) — with a single
-                // replay for an odd tail slot.
-                let count = lane.fused.slot_count();
-                let mut slot = 0;
-                while slot + 1 < count {
-                    lane.fused.replay_slot_pair_swar(
-                        (slot, slot + 1),
-                        block,
-                        &lane.rows,
-                        lut,
-                        &mut hit_lanes,
-                        &mut scratch,
-                    );
-                    slot += 2;
-                }
-                if slot < count {
-                    lane.fused.replay_slot_swar(
-                        slot,
-                        block,
-                        &lane.rows,
-                        lut,
-                        &mut hit_lanes,
-                        &mut scratch,
-                    );
-                }
+                lane.fused
+                    .replay_swar(block, &lane.rows, lut, Some(&mut hit_lanes), &mut scratch);
                 swar::drain_hit_lanes(block, &mut hit_lanes, *stride, staged);
             }
         } else {
             for lane in lanes.iter_mut() {
-                let count = lane.fused.slot_count();
-                let mut slot = 0;
-                while slot + 1 < count {
-                    lane.fused.replay_slot_pair_swar_train(
-                        (slot, slot + 1),
-                        block,
-                        &lane.rows,
-                        lut,
-                        &mut scratch,
-                    );
-                    slot += 2;
-                }
-                if slot < count {
-                    lane.fused
-                        .replay_slot_swar_train(slot, block, &lane.rows, lut, &mut scratch);
-                }
+                lane.fused
+                    .replay_swar(block, &lane.rows, lut, None, &mut scratch);
             }
         }
         offset = end;
     }
     flush_swar_stages(lanes, &mut stages);
+}
+
+/// The end of the block starting at `offset` (absolute stream position
+/// `pos`) in a run of `len` records: at most [`FUSED_BLOCK_RECORDS`] long,
+/// and cut at the warmup boundary so a block is either fully trained-only or
+/// fully scored.
+fn block_end(offset: usize, len: usize, pos: u64, warmup: u64) -> usize {
+    let end = offset + FUSED_BLOCK_RECORDS.min(len - offset);
+    if pos < warmup {
+        let to_boundary = usize::try_from(warmup - pos).unwrap_or(usize::MAX);
+        end.min(offset.saturating_add(to_boundary))
+    } else {
+        end
+    }
 }
 
 /// Adds every staged hit count into its lane's wide accumulator rows and
@@ -271,127 +252,36 @@ pub fn result_from_dense(dense: DenseMissTable, addrs: &[BranchAddr]) -> RunResu
     }
 }
 
-/// A record source the fused block driver can consume: row-wise
-/// [`btr_trace::InternedRecord`] slices (the eager paths) or the columnar
-/// chunk layout (the streamed paths), without the streamed path paying a
-/// row-materialisation per record.
-trait FusedRecords {
-    fn len(&self) -> usize;
-
-    /// Feeds records `start..end` into the predictor's block loader.
-    fn load_block(
-        &self,
-        fused: &mut FusedSweepPredictor,
-        block: &mut btr_predictors::fused::FusedBlock,
-        start: usize,
-        end: usize,
-    );
-
-    /// Appends the interned ids of records `start..end` to `ids`.
-    fn extend_ids(&self, start: usize, end: usize, ids: &mut Vec<u32>);
-}
-
-impl FusedRecords for &[btr_trace::InternedRecord] {
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    fn load_block(
-        &self,
-        fused: &mut FusedSweepPredictor,
-        block: &mut btr_predictors::fused::FusedBlock,
-        start: usize,
-        end: usize,
-    ) {
-        fused.load_block(
-            self[start..end].iter().map(|r| (r.addr(), r.outcome())),
-            block,
-        );
-    }
-
-    fn extend_ids(&self, start: usize, end: usize, ids: &mut Vec<u32>) {
-        ids.extend(self[start..end].iter().map(btr_trace::InternedRecord::id));
-    }
-}
-
-/// The columnar conditional view of one [`TraceChunk`].
-struct CondColumns<'a> {
-    addrs: &'a [BranchAddr],
-    taken: &'a [bool],
-    ids: &'a [u32],
-}
-
-impl<'a> CondColumns<'a> {
-    fn of(chunk: &'a TraceChunk) -> Self {
-        CondColumns {
-            addrs: chunk.cond_addrs(),
-            taken: chunk.cond_taken(),
-            ids: chunk.cond_ids(),
-        }
-    }
-}
-
-impl FusedRecords for CondColumns<'_> {
-    fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    fn load_block(
-        &self,
-        fused: &mut FusedSweepPredictor,
-        block: &mut btr_predictors::fused::FusedBlock,
-        start: usize,
-        end: usize,
-    ) {
-        fused.load_block(
-            self.addrs[start..end]
-                .iter()
-                .zip(&self.taken[start..end])
-                .map(|(&addr, &taken)| (addr, Outcome::from_bool(taken))),
-            block,
-        );
-    }
-
-    fn extend_ids(&self, start: usize, end: usize, ids: &mut Vec<u32>) {
-        ids.extend_from_slice(&self.ids[start..end]);
-    }
-}
-
 /// Drives `records` through a fused predictor block by block: load a block
 /// (advancing the shared history registers and capturing pre-push patterns),
 /// then replay every history slot's PHT over it in a cache-resident phase.
 ///
 /// `start_pos` is the absolute stream position of the first record; the
-/// record at absolute position `p` is scored only when `p >= warmup` (blocks
-/// are split at the warmup boundary so a block is either fully trained-only
-/// or fully scored). `ids` is a reusable scratch buffer.
-#[allow(clippy::too_many_arguments)]
-fn drive_fused_blocks<R: FusedRecords>(
+/// record at absolute position `p` is scored only when `p >= warmup` (see
+/// [`block_end`]).
+fn drive_fused_blocks(
     fused: &mut FusedSweepPredictor,
     block: &mut btr_predictors::fused::FusedBlock,
-    records: R,
+    records: ConditionalView<'_>,
     start_pos: u64,
     warmup: u64,
     acc: &mut FusedMissAccumulator,
-    ids: &mut Vec<u32>,
 ) {
     let mut offset = 0usize;
     while offset < records.len() {
         let pos = start_pos + offset as u64;
-        let mut end = offset + FUSED_BLOCK_RECORDS.min(records.len() - offset);
-        if pos < warmup {
-            let to_boundary = usize::try_from(warmup - pos).unwrap_or(usize::MAX);
-            end = end.min(offset.saturating_add(to_boundary));
-        }
-        records.load_block(fused, block, offset, end);
+        let end = block_end(offset, records.len(), pos, warmup);
+        let batch = records.slice(offset..end);
+        fused.load_block(
+            batch.iter().map(|(addr, _, outcome)| (addr, outcome)),
+            block,
+        );
         if pos >= warmup {
-            ids.clear();
-            records.extend_ids(offset, end, ids);
-            for &id in ids.iter() {
+            for &id in batch.ids() {
                 acc.lookups[id as usize] += 1;
             }
             for slot in 0..fused.slot_count() {
-                fused.replay_slot_scored(slot, block, ids, &mut acc.hits[slot]);
+                fused.replay_slot_scored(slot, block, batch.ids(), &mut acc.hits[slot]);
             }
         } else {
             // Warmup block: train every slot, record nothing.
@@ -533,16 +423,7 @@ impl SimEngine {
     ) -> Vec<RunResult> {
         let mut acc = FusedMissAccumulator::new(fused.slot_count(), trace.static_count());
         let mut block = fused.new_block(FUSED_BLOCK_RECORDS);
-        let mut ids = Vec::with_capacity(FUSED_BLOCK_RECORDS);
-        drive_fused_blocks(
-            fused,
-            &mut block,
-            trace.records(),
-            0,
-            self.warmup,
-            &mut acc,
-            &mut ids,
-        );
+        drive_fused_blocks(fused, &mut block, trace.records(), 0, self.warmup, &mut acc);
         acc.into_results(trace.addrs())
     }
 
@@ -656,9 +537,8 @@ impl SimEngine {
     ///
     /// The chunks must arrive in stream order with ids assigned by one
     /// persistent interner (what [`btr_trace::ChunkedTraceReader`] and
-    /// [`btr_trace::FastBtrtReader`] produce); the id → address table is
-    /// rebuilt from the columns, since a dense id first appears on its
-    /// defining record. Results are bit-identical to the eager
+    /// [`btr_trace::FastBtrtReader`] produce); the per-id accumulator grows
+    /// with the stream's [`ChunkStream::addrs`] table. Results are bit-identical to the eager
     /// [`SimEngine::run_fused`] over the same records — pinned by
     /// `tests/fused_equivalence.rs`.
     ///
@@ -675,32 +555,16 @@ impl SimEngine {
     {
         let mut acc = FusedMissAccumulator::new(fused.slot_count(), 0);
         let mut block = fused.new_block(FUSED_BLOCK_RECORDS);
-        let mut ids = Vec::with_capacity(FUSED_BLOCK_RECORDS);
-        let mut addrs: Vec<BranchAddr> = Vec::new();
         let mut seen = 0u64;
         while let Some(chunk) = chunks.pull() {
             let chunk = chunk?;
-            let cols = CondColumns::of(&chunk);
-            for (&id, &addr) in cols.ids.iter().zip(cols.addrs) {
-                if id as usize == addrs.len() {
-                    addrs.push(addr);
-                }
-            }
-            acc.grow_to(addrs.len());
-            let count = cols.len();
-            drive_fused_blocks(
-                fused,
-                &mut block,
-                cols,
-                seen,
-                self.warmup,
-                &mut acc,
-                &mut ids,
-            );
-            seen += count as u64;
+            let conditional = chunk.conditional();
+            acc.grow_to(chunks.addrs().len());
+            drive_fused_blocks(fused, &mut block, conditional, seen, self.warmup, &mut acc);
+            seen += conditional.len() as u64;
             chunks.recycle(chunk);
         }
-        Ok(acc.into_results(&addrs))
+        Ok(acc.into_results(chunks.addrs()))
     }
 
     /// The monomorphized body of [`SimEngine::run_window_dispatch`].
@@ -715,16 +579,16 @@ impl SimEngine {
         let records = trace.records();
         let end = end.min(records.len());
         let start = start.min(end);
-        for record in &records[warmup_window.warm_start(start)..start] {
-            predictor.access(record.addr(), record.outcome());
+        for (addr, _, outcome) in records.slice(warmup_window.warm_start(start)..start).iter() {
+            predictor.access(addr, outcome);
         }
         let mut dense = DenseMissTable::new(trace.static_count());
-        for (offset, record) in records[start..end].iter().enumerate() {
-            let hit = predictor.access(record.addr(), record.outcome());
+        for (offset, (addr, id, outcome)) in records.slice(start..end).iter().enumerate() {
+            let hit = predictor.access(addr, outcome);
             if ((start + offset) as u64) < self.warmup {
                 continue;
             }
-            dense.record(record.id(), hit);
+            dense.record(id, hit);
         }
         dense
     }

@@ -120,11 +120,13 @@ fn streamed_peak_memory_is_bounded_by_chunk_size_not_trace_length() {
     // What the eager path would at minimum hold: the full record vector
     // (before even interning it).
     let eager_floor = records as usize * std::mem::size_of::<BranchRecord>();
-    // The streaming bound: a few chunk buffers' worth (raw records + interned
-    // conditionals + Vec growth slack) plus per-static-branch tables and the
-    // predictor — all independent of `records`.
-    let record_footprint =
-        std::mem::size_of::<BranchRecord>() + std::mem::size_of::<btr_trace::InternedRecord>();
+    // The streaming bound: a few chunk buffers' worth (the conditional
+    // address / id / outcome columns + Vec growth slack) plus
+    // per-static-branch tables and the predictor — all independent of
+    // `records`.
+    let record_footprint = std::mem::size_of::<BranchAddr>()
+        + std::mem::size_of::<u32>()
+        + std::mem::size_of::<bool>();
     let bound = 8 * chunk_records * record_footprint + (1 << 21);
     assert!(
         peak_delta < bound,

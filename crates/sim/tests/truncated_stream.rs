@@ -7,7 +7,8 @@
 use btr_sim::engine::SimEngine;
 use btr_trace::io::binary;
 use btr_trace::{
-    BranchAddr, BranchRecord, ChunkedTraceReader, Outcome, Trace, TraceBuilder, TraceError,
+    BranchAddr, BranchRecord, ChunkedTraceReader, ConditionalColumns, Outcome, Trace, TraceBuilder,
+    TraceError,
 };
 
 fn mixed_trace(n: u64) -> Trace {
@@ -51,11 +52,19 @@ fn complete_records_before_the_tear_decode_exactly_and_nothing_more() {
     let buf = encoded(&trace);
     let torn = &buf[..buf.len() - 2];
     let mut reader = ChunkedTraceReader::btrt(torn, 10).expect("header is intact");
-    let mut decoded = Vec::new();
+    let mut decoded = ConditionalColumns::new();
     let mut errors = 0;
     for chunk in &mut reader {
         match chunk {
-            Ok(c) => decoded.extend_from_slice(c.records()),
+            Ok(c) => {
+                assert_eq!(c.first_record(), decoded.view().len() as u64);
+                assert_eq!(
+                    c.len(),
+                    c.conditional().len(),
+                    "the trace is all-conditional"
+                );
+                decoded.extend_from(c.conditional());
+            }
             Err(_) => errors += 1,
         }
     }
@@ -63,8 +72,10 @@ fn complete_records_before_the_tear_decode_exactly_and_nothing_more() {
     assert!(reader.next().is_none(), "the reader fuses after the error");
     // Every decoded record is a verbatim prefix of the original trace: the
     // torn tail contributed nothing — no phantom or garbled record.
-    assert!(decoded.len() < trace.records().len());
-    assert_eq!(decoded.as_slice(), &trace.records()[..decoded.len()]);
+    let decoded = decoded.view();
+    let eager = trace.intern();
+    assert!(decoded.len() < eager.len());
+    assert_eq!(decoded, eager.records().slice(0..decoded.len()));
 }
 
 #[test]

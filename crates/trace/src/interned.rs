@@ -1,4 +1,4 @@
-//! Dense branch-address interning for the simulation hot path.
+//! Dense branch-address interning and the conditional-record columns.
 //!
 //! A [`crate::Trace`] keys everything by 64-bit [`BranchAddr`]; per-branch
 //! bookkeeping during simulation therefore needs an associative lookup
@@ -6,52 +6,141 @@
 //! run 10⁸+ dynamic branches × 17 history lengths × 2 families, so that
 //! lookup dominates the whole experiment.
 //!
-//! [`InternedTrace`] removes it: one pass over the trace assigns every static
-//! conditional branch a dense `u32` id (in first-appearance order) and lays
-//! the conditional records out as a contiguous slice carrying the id inline.
-//! Per-branch statistics then live in a plain `Vec` indexed directly by id,
-//! and the id → address table converts back to the map-keyed form once per
-//! run instead of once per record.
+//! Interning removes it: one pass assigns every static conditional branch a
+//! dense `u32` id (in first-appearance order). Every analysis reads only
+//! three facts per dynamic conditional branch — address, id, outcome — so
+//! the stream is held in exactly one layout from the decoder to the engine:
+//! three parallel [`ConditionalColumns`] (13 B per record), borrowed as a
+//! [`ConditionalView`]. A decoded [`crate::TraceChunk`] carries them, and
+//! [`InternedTrace`] holds them for a whole trace next to its id → address
+//! table. Per-branch statistics then live in a plain `Vec` indexed directly
+//! by id, and the table converts back to the map-keyed form once per run
+//! instead of once per record.
 
 use crate::io::chunked::ChunkStream;
 use crate::record::{BranchAddr, BranchRecord, Outcome};
 use std::collections::HashMap;
+use std::ops::Range;
 
-/// One conditional branch execution with its address interned to a dense id.
+/// Conditional-branch records as three parallel columns — address, dense
+/// interned id, outcome — one entry per record, in trace order.
 ///
-/// The address is kept inline so predictors can index their tables without a
-/// side lookup; the id is what per-branch statistics vectors index by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct InternedRecord {
-    addr: BranchAddr,
-    id: u32,
-    taken: bool,
+/// Ids are only meaningful relative to the interner that assigned them, so
+/// columns are filled by the decoders and [`InternedTrace`]; everyone else
+/// reads them through [`ConditionalColumns::view`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ConditionalColumns {
+    addrs: Vec<BranchAddr>,
+    ids: Vec<u32>,
+    taken: Vec<bool>,
 }
 
-impl InternedRecord {
-    /// Builds an interned record. Crate-internal: ids are only meaningful
-    /// relative to the interner that assigned them, so public construction
-    /// goes through [`InternedTrace`] or the chunked reader.
-    pub(crate) fn new(addr: BranchAddr, id: u32, taken: bool) -> Self {
-        InternedRecord { addr, id, taken }
+impl ConditionalColumns {
+    /// Empty columns.
+    pub fn new() -> Self {
+        ConditionalColumns::default()
     }
 
-    /// The static branch address.
+    /// Appends one record.
     #[inline]
-    pub fn addr(&self) -> BranchAddr {
-        self.addr
+    pub(crate) fn push(&mut self, addr: BranchAddr, id: u32, taken: bool) {
+        self.addrs.push(addr);
+        self.ids.push(id);
+        self.taken.push(taken);
     }
 
-    /// The dense static-branch id (`0 ..` [`InternedTrace::static_count`]).
-    #[inline]
-    pub fn id(&self) -> u32 {
-        self.id
+    /// Appends every record of `view`, in order.
+    pub fn extend_from(&mut self, view: ConditionalView<'_>) {
+        self.addrs.extend_from_slice(view.addrs);
+        self.ids.extend_from_slice(view.ids);
+        self.taken.extend_from_slice(view.taken);
     }
 
-    /// The resolved direction.
+    /// Drops every record, keeping the capacity for reuse.
+    pub(crate) fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    /// Drops every record from position `len` on.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.addrs.truncate(len);
+        self.ids.truncate(len);
+        self.taken.truncate(len);
+    }
+
+    /// The borrowed view of all three columns.
     #[inline]
-    pub fn outcome(&self) -> Outcome {
-        Outcome::from_bool(self.taken)
+    pub fn view(&self) -> ConditionalView<'_> {
+        ConditionalView {
+            addrs: &self.addrs,
+            ids: &self.ids,
+            taken: &self.taken,
+        }
+    }
+}
+
+/// A borrowed run of [`ConditionalColumns`]: three parallel slices of equal
+/// length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConditionalView<'a> {
+    addrs: &'a [BranchAddr],
+    ids: &'a [u32],
+    taken: &'a [bool],
+}
+
+impl<'a> ConditionalView<'a> {
+    /// The number of records.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.addrs.len()
+    }
+
+    /// Whether the view holds no records.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.addrs.is_empty()
+    }
+
+    /// The branch-address column.
+    #[inline]
+    pub fn addrs(&self) -> &'a [BranchAddr] {
+        self.addrs
+    }
+
+    /// The dense interned-id column.
+    #[inline]
+    pub fn ids(&self) -> &'a [u32] {
+        self.ids
+    }
+
+    /// The outcome column (`true` = taken).
+    #[inline]
+    pub fn taken(&self) -> &'a [bool] {
+        self.taken
+    }
+
+    /// The records in `range`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds.
+    #[inline]
+    pub fn slice(&self, range: Range<usize>) -> ConditionalView<'a> {
+        ConditionalView {
+            addrs: &self.addrs[range.clone()],
+            ids: &self.ids[range.clone()],
+            taken: &self.taken[range],
+        }
+    }
+
+    /// The records as `(address, id, outcome)` triples, in order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = (BranchAddr, u32, Outcome)> + 'a {
+        self.addrs
+            .iter()
+            .zip(self.ids)
+            .zip(self.taken)
+            .map(|((&addr, &id), &taken)| (addr, id, Outcome::from_bool(taken)))
     }
 }
 
@@ -116,8 +205,61 @@ impl IncrementalInterner {
     }
 }
 
-/// The conditional-branch stream of a [`crate::Trace`] with addresses
-/// interned to dense `u32` ids.
+/// log₂ of [`CachedInterner`]'s cache size. 8 Ki entries × 12 bytes cover
+/// the static-branch working set of every workload family while the cache
+/// itself stays L1/L2-resident.
+const CACHE_BITS: u32 = 13;
+
+/// An [`IncrementalInterner`] behind a small direct-mapped cache that
+/// short-circuits the hash lookup for hot branches — the interner of the
+/// production ingest paths ([`crate::FastBtrtReader`], [`crate::Trace::intern`]).
+/// Ids are identical either way; the cache only skips the lookup.
+#[derive(Debug)]
+pub(crate) struct CachedInterner {
+    interner: IncrementalInterner,
+    /// `keys[s]` holds the raw address whose id is `ids[s]` (`u32::MAX` =
+    /// empty slot).
+    keys: Vec<u64>,
+    ids: Vec<u32>,
+}
+
+impl CachedInterner {
+    pub(crate) fn new() -> Self {
+        CachedInterner {
+            interner: IncrementalInterner::new(),
+            keys: vec![0; 1 << CACHE_BITS],
+            ids: vec![u32::MAX; 1 << CACHE_BITS],
+        }
+    }
+
+    /// [`IncrementalInterner::intern`] through the cache, refreshing the
+    /// slot on a miss.
+    #[inline]
+    pub(crate) fn intern(&mut self, addr: BranchAddr) -> u32 {
+        let raw = addr.raw();
+        let slot = (raw.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CACHE_BITS)) as usize;
+        if self.keys[slot] == raw && self.ids[slot] != u32::MAX {
+            return self.ids[slot];
+        }
+        let id = self.interner.intern(addr);
+        self.keys[slot] = raw;
+        self.ids[slot] = id;
+        id
+    }
+
+    /// The id → address table, in id (first-appearance) order.
+    pub(crate) fn addrs(&self) -> &[BranchAddr] {
+        self.interner.addrs()
+    }
+
+    /// Consumes the interner, returning the id → address table.
+    pub(crate) fn into_addrs(self) -> Vec<BranchAddr> {
+        self.interner.into_addrs()
+    }
+}
+
+/// The conditional-branch stream of a [`crate::Trace`] as
+/// [`ConditionalColumns`], with the id → address table.
 ///
 /// Ids are assigned in first-appearance order, so interning is deterministic
 /// for a given record sequence; [`InternedTrace::addrs`] maps each id back to
@@ -131,62 +273,55 @@ impl IncrementalInterner {
 /// b.push(BranchRecord::conditional(BranchAddr::new(0x40), Outcome::NotTaken));
 /// let interned = b.build().intern();
 /// assert_eq!(interned.static_count(), 2);
-/// assert_eq!(interned.records()[2].id(), 0); // 0x40 was seen first
+/// assert_eq!(interned.records().ids()[2], 0); // 0x40 was seen first
 /// assert_eq!(interned.addr_of(1), BranchAddr::new(0x80));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternedTrace {
     addrs: Vec<BranchAddr>,
-    records: Vec<InternedRecord>,
+    columns: ConditionalColumns,
 }
 
 impl InternedTrace {
     /// Collects a chunk stream's conditional columns into an interned trace,
     /// recycling every chunk back to the stream. No record is re-interned:
     /// the stream's persistent interner already assigns exactly the ids
-    /// [`crate::Trace::intern`] would, and since a dense id first appears on
-    /// its defining record, the id → address table grows whenever
-    /// `id == addrs.len()` — the rule the streamed engine paths use.
+    /// [`crate::Trace::intern`] would, so each chunk's columns are appended
+    /// as they are and the id → address table is the stream's
+    /// [`ChunkStream::addrs`], copied once at the end.
     ///
     /// # Errors
     ///
     /// Propagates the first error the stream yields.
     pub fn from_chunks<S: ChunkStream>(mut chunks: S) -> crate::Result<Self> {
-        let mut addrs = Vec::new();
-        let mut records = Vec::new();
+        let mut columns = ConditionalColumns::new();
         while let Some(chunk) = chunks.pull() {
             let chunk = chunk?;
-            records.reserve(chunk.cond_len());
-            for ((&addr, &id), &taken) in chunk
-                .cond_addrs()
-                .iter()
-                .zip(chunk.cond_ids())
-                .zip(chunk.cond_taken())
-            {
-                if id as usize == addrs.len() {
-                    addrs.push(addr);
-                }
-                records.push(InternedRecord::new(addr, id, taken));
-            }
+            columns.extend_from(chunk.conditional());
             chunks.recycle(chunk);
         }
-        Ok(InternedTrace { addrs, records })
+        Ok(InternedTrace {
+            addrs: chunks.addrs().to_vec(),
+            columns,
+        })
     }
 
     /// Interns a slice of records, all of which must be conditional.
     pub(crate) fn from_conditional_records(records: &[BranchRecord]) -> Self {
-        let mut interner = IncrementalInterner::new();
-        let interned = records
-            .iter()
-            .map(|r| {
-                debug_assert!(r.kind().is_conditional());
-                let addr = r.addr();
-                InternedRecord::new(addr, interner.intern(addr), r.outcome().is_taken())
-            })
-            .collect();
+        let mut interner = CachedInterner::new();
+        let mut columns = ConditionalColumns {
+            addrs: Vec::with_capacity(records.len()),
+            ids: Vec::with_capacity(records.len()),
+            taken: Vec::with_capacity(records.len()),
+        };
+        for r in records {
+            debug_assert!(r.kind().is_conditional());
+            let addr = r.addr();
+            columns.push(addr, interner.intern(addr), r.outcome().is_taken());
+        }
         InternedTrace {
             addrs: interner.into_addrs(),
-            records: interned,
+            columns,
         }
     }
 
@@ -197,25 +332,25 @@ impl InternedTrace {
 
     /// The number of dynamic conditional records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.columns.addrs.len()
     }
 
     /// Whether the trace holds no conditional records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.columns.addrs.is_empty()
     }
 
-    /// The interned records as a contiguous slice, in original trace order.
+    /// The conditional records' columns, in original trace order.
     #[inline]
-    pub fn records(&self) -> &[InternedRecord] {
-        &self.records
+    pub fn records(&self) -> ConditionalView<'_> {
+        self.columns.view()
     }
 
     /// Drops every record from position `len` on, keeping the whole
     /// id → address table, so ids stay valid and [`InternedTrace::static_count`]
     /// is unchanged. Does nothing when `len` is not below [`InternedTrace::len`].
     pub fn truncate(&mut self, len: usize) {
-        self.records.truncate(len);
+        self.columns.truncate(len);
     }
 
     /// The id → address table, in id (first-appearance) order.
@@ -260,8 +395,7 @@ mod tests {
                 BranchAddr::new(0x20)
             ]
         );
-        let ids: Vec<u32> = interned.records().iter().map(|r| r.id()).collect();
-        assert_eq!(ids, vec![0, 1, 0, 2]);
+        assert_eq!(interned.records().ids(), &[0, 1, 0, 2]);
     }
 
     #[test]
@@ -274,12 +408,14 @@ mod tests {
         let interned = trace.intern();
         assert_eq!(interned.len(), 100);
         assert!(!interned.is_empty());
-        for (original, interned_record) in
-            trace.conditional_records().iter().zip(interned.records())
+        for (original, (addr, id, outcome)) in trace
+            .conditional_records()
+            .iter()
+            .zip(interned.records().iter())
         {
-            assert_eq!(interned_record.addr(), original.addr());
-            assert_eq!(interned_record.outcome(), original.outcome());
-            assert_eq!(interned.addr_of(interned_record.id()), original.addr());
+            assert_eq!(addr, original.addr());
+            assert_eq!(outcome, original.outcome());
+            assert_eq!(interned.addr_of(id), original.addr());
         }
     }
 
@@ -307,11 +443,28 @@ mod tests {
         let full = b.build().intern();
         let mut prefix = full.clone();
         prefix.truncate(2);
-        assert_eq!(prefix.records(), &full.records()[..2]);
+        assert_eq!(prefix.records(), full.records().slice(0..2));
         assert_eq!(prefix.addrs(), full.addrs());
         assert_eq!(prefix.static_count(), 3);
         prefix.truncate(10);
         assert_eq!(prefix.len(), 2);
+    }
+
+    #[test]
+    fn view_slices_cut_all_three_columns() {
+        let mut columns = ConditionalColumns::new();
+        for (addr, id) in [(0x10, 0), (0x20, 1), (0x10, 0), (0x30, 2)] {
+            columns.push(BranchAddr::new(addr), id, addr == 0x10);
+        }
+        let middle = columns.view().slice(1..3);
+        assert_eq!(middle.len(), 2);
+        assert_eq!(
+            middle.addrs(),
+            &[BranchAddr::new(0x20), BranchAddr::new(0x10)]
+        );
+        assert_eq!(middle.ids(), &[1, 0]);
+        assert_eq!(middle.taken(), &[false, true]);
+        assert!(columns.view().slice(2..2).is_empty());
     }
 
     #[test]

@@ -46,30 +46,26 @@
 //! ```
 
 use crate::error::TraceError;
-use crate::interned::{IncrementalInterner, InternedRecord};
+use crate::interned::{ConditionalColumns, ConditionalView, IncrementalInterner};
 use crate::io::binary::BinaryRecordReader;
 use crate::io::text::TextRecordReader;
-use crate::record::BranchRecord;
+use crate::record::{BranchAddr, BranchRecord};
 use crate::trace::TraceMetadata;
 use crate::Result;
 use std::io::Read;
 
-/// Default records per chunk: 64 Ki records ≈ 2 MiB of decoded records, small
-/// enough to stay cache- and RAM-friendly, large enough to amortise per-chunk
-/// overhead at tens of millions of records per second.
+/// Default records per chunk: 64 Ki records ≈ 0.8 MiB of conditional
+/// columns, small enough to stay cache- and RAM-friendly, large enough to
+/// amortise per-chunk overhead at tens of millions of records per second.
 pub const DEFAULT_CHUNK_RECORDS: usize = 1 << 16;
 
 /// One bounded window of a trace produced by [`ChunkedTraceReader`] (or the
 /// block-decoding [`crate::io::fast::FastBtrtReader`]).
 ///
-/// Carries both the raw records (all kinds, for profile building) and the
-/// conditional subset in **columnar** (structure-of-arrays) form: parallel
-/// address / interned-id / outcome columns, one entry per conditional record,
-/// in trace order. The columns are what the simulation hot paths consume —
-/// `SwarBlock`/`FusedBlock` packing reads each column sequentially, so no
-/// per-record struct is re-touched between decode and replay — while
-/// [`TraceChunk::conditional`] still offers the row-wise [`InternedRecord`]
-/// view for code that wants one.
+/// Carries the count of records of every kind and the conditional subset as
+/// [`ConditionalColumns`]: parallel address / interned-id / outcome columns,
+/// one entry per conditional record, in trace order. Non-conditional records
+/// are counted, not stored — no analysis reads them.
 ///
 /// Ids are assigned in global first-appearance order by the reader's
 /// persistent interner, so across all chunks they are identical to the ids
@@ -78,13 +74,9 @@ pub const DEFAULT_CHUNK_RECORDS: usize = 1 << 16;
 pub struct TraceChunk {
     pub(crate) index: usize,
     pub(crate) first_record: u64,
-    pub(crate) records: Vec<BranchRecord>,
-    /// Conditional-record address column.
-    pub(crate) cond_addrs: Vec<crate::record::BranchAddr>,
-    /// Conditional-record dense interned-id column.
-    pub(crate) cond_ids: Vec<u32>,
-    /// Conditional-record outcome column (`true` = taken).
-    pub(crate) cond_taken: Vec<bool>,
+    /// Records of every kind in this chunk.
+    pub(crate) len: usize,
+    pub(crate) conditional: ConditionalColumns,
 }
 
 impl TraceChunk {
@@ -93,32 +85,27 @@ impl TraceChunk {
         TraceChunk {
             index: 0,
             first_record: 0,
-            records: Vec::new(),
-            cond_addrs: Vec::new(),
-            cond_ids: Vec::new(),
-            cond_taken: Vec::new(),
+            len: 0,
+            conditional: ConditionalColumns::new(),
         }
     }
 
-    /// Clears every buffer, keeping their capacity for reuse.
+    /// Clears the chunk, keeping the column capacity for reuse.
     pub(crate) fn clear(&mut self) {
-        self.records.clear();
-        self.cond_addrs.clear();
-        self.cond_ids.clear();
-        self.cond_taken.clear();
+        self.len = 0;
+        self.conditional.clear();
     }
 
-    /// Appends one conditional record to the columns.
+    /// Counts one decoded record, appending it to the columns when it is
+    /// conditional (`id` is only called for those).
     #[inline]
-    pub(crate) fn push_conditional(
-        &mut self,
-        addr: crate::record::BranchAddr,
-        id: u32,
-        taken: bool,
-    ) {
-        self.cond_addrs.push(addr);
-        self.cond_ids.push(id);
-        self.cond_taken.push(taken);
+    pub(crate) fn push(&mut self, record: &BranchRecord, id: impl FnOnce(BranchAddr) -> u32) {
+        if record.kind().is_conditional() {
+            let addr = record.addr();
+            self.conditional
+                .push(addr, id(addr), record.outcome().is_taken());
+        }
+        self.len += 1;
     }
 
     /// The chunk's position in the stream (0, 1, 2, …).
@@ -131,56 +118,21 @@ impl TraceChunk {
         self.first_record
     }
 
-    /// The decoded records of this chunk, in trace order.
-    pub fn records(&self) -> &[BranchRecord] {
-        &self.records
-    }
-
     /// The conditional records of this chunk with their dense interned ids,
-    /// in trace order — a row-wise view assembled from the columns.
-    pub fn conditional(&self) -> impl ExactSizeIterator<Item = InternedRecord> + '_ {
-        self.cond_addrs
-            .iter()
-            .zip(&self.cond_ids)
-            .zip(&self.cond_taken)
-            .map(|((&addr, &id), &taken)| InternedRecord::new(addr, id, taken))
-    }
-
-    /// Number of conditional records in this chunk.
-    pub fn cond_len(&self) -> usize {
-        self.cond_addrs.len()
-    }
-
-    /// The conditional-record address column, in trace order.
-    pub fn cond_addrs(&self) -> &[crate::record::BranchAddr] {
-        &self.cond_addrs
-    }
-
-    /// The conditional-record interned-id column, parallel to
-    /// [`TraceChunk::cond_addrs`].
-    pub fn cond_ids(&self) -> &[u32] {
-        &self.cond_ids
-    }
-
-    /// The conditional-record outcome column (`true` = taken), parallel to
-    /// [`TraceChunk::cond_addrs`].
-    pub fn cond_taken(&self) -> &[bool] {
-        &self.cond_taken
+    /// in trace order.
+    #[inline]
+    pub fn conditional(&self) -> ConditionalView<'_> {
+        self.conditional.view()
     }
 
     /// Number of records (of any kind) in this chunk.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// Whether the chunk holds no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Consumes the chunk, returning its raw record vector.
-    pub fn into_records(self) -> Vec<BranchRecord> {
-        self.records
+        self.len == 0
     }
 }
 
@@ -205,6 +157,11 @@ pub trait ChunkStream {
     fn recycle(&mut self, chunk: TraceChunk) {
         let _ = chunk;
     }
+
+    /// The stream interner's id → address table, in id (first-appearance)
+    /// order. It covers every id of every chunk pulled so far; after the
+    /// last chunk it equals the eager trace's [`crate::InternedTrace::addrs`].
+    fn addrs(&self) -> &[BranchAddr];
 }
 
 impl<S: ChunkStream> ChunkStream for &mut S {
@@ -214,6 +171,10 @@ impl<S: ChunkStream> ChunkStream for &mut S {
 
     fn recycle(&mut self, chunk: TraceChunk) {
         (**self).recycle(chunk);
+    }
+
+    fn addrs(&self) -> &[BranchAddr] {
+        (**self).addrs()
     }
 }
 
@@ -353,13 +314,6 @@ impl<I: Iterator<Item = Result<BranchRecord>>> ChunkedTraceReader<I> {
     pub fn static_count(&self) -> usize {
         self.interner.static_count()
     }
-
-    /// The id → address table built so far, in id (first-appearance) order.
-    /// Grows monotonically as chunks are consumed; after the last chunk it
-    /// equals the eager trace's [`crate::InternedTrace::addrs`].
-    pub fn addrs(&self) -> &[crate::record::BranchAddr] {
-        self.interner.addrs()
-    }
 }
 
 impl<I: Iterator<Item = Result<BranchRecord>>> Iterator for ChunkedTraceReader<I> {
@@ -369,28 +323,13 @@ impl<I: Iterator<Item = Result<BranchRecord>>> Iterator for ChunkedTraceReader<I
         if self.finished {
             return None;
         }
-        // Fill recycled buffers when a consumer handed some back; otherwise
-        // size the chunk buffer up front (capped so a huge chunk_records
-        // bound or a lying header cannot force a giant allocation).
-        let expected = match self.declared {
-            Some(declared) => declared
-                .saturating_sub(self.records_read)
-                .min(self.chunk_records as u64) as usize,
-            None => self.chunk_records,
-        };
+        // Fill recycled buffers when a consumer handed some back.
         let mut chunk = self.spare.take().unwrap_or_else(TraceChunk::empty);
         chunk.clear();
-        chunk.records.reserve(expected.min(1 << 20));
         let mut exhausted = false;
-        while chunk.records.len() < self.chunk_records {
+        while chunk.len < self.chunk_records {
             match self.source.next() {
-                Some(Ok(record)) => {
-                    if record.kind().is_conditional() {
-                        let id = self.interner.intern(record.addr());
-                        chunk.push_conditional(record.addr(), id, record.outcome().is_taken());
-                    }
-                    chunk.records.push(record);
-                }
+                Some(Ok(record)) => chunk.push(&record, |addr| self.interner.intern(addr)),
                 Some(Err(e)) => {
                     self.finished = true;
                     self.spare = Some(chunk);
@@ -403,7 +342,7 @@ impl<I: Iterator<Item = Result<BranchRecord>>> Iterator for ChunkedTraceReader<I
             }
         }
         let first_record = self.records_read;
-        self.records_read += chunk.records.len() as u64;
+        self.records_read += chunk.len as u64;
         if exhausted {
             self.finished = true;
             if let Some(declared) = self.declared {
@@ -416,7 +355,7 @@ impl<I: Iterator<Item = Result<BranchRecord>>> Iterator for ChunkedTraceReader<I
                 }
             }
         }
-        if chunk.records.is_empty() {
+        if chunk.is_empty() {
             self.spare = Some(chunk);
             return None;
         }
@@ -434,6 +373,10 @@ impl<I: Iterator<Item = Result<BranchRecord>>> ChunkStream for ChunkedTraceReade
 
     fn recycle(&mut self, chunk: TraceChunk) {
         self.spare = Some(chunk);
+    }
+
+    fn addrs(&self) -> &[BranchAddr] {
+        self.interner.addrs()
     }
 }
 
@@ -485,13 +428,28 @@ mod tests {
         let chunks: Vec<TraceChunk> = reader.map(|c| c.unwrap()).collect();
         assert_eq!(chunks.len(), 11);
         assert_eq!(chunks[10].len(), 3);
-        let mut all = Vec::new();
+        let mut records = 0;
+        let mut conditional = ConditionalColumns::new();
         for (i, chunk) in chunks.iter().enumerate() {
             assert_eq!(chunk.index(), i);
-            assert_eq!(chunk.first_record(), all.len() as u64);
-            all.extend_from_slice(chunk.records());
+            assert_eq!(chunk.first_record(), records as u64);
+            records += chunk.len();
+            conditional.extend_from(chunk.conditional());
         }
-        assert_eq!(all.as_slice(), trace.records());
+        assert_eq!(records, trace.len());
+        assert_eq!(conditional.view(), trace.intern().records());
+    }
+
+    /// Drains a reader into (record count, conditional columns).
+    fn collect(chunks: impl Iterator<Item = Result<TraceChunk>>) -> (usize, ConditionalColumns) {
+        let mut records = 0;
+        let mut conditional = ConditionalColumns::new();
+        for chunk in chunks {
+            let chunk = chunk.unwrap();
+            records += chunk.len();
+            conditional.extend_from(chunk.conditional());
+        }
+        (records, conditional)
     }
 
     #[test]
@@ -501,11 +459,8 @@ mod tests {
         let eager = trace.intern();
         for chunk_records in [1usize, 3, 7, 64, 1000] {
             let mut reader = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
-            let mut streamed = Vec::new();
-            for chunk in &mut reader {
-                streamed.extend(chunk.unwrap().conditional());
-            }
-            assert_eq!(streamed.as_slice(), eager.records(), "size {chunk_records}");
+            let (_, streamed) = collect(&mut reader);
+            assert_eq!(streamed.view(), eager.records(), "size {chunk_records}");
             assert_eq!(reader.addrs(), eager.addrs());
             assert_eq!(reader.static_count(), eager.static_count());
             assert_eq!(reader.records_read(), trace.len() as u64);
@@ -530,8 +485,9 @@ mod tests {
         let reader = ChunkedTraceReader::text(buf.as_slice(), 8);
         assert_eq!(reader.metadata(), trace.metadata());
         assert_eq!(reader.declared_count(), None);
-        let all: Vec<BranchRecord> = reader.flat_map(|c| c.unwrap().into_records()).collect();
-        assert_eq!(all.as_slice(), trace.records());
+        let (records, conditional) = collect(reader);
+        assert_eq!(records, trace.len());
+        assert_eq!(conditional.view(), trace.intern().records());
     }
 
     #[test]
@@ -615,8 +571,9 @@ mod tests {
         std::fs::write(&path, encode(&trace))?;
         let file = std::io::BufReader::new(std::fs::File::open(&path)?);
         let reader = ChunkedTraceReader::btrt(file, 16)?;
-        let all: Vec<BranchRecord> = reader.flat_map(|c| c.unwrap().into_records()).collect();
-        assert_eq!(all.as_slice(), trace.records());
+        let (records, conditional) = collect(reader);
+        assert_eq!(records, trace.len());
+        assert_eq!(conditional.view(), trace.intern().records());
         std::fs::remove_file(&path).ok();
         Ok(())
     }

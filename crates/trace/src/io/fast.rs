@@ -24,17 +24,17 @@
 //! * chunk buffers are recycled through [`ChunkStream::recycle`], so
 //!   steady-state streaming allocates nothing per chunk.
 //!
-//! The fast path is **bit-identical** to the slow one — same records, same
-//! interned ids, and the same typed errors with the same offsets for the
-//! same malformed inputs (`tests/fast_decode_equivalence.rs` pins all three
-//! across adversarial chunkings and truncation points). The slow path
-//! remains for non-`BTRT` formats and as the reference the equivalence suite
-//! compares against.
+//! The fast path is **bit-identical** to the slow one — same chunk lengths,
+//! same conditional columns and interned ids, and the same typed errors with
+//! the same offsets for the same malformed inputs
+//! (`tests/fast_decode_equivalence.rs` pins all three across adversarial
+//! chunkings and truncation points). The slow path remains for non-`BTRT`
+//! formats and as the reference the equivalence suite compares against.
 //!
 //! [`MAX_RECORD_BYTES`]: super::binary::MAX_RECORD_BYTES
 
 use crate::error::TraceError;
-use crate::interned::IncrementalInterner;
+use crate::interned::CachedInterner;
 use crate::io::binary::{
     kind_from_code, read_header, varint_error, CountingReader, FLAG_TAKEN, FLAG_TARGET, KIND_MASK,
     MAX_RECORD_BYTES,
@@ -52,11 +52,6 @@ use std::path::Path;
 /// Refill-buffer size: large enough that steady-state decode issues one
 /// `read` call per ~10⁵ records, small enough to stay cache-polite.
 const BUF_BYTES: usize = 256 * 1024;
-
-/// log₂ of the direct-mapped intern-cache size. 8 Ki entries × 12 bytes
-/// cover the static-branch working set of every workload family while the
-/// cache itself stays L1/L2-resident.
-const CACHE_BITS: u32 = 13;
 
 /// Decodes one record from the front of `bytes`, returning it and its
 /// encoded length. Errors use the same contexts as the `Read`-path decoder;
@@ -119,11 +114,7 @@ pub struct FastBtrtReader<R> {
     records_read: u64,
     prev_addr: u64,
     chunk_records: usize,
-    interner: IncrementalInterner,
-    /// Direct-mapped cache over `interner`: `cache_keys[s]` holds the raw
-    /// address whose id is `cache_ids[s]` (`u32::MAX` = empty slot).
-    cache_keys: Vec<u64>,
-    cache_ids: Vec<u32>,
+    interner: CachedInterner,
     next_chunk: usize,
     finished: bool,
     spare: Option<TraceChunk>,
@@ -157,9 +148,7 @@ impl<R: Read> FastBtrtReader<R> {
             records_read: 0,
             prev_addr: 0,
             chunk_records: chunk_records.max(1),
-            interner: IncrementalInterner::new(),
-            cache_keys: vec![0; 1 << CACHE_BITS],
-            cache_ids: vec![u32::MAX; 1 << CACHE_BITS],
+            interner: CachedInterner::new(),
             next_chunk: 0,
             finished: false,
             spare: None,
@@ -178,31 +167,7 @@ impl<R: Read> FastBtrtReader<R> {
 
     /// Distinct static conditional branches interned so far.
     pub fn static_count(&self) -> usize {
-        self.interner.static_count()
-    }
-
-    /// The id → address table built so far, in id (first-appearance) order.
-    pub fn addrs(&self) -> &[BranchAddr] {
-        self.interner.addrs()
-    }
-
-    /// Interns through the direct-mapped cache, falling back to the
-    /// persistent interner (and refreshing the slot) on a miss. Ids are
-    /// identical either way — the cache only skips the hash lookup.
-    #[inline]
-    fn intern_cached(&mut self, addr: BranchAddr) -> u32 {
-        let raw = addr.raw();
-        let slot = (raw.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CACHE_BITS)) as usize;
-        if self.cache_keys[slot] == raw {
-            let id = self.cache_ids[slot];
-            if id != u32::MAX {
-                return id;
-            }
-        }
-        let id = self.interner.intern(addr);
-        self.cache_keys[slot] = raw;
-        self.cache_ids[slot] = id;
-        id
+        self.interner.addrs().len()
     }
 
     /// Slides the unconsumed tail to the buffer front and performs one
@@ -236,7 +201,7 @@ impl<R: Read> FastBtrtReader<R> {
     /// is reached. Errors carry the exact record index and stream offset the
     /// slow path would report.
     fn fill_chunk(&mut self, chunk: &mut TraceChunk) -> Result<()> {
-        while chunk.records.len() < self.chunk_records && self.decoded < self.declared {
+        while chunk.len < self.chunk_records && self.decoded < self.declared {
             let avail = self.len - self.start;
             // The hot path runs with a full record guaranteed in the buffer;
             // only the stream tail (or a socket trickling bytes) drops to
@@ -259,11 +224,7 @@ impl<R: Read> FastBtrtReader<R> {
                     self.start += used;
                     self.decoded += 1;
                     self.prev_addr = record.addr().raw();
-                    if record.kind().is_conditional() {
-                        let id = self.intern_cached(record.addr());
-                        chunk.push_conditional(record.addr(), id, record.outcome().is_taken());
-                    }
-                    chunk.records.push(record);
+                    chunk.push(&record, |addr| self.interner.intern(addr));
                 }
                 Err(TraceError::UnexpectedEof { context }) => {
                     // Only reachable at true EOF (see the refill guard): the
@@ -302,11 +263,6 @@ impl<R: Read> Iterator for FastBtrtReader<R> {
         }
         let mut chunk = self.spare.take().unwrap_or_else(TraceChunk::empty);
         chunk.clear();
-        let expected = self
-            .declared
-            .saturating_sub(self.decoded)
-            .min(self.chunk_records as u64) as usize;
-        chunk.records.reserve(expected.min(1 << 20));
         match self.fill_chunk(&mut chunk) {
             Ok(()) => {}
             Err(e) => {
@@ -319,14 +275,14 @@ impl<R: Read> Iterator for FastBtrtReader<R> {
                 return Some(Err(e));
             }
         }
-        if chunk.records.is_empty() {
+        if chunk.is_empty() {
             self.finished = true;
             self.spare = Some(chunk);
             return None;
         }
         chunk.index = self.next_chunk;
         chunk.first_record = self.records_read;
-        self.records_read += chunk.records.len() as u64;
+        self.records_read += chunk.len as u64;
         if self.decoded >= self.declared {
             self.finished = true;
         }
@@ -342,6 +298,10 @@ impl<R: Read> ChunkStream for FastBtrtReader<R> {
 
     fn recycle(&mut self, chunk: TraceChunk) {
         self.spare = Some(chunk);
+    }
+
+    fn addrs(&self) -> &[BranchAddr] {
+        self.interner.addrs()
     }
 }
 
@@ -428,9 +388,9 @@ mod tests {
             // After the first swap the reader refills the exact buffer we
             // handed back: pointer-stable, hence allocation-free.
             if let Some(prev) = ptr {
-                assert_eq!(prev, chunk.records().as_ptr());
+                assert_eq!(prev, chunk.conditional().addrs().as_ptr());
             }
-            ptr = Some(chunk.records().as_ptr());
+            ptr = Some(chunk.conditional().addrs().as_ptr());
             reader.recycle(chunk);
         }
         assert_eq!(total, trace.len());

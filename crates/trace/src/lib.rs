@@ -43,7 +43,7 @@ pub mod wire;
 
 pub use error::TraceError;
 pub use filter::{ConditionalOnly, Sampled, Windowed};
-pub use interned::{IncrementalInterner, InternedRecord, InternedTrace};
+pub use interned::{ConditionalColumns, ConditionalView, IncrementalInterner, InternedTrace};
 pub use io::chunked::{ChunkStream, ChunkedTraceReader, TraceChunk, DEFAULT_CHUNK_RECORDS};
 pub use io::fast::{read_interned_btrt, FastBtrtReader};
 pub use record::{BranchAddr, BranchKind, BranchRecord, Outcome};

@@ -233,21 +233,16 @@ impl DenseTraceStats {
     /// [`crate::FastBtrtReader`] produce) — a dense id first appears on its
     /// defining record.
     pub fn observe_chunk(&mut self, chunk: &crate::TraceChunk) {
-        let cond = chunk.cond_len();
-        self.total_conditional += cond as u64;
-        self.total_other += (chunk.len() - cond) as u64;
-        for ((&addr, &id), &taken) in chunk
-            .cond_addrs()
-            .iter()
-            .zip(chunk.cond_ids())
-            .zip(chunk.cond_taken())
-        {
+        let conditional = chunk.conditional();
+        self.total_conditional += conditional.len() as u64;
+        self.total_other += (chunk.len() - conditional.len()) as u64;
+        for (addr, id, outcome) in conditional.iter() {
             let id = id as usize;
             if id == self.per_id.len() {
                 self.per_id.push(AddrStats::new());
                 self.addrs.push(addr);
             }
-            self.per_id[id].observe(Outcome::from_bool(taken));
+            self.per_id[id].observe(outcome);
         }
     }
 

@@ -2,9 +2,10 @@
 //! ([`FastBtrtReader`]) to the generic-`Read` reference path
 //! ([`ChunkedTraceReader`]): over arbitrary traces, chunk sizes, socket-shaped
 //! byte delivery, and — crucially — *every* truncation prefix and arbitrary
-//! single-byte corruption, both decoders must produce bit-identical records,
-//! interned ids **and errors** (same variant, same record index, same byte
-//! offset, pinned by comparing the full `Debug` rendering).
+//! single-byte corruption, both decoders must produce bit-identical chunks
+//! (lengths and conditional columns), interned ids **and errors** (same
+//! variant, same record index, same byte offset, pinned by comparing the
+//! full `Debug` rendering).
 //!
 //! The fast path is an independent reimplementation of the record decode
 //! (buffered slices + inlined varints instead of `Read` calls), so this suite
@@ -12,8 +13,8 @@
 
 use btr_trace::io::binary;
 use btr_trace::{
-    BranchAddr, BranchKind, BranchRecord, ChunkedTraceReader, FastBtrtReader, InternedRecord,
-    Outcome, Trace, TraceMetadata,
+    BranchAddr, BranchKind, BranchRecord, ChunkStream, ChunkedTraceReader, ConditionalColumns,
+    FastBtrtReader, Outcome, Trace, TraceMetadata,
 };
 use proptest::prelude::*;
 use std::io::Read;
@@ -76,73 +77,74 @@ impl Read for InterruptingReader<'_> {
 // Drain helpers.
 // ---------------------------------------------------------------------------
 
-/// Everything a clean decode produced: records, interned conditionals, and
-/// the id → address table.
-type Drained = (Vec<BranchRecord>, Vec<InternedRecord>, Vec<BranchAddr>);
+/// Everything a clean decode produced: every chunk's length, the
+/// concatenated conditional columns, and the id → address table.
+type Drained = (Vec<usize>, ConditionalColumns, Vec<BranchAddr>);
 
 fn drain_slow(bytes: &[u8], chunk_records: usize) -> Drained {
     let mut reader =
         ChunkedTraceReader::btrt(bytes, chunk_records).expect("slow header must decode");
-    let mut records = Vec::new();
-    let mut conditional = Vec::new();
+    let mut lens = Vec::new();
+    let mut conditional = ConditionalColumns::new();
     for chunk in &mut reader {
         let chunk = chunk.expect("well-formed stream must decode (slow)");
-        conditional.extend(chunk.conditional());
-        records.extend(chunk.into_records());
+        conditional.extend_from(chunk.conditional());
+        lens.push(chunk.len());
     }
     let addrs = reader.addrs().to_vec();
-    (records, conditional, addrs)
+    (lens, conditional, addrs)
 }
 
 fn drain_fast<R: Read>(source: R, chunk_records: usize) -> Drained {
     let mut reader = FastBtrtReader::new(source, chunk_records).expect("fast header must decode");
-    let mut records = Vec::new();
-    let mut conditional = Vec::new();
+    let mut lens = Vec::new();
+    let mut conditional = ConditionalColumns::new();
     for (expected_index, chunk) in (&mut reader).enumerate() {
         let chunk = chunk.expect("well-formed stream must decode (fast)");
         assert_eq!(chunk.index(), expected_index);
-        assert_eq!(chunk.first_record(), records.len() as u64);
+        assert_eq!(chunk.first_record(), lens.iter().sum::<usize>() as u64);
         assert!(!chunk.is_empty(), "readers never yield empty chunks");
-        conditional.extend(chunk.conditional());
-        records.extend(chunk.into_records());
+        conditional.extend_from(chunk.conditional());
+        lens.push(chunk.len());
     }
     let addrs = reader.addrs().to_vec();
-    (records, conditional, addrs)
+    (lens, conditional, addrs)
 }
 
-/// A full decode attempt over possibly-malformed bytes: the records of every
-/// *successful* chunk plus the terminal error, rendered via `Debug` so the
-/// variant and every field (record index, byte offset, context) are compared.
-type DecodeOutcome = (Vec<BranchRecord>, Option<String>);
+/// A full decode attempt over possibly-malformed bytes: the lengths and
+/// conditional columns of every *successful* chunk plus the terminal error,
+/// rendered via `Debug` so the variant and every field (record index, byte
+/// offset, context) are compared.
+type DecodeOutcome = (Vec<usize>, ConditionalColumns, Option<String>);
 
-fn outcome_slow(bytes: &[u8], chunk_records: usize) -> DecodeOutcome {
-    let mut reader = match ChunkedTraceReader::btrt(bytes, chunk_records) {
+/// Drains chunks until the first error (or the end of the stream).
+fn outcome<S: Iterator<Item = btr_trace::Result<btr_trace::TraceChunk>>>(
+    reader: btr_trace::Result<S>,
+) -> DecodeOutcome {
+    let mut lens = Vec::new();
+    let mut conditional = ConditionalColumns::new();
+    let reader = match reader {
         Ok(reader) => reader,
-        Err(e) => return (Vec::new(), Some(format!("{e:?}"))),
+        Err(e) => return (lens, conditional, Some(format!("{e:?}"))),
     };
-    let mut records = Vec::new();
-    for chunk in &mut reader {
+    for chunk in reader {
         match chunk {
-            Ok(chunk) => records.extend(chunk.into_records()),
-            Err(e) => return (records, Some(format!("{e:?}"))),
+            Ok(chunk) => {
+                conditional.extend_from(chunk.conditional());
+                lens.push(chunk.len());
+            }
+            Err(e) => return (lens, conditional, Some(format!("{e:?}"))),
         }
     }
-    (records, None)
+    (lens, conditional, None)
+}
+
+fn outcome_slow(bytes: &[u8], chunk_records: usize) -> DecodeOutcome {
+    outcome(ChunkedTraceReader::btrt(bytes, chunk_records))
 }
 
 fn outcome_fast(bytes: &[u8], chunk_records: usize) -> DecodeOutcome {
-    let mut reader = match FastBtrtReader::new(bytes, chunk_records) {
-        Ok(reader) => reader,
-        Err(e) => return (Vec::new(), Some(format!("{e:?}"))),
-    };
-    let mut records = Vec::new();
-    for chunk in &mut reader {
-        match chunk {
-            Ok(chunk) => records.extend(chunk.into_records()),
-            Err(e) => return (records, Some(format!("{e:?}"))),
-        }
-    }
-    (records, None)
+    outcome(FastBtrtReader::new(bytes, chunk_records))
 }
 
 // ---------------------------------------------------------------------------
@@ -309,7 +311,7 @@ fn corrupted_flag_bytes_agree_on_unknown_kind_errors() {
         let slow = outcome_slow(&corrupt, 4);
         let fast = outcome_fast(&corrupt, 4);
         assert_eq!(fast, slow, "kind code {bad_kind} diverged");
-        let (_, err) = fast;
+        let (_, _, err) = fast;
         assert!(
             err.expect("reserved kind must error")
                 .contains("UnknownKind"),
@@ -331,8 +333,8 @@ proptest! {
             let slow = drain_slow(&buf, chunk_records);
             let fast = drain_fast(buf.as_slice(), chunk_records);
             prop_assert_eq!(&fast, &slow, "chunk size {}", chunk_records);
-            prop_assert_eq!(fast.0.as_slice(), trace.records());
-            prop_assert_eq!(fast.1.as_slice(), eager.records());
+            prop_assert_eq!(fast.0.iter().sum::<usize>(), trace.len());
+            prop_assert_eq!(fast.1.view(), eager.records());
             prop_assert_eq!(fast.2.as_slice(), eager.addrs());
         }
     }

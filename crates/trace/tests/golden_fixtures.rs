@@ -11,7 +11,8 @@
 
 use btr_trace::io::{binary, text};
 use btr_trace::{
-    BranchAddr, BranchKind, BranchRecord, ChunkedTraceReader, FastBtrtReader, Outcome, Trace,
+    BranchAddr, BranchKind, BranchRecord, ChunkedTraceReader, ConditionalColumns, FastBtrtReader,
+    Outcome, Trace, TraceChunk,
 };
 
 fn fixture(name: &str) -> Vec<u8> {
@@ -25,6 +26,20 @@ fn cond(addr: u64, taken: bool) -> BranchRecord {
     BranchRecord::conditional(BranchAddr::new(addr), Outcome::from_bool(taken))
 }
 
+/// Drains a chunked decoder into (record count, conditional columns).
+fn collect(
+    chunks: impl Iterator<Item = btr_trace::Result<TraceChunk>>,
+) -> (usize, ConditionalColumns) {
+    let mut count = 0;
+    let mut columns = ConditionalColumns::new();
+    for chunk in chunks {
+        let chunk = chunk.expect("chunked decode must succeed");
+        count += chunk.len();
+        columns.extend_from(chunk.conditional());
+    }
+    (count, columns)
+}
+
 /// Decodes the fixture all three ways and checks the results agree with the
 /// expected records before re-encoding byte-identically.
 fn check_fixture(bytes: &[u8], expected: &[BranchRecord]) -> Trace {
@@ -33,21 +48,22 @@ fn check_fixture(bytes: &[u8], expected: &[BranchRecord]) -> Trace {
     assert_eq!(trace.records(), expected);
 
     // Chunked decode at several sizes, including degenerate ones — through
-    // both the generic-`Read` reference path and the slice fast path.
+    // both the generic-`Read` reference path and the slice fast path. Chunks
+    // count every record and carry the conditional columns of the eager
+    // trace's interning.
+    let interned = trace.intern();
     for chunk_records in [1usize, 3, 1024] {
         let reader = ChunkedTraceReader::btrt(bytes, chunk_records).unwrap();
         assert_eq!(reader.metadata(), trace.metadata());
-        let streamed: Vec<BranchRecord> = reader
-            .flat_map(|c| c.expect("chunked decode must succeed").into_records())
-            .collect();
-        assert_eq!(streamed.as_slice(), expected);
+        let (count, columns) = collect(reader);
+        assert_eq!(count, expected.len());
+        assert_eq!(columns.view(), interned.records());
 
         let fast = FastBtrtReader::new(bytes, chunk_records).unwrap();
         assert_eq!(fast.metadata(), trace.metadata());
-        let fast_streamed: Vec<BranchRecord> = fast
-            .flat_map(|c| c.expect("fast decode must succeed").into_records())
-            .collect();
-        assert_eq!(fast_streamed.as_slice(), expected);
+        let (fast_count, fast_columns) = collect(fast);
+        assert_eq!(fast_count, expected.len());
+        assert_eq!(fast_columns.view(), interned.records());
     }
 
     // Text round-trip preserves records and metadata.
@@ -136,6 +152,5 @@ fn mixed_kinds_with_wraparound_deltas_fixture() {
     // Interning sees only the conditional stream and reuses the revisited id.
     let interned = trace.intern();
     assert_eq!(interned.static_count(), 3);
-    let ids: Vec<u32> = interned.records().iter().map(|r| r.id()).collect();
-    assert_eq!(ids, vec![0, 1, 2, 0]);
+    assert_eq!(interned.records().ids(), &[0, 1, 2, 0]);
 }

@@ -47,11 +47,11 @@ proptest! {
         let interned = trace.intern();
         let conditional = trace.conditional_records();
         prop_assert_eq!(interned.len(), conditional.len());
-        for (original, record) in conditional.iter().zip(interned.records()) {
+        for (original, (addr, id, outcome)) in conditional.iter().zip(interned.records().iter()) {
             // Same stream, in order, with ids resolving back to the address.
-            prop_assert_eq!(record.addr(), original.addr());
-            prop_assert_eq!(record.outcome(), original.outcome());
-            prop_assert_eq!(interned.addr_of(record.id()), original.addr());
+            prop_assert_eq!(addr, original.addr());
+            prop_assert_eq!(outcome, original.outcome());
+            prop_assert_eq!(interned.addr_of(id), original.addr());
         }
     }
 
@@ -69,12 +69,12 @@ proptest! {
         // at most the number of distinct addresses seen strictly before it.
         let mut distinct = 0u32;
         let mut first_seen = std::collections::BTreeSet::new();
-        for record in interned.records() {
-            if first_seen.insert(record.addr().raw()) {
-                prop_assert_eq!(record.id(), distinct);
+        for (addr, id, _) in interned.records().iter() {
+            if first_seen.insert(addr.raw()) {
+                prop_assert_eq!(id, distinct);
                 distinct += 1;
             } else {
-                prop_assert!(record.id() < distinct);
+                prop_assert!(id < distinct);
             }
         }
         prop_assert_eq!(distinct as usize, interned.static_count());

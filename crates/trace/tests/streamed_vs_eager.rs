@@ -1,13 +1,14 @@
 //! Equivalence suite pinning the chunked reader to the eager readers: over
 //! arbitrary traces and chunk sizes — degenerate (1), prime (7), typical
-//! (4096) and larger-than-the-trace — the concatenated chunks must be
-//! bit-identical to `read_binary` / `read_text`, and the incrementally
+//! (4096) and larger-than-the-trace — the chunks must partition exactly the
+//! records `read_binary` / `read_text` decode, their conditional columns
+//! must be bit-identical to the eager trace's, and the incrementally
 //! interned ids must match `Trace::intern` exactly.
 
 use btr_trace::io::{binary, text};
 use btr_trace::{
-    BranchAddr, BranchKind, BranchRecord, ChunkedTraceReader, FastBtrtReader, InternedRecord,
-    Outcome, Trace, TraceMetadata,
+    BranchAddr, BranchKind, BranchRecord, ChunkStream, ChunkedTraceReader, ConditionalColumns,
+    FastBtrtReader, InternedTrace, Outcome, Trace, TraceMetadata,
 };
 use proptest::prelude::*;
 
@@ -55,22 +56,23 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
         })
 }
 
-/// Drains a chunked reader, returning (records, interned conditionals, addrs).
+/// Drains a chunked reader, returning (chunk lengths, conditional columns,
+/// addrs).
 fn drain<I: Iterator<Item = btr_trace::Result<BranchRecord>>>(
     mut reader: ChunkedTraceReader<I>,
-) -> (Vec<BranchRecord>, Vec<InternedRecord>, Vec<BranchAddr>) {
-    let mut records = Vec::new();
-    let mut conditional = Vec::new();
+) -> Drained {
+    let mut lens = Vec::new();
+    let mut conditional = ConditionalColumns::new();
     for (expected_index, chunk) in (&mut reader).enumerate() {
         let chunk = chunk.expect("well-formed stream must decode");
         assert_eq!(chunk.index(), expected_index);
-        assert_eq!(chunk.first_record(), records.len() as u64);
+        assert_eq!(chunk.first_record(), lens.iter().sum::<usize>() as u64);
         assert!(!chunk.is_empty(), "readers never yield empty chunks");
-        conditional.extend(chunk.conditional());
-        records.extend(chunk.into_records());
+        conditional.extend_from(chunk.conditional());
+        lens.push(chunk.len());
     }
     let addrs = reader.addrs().to_vec();
-    (records, conditional, addrs)
+    (lens, conditional, addrs)
 }
 
 // ---------------------------------------------------------------------------
@@ -153,8 +155,10 @@ impl Read for InterruptingReader<'_> {
     }
 }
 
-/// The record/interning state a drain produced, for whole-sale comparison.
-type Drained = (Vec<BranchRecord>, Vec<InternedRecord>, Vec<BranchAddr>);
+/// The record/interning state a drain produced, for whole-sale comparison:
+/// every chunk's length, the concatenated conditional columns and the
+/// id → address table.
+type Drained = (Vec<usize>, ConditionalColumns, Vec<BranchAddr>);
 
 fn drain_btrt<R: Read>(reader: R, chunk_records: usize) -> Drained {
     drain(ChunkedTraceReader::btrt(reader, chunk_records).expect("header must decode"))
@@ -164,15 +168,15 @@ fn drain_btrt<R: Read>(reader: R, chunk_records: usize) -> Drained {
 /// it against the generic-`Read` reference in passing.
 fn drain_fast<R: Read>(reader: R, chunk_records: usize) -> Drained {
     let mut reader = FastBtrtReader::new(reader, chunk_records).expect("header must decode");
-    let mut records = Vec::new();
-    let mut conditional = Vec::new();
+    let mut lens = Vec::new();
+    let mut conditional = ConditionalColumns::new();
     for chunk in &mut reader {
         let chunk = chunk.expect("well-formed stream must decode");
-        conditional.extend(chunk.conditional());
-        records.extend(chunk.into_records());
+        conditional.extend_from(chunk.conditional());
+        lens.push(chunk.len());
     }
     let addrs = reader.addrs().to_vec();
-    (records, conditional, addrs)
+    (lens, conditional, addrs)
 }
 
 /// A characteristic trace for the deterministic adversarial tests: mixes
@@ -321,14 +325,17 @@ proptest! {
         binary::write_trace(&mut buf, &trace).unwrap();
         let eager = binary::read_trace(&mut buf.as_slice()).unwrap();
         prop_assert_eq!(eager.records(), trace.records());
+        let eager_interned = eager.intern();
         for chunk_records in CHUNK_SIZES {
             let reader = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
             prop_assert_eq!(reader.metadata(), eager.metadata());
             prop_assert_eq!(reader.declared_count(), Some(trace.len() as u64));
-            let (records, _, _) = drain(reader);
-            prop_assert_eq!(records.as_slice(), eager.records(), "chunk size {}", chunk_records);
-            let (fast_records, _, _) = drain_fast(buf.as_slice(), chunk_records);
-            prop_assert_eq!(fast_records.as_slice(), eager.records(), "fast, chunk size {}", chunk_records);
+            let (lens, conditional, _) = drain(reader);
+            prop_assert_eq!(lens.iter().sum::<usize>(), eager.len(), "chunk size {}", chunk_records);
+            prop_assert_eq!(conditional.view(), eager_interned.records(), "chunk size {}", chunk_records);
+            let (fast_lens, fast_conditional, _) = drain_fast(buf.as_slice(), chunk_records);
+            prop_assert_eq!(fast_lens, lens, "fast, chunk size {}", chunk_records);
+            prop_assert_eq!(fast_conditional.view(), eager_interned.records(), "fast, chunk size {}", chunk_records);
         }
     }
 
@@ -340,10 +347,10 @@ proptest! {
         for chunk_records in CHUNK_SIZES {
             let reader = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
             let (_, conditional, addrs) = drain(reader);
-            prop_assert_eq!(conditional.as_slice(), eager.records(), "chunk size {}", chunk_records);
+            prop_assert_eq!(conditional.view(), eager.records(), "chunk size {}", chunk_records);
             prop_assert_eq!(addrs.as_slice(), eager.addrs(), "chunk size {}", chunk_records);
             let (_, fast_conditional, fast_addrs) = drain_fast(buf.as_slice(), chunk_records);
-            prop_assert_eq!(fast_conditional.as_slice(), eager.records(), "fast, chunk size {}", chunk_records);
+            prop_assert_eq!(fast_conditional.view(), eager.records(), "fast, chunk size {}", chunk_records);
             prop_assert_eq!(fast_addrs.as_slice(), eager.addrs(), "fast, chunk size {}", chunk_records);
         }
     }
@@ -357,9 +364,9 @@ proptest! {
         for chunk_records in CHUNK_SIZES {
             let reader = ChunkedTraceReader::text(buf.as_slice(), chunk_records);
             prop_assert_eq!(reader.metadata(), eager.metadata());
-            let (records, conditional, _) = drain(reader);
-            prop_assert_eq!(records.as_slice(), eager.records(), "chunk size {}", chunk_records);
-            prop_assert_eq!(conditional.as_slice(), eager_interned.records());
+            let (lens, conditional, _) = drain(reader);
+            prop_assert_eq!(lens.iter().sum::<usize>(), eager.len(), "chunk size {}", chunk_records);
+            prop_assert_eq!(conditional.view(), eager_interned.records());
         }
     }
 
@@ -382,5 +389,87 @@ proptest! {
             prop_assert!(last.len() <= chunk_records);
             prop_assert!(!last.is_empty());
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `InternedTrace::from_chunks` does not depend on chunking: collected from
+// either production decoder at any chunk size, it equals `Trace::intern` —
+// columns and id → address table alike.
+// ---------------------------------------------------------------------------
+
+/// The chunk sizes `from_chunks` is pinned under.
+const FROM_CHUNKS_SIZES: [usize; 4] = [1, 3, 64, 4096];
+
+/// Collects `trace` through `FastBtrtReader` and the text reader at every
+/// [`FROM_CHUNKS_SIZES`] size and compares each result with the eager
+/// interning.
+fn assert_from_chunks_matches_intern(trace: &Trace) {
+    let eager = trace.intern();
+    let mut btrt = Vec::new();
+    binary::write_trace(&mut btrt, trace).unwrap();
+    let mut txt = Vec::new();
+    text::write_trace(&mut txt, trace).unwrap();
+    for chunk_records in FROM_CHUNKS_SIZES {
+        let fast = FastBtrtReader::new(btrt.as_slice(), chunk_records).expect("header decodes");
+        let via_fast = InternedTrace::from_chunks(fast).expect("well-formed stream");
+        assert_eq!(
+            via_fast.records(),
+            eager.records(),
+            "fast, chunk size {chunk_records}"
+        );
+        assert_eq!(
+            via_fast.addrs(),
+            eager.addrs(),
+            "fast, chunk size {chunk_records}"
+        );
+        let via_text =
+            InternedTrace::from_chunks(ChunkedTraceReader::text(txt.as_slice(), chunk_records))
+                .expect("well-formed stream");
+        assert_eq!(
+            via_text.records(),
+            eager.records(),
+            "text, chunk size {chunk_records}"
+        );
+        assert_eq!(
+            via_text.addrs(),
+            eager.addrs(),
+            "text, chunk size {chunk_records}"
+        );
+    }
+}
+
+#[test]
+fn from_chunks_matches_intern_at_every_chunk_size() {
+    assert_from_chunks_matches_intern(&adversarial_trace());
+}
+
+#[test]
+fn from_chunks_of_an_empty_trace_is_empty() {
+    let empty = Trace::from_records(TraceMetadata::named("empty"), Vec::new());
+    assert_from_chunks_matches_intern(&empty);
+}
+
+#[test]
+fn from_chunks_of_a_trace_without_conditionals_is_empty() {
+    let records = (0..100u64)
+        .map(|i| {
+            let kind = if i % 2 == 0 {
+                BranchKind::Call
+            } else {
+                BranchKind::Return
+            };
+            BranchRecord::new(BranchAddr::new(0x40_0000 + i * 4), kind, Outcome::Taken)
+        })
+        .collect();
+    let trace = Trace::from_records(TraceMetadata::named("calls-only"), records);
+    assert!(trace.intern().is_empty());
+    assert_from_chunks_matches_intern(&trace);
+}
+
+proptest! {
+    #[test]
+    fn from_chunks_matches_intern_on_arbitrary_traces(trace in arb_trace()) {
+        assert_from_chunks_matches_intern(&trace);
     }
 }
