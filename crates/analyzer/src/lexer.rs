@@ -14,7 +14,7 @@
 //!   lifetimes (`'a`, `'static`, `'_`);
 //! * identifiers, numeric literals and single-character punctuation.
 //!
-//! After tokenization, [`TokenStream::mark_test_regions`] walks the stream
+//! After tokenization, `mark_test_regions` walks the stream
 //! for `#[cfg(test)]` attributes and marks the brace-balanced item that
 //! follows (a `mod tests { .. }` block, a shim `fn`/`impl`, …) so passes can
 //! distinguish library code from in-file test code.

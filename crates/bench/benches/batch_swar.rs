@@ -1,20 +1,17 @@
-//! Per-history-point cost of the bit-sliced SWAR batch tier versus the
-//! scalar fused sweep it is pinned against.
+//! Per-history-point cost of the bit-sliced SWAR tier versus the scalar
+//! fused sweep it is pinned against.
 //!
-//! Throughput is declared as `records × history points × lanes`, so
+//! Throughput is declared as `records × history points`, so
 //! `per_sec` is directly the history-point throughput and rate ratios are
 //! cost-per-point ratios — the same accounting as `fused_sweep`, which makes
 //! the `fused/…` rows here directly comparable to the `fused_sweep`
-//! baselines recorded in `BENCH_pr5.json`. Three tiers per family:
+//! baselines recorded in `BENCH_pr5.json`. Two tiers per family:
 //!
 //! * `fused/…` — the scalar fused single-pass sweep (`run_fused`), re-run in
 //!   this group as the in-run reference the gate's ratio floors compare
 //!   against (so the check is machine-independent).
 //! * `swar/…` — one lane through `run_batch`: the bit-sliced replay, 32
 //!   two-bit counters trained per word operation.
-//! * `swar_x4/…` — four lanes sharing one trace: the batch shape the serve
-//!   tier's admission scheduler produces for coalesced uploads, amortizing
-//!   the shared first-level pass across lanes.
 //!
 //! The `≥ 2×` acceptance target for the SWAR tier is declared here as
 //! `min_ratio` rows appended to `$CRITERION_JSON` and enforced by
@@ -95,22 +92,10 @@ fn bench_batch_swar(c: &mut Criterion) {
         group.bench_function(format!("fused/{label}"), |b| {
             b.iter(|| engine.run_fused(&interned, &mut factory(&histories)))
         });
-        // The SWAR tier, single lane: what `run_batch` executes for every
-        // sweep request admitted through the batch scheduler.
+        // The SWAR tier: the one `run_batch` lane every materialized
+        // `/sweep` request runs.
         group.bench_function(format!("swar/{label}"), |b| {
             b.iter(|| engine.run_batch(&[&interned], vec![BatchLane::new(0, factory(&histories))]))
-        });
-        // Four lanes over one shared trace: the coalesced-upload shape.
-        // Lanes beyond the L2 budget sub-group and re-walk the trace, so
-        // this also exercises the partitioning heuristic under load.
-        group.throughput(Throughput::Elements(records * points * 4));
-        group.bench_function(format!("swar_x4/{label}"), |b| {
-            b.iter(|| {
-                let lanes = (0..4)
-                    .map(|_| BatchLane::new(0, factory(&histories)))
-                    .collect();
-                engine.run_batch(&[&interned], lanes)
-            })
         });
     }
     group.finish();

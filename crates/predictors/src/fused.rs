@@ -115,7 +115,7 @@ fn access_packed(arena: &mut [u8], counter_index: usize, taken: bool) -> bool {
 /// its own length. Patterns are stored as `u16` (PAs history is at most 16
 /// bits) to keep all groups cache-resident at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PackedBht {
+struct PackedBht {
     index_bits: u32,
     /// `(1 << width) - 1` for the group's maximum history width.
     mask: u16,
@@ -125,7 +125,7 @@ pub(crate) struct PackedBht {
 }
 
 impl PackedBht {
-    pub(crate) fn new(index_bits: u32, width: u32) -> Self {
+    fn new(index_bits: u32, width: u32) -> Self {
         assert!((1..=16).contains(&width), "packed BHT width must be 1..=16");
         PackedBht {
             index_bits,
@@ -138,7 +138,7 @@ impl PackedBht {
     /// Returns the pattern for `addr`, then shifts `outcome` in — exactly
     /// [`crate::history::BranchHistoryTable::pattern_and_push`].
     #[inline]
-    pub(crate) fn pattern_and_push(&mut self, addr: BranchAddr, outcome: Outcome) -> u64 {
+    fn pattern_and_push(&mut self, addr: BranchAddr, outcome: Outcome) -> u64 {
         let idx = addr.low_bits(self.index_bits) as usize;
         let pattern = self.patterns[idx];
         self.patterns[idx] = ((pattern << 1) | outcome.as_bit() as u16) & self.mask;
@@ -215,9 +215,10 @@ struct FusedSlot {
     addr_bits: u32,
     /// Base of this slot's PHT within the shared counter arena.
     pht_offset: usize,
-    /// Index into the pattern scratch: 0 is the constant-zero pattern
-    /// (zero-history slots), `g + 1` is BHT geometry group `g` for PAs or the
-    /// single global register for GAs/gshare.
+    /// History-source group, the slot's row in the pattern scratch and in
+    /// both block kinds. PAs: 0 is the constant-zero pattern (zero-history
+    /// slots), `g + 1` is BHT geometry group `g`. GAs/gshare: always 0, the
+    /// single global register.
     group: u32,
 }
 
@@ -634,7 +635,7 @@ impl FusedSweepPredictor {
     /// Whether every slot's geometry fits the SWAR replay tier's packed
     /// scratch word (see [`crate::swar`] module docs): index width within
     /// `2..=`[`MAX_SWAR_INDEX_BITS`].
-    pub(crate) fn swar_geometry_ok(&self) -> bool {
+    fn swar_geometry_ok(&self) -> bool {
         self.slots.len() <= swar::MAX_SWAR_SLOTS
             && self
                 .slots
@@ -652,26 +653,44 @@ impl FusedSweepPredictor {
         static_count <= MAX_SWAR_IDS && self.swar_geometry_ok()
     }
 
-    /// Number of pattern-source rows this predictor reads (row 0 plus one
-    /// per shared BHT for PAs; a single row for global-history families).
-    pub(crate) fn pattern_sources(&self) -> usize {
-        self.scratch.len()
+    /// Creates a reusable [`SwarBlock`] for the SWAR replay tier, with one
+    /// pattern row per history-source group (the same groups
+    /// [`FusedSweepPredictor::new_block`] lays out).
+    pub fn new_swar_block(&self, capacity: usize) -> SwarBlock {
+        SwarBlock::new(capacity, self.scratch.len())
     }
 
-    /// Whether the family's first level is the shared global register.
-    pub(crate) fn uses_global(&self) -> bool {
-        self.core != FusedCore::PerAddressTwoLevel
-    }
-
-    /// Width of the shared global register (0 for PAs).
-    pub(crate) fn global_bits(&self) -> u32 {
-        self.global.bits()
-    }
-
-    /// `(index_bits, register width)` of each shared BHT geometry group, in
-    /// group order (PAs only; empty for global-history families).
-    pub(crate) fn bht_geometries(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.bhts.iter().map(|bht| (bht.index_bits, bht.width))
+    /// The SWAR tier's [`FusedSweepPredictor::load_block`]: loads up to
+    /// `block.capacity()` `(address, outcome, dense id)` records into
+    /// `block`, advancing this predictor's own history registers and
+    /// capturing each record's pre-push pattern into its group's row.
+    /// Row `g` is history-source group `g`: the global register for GAs and
+    /// gshare; for PAs the constant-zero row 0 and one row per BHT geometry
+    /// group above it.
+    ///
+    /// Blocks must be loaded in stream order and fully replayed with
+    /// [`FusedSweepPredictor::replay_swar`] before the next load.
+    pub fn load_swar_block<I>(&mut self, records: I, block: &mut SwarBlock)
+    where
+        I: IntoIterator<Item = (BranchAddr, Outcome, u32)>,
+    {
+        block.reset();
+        match self.core {
+            FusedCore::GlobalTwoLevel | FusedCore::Gshare => {
+                for (addr, outcome, id) in records {
+                    block.push_record(addr, outcome, id);
+                    block.set_pattern(0, self.global.pattern_and_push(outcome) as u32);
+                }
+            }
+            FusedCore::PerAddressTwoLevel => {
+                for (addr, outcome, id) in records {
+                    block.push_record(addr, outcome, id);
+                    for (g, bht) in self.bhts.iter_mut().enumerate() {
+                        block.set_pattern(g + 1, bht.pattern_and_push(addr, outcome) as u32);
+                    }
+                }
+            }
+        }
     }
 
     /// Replays a loaded SWAR block against every slot's PHT through the
@@ -679,12 +698,11 @@ impl FusedSweepPredictor {
     /// [`FusedSweepPredictor::replay_slot_scored`] over all slots, one
     /// after another, bit-identical to it (pinned by the equivalence suites).
     ///
-    /// `row_map` translates this predictor's history-source groups to the
-    /// block's pattern rows (from [`crate::swar::BatchLoader::for_lanes`])
-    /// and `lut` is the derived counter-step table (shareable across slots,
-    /// lanes and calls). `scratch` is the kernel's packed-word buffer —
-    /// contents are transient, callers just reuse one allocation across
-    /// calls.
+    /// `block` must come from [`FusedSweepPredictor::load_swar_block`] on
+    /// this predictor, and `lut` is the derived counter-step table
+    /// (shareable across slots and calls). `scratch` is the kernel's
+    /// packed-word buffer — contents are transient, callers just reuse one
+    /// allocation across calls.
     ///
     /// With `hit_lanes`, each record's hit bit for slot `s` is OR-ed into
     /// `hit_lanes[i]` at bit `s`: the column must cover the block and hold
@@ -694,15 +712,9 @@ impl FusedSweepPredictor {
     /// the random id-indexed accumulation is paid once per block instead of
     /// once per (record, slot). Without it, counters train exactly the same
     /// and nothing is recorded: the warmup form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row_map` does not cover this predictor's groups or the
-    /// block's rows do not cover a mapped row.
     pub fn replay_swar(
         &mut self,
         block: &SwarBlock,
-        row_map: &[usize],
         lut: &CounterLut,
         hit_lanes: Option<&mut [u64]>,
         scratch: &mut SwarScratch,
@@ -710,12 +722,12 @@ impl FusedSweepPredictor {
         match hit_lanes {
             Some(hit_lanes) => {
                 for slot in 0..self.slots.len() {
-                    self.replay_swar_slot::<true>(slot, block, row_map, lut, hit_lanes, scratch);
+                    self.replay_swar_slot::<true>(slot, block, lut, hit_lanes, scratch);
                 }
             }
             None => {
                 for slot in 0..self.slots.len() {
-                    self.replay_swar_slot::<false>(slot, block, row_map, lut, &mut [], scratch);
+                    self.replay_swar_slot::<false>(slot, block, lut, &mut [], scratch);
                 }
             }
         }
@@ -727,12 +739,11 @@ impl FusedSweepPredictor {
         &mut self,
         slot: usize,
         block: &SwarBlock,
-        row_map: &[usize],
         lut: &CounterLut,
         hit_lanes: &mut [u64],
         scratch: &mut SwarScratch,
     ) {
-        let (range, pass) = self.swar_slot_pass(slot, row_map);
+        let (range, pass) = self.swar_slot_pass(slot);
         let region = &mut self.arena[range];
         match self.core {
             FusedCore::Gshare => {
@@ -746,7 +757,7 @@ impl FusedSweepPredictor {
 
     /// One slot's arena byte range and loop-invariant kernel parameters.
     #[inline]
-    fn swar_slot_pass(&self, slot: usize, row_map: &[usize]) -> (Range<usize>, swar::SlotPass) {
+    fn swar_slot_pass(&self, slot: usize) -> (Range<usize>, swar::SlotPass) {
         let geometry = self.slots[slot];
         let index_bits = self.slot_index_bits(&geometry);
         debug_assert!(
@@ -755,7 +766,7 @@ impl FusedSweepPredictor {
         );
         let base = geometry.pht_offset >> 2;
         let pass = swar::SlotPass {
-            row: row_map[geometry.group as usize],
+            row: geometry.group as usize,
             hm: geometry.history_mask as u32,
             ab: geometry.addr_bits,
             slot_bit: slot as u32,
@@ -1062,7 +1073,7 @@ mod tests {
 
     #[test]
     fn swar_replay_is_bit_identical_to_scalar_scored_replay() {
-        use crate::swar::{drain_hit_lanes, hit_stage_stride, BatchLoader, CounterLut};
+        use crate::swar::{drain_hit_lanes, hit_stage_stride, CounterLut};
         let records = stream(5000, 0x51ab);
         let lut = CounterLut::new();
         for (make, label) in [
@@ -1077,12 +1088,10 @@ mod tests {
             let mut scalar = make(&histories);
             let mut swar_side = make(&histories);
             assert!(swar_side.swar_ready(512), "{label} must fit the SWAR tier");
-            let (mut loader, maps) =
-                BatchLoader::for_lanes(&[&swar_side]).expect("single lane fits the SWAR tier");
             // Uneven capacity so block boundaries fall mid-stream and the
             // last block is a ragged tail for the chunked kernel.
             let mut scalar_block = scalar.new_block(193);
-            let mut block = loader.new_block(193);
+            let mut block = swar_side.new_swar_block(193);
             let slots = scalar.slot_count();
             let mut scalar_hits = vec![vec![0u64; 512]; slots];
             // SWAR scores via the per-record hit-lane column, drained into
@@ -1096,7 +1105,7 @@ mod tests {
             for (chunk_index, batch) in records.chunks(193).enumerate() {
                 let ids: Vec<u32> = batch.iter().map(|&(addr, _)| stream_id(addr)).collect();
                 scalar.load_block(batch.iter().copied(), &mut scalar_block);
-                loader.load_block(
+                swar_side.load_swar_block(
                     batch.iter().zip(&ids).map(|(&(a, o), &id)| (a, o, id)),
                     &mut block,
                 );
@@ -1106,18 +1115,12 @@ mod tests {
                     for slot in 0..slots {
                         scalar.replay_slot(slot, &scalar_block, |_, _| {});
                     }
-                    swar_side.replay_swar(&block, &maps[0], &lut, None, &mut scratch);
+                    swar_side.replay_swar(&block, &lut, None, &mut scratch);
                 } else {
                     for (slot, hits) in scalar_hits.iter_mut().enumerate().take(slots) {
                         scalar.replay_slot_scored(slot, &scalar_block, &ids, hits);
                     }
-                    swar_side.replay_swar(
-                        &block,
-                        &maps[0],
-                        &lut,
-                        Some(&mut hit_lanes),
-                        &mut scratch,
-                    );
+                    swar_side.replay_swar(&block, &lut, Some(&mut hit_lanes), &mut scratch);
                     drain_hit_lanes(&block, &mut hit_lanes, stride, &mut staged);
                 }
             }
@@ -1128,87 +1131,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_batch_loader_matches_per_lane_scalar_runs() {
-        use crate::swar::{drain_hit_lanes, hit_stage_stride, BatchLoader, CounterLut};
-        let records = stream(4000, 0x77aa);
-        let lut = CounterLut::new();
-        // Three lanes of different families and history sets over one trace:
-        // the loader must carry the union of their first-level state.
-        let pas_h: Vec<u32> = (0..=16).collect();
-        let gas_h = [0u32, 5, 9, 16];
-        let gshare_h = [2u32, 11, 17];
-        let mut lanes = [
-            FusedSweepPredictor::pas_paper(&pas_h),
-            FusedSweepPredictor::gas_paper(&gas_h),
-            FusedSweepPredictor::gshare_paper(&gshare_h),
-        ];
-        let (mut loader, maps) = {
-            let refs: Vec<&FusedSweepPredictor> = lanes.iter().collect();
-            BatchLoader::for_lanes(&refs).expect("lanes fit the SWAR tier")
-        };
-        let mut block = loader.new_block(157);
-        let strides: Vec<usize> = lanes
-            .iter()
-            .map(|lane| hit_stage_stride(lane.slot_count()))
-            .collect();
-        let mut staged: Vec<Vec<u16>> = strides.iter().map(|&s| vec![0u16; 512 * s]).collect();
-        let mut hit_lanes = vec![0u64; 157];
-        let mut scratch = SwarScratch::new();
-        for batch in records.chunks(157) {
-            loader.load_block(batch.iter().map(|&(a, o)| (a, o, stream_id(a))), &mut block);
-            for (lane_index, lane) in lanes.iter_mut().enumerate() {
-                lane.replay_swar(
-                    &block,
-                    &maps[lane_index],
-                    &lut,
-                    Some(&mut hit_lanes),
-                    &mut scratch,
-                );
-                drain_hit_lanes(
-                    &block,
-                    &mut hit_lanes,
-                    strides[lane_index],
-                    &mut staged[lane_index],
-                );
-            }
-        }
-        // Reference: each lane alone, scalar blocked replay.
-        let references = [
-            FusedSweepPredictor::pas_paper(&pas_h),
-            FusedSweepPredictor::gas_paper(&gas_h),
-            FusedSweepPredictor::gshare_paper(&gshare_h),
-        ];
-        for (lane_index, mut reference) in references.into_iter().enumerate() {
-            let mut scalar_block = reference.new_block(157);
-            let mut scalar_hits = vec![vec![0u64; 512]; reference.slot_count()];
-            for batch in records.chunks(157) {
-                let ids: Vec<u32> = batch.iter().map(|&(addr, _)| stream_id(addr)).collect();
-                reference.load_block(batch.iter().copied(), &mut scalar_block);
-                for (slot, hits) in scalar_hits.iter_mut().enumerate() {
-                    reference.replay_slot_scored(slot, &scalar_block, &ids, hits);
-                }
-            }
-            let widened = widen_staged(
-                &staged[lane_index],
-                strides[lane_index],
-                reference.slot_count(),
-                512,
-            );
-            assert_eq!(
-                widened, scalar_hits,
-                "lane {lane_index} hits diverged under the shared loader"
-            );
-            assert_eq!(
-                lanes[lane_index].arena, reference.arena,
-                "lane {lane_index} arena diverged under the shared loader"
-            );
-        }
-    }
-
-    #[test]
     fn swar_arena_region_matches_standalone_pht_packed_export() {
         use crate::pht::PatternHistoryTable;
-        use crate::swar::{BatchLoader, CounterLut};
+        use crate::swar::CounterLut;
         // A zero-history gshare slot indexes its PHT by address bits alone,
         // so a standalone table driven at the same indices must land on the
         // byte-identical packed arena — a direct check of the arena layout
@@ -1216,14 +1141,13 @@ mod tests {
         let records = stream(3000, 0xabcd);
         let mut fused = FusedSweepPredictor::gshare_paper(&[0]);
         let lut = CounterLut::new();
-        let (mut loader, maps) = BatchLoader::for_lanes(&[&fused]).expect("fits the SWAR tier");
-        let mut block = loader.new_block(256);
+        let mut block = fused.new_swar_block(256);
         let mut pht = PatternHistoryTable::two_bit(17);
         let mut hit_lanes = vec![0u64; 256];
         let mut scratch = SwarScratch::new();
         for batch in records.chunks(256) {
-            loader.load_block(batch.iter().map(|&(a, o)| (a, o, stream_id(a))), &mut block);
-            fused.replay_swar(&block, &maps[0], &lut, Some(&mut hit_lanes), &mut scratch);
+            fused.load_swar_block(batch.iter().map(|&(a, o)| (a, o, stream_id(a))), &mut block);
+            fused.replay_swar(&block, &lut, Some(&mut hit_lanes), &mut scratch);
             for &(addr, outcome) in batch {
                 pht.predict_and_train(addr.low_bits(17), outcome);
             }

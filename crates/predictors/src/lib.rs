@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::hybrid::{ClassifiedHybrid, McFarlingHybrid};
     pub use crate::predictor::BranchPredictor;
     pub use crate::staticp::StaticPredictor;
-    pub use crate::swar::{BatchLoader, CounterLut, SwarBlock};
+    pub use crate::swar::{CounterLut, SwarBlock};
     pub use crate::twolevel::{TwoLevelConfig, TwoLevelPredictor, TwoLevelScheme};
     pub use crate::yags::YagsPredictor;
 }

@@ -1,6 +1,6 @@
 //! Bit-sliced SWAR tier for the fused sweep hot path: packed-word counter
-//! updates, a derived counter-step lookup table, and the shared-stream block
-//! replay the batch engine runs on. Stable Rust, no `unsafe`.
+//! updates, a derived counter-step lookup table, and the column-stream block
+//! replay the engine's SWAR tier runs on. Stable Rust, no `unsafe`.
 //!
 //! # Word geometry
 //!
@@ -38,9 +38,9 @@
 //! scalar step exhaustively, so all three tiers are bit-identical by
 //! construction.
 //!
-//! # Shared-stream blocks and the two-phase replay
+//! # Column blocks and the two-phase replay
 //!
-//! [`SwarBlock`] is the batch-mode record block: instead of one packed `u64`
+//! [`SwarBlock`] is the SWAR tier's record block: instead of one packed `u64`
 //! per (record, group) it carries *column* streams — address words, packed
 //! `(outcome, dense id)` metadata, and one pre-push pattern row per
 //! history-source group. Columns are `u32`, so the per-slot index
@@ -64,16 +64,14 @@
 //! `u16` staging via an 8-bit → 8-lane constant table; drivers widen the
 //! staging into their final per-id accumulators between blocks.
 //!
-//! The streams are *shared*: every history slot of every lane (fused
-//! predictor) replaying the same trace reads the same columns, so one
-//! first-level resolution per record feeds `slots × lanes` second-level
-//! phases. [`BatchLoader`] extends the sharing across lanes of *different*
-//! families: it owns the union of the lanes' first-level state (one global
-//! register and one per-address table per BHT geometry, each at the widest
-//! width any lane needs) and loads one block all lanes replay. Masking makes
-//! this exact — the low `h` bits of a wider register are precisely what a
-//! width-`h` register would hold — so batch results stay bit-identical to
-//! per-lane runs (pinned by the equivalence suites).
+//! The streams are shared by every history slot of one fused predictor:
+//! [`FusedSweepPredictor::load_swar_block`] advances the predictor's own
+//! first-level state (the global register, or one per-address table per BHT
+//! geometry group) once per record, and each slot masks its group's row down
+//! to its own history length. Masking makes this exact — the low `h` bits of
+//! a wider register are precisely what a width-`h` register would hold — so
+//! the SWAR tier stays bit-identical to the scalar blocked replay (pinned by
+//! the equivalence suites).
 //!
 //! # Scratch word layout
 //!
@@ -93,8 +91,8 @@
 //! the engine falls back to the scalar blocked replay otherwise).
 //!
 //! [`FusedSweepPredictor::swar_ready`]: crate::fused::FusedSweepPredictor::swar_ready
+//! [`FusedSweepPredictor::load_swar_block`]: crate::fused::FusedSweepPredictor::load_swar_block
 
-use crate::history::HistoryRegister;
 use btr_trace::{BranchAddr, Outcome};
 
 /// 2-bit counter lanes per `u64` word.
@@ -115,7 +113,7 @@ pub const MAX_SWAR_IDS: usize = 1 << 14;
 /// this bound (see [`drain_hit_lanes`]).
 pub const MAX_STAGED_RECORDS: usize = u16::MAX as usize;
 
-/// Most history slots one lane may replay through the SWAR tier: each
+/// Most history slots one predictor may replay through the SWAR tier: each
 /// slot's hit bit occupies one bit of the per-record `u64` hit-lane mask
 /// (see [`drain_hit_lanes`]).
 pub const MAX_SWAR_SLOTS: usize = 64;
@@ -235,13 +233,12 @@ impl Default for CounterLut {
     }
 }
 
-/// A batch-mode record block: shared column streams one first-level pass
-/// produces and every (lane, slot) replay phase consumes.
+/// A SWAR-tier record block: the column streams one first-level pass
+/// produces and every slot's replay phase consumes.
 ///
-/// Built by [`BatchLoader::new_block`] and filled by
-/// [`BatchLoader::load_block`] (a single-predictor run is just a batch of
-/// one lane); replayed by
-/// [`crate::fused::FusedSweepPredictor::replay_swar`].
+/// Built by [`crate::fused::FusedSweepPredictor::new_swar_block`], filled by
+/// [`crate::fused::FusedSweepPredictor::load_swar_block`] and replayed by
+/// [`crate::fused::FusedSweepPredictor::replay_swar`] on the same predictor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwarBlock {
     capacity: usize,
@@ -251,15 +248,15 @@ pub struct SwarBlock {
     /// `(id << 18) | (taken << 15)` per record — the scratch-word bits that
     /// do not depend on the slot.
     meta: Vec<u32>,
-    /// Pre-push pattern rows, `patterns[row * capacity + i]`; row 0 is the
-    /// constant-zero row (zero-history slots), loaders document the rest.
+    /// Pre-push pattern rows, `patterns[row * capacity + i]`, one per
+    /// history-source group; a row the loader never writes stays zero.
     patterns: Vec<u32>,
     rows: usize,
 }
 
 impl SwarBlock {
-    /// An empty block holding up to `capacity` records across `rows`
-    /// pattern rows (row 0 is always the constant-zero row).
+    /// An empty, zeroed block holding up to `capacity` records across
+    /// `rows` pattern rows.
     #[must_use]
     pub fn new(capacity: usize, rows: usize) -> Self {
         let capacity = capacity.max(1);
@@ -292,7 +289,7 @@ impl SwarBlock {
         self.capacity
     }
 
-    /// Number of pattern rows (including the constant-zero row 0).
+    /// Number of pattern rows.
     #[must_use]
     pub fn rows(&self) -> usize {
         self.rows
@@ -367,7 +364,7 @@ pub(crate) struct SlotPass {
 
 /// The reusable packed-word column of the replay kernel. Contents are
 /// overwritten per call, capacity is kept, so one value serves every
-/// (block, lane, slot) replay of a run.
+/// (block, slot) replay of a run.
 #[derive(Default)]
 pub struct SwarScratch {
     pub(crate) words: Vec<u32>,
@@ -528,10 +525,10 @@ const EXPAND_BITS: [[u16; 8]; 256] = {
 /// Folds one block's per-record hit-lane masks into id-major `u16` staging
 /// counts, clearing the masks for the next block.
 ///
-/// After every slot of a lane OR-ed its hits into `hit_lanes` (bit `s` of
+/// After every slot of a predictor OR-ed its hits into `hit_lanes` (bit `s` of
 /// word `i` = record `i` hit in slot `s`), this walks the block **once**,
 /// adding each mask's bits into `staged[id * stride ..]` eight `u16` lanes
-/// at a time through [`EXPAND_BITS`] — the only id-indexed (random) writes
+/// at a time through the `EXPAND_BITS` table — the only id-indexed (random) writes
 /// of the whole scored path, amortized over all slots. `stride` must be
 /// [`hit_stage_stride`]`(slot_count)` and `staged` must span
 /// `(max_id + 1) * stride` lanes; slot `s` of id `d` accumulates at
@@ -561,111 +558,6 @@ pub fn drain_hit_lanes(
             let expand = &EXPAND_BITS[(mask >> (8 * chunk)) as usize & 0xff];
             for (lane, &add) in part.iter_mut().zip(expand) {
                 *lane += add;
-            }
-        }
-    }
-}
-
-/// A batch group's shared first-level state: the union of every lane's
-/// history sources, each at the widest width any lane needs.
-///
-/// One [`BatchLoader::load_block`] pass advances all of it and fills a
-/// [`SwarBlock`] every lane's every slot replays. Row assignment:
-///
-/// * row 0 — constant zero (zero-history slots of any lane);
-/// * row 1 — the shared global register (GAs / gshare lanes);
-/// * row `2 + g` — shared per-address table `g`, one per distinct BHT
-///   index width across the PAs lanes, at the widest member's history
-///   width.
-///
-/// Sharing is exact because patterns are pre-push and masking commutes with
-/// shifting: each slot masks the shared row down to its own history length,
-/// recovering bit-for-bit the pattern its lane-local register would hold.
-#[derive(Debug, Clone)]
-pub struct BatchLoader {
-    global: HistoryRegister,
-    bhts: Vec<crate::fused::PackedBht>,
-}
-
-impl BatchLoader {
-    /// Builds the union first-level state for `lanes` and the per-lane
-    /// row maps (lane group id → [`SwarBlock`] pattern row).
-    ///
-    /// Returns `None` when any lane's geometry is outside the SWAR tier
-    /// (see [`crate::fused::FusedSweepPredictor::swar_ready`]).
-    #[must_use]
-    pub fn for_lanes(
-        lanes: &[&crate::fused::FusedSweepPredictor],
-    ) -> Option<(Self, Vec<Vec<usize>>)> {
-        let mut global_bits = 0u32;
-        // (index_bits, width) per shared BHT, widened as lanes are merged.
-        let mut bht_geometry: Vec<(u32, u32)> = Vec::new();
-        let mut row_maps = Vec::with_capacity(lanes.len());
-        for lane in lanes {
-            if !lane.swar_geometry_ok() {
-                return None;
-            }
-            let mut map = vec![0usize; lane.pattern_sources()];
-            if lane.uses_global() {
-                global_bits = global_bits.max(lane.global_bits());
-                map[0] = 1;
-            }
-            for (g, (index_bits, width)) in lane.bht_geometries().enumerate() {
-                let shared = match bht_geometry
-                    .iter()
-                    .position(|&(bits, _)| bits == index_bits)
-                {
-                    Some(at) => {
-                        bht_geometry[at].1 = bht_geometry[at].1.max(width);
-                        at
-                    }
-                    None => {
-                        bht_geometry.push((index_bits, width));
-                        bht_geometry.len() - 1
-                    }
-                };
-                map[g + 1] = 2 + shared;
-            }
-            row_maps.push(map);
-        }
-        let loader = BatchLoader {
-            global: HistoryRegister::new(global_bits),
-            bhts: bht_geometry
-                .into_iter()
-                .map(|(index_bits, width)| crate::fused::PackedBht::new(index_bits, width))
-                .collect(),
-        };
-        Some((loader, row_maps))
-    }
-
-    /// Number of pattern rows blocks for this loader carry.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        2 + self.bhts.len()
-    }
-
-    /// An empty block sized for this loader's rows.
-    #[must_use]
-    pub fn new_block(&self, capacity: usize) -> SwarBlock {
-        SwarBlock::new(capacity, self.rows())
-    }
-
-    /// Loads up to `block.capacity()` records, advancing every shared
-    /// history source and capturing each record's pre-push patterns.
-    /// Records beyond the block's capacity are ignored by the caller's
-    /// contract (feed at most `capacity` records).
-    pub fn load_block<I>(&mut self, records: I, block: &mut SwarBlock)
-    where
-        I: IntoIterator<Item = (BranchAddr, Outcome, u32)>,
-    {
-        block.reset();
-        for (addr, outcome, id) in records {
-            block.push_record(addr, outcome, id);
-            if self.global.bits() > 0 {
-                block.set_pattern(1, self.global.pattern_and_push(outcome) as u32);
-            }
-            for (g, bht) in self.bhts.iter_mut().enumerate() {
-                block.set_pattern(2 + g, bht.pattern_and_push(addr, outcome) as u32);
             }
         }
     }

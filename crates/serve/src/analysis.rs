@@ -1,7 +1,7 @@
 //! Request parameters and the per-request analysis drivers.
 //!
 //! Every endpoint decodes its upload exactly once, through one
-//! [`UploadStream`]: the body bytes flow through
+//! `UploadStream`: the body bytes flow through
 //! [`crate::digest::DigestReader`] (content addressing) into the format's
 //! chunked decoder — [`FastBtrtReader`] for `BTRT` uploads (the columnar
 //! slice fast path), [`ChunkedTraceReader`] for text — and every decoded
@@ -271,9 +271,9 @@ pub fn run_sweep<R: Read>(
     ))
 }
 
-/// A `/sweep` upload fully decoded, profiled and interned — the input the
-/// batch tier ([`crate::batch::BatchScheduler`]) runs, as opposed to the
-/// chunk stream [`run_sweep`] consumes in place.
+/// A `/sweep` upload fully decoded, profiled and interned — the input of
+/// one [`SimEngine::run_batch`] lane, as opposed to the chunk stream
+/// [`run_sweep`] consumes in place.
 #[derive(Debug)]
 pub struct MaterializedSweep {
     /// The upload's trace metadata.
@@ -285,7 +285,7 @@ pub struct MaterializedSweep {
     /// Total records decoded.
     pub records: u64,
     /// The interned trace — the upload's conditional columns plus the
-    /// id → address table — shared with the batch scheduler.
+    /// id → address table.
     pub interned: Arc<InternedTrace>,
 }
 
@@ -316,9 +316,9 @@ pub fn materialize_sweep<R: Read>(
     })
 }
 
-/// Renders the sweep document for a materialized upload whose simulation ran
-/// through the batch tier. Bit-identical to [`run_sweep`] over the same
-/// bytes: the engine results are pinned equal by the sim crate's
+/// Renders the sweep document for a materialized upload whose simulation
+/// ran through [`SimEngine::run_batch`]. Bit-identical to [`run_sweep`] over
+/// the same bytes: the engine results are pinned equal by the sim crate's
 /// `batch_equivalence` suite and everything else here derives from the same
 /// stats pass.
 pub fn sweep_document(

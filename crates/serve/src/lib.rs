@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod digest;

@@ -90,7 +90,7 @@ impl Metrics {
         self.coalesced_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a sweep lane admitted through the shared batch scheduler.
+    /// Records a materialized sweep run as one `run_batch` lane.
     pub fn batched_lane(&self) {
         self.batched_lanes.fetch_add(1, Ordering::Relaxed);
     }
@@ -185,7 +185,7 @@ pub struct MetricsSnapshot {
     /// Requests served by coalescing onto a concurrent identical analysis
     /// (a subset of `cache_hits`).
     pub coalesced_hits: u64,
-    /// Sweep lanes admitted through the shared SWAR batch scheduler.
+    /// Materialized sweeps run as one `run_batch` lane each.
     pub batched_lanes: u64,
     /// Upload bytes streamed through the decoders.
     pub bytes_streamed: u64,

@@ -17,7 +17,6 @@
 //! and replayed for clients that present the upload's digest.
 
 use crate::analysis::{self, Budgets};
-use crate::batch::BatchScheduler;
 use crate::cache::{CacheKey, ResponseCache};
 use crate::digest::DigestReader;
 use crate::error::ServeError;
@@ -26,6 +25,7 @@ use crate::http::{LimitedReader, Request, Response};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use btr_core::distribution::Metric;
 use btr_sim::config::PredictorFamily;
+use btr_sim::engine::{BatchLane, SimEngine};
 use btr_wire::{json, MapBuilder, Value, Wire};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -54,9 +54,9 @@ pub struct ServerConfig {
     /// Entries in the content-addressed response cache (0 disables).
     pub cache_entries: usize,
     /// Sweep uploads declaring at most this many bytes are materialized and
-    /// run through the shared SWAR batch scheduler, which coalesces
-    /// concurrent sweeps into one engine pass; larger uploads keep the
-    /// constant-memory streaming path. Set to 0 to force streaming. This
+    /// run through [`SimEngine::run_batch`] as one lane, on the SWAR tier
+    /// when it fits; larger uploads keep the constant-memory streaming path.
+    /// Set to 0 to force streaming. This
     /// bounds the batch path's memory: at most 39 B of heap per conditional
     /// record plus 2 MiB (`tests/materialize_memory.rs` measures 20.8 B), so
     /// under ~210 MiB per connection at the 16 MiB default (~5.6M records).
@@ -86,7 +86,6 @@ struct Shared {
     metrics: Metrics,
     cache: ResponseCache,
     flights: FlightTable,
-    batch: BatchScheduler,
     pool: WorkStealingPool,
     active: AtomicUsize,
     connections: AtomicUsize,
@@ -153,7 +152,6 @@ impl Server {
             metrics: Metrics::new(),
             cache,
             flights: FlightTable::new(),
-            batch: BatchScheduler::new(),
             pool,
             active: AtomicUsize::new(0),
             connections: AtomicUsize::new(0),
@@ -338,8 +336,7 @@ struct SweepParams {
 enum Decoded<'a> {
     /// A finished analysis.
     Done(analysis::AnalysisOutcome),
-    /// A materialized sweep still to run as a batch lane, which needs the
-    /// final digest.
+    /// A materialized sweep still to run, once the body is drained.
     Batch(analysis::MaterializedSweep, &'a SweepParams),
 }
 
@@ -438,11 +435,9 @@ fn analyze(
     let mut upload = DigestReader::new(LimitedReader::new(body, declared));
     let decoded = match &sweep {
         None => analysis::run_classify(&mut upload, format, scheme, budgets).map(Decoded::Done),
-        // Batch admission: materialize the upload, then run it as one lane
-        // of the shared SWAR batch — concurrent sweeps of the same digest
-        // share a single first-level pass, and every concurrent sweep
-        // amortizes the engine task. Bit-identical to the streaming path
-        // below, so the cache sees one truth.
+        // Batch admission: materialize the upload, then run it as one
+        // `run_batch` lane on this connection thread. Bit-identical to the
+        // streaming path below, so the cache sees one truth.
         Some(sweep) if declared <= shared.config.batch_upload_bytes => {
             analysis::materialize_sweep(&mut upload, format, budgets)
                 .map(|materialized| Decoded::Batch(materialized, sweep))
@@ -470,11 +465,18 @@ fn analyze(
         Decoded::Done(outcome) => outcome,
         Decoded::Batch(materialized, sweep) => {
             shared.metrics.batched_lane();
-            let results = shared.batch.run(
-                digest.clone(),
-                Arc::clone(&materialized.interned),
-                sweep.family.fused_paper(&sweep.histories),
-            );
+            // One lane in, so the flattened output is exactly its results.
+            let results = SimEngine::new()
+                .run_batch(
+                    &[materialized.interned.as_ref()],
+                    vec![BatchLane::new(
+                        0,
+                        sweep.family.fused_paper(&sweep.histories),
+                    )],
+                )
+                .into_iter()
+                .flatten()
+                .collect();
             analysis::sweep_document(
                 &materialized,
                 sweep.family,

@@ -431,21 +431,27 @@ fn bodies_that_stall_or_end_short_are_refused_and_never_cached() {
 
 #[test]
 fn concurrent_uploads_all_complete_within_the_admission_bound() {
-    let (addr, _handle) = spawn(|config| {
-        config.max_concurrent = 8;
+    // Six sweeps with different history sets for each of two distinct
+    // uploads, all in flight at once: every one is its own analysis (no
+    // digest is presented, so nothing single-flights) and its own
+    // materialized `run_batch` lane.
+    let (addr, handle) = spawn(|config| {
+        config.max_concurrent = 12;
         config.analysis_threads = 2;
     });
-    let body = btrt(10_000, 101);
-    let statuses: Vec<u16> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..6)
-            .map(|i| {
-                let body = body.clone();
+    let uploads = [btrt(10_000, 101), btrt(7_000, 53)];
+    let requests: Vec<(String, &Vec<u8>)> = uploads
+        .iter()
+        .flat_map(|body| (0..6).map(move |i| (format!("/sweep?histories=0,{}", 1 + i), body)))
+        .collect();
+    let replies: Vec<ClientResponse> = std::thread::scope(|scope| {
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|(target, body)| {
                 let addr = addr.as_str();
                 scope.spawn(move || {
-                    let target = format!("/sweep?histories=0,{}", 1 + i);
-                    send(addr, &ClientRequest::post(&target, body), TIMEOUT)
+                    send(addr, &ClientRequest::post(target, body.to_vec()), TIMEOUT)
                         .expect("concurrent request must complete")
-                        .status
                 })
             })
             .collect();
@@ -454,10 +460,23 @@ fn concurrent_uploads_all_complete_within_the_admission_bound() {
             .map(|h| h.join().expect("no worker panics"))
             .collect()
     });
+    let statuses: Vec<u16> = replies.iter().map(|reply| reply.status).collect();
     assert!(
         statuses.iter().all(|&s| s == 200),
         "all within the bound must succeed: {statuses:?}"
     );
+    assert_eq!(handle.metrics().batched_lanes, requests.len() as u64);
+
+    // Each reply must be byte-identical to the same request sent alone.
+    let (alone_addr, _alone_handle) = spawn(|config| config.cache_entries = 0);
+    for ((target, body), reply) in requests.iter().zip(&replies) {
+        let alone = post(&alone_addr, target, body.to_vec());
+        assert_eq!(alone.status, 200);
+        assert_eq!(
+            reply.body, alone.body,
+            "{target}: a concurrent reply differs from the same request sent alone"
+        );
+    }
 }
 
 #[test]

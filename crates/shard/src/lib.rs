@@ -3,12 +3,12 @@
 //! Fault-tolerant sharded sweep runner for the Branch Transition Rate
 //! reproduction: partitions a history sweep into (benchmark × history-group
 //! × trace-window) work units, dispatches them to worker processes, and
-//! re-merges the committed partials into a final [`sweep::SweepResult`]
+//! re-merges the committed partials into a final [`btr_sim::sweep::SweepResult`]
 //! that is **bit-identical** to the sequential [`btr_sim::sweep::HistorySweep`]
 //! reference — no matter which workers crashed, stalled, tore their
 //! checkpoints, or were re-issued along the way.
 //!
-//! * [`unit`] — [`unit::SweepSpec`] (the whole experiment) and
+//! * [`unit`](mod@unit) — [`unit::SweepSpec`] (the whole experiment) and
 //!   [`unit::UnitSpec`] (one self-contained work unit; ships descriptors,
 //!   never trace bytes).
 //! * [`manifest`] — the on-disk checkpoint store: crash-safe

@@ -159,7 +159,7 @@ impl PredictorKind {
 ///   sequential state, so windowed results are **bit-identical** to one
 ///   full-range sequential run — at the cost of O(n²/window) total replay
 ///   work.
-/// * [`WarmupWindow::Records(k)`] replays only the `k` records before the
+/// * [`WarmupWindow::Records`]`(k)` replays only the `k` records before the
 ///   window: O(n·k/window) extra work, results **approximate** — branch
 ///   history registers and counters re-converge within tens of records, so
 ///   divergence is confined to long-range aliasing effects and shrinks as `k`

@@ -12,10 +12,10 @@
 //! * [`SimEngine::run_fused_streamed`] — the same sweep from a
 //!   [`ChunkStream`], without materialising the trace (`btrd`'s streamed
 //!   `/sweep`).
-//! * [`SimEngine::run_batch`] — the planner: lanes over one or more traces,
-//!   run on the bit-sliced SWAR tier when they fit it and on
-//!   [`SimEngine::run_fused`] otherwise (`btrd`'s batch `/sweep`, the suite
-//!   runner and every `btr-shard` unit).
+//! * [`SimEngine::run_batch`] — the planner: each lane, one fused predictor
+//!   over one trace, runs on its own, on the bit-sliced SWAR tier when it
+//!   fits and on [`SimEngine::run_fused`] otherwise (`btrd`'s materialized
+//!   `/sweep`, the suite runner and every `btr-shard` unit).
 //! * [`SimEngine::run_window_dispatch`] — one window of a trace on a fresh
 //!   [`DispatchPredictor`] after a warmup replay ([`WarmupWindow`]); the
 //!   suite runner's per-predictor windowed path. Over the full range with
@@ -35,7 +35,7 @@ use btr_core::analysis::{miss_map_from_value, miss_map_to_value, BranchMissMap, 
 use btr_predictors::dispatch::DispatchPredictor;
 use btr_predictors::fused::FusedSweepPredictor;
 use btr_predictors::predictor::{BranchPredictor, PredictionStats};
-use btr_predictors::swar::{self, BatchLoader, CounterLut, SwarBlock, SwarScratch};
+use btr_predictors::swar::{self, CounterLut, SwarScratch};
 use btr_trace::{BranchAddr, ChunkStream, ConditionalView, InternedTrace, Trace};
 use btr_wire::{MapBuilder, Value, Wire, WireError};
 
@@ -45,22 +45,8 @@ use btr_wire::{MapBuilder, Value, Wire, WireError};
 /// per-block slot-phase setup.
 const FUSED_BLOCK_RECORDS: usize = 512;
 
-/// Predictor-state budget for one SWAR batch sub-group, in bytes.
-///
-/// Within a sub-group every lane's slot phases run per block, so the union of
-/// the lanes' arenas (plus shared first-level tables) cycles through L2 once
-/// per block; keeping that union within most of a ~2 MB L2 keeps the replay
-/// out of L3. Measured the other way round: interleaving four dense-sweep
-/// lanes (~4 × 0.5 MB of counters) ran ~2.6× *slower* than sequential
-/// sub-groups, so lanes beyond the budget go into further sub-groups that
-/// re-walk the trace with their own shared first level. The split is a pure
-/// performance heuristic — results are bit-identical regardless of grouping.
-const BATCH_L2_BUDGET_BYTES: u64 = 1_500_000;
-
 /// One lane of a [`SimEngine::run_batch`] call: a fused sweep predictor
-/// bound (by index) to the batch trace it replays. Lanes over the same trace
-/// share one first-level pass; lanes over different traces are independent
-/// batch groups.
+/// bound (by index) to the batch trace it replays.
 #[derive(Debug, Clone)]
 pub struct BatchLane {
     /// Index into the batch's trace slice.
@@ -76,85 +62,62 @@ impl BatchLane {
     }
 }
 
-/// Per-lane state of one SWAR batch sub-group.
-struct SwarLaneState {
-    /// The lane's position in the caller's lane order.
-    position: usize,
-    fused: FusedSweepPredictor,
-    /// Lane history-source group → block pattern row.
-    rows: Vec<usize>,
-    acc: FusedMissAccumulator,
-}
-
-/// Drives `records` through one SWAR sub-group block by block: one shared
-/// first-level pass per block ([`BatchLoader::load_block`]), then every lane
-/// replays it through the two-phase SWAR kernel
-/// ([`FusedSweepPredictor::replay_swar`]). Warmup handling matches
-/// [`drive_fused_blocks`]: blocks are split at the warmup boundary, warm
-/// blocks train without scoring.
+/// Drives `records` through a fused predictor on the SWAR tier, block by
+/// block: one first-level pass per block
+/// ([`FusedSweepPredictor::load_swar_block`]), then every slot replays it
+/// through the two-phase SWAR kernel ([`FusedSweepPredictor::replay_swar`]).
+/// Warmup handling matches [`drive_fused_blocks`]: blocks are split at the
+/// warmup boundary, warm blocks train without scoring.
 ///
-/// Each lane's replay ORs its hit bits into a shared per-record hit-lane
-/// column (sequential stores — the counter pass carries no random writes);
-/// [`swar::drain_hit_lanes`] then folds the column once per (lane, block)
-/// into id-major `u16` staging, flushed into the wide accumulators before
+/// The replay ORs each slot's hit bits into a per-record hit-lane column
+/// (sequential stores — the counter pass carries no random writes);
+/// [`swar::drain_hit_lanes`] then folds the column once per block into
+/// id-major `u16` staging, flushed into the wide accumulator before
 /// [`swar::MAX_STAGED_RECORDS`] scored records accumulate (one id could hit
 /// every record, so that bound keeps staging within `u16`).
 fn drive_swar_blocks(
-    loader: &mut BatchLoader,
-    block: &mut SwarBlock,
-    lanes: &mut [SwarLaneState],
-    lut: &CounterLut,
+    fused: &mut FusedSweepPredictor,
     records: ConditionalView<'_>,
     warmup: u64,
+    acc: &mut FusedMissAccumulator,
 ) {
-    // Packed-word kernel buffers, one allocation reused across every
-    // (block, lane) replay of this sub-group.
+    let lut = CounterLut::new();
+    let mut block = fused.new_swar_block(FUSED_BLOCK_RECORDS);
+    // Packed-word kernel buffer, one allocation reused across every block.
     let mut scratch = SwarScratch::new();
-    // Per-record hit-mask column, shared across lanes: each drain re-zeroes
-    // it for the next lane (or block).
+    // Per-record hit-mask column; each drain re-zeroes it for the next block.
     let mut hit_lanes = vec![0u64; FUSED_BLOCK_RECORDS];
-    // Per-lane id-major hit staging: slot `s` of id `d` accumulates at
+    // Id-major hit staging: slot `s` of id `d` accumulates at
     // `staged[d * stride + s]`.
-    let mut stages: Vec<(usize, Vec<u16>)> = lanes
-        .iter()
-        .map(|lane| {
-            let stride = swar::hit_stage_stride(lane.fused.slot_count());
-            (stride, vec![0u16; lane.acc.lookups.len() * stride])
-        })
-        .collect();
+    let stride = swar::hit_stage_stride(fused.slot_count());
+    let mut staged = vec![0u16; acc.lookups.len() * stride];
     let mut staged_records = 0usize;
     let mut offset = 0usize;
     while offset < records.len() {
         let pos = offset as u64;
         let end = block_end(offset, records.len(), pos, warmup);
         let batch = records.slice(offset..end);
-        loader.load_block(
+        fused.load_swar_block(
             batch.iter().map(|(addr, id, outcome)| (addr, outcome, id)),
-            block,
+            &mut block,
         );
         if pos >= warmup {
             if staged_records + batch.len() > swar::MAX_STAGED_RECORDS {
-                flush_swar_stages(lanes, &mut stages);
+                flush_swar_stage(acc, stride, &mut staged);
                 staged_records = 0;
             }
             staged_records += batch.len();
-            for (lane, (stride, staged)) in lanes.iter_mut().zip(stages.iter_mut()) {
-                for &id in batch.ids() {
-                    lane.acc.lookups[id as usize] += 1;
-                }
-                lane.fused
-                    .replay_swar(block, &lane.rows, lut, Some(&mut hit_lanes), &mut scratch);
-                swar::drain_hit_lanes(block, &mut hit_lanes, *stride, staged);
+            for &id in batch.ids() {
+                acc.lookups[id as usize] += 1;
             }
+            fused.replay_swar(&block, &lut, Some(&mut hit_lanes), &mut scratch);
+            swar::drain_hit_lanes(&block, &mut hit_lanes, stride, &mut staged);
         } else {
-            for lane in lanes.iter_mut() {
-                lane.fused
-                    .replay_swar(block, &lane.rows, lut, None, &mut scratch);
-            }
+            fused.replay_swar(&block, &lut, None, &mut scratch);
         }
         offset = end;
     }
-    flush_swar_stages(lanes, &mut stages);
+    flush_swar_stage(acc, stride, &mut staged);
 }
 
 /// The end of the block starting at `offset` (absolute stream position
@@ -171,17 +134,15 @@ fn block_end(offset: usize, len: usize, pos: u64, warmup: u64) -> usize {
     }
 }
 
-/// Adds every staged hit count into its lane's wide accumulator rows and
-/// clears the staging.
-fn flush_swar_stages(lanes: &mut [SwarLaneState], stages: &mut [(usize, Vec<u16>)]) {
-    for (lane, (stride, staged)) in lanes.iter_mut().zip(stages.iter_mut()) {
-        for (id, row) in staged.chunks_exact(*stride).enumerate() {
-            for (acc_row, &count) in lane.acc.hits.iter_mut().zip(row.iter()) {
-                acc_row[id] += u64::from(count);
-            }
+/// Adds every staged hit count into the wide accumulator rows and clears
+/// the staging.
+fn flush_swar_stage(acc: &mut FusedMissAccumulator, stride: usize, staged: &mut [u16]) {
+    for (id, row) in staged.chunks_exact(stride).enumerate() {
+        for (acc_row, &count) in acc.hits.iter_mut().zip(row.iter()) {
+            acc_row[id] += u64::from(count);
         }
-        staged.fill(0);
     }
+    staged.fill(0);
 }
 
 /// Per-(branch, history-slot) statistics accumulator for the fused sweep
@@ -427,28 +388,19 @@ impl SimEngine {
         acc.into_results(trace.addrs())
     }
 
-    /// Runs a whole batch of fused sweeps — up to [`MAX_FUSED_SLOTS`] history
-    /// slots per lane, any number of lanes over any number of traces — with
-    /// the bit-sliced SWAR replay tier, returning one `Vec<RunResult>` per
-    /// lane (slot order), in lane order.
+    /// Runs each lane's fused sweep over its trace — up to
+    /// [`MAX_FUSED_SLOTS`] history slots per lane — returning one
+    /// `Vec<RunResult>` per lane (slot order), in lane order.
     ///
-    /// Lanes bound to the same trace form one batch group: the group pays
-    /// **one** shared first-level pass per block (global register and BHT
-    /// state unioned across the lanes by
-    /// [`btr_predictors::swar::BatchLoader`]), and every lane's slots replay
-    /// the shared column streams through the derived counter-step table.
-    /// Groups whose combined predictor state exceeds the L2 budget are split
-    /// into sequential sub-groups (see [`BATCH_L2_BUDGET_BYTES`]); lanes
-    /// whose geometry or static-branch count falls outside the SWAR tier
-    /// ([`FusedSweepPredictor::swar_ready`]) silently fall back to the scalar
-    /// [`SimEngine::run_fused`] path.
-    ///
-    /// Every lane's results — and its final predictor state — are
-    /// bit-identical to a standalone [`SimEngine::run_fused`] of that lane
-    /// over its trace (pinned by `tests/batch_equivalence.rs`); the tier
-    /// choice, grouping and sub-grouping are purely performance decisions.
-    /// The engine's warmup exclusion applies per trace, exactly as in
-    /// [`SimEngine::run_fused`].
+    /// Every lane runs on its own. A lane replays on the bit-sliced SWAR
+    /// tier when its geometry and its trace's static-branch count fit it
+    /// ([`FusedSweepPredictor::swar_ready`]), and on the scalar
+    /// [`SimEngine::run_fused`] path otherwise. Either way its results — and
+    /// its final predictor state — are bit-identical to a standalone
+    /// [`SimEngine::run_fused`] of that lane over its trace (pinned by
+    /// `tests/batch_equivalence.rs`); the tier choice is purely a
+    /// performance decision. The engine's warmup exclusion applies per
+    /// trace, exactly as in [`SimEngine::run_fused`].
     ///
     /// [`MAX_FUSED_SLOTS`]: btr_predictors::fused::MAX_FUSED_SLOTS
     ///
@@ -460,72 +412,20 @@ impl SimEngine {
         traces: &[&InternedTrace],
         lanes: Vec<BatchLane>,
     ) -> Vec<Vec<RunResult>> {
-        let lut = CounterLut::new();
-        let mut results: Vec<Option<Vec<RunResult>>> = lanes.iter().map(|_| None).collect();
-        // Bucket lanes by trace, remembering each lane's caller position.
-        let mut buckets: Vec<Vec<(usize, FusedSweepPredictor)>> =
-            (0..traces.len()).map(|_| Vec::new()).collect();
-        for (position, lane) in lanes.into_iter().enumerate() {
-            buckets[lane.trace_index].push((position, lane.fused));
-        }
-        for (trace, bucket) in traces.iter().zip(buckets) {
-            // Lanes outside the SWAR tier take the scalar blocked path now;
-            // the rest are partitioned into L2-budgeted sub-groups.
-            let mut pending: Vec<(usize, FusedSweepPredictor)> = Vec::new();
-            for (position, mut fused) in bucket {
-                if fused.swar_ready(trace.static_count()) {
-                    pending.push((position, fused));
-                } else {
-                    results[position] = Some(self.run_fused(trace, &mut fused));
-                }
-            }
-            while !pending.is_empty() {
-                // Greedy prefix within the state budget (at least one lane,
-                // so an oversized single lane still runs — just unshared).
-                let mut bytes = 0u64;
-                let mut take = 0usize;
-                for (_, fused) in &pending {
-                    let lane_bytes = fused.storage_bits() / 8;
-                    if take > 0 && bytes + lane_bytes > BATCH_L2_BUDGET_BYTES {
-                        break;
-                    }
-                    bytes += lane_bytes;
-                    take += 1;
-                }
-                let rest = pending.split_off(take);
-                let group = std::mem::replace(&mut pending, rest);
-                let (mut loader, maps) = {
-                    let refs: Vec<&FusedSweepPredictor> =
-                        group.iter().map(|(_, fused)| fused).collect();
-                    BatchLoader::for_lanes(&refs).expect("swar_ready lanes fit the SWAR tier")
-                };
-                let mut states: Vec<SwarLaneState> = group
-                    .into_iter()
-                    .zip(maps)
-                    .map(|((position, fused), rows)| SwarLaneState {
-                        position,
-                        acc: FusedMissAccumulator::new(fused.slot_count(), trace.static_count()),
-                        fused,
-                        rows,
-                    })
-                    .collect();
-                let mut block = loader.new_block(FUSED_BLOCK_RECORDS);
-                drive_swar_blocks(
-                    &mut loader,
-                    &mut block,
-                    &mut states,
-                    &lut,
-                    trace.records(),
-                    self.warmup,
-                );
-                for state in states {
-                    results[state.position] = Some(state.acc.into_results(trace.addrs()));
-                }
-            }
-        }
-        results
+        lanes
             .into_iter()
-            .map(|lane| lane.expect("every lane was run"))
+            .map(|lane| {
+                let trace = traces[lane.trace_index];
+                let mut fused = lane.fused;
+                if fused.swar_ready(trace.static_count()) {
+                    let mut acc =
+                        FusedMissAccumulator::new(fused.slot_count(), trace.static_count());
+                    drive_swar_blocks(&mut fused, trace.records(), self.warmup, &mut acc);
+                    acc.into_results(trace.addrs())
+                } else {
+                    self.run_fused(trace, &mut fused)
+                }
+            })
             .collect()
     }
 

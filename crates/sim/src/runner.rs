@@ -117,15 +117,14 @@ impl SuiteRunner {
     ///
     /// The grid is (benchmark × fused history-group): by default one
     /// **fused** task per benchmark simulates every history length of the
-    /// sweep in a single trace pass ([`SimEngine::run_fused`]), instead of
-    /// one task — and one full trace walk — per (benchmark, history) cell.
-    /// When that would leave workers idle (fewer benchmarks than threads),
-    /// the histories are split into just enough contiguous fused groups to
-    /// occupy the pool — each group is still one fused pass over its subset,
-    /// so a single-benchmark sweep keeps history-level parallelism without
-    /// giving up fusion. Each task runs its benchmark batch through the
-    /// bit-sliced SWAR tier ([`SimEngine::run_batch`]) when the geometry
-    /// allows, falling back to the scalar blocked replay otherwise —
+    /// sweep in a single trace pass, instead of one task — and one full
+    /// trace walk — per (benchmark, history) cell. When that would leave
+    /// workers idle (fewer benchmarks than threads), the histories are split
+    /// into just enough contiguous fused groups to occupy the pool — each
+    /// group is still one fused pass over its subset, so a single-benchmark
+    /// sweep keeps history-level parallelism without giving up fusion. Each
+    /// task is one [`SimEngine::run_batch`] lane: the bit-sliced SWAR tier
+    /// when the geometry allows, the scalar blocked replay otherwise —
     /// bit-identical either way. Per-task results are split back out per
     /// history and merged in benchmark-index order, so the outcome is
     /// bit-identical to the sequential per-history sweep no matter the
@@ -157,10 +156,9 @@ impl SuiteRunner {
             .flat_map(|group| (0..traces.len()).map(move |bench| (bench, group)))
             .collect();
         let partials: Vec<Vec<RunResult>> = self.pool().run(grid, |_, (bench, group)| {
-            // Each task is one whole benchmark batch through the SWAR batch
-            // engine; `run_batch` itself falls back to the scalar blocked
-            // replay when the trace or geometry is outside the SWAR tier,
-            // bit-identically either way.
+            // Each task is one `run_batch` lane over one benchmark; the
+            // engine falls back to the scalar blocked replay when the trace
+            // or geometry is outside the SWAR tier, bit-identically.
             let lane = BatchLane::new(0, family.fused_paper(groups[group]));
             let mut lanes = engine.run_batch(&[&traces[bench]], vec![lane]);
             lanes.pop().expect("one lane in, one result out")

@@ -1,12 +1,13 @@
-//! Equivalence suite for the bit-sliced SWAR batch tier.
+//! Equivalence suite for [`SimEngine::run_batch`] and its bit-sliced SWAR
+//! tier.
 //!
-//! Pins the guarantee [`SimEngine::run_batch`] rests on: running any mix of
-//! lanes — families, history sets, lane counts 1..=64, ragged tail lengths,
+//! Pins the guarantee `run_batch` rests on: running any mix of lanes —
+//! families, history sets, lane counts 1..=64, ragged tail lengths,
 //! mixed-length traces, warmup boundaries, and lanes that fall back to the
 //! scalar path — is **bit-identical**, lane for lane, to a standalone
-//! [`SimEngine::run_fused`] of each lane over its trace. The batch tier's
-//! shared first-level streams, derived counter tables and L2 sub-grouping
-//! are performance decisions only; this suite is what keeps them honest.
+//! [`SimEngine::run_fused`] of each lane over its trace. The SWAR tier's
+//! column blocks, derived counter table and hit-lane staging are
+//! performance decisions only; this suite is what keeps them honest.
 
 use btr_predictors::fused::FusedSweepPredictor;
 use btr_predictors::swar::MAX_SWAR_IDS;

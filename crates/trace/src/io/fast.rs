@@ -14,7 +14,7 @@
 //!   per ~256 KiB, not per byte;
 //! * records are decoded straight from `&[u8]` with
 //!   [`btr_wire::varint::read_varint_slice`] (single-byte fast path for the
-//!   delta-encoded common case). While at least [`MAX_RECORD_BYTES`] bytes
+//!   delta-encoded common case). While at least `MAX_RECORD_BYTES` bytes
 //!   are buffered, a record decode cannot hit end-of-buffer, so the hot loop
 //!   carries no refill checks per field;
 //! * conditional records land directly in the columnar [`TraceChunk`] layout
@@ -30,8 +30,6 @@
 //! (`tests/fast_decode_equivalence.rs` pins all three across adversarial
 //! chunkings and truncation points). The slow path remains for non-`BTRT`
 //! formats and as the reference the equivalence suite compares against.
-//!
-//! [`MAX_RECORD_BYTES`]: super::binary::MAX_RECORD_BYTES
 
 use crate::error::TraceError;
 use crate::interned::CachedInterner;

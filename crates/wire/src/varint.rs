@@ -124,7 +124,7 @@ pub fn read_varint<R: Read>(r: &mut R, context: &'static str) -> Result<u64, Wir
 /// [`read_varint`] issues one `Read::read` call per byte, this reads straight
 /// from an in-memory slice with a single-byte fast path (the common case for
 /// delta-encoded branch addresses). Canonicality rules and error messages are
-/// identical to [`read_varint`] — both feed the same [`VarintAccum`] — which
+/// identical to [`read_varint`] — both feed the same `VarintAccum` — which
 /// `tests/proptest_codecs.rs` pins by decoding random byte strings through
 /// both and comparing outcomes.
 ///

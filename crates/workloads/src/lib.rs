@@ -21,7 +21,7 @@
 //! Because the paper's analyses depend only on the joint rate distribution,
 //! the short-term pattern structure and the amount of static-branch aliasing
 //! pressure, this model reproduces the *shape* of every figure while running
-//! on a laptop. A small control-flow-graph program model ([`cfg`]) is also
+//! on a laptop. A small control-flow-graph program model ([`cfg`](mod@cfg)) is also
 //! provided as a more literal, structural trace source.
 //!
 //! ```
