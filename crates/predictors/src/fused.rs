@@ -1127,6 +1127,12 @@ mod tests {
             let widened = widen_staged(&staged, stride, slots, 512);
             assert_eq!(widened, scalar_hits, "{label} SWAR hits diverged");
             assert_eq!(swar_side.arena, scalar.arena, "{label} SWAR arena diverged");
+            // Both tiers advance the predictor's own first-level state.
+            assert_eq!(swar_side.bhts, scalar.bhts, "{label} SWAR BHTs diverged");
+            assert_eq!(
+                swar_side.global, scalar.global,
+                "{label} SWAR register diverged"
+            );
         }
     }
 
