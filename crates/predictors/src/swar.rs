@@ -525,11 +525,11 @@ const EXPAND_BITS: [[u16; 8]; 256] = {
 /// Folds one block's per-record hit-lane masks into id-major `u16` staging
 /// counts, clearing the masks for the next block.
 ///
-/// After every slot of a predictor OR-ed its hits into `hit_lanes` (bit `s` of
-/// word `i` = record `i` hit in slot `s`), this walks the block **once**,
+/// After every slot of a predictor OR-ed its hits into `hit_lanes` (bit `s`
+/// of word `i` = record `i` hit in slot `s`), this walks the block **once**,
 /// adding each mask's bits into `staged[id * stride ..]` eight `u16` lanes
-/// at a time through the `EXPAND_BITS` table — the only id-indexed (random) writes
-/// of the whole scored path, amortized over all slots. `stride` must be
+/// at a time through the `EXPAND_BITS` table — the only id-indexed (random)
+/// writes of the whole scored path, amortized over all slots. `stride` must be
 /// [`hit_stage_stride`]`(slot_count)` and `staged` must span
 /// `(max_id + 1) * stride` lanes; slot `s` of id `d` accumulates at
 /// `staged[d * stride + s]`.
