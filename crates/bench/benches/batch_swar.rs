@@ -92,8 +92,8 @@ fn bench_batch_swar(c: &mut Criterion) {
         group.bench_function(format!("fused/{label}"), |b| {
             b.iter(|| engine.run_fused(&interned, &mut factory(&histories)))
         });
-        // The SWAR tier: the one `run_batch` lane every materialized
-        // `/sweep` request runs.
+        // The SWAR tier: one `run_batch` lane, planned onto SWAR by the same
+        // driver that runs every streamed `/sweep`.
         group.bench_function(format!("swar/{label}"), |b| {
             b.iter(|| engine.run_batch(&[&interned], vec![BatchLane::new(0, factory(&histories))]))
         });

@@ -7,20 +7,18 @@
 //! slice fast path), [`ChunkedTraceReader`] for text — and every decoded
 //! chunk is folded into a [`DenseTraceStats`] on the way past, with
 //! per-branch statistics indexed by the decoder's dense interned ids rather
-//! than a per-record map lookup. Classification drains the stream, the
-//! streamed sweep feeds it to the fused engine, and batch admission collects
-//! its interned columns into an [`InternedTrace`].
+//! than a per-record map lookup. Classification ([`run_classify`]) drains
+//! the stream and a sweep ([`run_sweep`]) feeds it to the fused engine:
+//! `btrd`'s only two paths. Both hold one chunk plus the interning,
+//! statistics and per-slot tables, independent of upload length
+//! (`tests/serve_memory.rs`); the distinct-branch tables are capped by the
+//! static-branch budget.
 //!
-//! Memory: the streamed paths hold one chunk plus the interning/statistics
-//! tables, independent of upload length. Batch admission
-//! ([`materialize_sweep`]) additionally holds every conditional record of
-//! the upload in the decoder's 13 B address / id / outcome columns: peak
-//! heap growth is at most 39 B per conditional record plus 2 MiB (39 B
-//! while every column doubles at once), pinned by
-//! `tests/materialize_memory.rs`, which measures 20.8 B.
-//! That path is bounded by the `batch_upload_bytes` gate in front of it, not
-//! by the chunk size. The distinct-branch tables are capped by the
-//! static-branch budget on every path.
+//! [`materialize_sweep`] and [`sweep_document`] are the in-process sweep
+//! reference that the benchmark's oracle and the e2e suite check replies
+//! against, not a `btrd` path. [`materialize_sweep`] holds the upload's
+//! conditional records in 13 B columns: at most 39 B of peak heap per record
+//! plus 2 MiB (`tests/materialize_memory.rs` measures 20.8 B).
 
 use crate::error::ServeError;
 use btr_core::advisor::{ClassRecommendation, ComponentStyle, HybridAdvisor};
@@ -234,10 +232,10 @@ pub fn run_classify<R: Read>(
     })
 }
 
-/// Streams `body` once through the fused multi-history engine and renders
-/// the sweep document: the full [`SweepResult`] plus the class × history
-/// miss matrix for the requested metric. Per-history class aggregation fans
-/// out across `pool`.
+/// Streams `body` once through the fused multi-history engine
+/// ([`SimEngine::run_fused_streamed`]) and renders the sweep document: the
+/// full [`SweepResult`] plus the class × history miss matrix for the
+/// requested metric. Per-history class aggregation fans out across `pool`.
 ///
 /// # Errors
 ///
@@ -272,8 +270,8 @@ pub fn run_sweep<R: Read>(
 }
 
 /// A `/sweep` upload fully decoded, profiled and interned — the input of
-/// one [`SimEngine::run_batch`] lane, as opposed to the chunk stream
-/// [`run_sweep`] consumes in place.
+/// one [`SimEngine::run_batch`] lane, and the in-process reference for what
+/// [`run_sweep`] computes from the chunk stream in place.
 #[derive(Debug)]
 pub struct MaterializedSweep {
     /// The upload's trace metadata.
@@ -290,10 +288,10 @@ pub struct MaterializedSweep {
 }
 
 /// Decodes a sweep upload into a [`MaterializedSweep`], enforcing the same
-/// static-branch budget as the streaming path. The interned trace appends
-/// the decoder's conditional columns chunk by chunk, so peak memory is the
-/// upload's conditional records at 13 B each (plus vector growth) — callers
-/// gate this path on the declared upload size.
+/// static-branch budget as [`run_sweep`]. The interned trace appends the
+/// decoder's conditional columns chunk by chunk, so peak memory is the
+/// upload's conditional records at 13 B each (plus vector growth): fine for
+/// the reference side of sweep checks, which is all this is.
 ///
 /// # Errors
 ///
@@ -316,11 +314,11 @@ pub fn materialize_sweep<R: Read>(
     })
 }
 
-/// Renders the sweep document for a materialized upload whose simulation
-/// ran through [`SimEngine::run_batch`]. Bit-identical to [`run_sweep`] over
-/// the same bytes: the engine results are pinned equal by the sim crate's
-/// `batch_equivalence` suite and everything else here derives from the same
-/// stats pass.
+/// Renders the reference sweep document for a materialized upload whose
+/// simulation ran through [`SimEngine::run_batch`]. Bit-identical to
+/// [`run_sweep`] over the same bytes: the sim crate's equivalence suites pin
+/// both engine entry points to [`SimEngine::run_fused`], and everything
+/// else here derives from the same stats pass.
 pub fn sweep_document(
     upload: &MaterializedSweep,
     family: PredictorFamily,
@@ -344,8 +342,8 @@ pub fn sweep_document(
     )
 }
 
-/// The shared tail of both sweep paths: per-history class aggregation
-/// (fanned out across `pool`) and the response document.
+/// The shared tail of [`run_sweep`] and [`sweep_document`]: per-history
+/// class aggregation (fanned out across `pool`) and the response document.
 #[allow(clippy::too_many_arguments)]
 fn render_sweep(
     metadata: &TraceMetadata,

@@ -17,10 +17,9 @@
 //! * **Content-addressed caching** ([`cache`]) — responses are keyed by
 //!   (body digest × canonical parameters) and replayed for identical
 //!   uploads; clients that present `X-Btr-Digest` skip the upload entirely.
-//! * **Memory budgets** ([`analysis`]) — streamed requests hold one decode
-//!   chunk plus capped interning tables; batch-admitted sweeps also hold
-//!   their conditional records (13 B each, as address / id / outcome
-//!   columns), up to the `batch_upload_bytes` gate.
+//! * **Memory budgets** ([`analysis`]) — every request streams: it holds
+//!   one decode chunk plus capped interning, statistics and per-slot
+//!   tables, whatever the upload's length.
 //! * **Admission control** ([`server`]) — over-capacity requests get an
 //!   immediate 503, stalled peers are torn down by socket timeouts.
 //! * **Telemetry** ([`metrics`]) — `/metrics` serves the counters through

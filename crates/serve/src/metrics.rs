@@ -90,7 +90,8 @@ impl Metrics {
         self.coalesced_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a materialized sweep run as one `run_batch` lane.
+    /// Records a `/sweep` that ran to completion (`batched_lanes` keeps its
+    /// batch-era name because it is part of the `/metrics` wire format).
     pub fn batched_lane(&self) {
         self.batched_lanes.fetch_add(1, Ordering::Relaxed);
     }
@@ -185,7 +186,7 @@ pub struct MetricsSnapshot {
     /// Requests served by coalescing onto a concurrent identical analysis
     /// (a subset of `cache_hits`).
     pub coalesced_hits: u64,
-    /// Materialized sweeps run as one `run_batch` lane each.
+    /// `/sweep` analyses run to completion (name kept for the wire format).
     pub batched_lanes: u64,
     /// Upload bytes streamed through the decoders.
     pub bytes_streamed: u64,

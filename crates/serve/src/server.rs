@@ -9,9 +9,8 @@
 //! * **Per-connection memory budget** — uploads stream through the chunked
 //!   decoder under a byte cap (`max_upload_bytes`, enforced before reading),
 //!   a chunk bound (`chunk_records`) and a distinct-branch cap
-//!   (`max_static_branches`). Streamed requests hold one chunk plus bounded
-//!   tables regardless of upload size; a batch-admitted `/sweep` also holds
-//!   its conditional records, up to [`ServerConfig::batch_upload_bytes`].
+//!   (`max_static_branches`). Every request, `/classify` and `/sweep` alike,
+//!   holds one chunk plus bounded tables regardless of upload size.
 //!
 //! Successful analyses are cached content-addressed — see [`crate::cache`] —
 //! and replayed for clients that present the upload's digest.
@@ -25,7 +24,6 @@ use crate::http::{LimitedReader, Request, Response};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use btr_core::distribution::Metric;
 use btr_sim::config::PredictorFamily;
-use btr_sim::engine::{BatchLane, SimEngine};
 use btr_wire::{json, MapBuilder, Value, Wire};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -53,14 +51,6 @@ pub struct ServerConfig {
     pub request_timeout: Duration,
     /// Entries in the content-addressed response cache (0 disables).
     pub cache_entries: usize,
-    /// Sweep uploads declaring at most this many bytes are materialized and
-    /// run through [`SimEngine::run_batch`] as one lane, on the SWAR tier
-    /// when it fits; larger uploads keep the constant-memory streaming path.
-    /// Set to 0 to force streaming. This
-    /// bounds the batch path's memory: at most 39 B of heap per conditional
-    /// record plus 2 MiB (`tests/materialize_memory.rs` measures 20.8 B), so
-    /// under ~210 MiB per connection at the 16 MiB default (~5.6M records).
-    pub batch_upload_bytes: u64,
 }
 
 impl Default for ServerConfig {
@@ -74,7 +64,6 @@ impl Default for ServerConfig {
             max_static_branches: 1 << 20,
             request_timeout: Duration::from_secs(10),
             cache_entries: 64,
-            batch_upload_bytes: 16 << 20,
         }
     }
 }
@@ -331,17 +320,9 @@ struct SweepParams {
     histories: Vec<u32>,
 }
 
-/// What the single decoding pass over an upload produced, before the body
-/// is drained.
-enum Decoded<'a> {
-    /// A finished analysis.
-    Done(analysis::AnalysisOutcome),
-    /// A materialized sweep still to run, once the body is drained.
-    Batch(analysis::MaterializedSweep, &'a SweepParams),
-}
-
-/// The shared upload path behind `/classify` and `/sweep`: cache probe,
-/// admission, one decoding pass, body drain, cache fill.
+/// The shared upload path behind `/classify` ([`analysis::run_classify`])
+/// and `/sweep` ([`analysis::run_sweep`]): cache probe, admission, one
+/// streamed decoding pass, body drain, cache fill.
 fn analyze(
     request: &Request,
     body: &mut BufReader<TcpStream>,
@@ -433,15 +414,8 @@ fn analyze(
         max_static_branches: shared.config.max_static_branches,
     };
     let mut upload = DigestReader::new(LimitedReader::new(body, declared));
-    let decoded = match &sweep {
-        None => analysis::run_classify(&mut upload, format, scheme, budgets).map(Decoded::Done),
-        // Batch admission: materialize the upload, then run it as one
-        // `run_batch` lane on this connection thread. Bit-identical to the
-        // streaming path below, so the cache sees one truth.
-        Some(sweep) if declared <= shared.config.batch_upload_bytes => {
-            analysis::materialize_sweep(&mut upload, format, budgets)
-                .map(|materialized| Decoded::Batch(materialized, sweep))
-        }
+    let outcome = match &sweep {
+        None => analysis::run_classify(&mut upload, format, scheme, budgets),
         Some(sweep) => analysis::run_sweep(
             &mut upload,
             format,
@@ -451,8 +425,7 @@ fn analyze(
             &sweep.histories,
             budgets,
             &shared.pool,
-        )
-        .map(Decoded::Done),
+        ),
     };
     // Drain the unconsumed tail once, whatever the decode did, so the digest
     // covers the whole body. A body that stalls (408) or ends short (400)
@@ -461,33 +434,10 @@ fn analyze(
     shared.metrics.add_bytes_streamed(upload.bytes_read());
     drained?;
     let digest = upload.digest().hex();
-    let outcome = match decoded? {
-        Decoded::Done(outcome) => outcome,
-        Decoded::Batch(materialized, sweep) => {
-            shared.metrics.batched_lane();
-            // One lane in, so the flattened output is exactly its results.
-            let results = SimEngine::new()
-                .run_batch(
-                    &[materialized.interned.as_ref()],
-                    vec![BatchLane::new(
-                        0,
-                        sweep.family.fused_paper(&sweep.histories),
-                    )],
-                )
-                .into_iter()
-                .flatten()
-                .collect();
-            analysis::sweep_document(
-                &materialized,
-                sweep.family,
-                &sweep.histories,
-                results,
-                sweep.metric,
-                scheme,
-                &shared.pool,
-            )
-        }
-    };
+    let outcome = outcome?;
+    if sweep.is_some() {
+        shared.metrics.batched_lane();
+    }
     shared.metrics.add_records_decoded(outcome.records);
     shared.metrics.cache_miss();
 

@@ -3,16 +3,20 @@
 //! wire codecs), content-addressed cache replay, every typed failure class,
 //! the memory budgets, admission control and request timeouts.
 
+use btr_core::class::BinningScheme;
+use btr_serve::analysis::{self, BodyFormat, Budgets};
 use btr_serve::client::{parse_response, send, ClientRequest, ClientResponse};
 use btr_serve::digest::DigestReader;
 use btr_serve::metrics::MetricsSnapshot;
 use btr_serve::{Server, ServerConfig, ServerHandle};
+use btr_sim::engine::{BatchLane, SimEngine};
 use btr_trace::io::binary;
 use btr_trace::{BranchAddr, BranchRecord, Outcome, Trace, TraceMetadata};
 use btr_wire::{Value, Wire};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+use stealpool::WorkStealingPool;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -317,25 +321,27 @@ fn oversized_and_missing_content_lengths_are_refused_up_front() {
 
 #[test]
 fn static_branch_budget_maps_to_a_413_budget_error() {
-    let (addr, _handle) = spawn(|config| config.max_static_branches = 16);
-    let (streaming_addr, streaming_handle) = spawn(|config| {
-        config.max_static_branches = 16;
-        config.batch_upload_bytes = 0;
-    });
+    let (addr, handle) = spawn(|config| config.max_static_branches = 16);
     // 64 distinct sites against a budget of 16: the stream is cut off
-    // mid-flight with a typed budget error on both endpoints, and on both
-    // sweep paths (batch and streamed through the fused engine).
+    // mid-flight with a typed budget error on both endpoints (the sweep
+    // streamed through the fused engine), and in the in-process sweep
+    // reference, which materializes the upload.
     let body = btrt(2_000, 64);
-    for (addr, target) in [
-        (&addr, "/classify"),
-        (&addr, "/sweep?histories=0,1"),
-        (&streaming_addr, "/sweep?histories=0,1"),
-    ] {
-        let resp = post(addr, target, body.clone());
+    for target in ["/classify", "/sweep?histories=0,1"] {
+        let resp = post(&addr, target, body.clone());
         assert_eq!(resp.status, 413, "{target} body: {}", resp.text());
         assert_eq!(error_code(&resp), "budget-exceeded", "{target}");
     }
-    assert_eq!(streaming_handle.metrics().batched_lanes, 0);
+    let budgets = Budgets {
+        chunk_records: ServerConfig::default().chunk_records,
+        max_static_branches: 16,
+    };
+    let err = analysis::materialize_sweep(body.as_slice(), BodyFormat::Btrt, budgets)
+        .expect_err("the reference enforces the same budget");
+    assert_eq!(err.status(), 413, "{err}");
+    assert_eq!(err.code(), "budget-exceeded");
+    // A sweep cut off by its budget is not a completed lane.
+    assert_eq!(handle.metrics().batched_lanes, 0);
 }
 
 #[test]
@@ -362,6 +368,46 @@ fn saturation_is_a_clean_503_with_retry_after() {
     assert_eq!(resp.header("retry-after"), Some("1"));
     // Health stays served: admission gates analyses, not the endpoint set.
     assert_eq!(get(&addr, "/healthz").status, 200);
+}
+
+#[test]
+fn live_connections_past_the_cap_get_a_503_until_they_close() {
+    // `max_concurrent = 1` caps live connection threads at 1 * 4 + 4 = 8.
+    // Eight idle connections (no request head yet) hold every slot; the
+    // accept loop counts each before it accepts the next.
+    let (addr, handle) = spawn(|config| config.max_concurrent = 1);
+    let idle: Vec<TcpStream> = (0..8)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    // The ninth sends nothing either, so the server's unconditional 503 is
+    // written to a socket with no unread request bytes and arrives intact.
+    let mut ninth = TcpStream::connect(&addr).expect("connect");
+    ninth.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
+    let mut bytes = Vec::new();
+    ninth.read_to_end(&mut bytes).expect("read the refusal");
+    let resp = parse_response(&bytes).expect("well-formed refusal");
+    assert_eq!(resp.status, 503, "body: {}", resp.text());
+    assert_eq!(error_code(&resp), "busy");
+    assert_eq!(resp.header("retry-after"), Some("1"));
+    let deadline = Instant::now() + TIMEOUT;
+    while handle.metrics().rejected_busy != 1 {
+        assert!(Instant::now() < deadline, "the refusal was never counted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Closing the idle connections frees their slots: health answers again.
+    // Until then a probe may be refused before its request is read, which
+    // can reset the connection, so a failed send is just "not yet".
+    drop(idle);
+    let deadline = Instant::now() + TIMEOUT;
+    let healthy =
+        || send(&addr, &ClientRequest::get("/healthz"), TIMEOUT).is_ok_and(|r| r.status == 200);
+    while !healthy() {
+        assert!(
+            Instant::now() < deadline,
+            "slots were never released after the idle connections closed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
@@ -433,8 +479,8 @@ fn bodies_that_stall_or_end_short_are_refused_and_never_cached() {
 fn concurrent_uploads_all_complete_within_the_admission_bound() {
     // Six sweeps with different history sets for each of two distinct
     // uploads, all in flight at once: every one is its own analysis (no
-    // digest is presented, so nothing single-flights) and its own
-    // materialized `run_batch` lane.
+    // digest is presented, so nothing single-flights) and its own streamed
+    // fused sweep, counted as one lane.
     let (addr, handle) = spawn(|config| {
         config.max_concurrent = 12;
         config.analysis_threads = 2;
@@ -572,27 +618,62 @@ fn concurrent_identical_digests_coalesce_onto_one_analysis() {
 
 #[test]
 fn batched_and_streaming_sweeps_answer_identical_documents() {
-    // Same upload, same params; one server batches (default), the other is
-    // forced onto the streaming path. The response bytes must be identical —
-    // the SWAR batch tier is invisible in the documents.
-    let (batched_addr, batched_handle) = spawn(|_| {});
-    let (streaming_addr, streaming_handle) = spawn(|config| config.batch_upload_bytes = 0);
+    // Same upload, same params: the server's streamed reply against the
+    // in-process batch reference (materialize, one `run_batch` lane, sweep
+    // document, JSON). The response bytes must be identical — the engine's
+    // tier plan is invisible in the documents.
+    let (addr, handle) = spawn(|_| {});
     let body = btrt(8_000, 67);
     let target = "/sweep?family=gas&histories=0,3,7&metric=transition";
-    let from_batched = post(&batched_addr, target, body.clone());
-    let from_streaming = post(&streaming_addr, target, body);
-    assert_eq!(from_batched.status, 200, "body: {}", from_batched.text());
-    assert_eq!(from_streaming.status, 200);
+    let from_streaming = post(&addr, target, body.clone());
     assert_eq!(
-        from_batched.body, from_streaming.body,
+        from_streaming.status,
+        200,
+        "body: {}",
+        from_streaming.text()
+    );
+
+    let family = analysis::parse_family(Some("gas")).expect("family");
+    let histories = analysis::parse_histories(Some("0,3,7"), family).expect("histories");
+    let metric = analysis::parse_metric(Some("transition")).expect("metric");
+    let config = ServerConfig::default();
+    let budgets = Budgets {
+        chunk_records: config.chunk_records,
+        max_static_branches: config.max_static_branches,
+    };
+    let materialized = analysis::materialize_sweep(body.as_slice(), BodyFormat::Btrt, budgets)
+        .expect("valid upload");
+    let results = SimEngine::new()
+        .run_batch(
+            &[materialized.interned.as_ref()],
+            vec![BatchLane::new(0, family.fused_paper(&histories))],
+        )
+        .into_iter()
+        .flatten()
+        .collect();
+    let pool = WorkStealingPool::new(config.analysis_threads);
+    let from_batched = analysis::sweep_document(
+        &materialized,
+        family,
+        &histories,
+        results,
+        metric,
+        BinningScheme::Paper11,
+        &pool,
+    );
+    let from_batched = from_batched.value.to_json().expect("finite document");
+    assert_eq!(
+        from_batched.as_bytes(),
+        from_streaming.body.as_slice(),
         "batch admission must not change a single response byte"
     );
+    let mut digest = DigestReader::new(body.as_slice());
+    std::io::copy(&mut digest, &mut std::io::sink()).expect("in-memory digest");
     assert_eq!(
-        from_batched.header("x-btr-digest"),
+        Some(digest.digest().hex().as_str()),
         from_streaming.header("x-btr-digest"),
     );
-    assert_eq!(batched_handle.metrics().batched_lanes, 1);
-    assert_eq!(streaming_handle.metrics().batched_lanes, 0);
+    assert_eq!(handle.metrics().batched_lanes, 1);
 }
 
 #[test]

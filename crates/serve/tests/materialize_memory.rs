@@ -1,9 +1,10 @@
-//! Allocation-counting harness pinning the batch path's memory cost:
-//! `materialize_sweep` holds an upload's conditional records as the
-//! decoder's own 13 B address / id / outcome columns, appended chunk by
-//! chunk, so its peak heap growth per conditional record stays under a fixed
-//! bound instead of the record copies, second statistics pass and
-//! re-interning a materialized `Trace` would add.
+//! Allocation-counting harness pinning the memory cost of the in-process
+//! sweep reference: `materialize_sweep` holds an upload's conditional
+//! records as the decoder's own 13 B address / id / outcome columns,
+//! appended chunk by chunk, so its peak heap growth per conditional record
+//! stays under a fixed bound instead of the record copies, second statistics
+//! pass and re-interning a materialized `Trace` would add. (`btrd` itself
+//! streams every request; `serve_memory.rs` bounds that.)
 //!
 //! The whole test binary runs under a counting global allocator (integration
 //! tests are their own crates, so the workspace's `forbid(unsafe_code)` lib
@@ -51,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// 400k records over 512 static conditional branches, one in eight an
-/// unconditional call: a `BTRT` upload of the size the batch path admits.
+/// unconditional call: a `BTRT` upload a few MiB long.
 fn upload() -> (Vec<u8>, u64) {
     let mut b = TraceBuilder::new("materialize-memory");
     let mut state = 0x5eed_u64;

@@ -6,16 +6,15 @@
 //!   and an address-keyed map per record. It takes any predictor (the hybrid
 //!   ablation and the examples use it) and is the oracle the faster paths
 //!   are pinned against.
-//! * [`SimEngine::run_fused`] — the scalar fused tier: every history length
-//!   of one family from a single pass over an [`InternedTrace`]. The
+//! * [`SimEngine::run_fused`] — the scalar fused tier alone: every history
+//!   length of one family from a single pass over an [`InternedTrace`]. The
 //!   sequential [`crate::sweep::HistorySweep`] reference runs on it.
 //! * [`SimEngine::run_fused_streamed`] — the same sweep from a
-//!   [`ChunkStream`], without materialising the trace (`btrd`'s streamed
-//!   `/sweep`).
-//! * [`SimEngine::run_batch`] — the planner: each lane, one fused predictor
-//!   over one trace, runs on its own, on the bit-sliced SWAR tier when it
-//!   fits and on [`SimEngine::run_fused`] otherwise (`btrd`'s materialized
-//!   `/sweep`, the suite runner and every `btr-shard` unit).
+//!   [`ChunkStream`], without materialising the trace (`btrd`'s `/sweep`),
+//!   and [`SimEngine::run_batch`], one sweep per interned-trace lane (the
+//!   suite runner and every `btr-shard` unit). Both feed one planned driver
+//!   that runs the bit-sliced SWAR tier while the sweep fits it and the
+//!   scalar fused tier after.
 //! * [`SimEngine::run_window_dispatch`] — one window of a trace on a fresh
 //!   [`DispatchPredictor`] after a warmup replay ([`WarmupWindow`]); the
 //!   suite runner's per-predictor windowed path. Over the full range with
@@ -33,9 +32,9 @@
 use crate::config::WarmupWindow;
 use btr_core::analysis::{miss_map_from_value, miss_map_to_value, BranchMissMap, DenseMissTable};
 use btr_predictors::dispatch::DispatchPredictor;
-use btr_predictors::fused::FusedSweepPredictor;
+use btr_predictors::fused::{FusedBlock, FusedSweepPredictor};
 use btr_predictors::predictor::{BranchPredictor, PredictionStats};
-use btr_predictors::swar::{self, CounterLut, SwarScratch};
+use btr_predictors::swar::{self, CounterLut, SwarBlock, SwarScratch};
 use btr_trace::{BranchAddr, ChunkStream, ConditionalView, InternedTrace, Trace};
 use btr_wire::{MapBuilder, Value, Wire, WireError};
 
@@ -62,87 +61,161 @@ impl BatchLane {
     }
 }
 
-/// Drives `records` through a fused predictor on the SWAR tier, block by
-/// block: one first-level pass per block
-/// ([`FusedSweepPredictor::load_swar_block`]), then every slot replays it
-/// through the two-phase SWAR kernel ([`FusedSweepPredictor::replay_swar`]).
-/// Warmup handling matches [`drive_fused_blocks`]: blocks are split at the
-/// warmup boundary, warm blocks train without scoring.
-///
-/// The replay ORs each slot's hit bits into a per-record hit-lane column
-/// (sequential stores — the counter pass carries no random writes);
-/// [`swar::drain_hit_lanes`] then folds the column once per block into
-/// id-major `u16` staging, flushed into the wide accumulator before
-/// [`swar::MAX_STAGED_RECORDS`] scored records accumulate (one id could hit
-/// every record, so that bound keeps staging within `u16`).
+/// The planned driver behind [`SimEngine::run_batch`] and
+/// [`SimEngine::run_fused_streamed`], the one place that picks a fused
+/// sweep's tier. Fed a view at a time in stream order, it stays on the SWAR
+/// tier (`swar`) while [`FusedSweepPredictor::swar_ready`] holds for the
+/// static-branch count so far, then flushes it and runs the scalar tier to
+/// the end. Both tiers advance the same state inside the predictor, so the
+/// switch is bit-identical (pinned by `tests/fused_equivalence.rs`).
+struct PlannedSweep<'f> {
+    fused: &'f mut FusedSweepPredictor,
+    warmup: u64,
+    /// Absolute stream position of the next view.
+    seen: u64,
+    acc: FusedMissAccumulator,
+    swar: Option<SwarState>,
+    block: FusedBlock,
+}
+
+/// The SWAR tier's buffers, kept across views. `hit_lanes` holds per-record
+/// hit masks; `staged` is the id-major `u16` hit staging (slot `s` of id `d`
+/// at `d * stride + s`), holding `staged_records` scored records.
+struct SwarState {
+    lut: CounterLut,
+    block: SwarBlock,
+    scratch: SwarScratch,
+    hit_lanes: Vec<u64>,
+    staged: Vec<u16>,
+    stride: usize,
+    staged_records: usize,
+}
+
+impl SwarState {
+    /// Adds the staged hit counts into the wide accumulator and clears them.
+    fn flush(&mut self, acc: &mut FusedMissAccumulator) {
+        for (id, row) in self.staged.chunks_exact(self.stride).enumerate() {
+            for (acc_row, &count) in acc.hits.iter_mut().zip(row.iter()) {
+                acc_row[id] += u64::from(count);
+            }
+        }
+        self.staged.fill(0);
+        self.staged_records = 0;
+    }
+}
+
+impl<'f> PlannedSweep<'f> {
+    fn new(fused: &'f mut FusedSweepPredictor, warmup: u64) -> Self {
+        // The geometry half of the plan is fixed; the id half is checked
+        // per view as the stream discovers static branches.
+        let swar = fused.swar_ready(0).then(|| SwarState {
+            lut: CounterLut::new(),
+            block: fused.new_swar_block(FUSED_BLOCK_RECORDS),
+            scratch: SwarScratch::new(),
+            hit_lanes: vec![0; FUSED_BLOCK_RECORDS],
+            staged: Vec::new(),
+            stride: swar::hit_stage_stride(fused.slot_count()),
+            staged_records: 0,
+        });
+        PlannedSweep {
+            acc: FusedMissAccumulator::new(fused.slot_count(), 0),
+            block: fused.new_block(FUSED_BLOCK_RECORDS),
+            fused,
+            warmup,
+            seen: 0,
+            swar,
+        }
+    }
+
+    /// Runs the next `records`, whose ids are all below `static_count`.
+    fn feed(&mut self, records: ConditionalView<'_>, static_count: usize) {
+        self.acc.grow_to(static_count);
+        if !self.fused.swar_ready(static_count) {
+            if let Some(mut swar) = self.swar.take() {
+                swar.flush(&mut self.acc);
+            }
+        }
+        let (pos, warmup, acc) = (self.seen, self.warmup, &mut self.acc);
+        match &mut self.swar {
+            Some(swar) => {
+                swar.staged.resize(static_count * swar.stride, 0);
+                drive_swar_blocks(self.fused, swar, records, pos, warmup, acc);
+            }
+            None => drive_fused_blocks(self.fused, &mut self.block, records, pos, warmup, acc),
+        }
+        self.seen += records.len() as u64;
+    }
+
+    /// One [`RunResult`] per slot, in slot order.
+    fn finish(mut self, addrs: &[BranchAddr]) -> Vec<RunResult> {
+        if let Some(swar) = &mut self.swar {
+            swar.flush(&mut self.acc);
+        }
+        self.acc.into_results(addrs)
+    }
+}
+
+/// Hands `drive` each block of `records` (the first at absolute stream
+/// position `start_pos`) and whether it is scored: blocks hold at most
+/// [`FUSED_BLOCK_RECORDS`] and are cut where positions reach `warmup`.
+fn for_each_block(
+    records: ConditionalView<'_>,
+    start_pos: u64,
+    warmup: u64,
+    mut drive: impl FnMut(ConditionalView<'_>, bool),
+) {
+    let mut offset = 0usize;
+    while offset < records.len() {
+        let pos = start_pos + offset as u64;
+        let mut end = offset + FUSED_BLOCK_RECORDS.min(records.len() - offset);
+        if pos < warmup {
+            let to_boundary = usize::try_from(warmup - pos).unwrap_or(usize::MAX);
+            end = end.min(offset.saturating_add(to_boundary));
+        }
+        drive(records.slice(offset..end), pos >= warmup);
+        offset = end;
+    }
+}
+
+/// Drives `records` through a fused predictor on the SWAR tier: one
+/// first-level pass per block ([`FusedSweepPredictor::load_swar_block`]),
+/// then every slot's two-phase SWAR replay, OR-ing hits into the hit-lane
+/// column, which [`swar::drain_hit_lanes`] folds into `swar.staged` (it
+/// must cover every id in `records`). Staging is flushed before
+/// [`swar::MAX_STAGED_RECORDS`] scored records, keeping it within `u16`.
 fn drive_swar_blocks(
     fused: &mut FusedSweepPredictor,
+    swar: &mut SwarState,
     records: ConditionalView<'_>,
+    start_pos: u64,
     warmup: u64,
     acc: &mut FusedMissAccumulator,
 ) {
-    let lut = CounterLut::new();
-    let mut block = fused.new_swar_block(FUSED_BLOCK_RECORDS);
-    // Packed-word kernel buffer, one allocation reused across every block.
-    let mut scratch = SwarScratch::new();
-    // Per-record hit-mask column; each drain re-zeroes it for the next block.
-    let mut hit_lanes = vec![0u64; FUSED_BLOCK_RECORDS];
-    // Id-major hit staging: slot `s` of id `d` accumulates at
-    // `staged[d * stride + s]`.
-    let stride = swar::hit_stage_stride(fused.slot_count());
-    let mut staged = vec![0u16; acc.lookups.len() * stride];
-    let mut staged_records = 0usize;
-    let mut offset = 0usize;
-    while offset < records.len() {
-        let pos = offset as u64;
-        let end = block_end(offset, records.len(), pos, warmup);
-        let batch = records.slice(offset..end);
+    for_each_block(records, start_pos, warmup, |batch, scored| {
         fused.load_swar_block(
             batch.iter().map(|(addr, id, outcome)| (addr, outcome, id)),
-            &mut block,
+            &mut swar.block,
         );
-        if pos >= warmup {
-            if staged_records + batch.len() > swar::MAX_STAGED_RECORDS {
-                flush_swar_stage(acc, stride, &mut staged);
-                staged_records = 0;
-            }
-            staged_records += batch.len();
-            for &id in batch.ids() {
-                acc.lookups[id as usize] += 1;
-            }
-            fused.replay_swar(&block, &lut, Some(&mut hit_lanes), &mut scratch);
-            swar::drain_hit_lanes(&block, &mut hit_lanes, stride, &mut staged);
-        } else {
-            fused.replay_swar(&block, &lut, None, &mut scratch);
+        if !scored {
+            fused.replay_swar(&swar.block, &swar.lut, None, &mut swar.scratch);
+            return;
         }
-        offset = end;
-    }
-    flush_swar_stage(acc, stride, &mut staged);
-}
-
-/// The end of the block starting at `offset` (absolute stream position
-/// `pos`) in a run of `len` records: at most [`FUSED_BLOCK_RECORDS`] long,
-/// and cut at the warmup boundary so a block is either fully trained-only or
-/// fully scored.
-fn block_end(offset: usize, len: usize, pos: u64, warmup: u64) -> usize {
-    let end = offset + FUSED_BLOCK_RECORDS.min(len - offset);
-    if pos < warmup {
-        let to_boundary = usize::try_from(warmup - pos).unwrap_or(usize::MAX);
-        end.min(offset.saturating_add(to_boundary))
-    } else {
-        end
-    }
-}
-
-/// Adds every staged hit count into the wide accumulator rows and clears
-/// the staging.
-fn flush_swar_stage(acc: &mut FusedMissAccumulator, stride: usize, staged: &mut [u16]) {
-    for (id, row) in staged.chunks_exact(stride).enumerate() {
-        for (acc_row, &count) in acc.hits.iter_mut().zip(row.iter()) {
-            acc_row[id] += u64::from(count);
+        if swar.staged_records + batch.len() > swar::MAX_STAGED_RECORDS {
+            swar.flush(acc);
         }
-    }
-    staged.fill(0);
+        swar.staged_records += batch.len();
+        for &id in batch.ids() {
+            acc.lookups[id as usize] += 1;
+        }
+        let hit_lanes = Some(swar.hit_lanes.as_mut_slice());
+        fused.replay_swar(&swar.block, &swar.lut, hit_lanes, &mut swar.scratch);
+        swar::drain_hit_lanes(
+            &swar.block,
+            &mut swar.hit_lanes,
+            swar.stride,
+            &mut swar.staged,
+        );
+    });
 }
 
 /// Per-(branch, history-slot) statistics accumulator for the fused sweep
@@ -213,45 +286,36 @@ pub fn result_from_dense(dense: DenseMissTable, addrs: &[BranchAddr]) -> RunResu
     }
 }
 
-/// Drives `records` through a fused predictor block by block: load a block
-/// (advancing the shared history registers and capturing pre-push patterns),
-/// then replay every history slot's PHT over it in a cache-resident phase.
-///
-/// `start_pos` is the absolute stream position of the first record; the
-/// record at absolute position `p` is scored only when `p >= warmup` (see
-/// [`block_end`]).
+/// Drives `records` through a fused predictor on the scalar tier: load a
+/// block (advancing the shared history registers and capturing pre-push
+/// patterns), then replay every history slot's PHT over it in a
+/// cache-resident phase. Warm blocks train every slot and record nothing.
 fn drive_fused_blocks(
     fused: &mut FusedSweepPredictor,
-    block: &mut btr_predictors::fused::FusedBlock,
+    block: &mut FusedBlock,
     records: ConditionalView<'_>,
     start_pos: u64,
     warmup: u64,
     acc: &mut FusedMissAccumulator,
 ) {
-    let mut offset = 0usize;
-    while offset < records.len() {
-        let pos = start_pos + offset as u64;
-        let end = block_end(offset, records.len(), pos, warmup);
-        let batch = records.slice(offset..end);
+    for_each_block(records, start_pos, warmup, |batch, scored| {
         fused.load_block(
             batch.iter().map(|(addr, _, outcome)| (addr, outcome)),
             block,
         );
-        if pos >= warmup {
-            for &id in batch.ids() {
-                acc.lookups[id as usize] += 1;
-            }
-            for slot in 0..fused.slot_count() {
-                fused.replay_slot_scored(slot, block, batch.ids(), &mut acc.hits[slot]);
-            }
-        } else {
-            // Warmup block: train every slot, record nothing.
+        if !scored {
             for slot in 0..fused.slot_count() {
                 fused.replay_slot(slot, block, |_, _| {});
             }
+            return;
         }
-        offset = end;
-    }
+        for &id in batch.ids() {
+            acc.lookups[id as usize] += 1;
+        }
+        for slot in 0..fused.slot_count() {
+            fused.replay_slot_scored(slot, block, batch.ids(), &mut acc.hits[slot]);
+        }
+    });
 }
 
 /// The result of running one predictor over one trace.
@@ -392,15 +456,12 @@ impl SimEngine {
     /// [`MAX_FUSED_SLOTS`] history slots per lane — returning one
     /// `Vec<RunResult>` per lane (slot order), in lane order.
     ///
-    /// Every lane runs on its own. A lane replays on the bit-sliced SWAR
-    /// tier when its geometry and its trace's static-branch count fit it
-    /// ([`FusedSweepPredictor::swar_ready`]), and on the scalar
-    /// [`SimEngine::run_fused`] path otherwise. Either way its results — and
-    /// its final predictor state — are bit-identical to a standalone
-    /// [`SimEngine::run_fused`] of that lane over its trace (pinned by
-    /// `tests/batch_equivalence.rs`); the tier choice is purely a
-    /// performance decision. The engine's warmup exclusion applies per
-    /// trace, exactly as in [`SimEngine::run_fused`].
+    /// Each lane's trace is one view fed to the planned driver: the SWAR
+    /// tier when the lane's geometry and its trace's static-branch count fit
+    /// it ([`FusedSweepPredictor::swar_ready`]), the scalar fused tier
+    /// otherwise. Results and final predictor state are bit-identical to a
+    /// standalone [`SimEngine::run_fused`] of the lane (pinned by
+    /// `tests/batch_equivalence.rs`), with the warmup applied per trace.
     ///
     /// [`MAX_FUSED_SLOTS`]: btr_predictors::fused::MAX_FUSED_SLOTS
     ///
@@ -414,33 +475,26 @@ impl SimEngine {
     ) -> Vec<Vec<RunResult>> {
         lanes
             .into_iter()
-            .map(|lane| {
+            .map(|mut lane| {
                 let trace = traces[lane.trace_index];
-                let mut fused = lane.fused;
-                if fused.swar_ready(trace.static_count()) {
-                    let mut acc =
-                        FusedMissAccumulator::new(fused.slot_count(), trace.static_count());
-                    drive_swar_blocks(&mut fused, trace.records(), self.warmup, &mut acc);
-                    acc.into_results(trace.addrs())
-                } else {
-                    self.run_fused(trace, &mut fused)
-                }
+                let mut planned = PlannedSweep::new(&mut lane.fused, self.warmup);
+                planned.feed(trace.records(), trace.static_count());
+                planned.finish(trace.addrs())
             })
             .collect()
     }
 
-    /// [`SimEngine::run_fused`] over a [`ChunkStream`]: the whole history
-    /// curve from **one** chunked decode pass, without materialising the
-    /// trace (peak memory is one chunk plus the per-slot tables). Consumed
-    /// chunks are recycled back to the stream, so a recycling reader (e.g.
+    /// The fused sweep over a [`ChunkStream`]: the whole history curve from
+    /// **one** chunked decode pass, without materialising the trace (peak
+    /// memory is one chunk plus the per-slot and per-id tables). Consumed
+    /// chunks are recycled, so a recycling reader (e.g.
     /// [`btr_trace::FastBtrtReader`]) streams with zero per-chunk allocation.
     ///
-    /// The chunks must arrive in stream order with ids assigned by one
-    /// persistent interner (what [`btr_trace::ChunkedTraceReader`] and
-    /// [`btr_trace::FastBtrtReader`] produce); the per-id accumulator grows
-    /// with the stream's [`ChunkStream::addrs`] table. Results are bit-identical to the eager
-    /// [`SimEngine::run_fused`] over the same records — pinned by
-    /// `tests/fused_equivalence.rs`.
+    /// Each chunk goes to the planned driver behind [`SimEngine::run_batch`]:
+    /// SWAR while [`ChunkStream::addrs`] fits it, scalar fused after. Chunks
+    /// must arrive in stream order with ids from one persistent interner.
+    /// Results are bit-identical to the eager [`SimEngine::run_fused`] over
+    /// the same records — pinned by `tests/fused_equivalence.rs`.
     ///
     /// # Errors
     ///
@@ -453,18 +507,13 @@ impl SimEngine {
     where
         S: ChunkStream,
     {
-        let mut acc = FusedMissAccumulator::new(fused.slot_count(), 0);
-        let mut block = fused.new_block(FUSED_BLOCK_RECORDS);
-        let mut seen = 0u64;
+        let mut planned = PlannedSweep::new(fused, self.warmup);
         while let Some(chunk) = chunks.pull() {
             let chunk = chunk?;
-            let conditional = chunk.conditional();
-            acc.grow_to(chunks.addrs().len());
-            drive_fused_blocks(fused, &mut block, conditional, seen, self.warmup, &mut acc);
-            seen += conditional.len() as u64;
+            planned.feed(chunk.conditional(), chunks.addrs().len());
             chunks.recycle(chunk);
         }
-        Ok(acc.into_results(chunks.addrs()))
+        Ok(planned.finish(chunks.addrs()))
     }
 
     /// The monomorphized body of [`SimEngine::run_window_dispatch`].

@@ -7,9 +7,9 @@
 //! * [`engine`] — runs a trace through a predictor, collecting overall and
 //!   per-branch hit/miss statistics. Offers a `dyn` compatibility path, a
 //!   fused multi-history path that simulates a whole history sweep in one
-//!   trace pass ([`engine::SimEngine::run_fused`], with a chunk-streamed
-//!   variant), a batch planner that runs many sweeps on the SWAR tier
-//!   ([`engine::SimEngine::run_batch`]) and a monomorphized windowed path
+//!   trace pass ([`engine::SimEngine::run_fused`]), planned onto the SWAR
+//!   tier when it fits by [`engine::SimEngine::run_batch`] and the
+//!   chunk-streamed variant, and a monomorphized windowed path
 //!   ([`engine::SimEngine::run_window_dispatch`]).
 //! * [`sweep`] — history-length sweeps (0–16) for PAs and GAs, producing the
 //!   class × history matrices of the paper's figures; one fused pass per

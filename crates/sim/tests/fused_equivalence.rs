@@ -9,6 +9,7 @@
 //! warmup settings, and arbitrary chunkings of the streamed path.
 
 use btr_predictors::fused::FusedSweepPredictor;
+use btr_predictors::swar::MAX_SWAR_IDS;
 use btr_sim::config::{PredictorFamily, PredictorKind, WarmupWindow};
 use btr_sim::engine::{result_from_dense, RunResult, SimEngine};
 use btr_sim::runner::SuiteRunner;
@@ -36,6 +37,55 @@ fn mixed_trace(n: u64, seed: u64) -> Trace {
         b.push(BranchRecord::conditional(addr, Outcome::from_bool(taken)));
     }
     b.build()
+}
+
+/// Records before the wide trace's first new site beyond its first 12 000.
+const WIDE_PHASE_ONE: u64 = 25_001;
+
+/// Where [`wide_trace`]'s static-branch count crosses [`MAX_SWAR_IDS`]: the
+/// record that introduces its `MAX_SWAR_IDS + 1`-th site.
+const WIDE_CROSSING: u64 = WIDE_PHASE_ONE + 2 * (MAX_SWAR_IDS as u64 - 12_000);
+
+/// A trace over 20 000 static branches whose first [`WIDE_PHASE_ONE`]
+/// records touch only 12 000 of them, so a planned streamed sweep starts on
+/// the SWAR tier and must switch to the scalar tier mid-stream, at
+/// [`WIDE_CROSSING`] (inside a chunk for every chunk size the tests use but
+/// 1 and whole-trace).
+fn wide_trace() -> Trace {
+    let mut b = TraceBuilder::new("wide");
+    let mut state = 0x5eed_u64;
+    for i in 0..WIDE_PHASE_ONE + 16_000 {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let site = if i < WIDE_PHASE_ONE {
+            (i * 7919) % 12_000
+        } else if i % 2 == WIDE_PHASE_ONE % 2 {
+            12_000 + (i - WIDE_PHASE_ONE) / 2
+        } else {
+            (state >> 40) % 12_000
+        };
+        let taken = match site % 3 {
+            0 => i % 2 == 0,
+            1 => true,
+            _ => (state >> 33) & 1 == 1,
+        };
+        b.push(BranchRecord::conditional(
+            BranchAddr::new(0x40_0000 + site * 4),
+            Outcome::from_bool(taken),
+        ));
+    }
+    let trace = b.build();
+    // Ids follow first appearance, so the crossing record carries the first
+    // id past the SWAR bound.
+    let interned = trace.intern();
+    assert_eq!(interned.static_count(), 20_000);
+    let crossing_id = interned.records().ids()[WIDE_CROSSING as usize];
+    assert_eq!(crossing_id as usize, MAX_SWAR_IDS);
+    for chunk_records in [7, 256, 4096] {
+        assert_ne!(WIDE_CROSSING % chunk_records, 0, "chunk {chunk_records}");
+    }
+    trace
 }
 
 /// A small but realistic generated benchmark trace.
@@ -159,7 +209,7 @@ fn fused_honours_warmup_identically() {
 
 #[test]
 fn streamed_fused_is_bit_identical_to_eager_fused() {
-    for trace in [mixed_trace(6000, 0xd00d), generated_trace()] {
+    for trace in [mixed_trace(6000, 0xd00d), generated_trace(), wide_trace()] {
         let mut buf = Vec::new();
         binary::write_trace(&mut buf, &trace).unwrap();
         let interned = trace.intern();
@@ -185,24 +235,34 @@ fn streamed_fused_is_bit_identical_to_eager_fused() {
 
 #[test]
 fn streamed_fused_honours_warmup_and_matches_per_history() {
-    let trace = mixed_trace(2500, 0x0ddba11);
-    let mut buf = Vec::new();
-    binary::write_trace(&mut buf, &trace).unwrap();
-    let histories = vec![0u32, 4, 12];
-    for warmup in [0u64, 100, 2499, 5000] {
-        let engine = SimEngine::new().with_warmup(warmup);
-        for family in Family::all() {
-            let reference = per_history_reference(&engine, &trace, family, &histories);
-            let chunks = ChunkedTraceReader::btrt(buf.as_slice(), 256).unwrap();
-            let streamed = engine
-                .run_fused_streamed(chunks, &mut family.fused(&histories))
-                .unwrap();
-            assert_eq!(
-                streamed,
-                reference,
-                "{} diverged at warmup {warmup}",
-                family.label()
-            );
+    let cases = [
+        (mixed_trace(2500, 0x0ddba11), vec![0u64, 100, 2499, 5000]),
+        // Warmups ending before the SWAR → scalar switch, inside the
+        // switching chunk, and after it.
+        (
+            wide_trace(),
+            vec![1000, WIDE_CROSSING - 3, WIDE_CROSSING + 3000],
+        ),
+    ];
+    for (trace, warmups) in cases {
+        let mut buf = Vec::new();
+        binary::write_trace(&mut buf, &trace).unwrap();
+        let histories = vec![0u32, 4, 12];
+        for warmup in warmups {
+            let engine = SimEngine::new().with_warmup(warmup);
+            for family in Family::all() {
+                let reference = per_history_reference(&engine, &trace, family, &histories);
+                let chunks = ChunkedTraceReader::btrt(buf.as_slice(), 256).unwrap();
+                let streamed = engine
+                    .run_fused_streamed(chunks, &mut family.fused(&histories))
+                    .unwrap();
+                assert_eq!(
+                    streamed,
+                    reference,
+                    "{} diverged at warmup {warmup}",
+                    family.label()
+                );
+            }
         }
     }
 }
