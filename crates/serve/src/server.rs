@@ -230,8 +230,8 @@ fn overloaded_close(mut stream: TcpStream, shared: &Shared) {
         active: shared.active.load(Ordering::SeqCst),
     };
     let resp = error_response(&err);
-    let _ = resp.write_to(&mut stream);
     shared.metrics.finish_request(timer, resp.status);
+    let _ = resp.write_to(&mut stream);
 }
 
 /// Serves one connection: parse, route, respond, close.
@@ -250,10 +250,11 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         },
         Err(e) => error_response(&e),
     };
-    let status = response.status;
+    // Counted before the bytes go out: a client that has read its response
+    // must find it in `/metrics`.
+    shared.metrics.finish_request(timer, response.status);
     let _ = response.write_to(reader.get_mut());
     let _ = reader.get_mut().shutdown(std::net::Shutdown::Both);
-    shared.metrics.finish_request(timer, status);
 }
 
 /// Renders a [`ServeError`] as its JSON error document.
