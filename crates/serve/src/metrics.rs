@@ -60,9 +60,7 @@ impl Metrics {
     }
 
     /// Folds a finished request into the counters, classifying by status.
-    /// Call it before writing the response, so no client can read a reply
-    /// that `/metrics` does not count yet; the latency then runs up to the
-    /// response being ready, not through the socket write.
+    /// Call it before writing the response, so `/metrics` never lags a reply.
     pub fn finish_request(&self, timer: RequestTimer, status: u16) {
         let micros = timer.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.request_micros.fetch_add(micros, Ordering::Relaxed);
@@ -197,8 +195,7 @@ pub struct MetricsSnapshot {
     pub records_decoded: u64,
     /// Analyses in flight at snapshot time.
     pub active_analyses: u64,
-    /// Total request-handling time in microseconds, across all requests,
-    /// from receipt to the response being ready (the socket write excluded).
+    /// Total time from receipt to a ready response, in µs, over all requests.
     pub request_micros: u64,
 }
 

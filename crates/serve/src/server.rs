@@ -250,8 +250,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         },
         Err(e) => error_response(&e),
     };
-    // Counted before the bytes go out: a client that has read its response
-    // must find it in `/metrics`.
+    // Counted before the write, so `/metrics` never lags a reply.
     shared.metrics.finish_request(timer, response.status);
     let _ = response.write_to(reader.get_mut());
     let _ = reader.get_mut().shutdown(std::net::Shutdown::Both);

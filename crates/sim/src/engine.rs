@@ -106,8 +106,7 @@ impl SwarState {
 
 impl<'f> PlannedSweep<'f> {
     fn new(fused: &'f mut FusedSweepPredictor, warmup: u64) -> Self {
-        // The geometry half of the plan is fixed; the id half is checked
-        // per view as the stream discovers static branches.
+        // Geometry is fixed up front; ids are checked per view in `feed`.
         let swar = fused.swar_ready(0).then(|| SwarState {
             lut: CounterLut::new(),
             block: fused.new_swar_block(FUSED_BLOCK_RECORDS),
