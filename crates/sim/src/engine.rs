@@ -275,14 +275,21 @@ impl FusedMissAccumulator {
 /// apart; public so callers of [`SimEngine::run_window_dispatch`] fold their
 /// partials through the same code.
 pub fn result_from_dense(dense: DenseMissTable, addrs: &[BranchAddr]) -> RunResult {
-    let mut overall = PredictionStats::new();
-    for stats in dense.stats() {
-        overall.merge(stats);
-    }
     RunResult {
-        overall,
+        overall: column_sums(dense.stats()),
         per_branch: dense.into_map(addrs),
     }
+}
+
+/// The sum of per-branch statistics: a run's overall statistics.
+pub(crate) fn column_sums<'a>(
+    per_branch: impl IntoIterator<Item = &'a PredictionStats>,
+) -> PredictionStats {
+    let mut overall = PredictionStats::new();
+    for stats in per_branch {
+        overall.merge(stats);
+    }
+    overall
 }
 
 /// Drives `records` through a fused predictor on the scalar tier: load a
@@ -362,10 +369,7 @@ impl Wire for RunResult {
         // per-branch column sums (see `result_from_dense`), so decode
         // re-validates rather than trusts — a tampered partial whose suite
         // statistics disagree with its per-branch data must not merge.
-        let mut expected = PredictionStats::new();
-        for stats in result.per_branch.values() {
-            expected.merge(stats);
-        }
+        let expected = column_sums(result.per_branch.values());
         if expected != result.overall {
             return Err(WireError::schema(format!(
                 "overall statistics ({}/{} hits/lookups) do not match the \

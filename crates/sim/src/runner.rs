@@ -76,9 +76,16 @@ impl SuiteRunner {
     }
 
     /// Generates every benchmark trace, in parallel, in benchmark order.
+    ///
+    /// Each trace's [`Trace::stats`] are computed on the pool too: a trace
+    /// computes them on first read, and the suite reads them next
+    /// ([`SuiteRunner::merged_profile`]), which would otherwise pay for every
+    /// trace on one thread.
     pub fn generate_traces(&self) -> Vec<Trace> {
         self.pool().run(self.benchmarks.clone(), |_, bench| {
-            bench.generate(&self.config)
+            let trace = bench.generate(&self.config);
+            trace.stats();
+            trace
         })
     }
 

@@ -8,14 +8,13 @@
 //! see [`SimEngine::run_fused`] and `tests/fused_equivalence.rs`).
 
 use crate::config::PredictorFamily;
-use crate::engine::{RunResult, SimEngine};
+use crate::engine::{column_sums, RunResult, SimEngine};
 use btr_core::analysis::{
     miss_map_to_value, BranchMissMap, ClassHistoryMatrix, ClassMissRates, JointMissMatrix,
 };
 use btr_core::class::BinningScheme;
 use btr_core::distribution::Metric;
 use btr_core::profile::ProgramProfile;
-use btr_predictors::predictor::PredictionStats;
 use btr_trace::Trace;
 use btr_wire::{MapBuilder, Value, Wire, WireError};
 use std::collections::BTreeSet;
@@ -25,12 +24,9 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     family: PredictorFamily,
-    /// Per-history aggregated per-branch statistics.
+    /// Per-history aggregated per-branch statistics. A history's overall
+    /// statistics are its map's column sums, computed when asked for.
     runs: Vec<(u32, BranchMissMap)>,
-    /// Per-history overall statistics (always the column sums of the
-    /// corresponding `runs` entry; kept separately so overall rates survive
-    /// without re-summing the maps).
-    overall: Vec<(u32, PredictionStats)>,
     /// Labels of the sweep partials already folded into this result. A
     /// labeled partial arriving twice (a re-issued straggler whose first
     /// attempt committed after all) is recognised by its label and skipped,
@@ -52,16 +48,12 @@ impl SweepResult {
     /// **moving** each run's per-branch map into place — per-branch
     /// statistics are never cloned, whatever the sweep size.
     fn assemble(family: PredictorFamily, parts: Vec<(u32, RunResult)>) -> Self {
-        let mut runs = Vec::with_capacity(parts.len());
-        let mut overall = Vec::with_capacity(parts.len());
-        for (history, result) in parts {
-            overall.push((history, result.overall));
-            runs.push((history, result.per_branch));
-        }
         SweepResult {
             family,
-            runs,
-            overall,
+            runs: parts
+                .into_iter()
+                .map(|(history, result)| (history, result.per_branch))
+                .collect(),
             sources: BTreeSet::new(),
         }
     }
@@ -88,10 +80,10 @@ impl SweepResult {
     /// per-group parts and reassemble one result over the full history set.
     pub fn into_parts(self) -> (PredictorFamily, Vec<(u32, RunResult)>) {
         let parts = self
-            .overall
+            .runs
             .into_iter()
-            .zip(self.runs)
-            .map(|((history, overall), (_, per_branch))| {
+            .map(|(history, per_branch)| {
+                let overall = column_sums(per_branch.values());
                 (
                     history,
                     RunResult {
@@ -129,10 +121,8 @@ impl SweepResult {
 
     /// Overall miss rate at one history length.
     pub fn overall_miss_rate(&self, history: u32) -> Option<f64> {
-        self.overall
-            .iter()
-            .find(|(h, _)| *h == history)
-            .and_then(|(_, stats)| stats.miss_rate())
+        self.per_branch(history)
+            .and_then(|m| column_sums(m.values()).miss_rate())
     }
 
     /// Builds the class × history miss matrix for one metric
@@ -212,9 +202,6 @@ impl SweepResult {
                 "cannot merge sweep partials with partially overlapping sources"
             );
         }
-        for ((_, mine), (_, theirs)) in self.overall.iter_mut().zip(&other.overall) {
-            mine.merge(theirs);
-        }
         for ((_, mine), (_, theirs)) in self.runs.iter_mut().zip(&other.runs) {
             for (addr, stats) in theirs {
                 mine.entry(*addr).or_default().merge(stats);
@@ -230,13 +217,12 @@ impl SweepResult {
 impl Wire for SweepResult {
     fn to_value(&self) -> Value {
         let runs = self
-            .overall
+            .runs
             .iter()
-            .zip(&self.runs)
-            .map(|((history, overall), (_, per_branch))| {
+            .map(|(history, per_branch)| {
                 MapBuilder::new()
                     .field("history", *history)
-                    .field("overall", overall.to_value())
+                    .field("overall", column_sums(per_branch.values()).to_value())
                     .field("per_branch", miss_map_to_value(per_branch))
                     .build()
             })
@@ -258,7 +244,6 @@ impl Wire for SweepResult {
     fn from_value(value: &Value) -> Result<Self, WireError> {
         let family = PredictorFamily::from_value(value.get("family")?)?;
         let mut runs = Vec::new();
-        let mut overall = Vec::new();
         for entry in value.get("runs")?.as_list()? {
             let history = u32::try_from(entry.get("history")?.as_u64()?)
                 .map_err(|_| WireError::schema("history length exceeds u32"))?;
@@ -266,7 +251,6 @@ impl Wire for SweepResult {
             // decoding through RunResult re-validates that the overall
             // statistics equal the per-branch sums.
             let result = RunResult::from_value(entry)?;
-            overall.push((history, result.overall));
             runs.push((history, result.per_branch));
         }
         // The sources field is optional on the wire: absent (the pre-PR-7
@@ -280,7 +264,6 @@ impl Wire for SweepResult {
         Ok(SweepResult {
             family,
             runs,
-            overall,
             sources,
         })
     }

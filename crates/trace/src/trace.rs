@@ -3,6 +3,7 @@
 use crate::record::{BranchKind, BranchRecord};
 use crate::stats::TraceStats;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Descriptive metadata attached to a trace.
 ///
@@ -56,75 +57,37 @@ impl TraceMetadata {
 
 /// An immutable, in-memory sequence of dynamic branch executions.
 ///
-/// A `Trace` owns its records and caches the raw per-address statistics
-/// computed while it was built, so repeated analyses do not re-scan the
-/// record vector. The conditional-record subset — the stream every predictor
-/// simulation consumes — is available as a contiguous slice
-/// ([`Trace::conditional_records`]), so a 17-point history sweep filters the
-/// record kinds once instead of once per sweep point.
-#[derive(Debug, Clone, PartialEq)]
+/// A `Trace` is its metadata and its records, plus a count of the
+/// non-conditional records. Everything else is derived on first read and
+/// kept: the per-address [`TraceStats`] ([`Trace::stats`]) and, for a trace
+/// that mixes in non-conditional records, the contiguous conditional subset
+/// every predictor simulation consumes ([`Trace::conditional_records`]). A
+/// trace that is only generated and interned never pays for either.
+#[derive(Debug, Clone)]
 pub struct Trace {
     metadata: TraceMetadata,
     records: Vec<BranchRecord>,
-    /// Cached conditional subset, only materialized for traces that contain
-    /// non-conditional records; all-conditional traces (every synthetic
-    /// workload) borrow `records` directly so memory never doubles at
-    /// paper scale. Invariant: empty iff `stats.total_other() == 0`.
-    ///
-    /// Derived data, excluded from serialization: any future wire decoding
-    /// must recompute this via [`conditional_subset`] (e.g. route decoding
-    /// through [`Trace::from_records`]) rather than trust wire data.
-    conditional: Vec<BranchRecord>,
-    stats: TraceStats,
-}
-
-/// Builds the materialized conditional subset for a mixed record vector, or
-/// an empty vector when every record is conditional (the borrow-`records`
-/// fast path).
-fn conditional_subset(records: &[BranchRecord], stats: &TraceStats) -> Vec<BranchRecord> {
-    if stats.total_other() == 0 {
-        Vec::new()
-    } else {
-        records
-            .iter()
-            .copied()
-            .filter(|r| r.kind().is_conditional())
-            .collect()
-    }
-}
-
-/// Incremental-append step for the lazy conditional cache. Must run after
-/// `stats.observe(record)` and before `records.push(record)`: the first
-/// non-conditional record materializes the cache from the (all-conditional)
-/// records so far; afterwards every conditional record is appended.
-fn push_to_conditional_cache(
-    conditional: &mut Vec<BranchRecord>,
-    records: &[BranchRecord],
-    stats: &TraceStats,
-    record: &BranchRecord,
-) {
-    if record.kind().is_conditional() {
-        if stats.total_other() > 0 {
-            conditional.push(*record);
-        }
-    } else if stats.total_other() == 1 {
-        *conditional = records.to_vec();
-    }
+    /// Number of non-conditional records. When zero, the conditional subset
+    /// is `records` itself and `conditional` is never filled.
+    other: usize,
+    conditional: OnceLock<Vec<BranchRecord>>,
+    stats: OnceLock<TraceStats>,
 }
 
 impl Trace {
-    /// Builds a trace directly from records, computing statistics eagerly.
+    /// Builds a trace directly from records. Statistics are computed on
+    /// first call to [`Trace::stats`].
     pub fn from_records(metadata: TraceMetadata, records: Vec<BranchRecord>) -> Self {
-        let mut stats = TraceStats::new();
-        for r in &records {
-            stats.observe(r);
-        }
-        let conditional = conditional_subset(&records, &stats);
+        let other = records
+            .iter()
+            .filter(|r| !r.kind().is_conditional())
+            .count();
         Trace {
             metadata,
             records,
-            conditional,
-            stats,
+            other,
+            conditional: OnceLock::new(),
+            stats: OnceLock::new(),
         }
     }
 
@@ -148,14 +111,21 @@ impl Trace {
         &self.records
     }
 
-    /// The conditional records as a precomputed contiguous slice, in trace
-    /// order — the stream predictor simulations iterate. For all-conditional
-    /// traces this is the record vector itself (no copy is held).
+    /// The conditional records as a contiguous slice, in trace order — the
+    /// stream predictor simulations iterate. For an all-conditional trace
+    /// this is the record vector itself; a mixed trace filters its records
+    /// on first call and keeps the copy.
     pub fn conditional_records(&self) -> &[BranchRecord] {
-        if self.stats.total_other() == 0 {
+        if self.other == 0 {
             &self.records
         } else {
-            &self.conditional
+            self.conditional.get_or_init(|| {
+                self.records
+                    .iter()
+                    .copied()
+                    .filter(|r| r.kind().is_conditional())
+                    .collect()
+            })
         }
     }
 
@@ -171,19 +141,26 @@ impl Trace {
         self.records.iter()
     }
 
-    /// The raw statistics accumulated over the whole trace.
+    /// The raw statistics over the whole trace, computed on first call and
+    /// kept.
     pub fn stats(&self) -> &TraceStats {
-        &self.stats
+        self.stats.get_or_init(|| {
+            let mut stats = TraceStats::new();
+            for r in &self.records {
+                stats.observe(r);
+            }
+            stats
+        })
     }
 
     /// The number of conditional-branch records.
     pub fn conditional_count(&self) -> u64 {
-        self.stats.total_conditional()
+        (self.records.len() - self.other) as u64
     }
 
     /// The number of distinct static conditional branches.
     pub fn static_conditional_count(&self) -> usize {
-        self.stats.static_conditional_count()
+        self.stats().static_conditional_count()
     }
 
     /// Counts records of a particular kind.
@@ -196,14 +173,21 @@ impl Trace {
         self.records
     }
 
-    /// Concatenates another trace onto this one, recomputing statistics for
-    /// the appended records only.
+    /// Concatenates another trace onto this one. Derived state is dropped
+    /// and recomputed on the next read.
     pub fn extend_from(&mut self, other: &Trace) {
-        for r in other.records() {
-            self.stats.observe(r);
-            push_to_conditional_cache(&mut self.conditional, &self.records, &self.stats, r);
-            self.records.push(*r);
-        }
+        self.records.extend_from_slice(&other.records);
+        self.other += other.other;
+        self.conditional = OnceLock::new();
+        self.stats = OnceLock::new();
+    }
+}
+
+/// Two traces are equal when their metadata and records are; whether a
+/// derived value has been computed yet does not matter.
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.metadata == other.metadata && self.records == other.records
     }
 }
 
@@ -238,8 +222,7 @@ impl IntoIterator for Trace {
     }
 }
 
-/// Incremental builder for [`Trace`], maintaining statistics as records are
-/// appended.
+/// Incremental builder for [`Trace`]: appends records, nothing more.
 ///
 /// ```
 /// use btr_trace::{BranchAddr, BranchRecord, Outcome, TraceBuilder};
@@ -253,8 +236,6 @@ impl IntoIterator for Trace {
 pub struct TraceBuilder {
     metadata: TraceMetadata,
     records: Vec<BranchRecord>,
-    conditional: Vec<BranchRecord>,
-    stats: TraceStats,
 }
 
 impl TraceBuilder {
@@ -268,8 +249,6 @@ impl TraceBuilder {
         TraceBuilder {
             metadata,
             records: Vec::new(),
-            conditional: Vec::new(),
-            stats: TraceStats::new(),
         }
     }
 
@@ -294,17 +273,13 @@ impl TraceBuilder {
 
     /// Appends a record.
     pub fn push(&mut self, record: BranchRecord) -> &mut Self {
-        self.stats.observe(&record);
-        push_to_conditional_cache(&mut self.conditional, &self.records, &self.stats, &record);
         self.records.push(record);
         self
     }
 
     /// Appends every record from an iterator.
     pub fn extend<I: IntoIterator<Item = BranchRecord>>(&mut self, records: I) -> &mut Self {
-        for r in records {
-            self.push(r);
-        }
+        self.records.extend(records);
         self
     }
 
@@ -320,12 +295,7 @@ impl TraceBuilder {
 
     /// Finalizes the builder into an immutable [`Trace`].
     pub fn build(self) -> Trace {
-        Trace {
-            metadata: self.metadata,
-            records: self.records,
-            conditional: self.conditional,
-            stats: self.stats,
-        }
+        Trace::from_records(self.metadata, self.records)
     }
 }
 
@@ -359,8 +329,27 @@ mod tests {
         b.extend(records.clone());
         let via_builder = b.build();
         let via_records = Trace::from_records(TraceMetadata::named("t"), records);
+        // Filling one side's derived state does not make the traces differ.
+        assert_eq!(via_builder.stats().total_conditional(), 3);
+        assert_eq!(via_builder, via_records);
         assert_eq!(via_builder.stats(), via_records.stats());
         assert_eq!(via_builder.records(), via_records.records());
+    }
+
+    #[test]
+    fn building_and_interning_leave_stats_uncomputed() {
+        let records = vec![rec(0x10, true), rec(0x10, false), rec(0x20, true)];
+        let mut b = TraceBuilder::new("t");
+        b.extend(records.clone());
+        let built = b.build();
+        let direct = Trace::from_records(TraceMetadata::named("t"), records);
+        for t in [&built, &direct] {
+            assert_eq!(t.intern().len(), 3);
+            assert_eq!(t.conditional_count(), 3);
+            assert!(t.stats.get().is_none());
+            assert_eq!(t.stats().static_conditional_count(), 2);
+            assert!(t.stats.get().is_some());
+        }
     }
 
     #[test]
@@ -404,10 +393,17 @@ mod tests {
             vec![rec(0x10, false), rec(0x20, true)],
         );
         let mut merged = a.clone();
+        // Read the left side's stats first: extend_from must not keep them.
+        assert_eq!(merged.stats().total_conditional(), 1);
         merged.extend_from(&b);
         assert_eq!(merged.len(), 3);
         assert_eq!(merged.conditional_count(), 3);
         assert_eq!(merged.static_conditional_count(), 2);
+        let concatenated = Trace::from_records(
+            TraceMetadata::named("a"),
+            [a.records(), b.records()].concat(),
+        );
+        assert_eq!(merged.stats(), concatenated.stats());
     }
 
     #[test]
