@@ -69,14 +69,6 @@ fn bench_predictors(c: &mut Criterion) {
             "bimodal(2^17)",
             Box::new(|| Box::new(BimodalPredictor::paper_sized())),
         ),
-        (
-            "yags",
-            Box::new(|| Box::new(YagsPredictor::paper_sized(10))),
-        ),
-        (
-            "bimode",
-            Box::new(|| Box::new(BiModePredictor::paper_sized(10))),
-        ),
     ];
     for (name, make) in &cases {
         group.bench_with_input(BenchmarkId::from_parameter(name), &stream, |b, stream| {

@@ -3,8 +3,7 @@
 //!
 //! This is the degenerate two-level predictor with a history length of zero
 //! (the paper's `k = 0` configuration is exactly a `2^17`-entry bimodal
-//! table), and it also serves as the "choice" and baseline component in
-//! several composite schemes (McFarling hybrid, Bi-Mode, Agree).
+//! table), and it also serves as a component of the McFarling hybrid.
 
 use crate::pht::PatternHistoryTable;
 use crate::predictor::BranchPredictor;

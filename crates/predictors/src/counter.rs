@@ -152,8 +152,8 @@ impl Default for SaturatingCounter {
     }
 }
 
-/// A resettable up counter with a fixed cap, used by confidence estimators and
-/// the bias-filter predictor to count consecutive events.
+/// A resettable up counter with a fixed cap, used by the confidence
+/// estimators to count consecutive events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CappedCounter {
     value: u32,

@@ -7,10 +7,10 @@
 //! and **GAs** (global history, set-indexed pattern tables) — under a fixed
 //! 32 KB hardware budget, sweeping the history length from 0 to 16. This crate
 //! implements those predictors with the paper's exact sizing rules
-//! ([`twolevel`], [`budget`]), plus the wider cast of related-work predictors
-//! the paper discusses (gshare, Agree, Bi-Mode, YAGS, bias filtering, the
-//! McFarling hybrid), static predictors, the classification-guided hybrid the
-//! paper sketches in §5.4 ([`hybrid::ClassifiedHybrid`]) and the confidence
+//! ([`twolevel`], [`budget`]), plus the related-work predictors the
+//! simulation harness and its ablations drive (bimodal, gshare, the McFarling
+//! hybrid), static predictors, the classification-guided hybrid the paper
+//! sketches in §5.4 ([`hybrid::ClassifiedHybrid`]) and the confidence
 //! estimators of §5.3 ([`confidence`]).
 //!
 //! Every predictor implements the [`predictor::BranchPredictor`] trait so the
@@ -31,14 +31,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agree;
 pub mod bimodal;
-pub mod bimode;
 pub mod budget;
 pub mod confidence;
 pub mod counter;
 pub mod dispatch;
-pub mod filterpred;
 pub mod fused;
 pub mod gshare;
 pub mod history;
@@ -48,18 +45,14 @@ pub mod predictor;
 pub mod staticp;
 pub mod swar;
 pub mod twolevel;
-pub mod yags;
 
 /// Commonly used predictor items.
 pub mod prelude {
-    pub use crate::agree::AgreePredictor;
     pub use crate::bimodal::BimodalPredictor;
-    pub use crate::bimode::BiModePredictor;
     pub use crate::budget::HardwareBudget;
     pub use crate::confidence::{ConfidenceEstimator, JacobsenOneLevel, JacobsenTwoLevel};
     pub use crate::counter::SaturatingCounter;
     pub use crate::dispatch::DispatchPredictor;
-    pub use crate::filterpred::FilterPredictor;
     pub use crate::fused::FusedSweepPredictor;
     pub use crate::gshare::GsharePredictor;
     pub use crate::hybrid::{ClassifiedHybrid, McFarlingHybrid};
@@ -67,5 +60,4 @@ pub mod prelude {
     pub use crate::staticp::StaticPredictor;
     pub use crate::swar::{CounterLut, SwarBlock};
     pub use crate::twolevel::{TwoLevelConfig, TwoLevelPredictor, TwoLevelScheme};
-    pub use crate::yags::YagsPredictor;
 }

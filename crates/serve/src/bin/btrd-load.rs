@@ -1,46 +1,39 @@
-//! `btrd-load` — the self-driving load and smoke client for `btrd`.
+//! `btrd-load` — the smoke client for `btrd`.
 //!
 //! ```text
-//! btrd-load --addr HOST:PORT --smoke [--upload-limit BYTES]
-//! btrd-load --addr HOST:PORT [--requests N] [--concurrency C]
-//!           [--records N] [--timeout-ms N]
+//! btrd-load --addr HOST:PORT [--upload-limit BYTES] [--records N]
+//!           [--timeout-ms N]
 //! ```
 //!
-//! `--smoke` drives the full acceptance scenario suite against a running
-//! daemon — success paths, cache replay, both wire codecs, every typed
-//! failure class, and a concurrent burst — and exits nonzero on the first
-//! divergence. Without `--smoke` it runs a throughput measurement against
-//! `POST /classify` and prints a JSON summary through the same writer the
-//! benches use.
-//!
-//! Wall-clock use in this binary is measurement, not logic: latency and
-//! throughput are *about* elapsed time (see the `[no-wallclock]` allowlist).
+//! Drives the full acceptance scenario suite against a running daemon —
+//! success paths, cache replay, both wire codecs, every typed failure class,
+//! and a concurrent burst — and exits nonzero on the first divergence.
+//! Throughput and latency under `/classify` load are measured by the
+//! end-to-end benchmark (`e2ebench`), which also checks every reply against
+//! an in-process oracle.
 
 use btr_serve::client::{send, ClientRequest, ClientResponse};
 use btr_trace::io::binary;
 use btr_trace::{BranchAddr, BranchKind, BranchRecord, Outcome, Trace, TraceMetadata};
-use btr_wire::{MapBuilder, Value, Wire};
+use btr_wire::{Value, Wire};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Requests in the smoke suite's concurrent burst.
+const BURST: usize = 4;
 
 fn main() {
     let mut options = Options::default();
     if let Err(reason) = options.apply_args(std::env::args().skip(1)) {
         eprintln!("btrd-load: {reason}");
         eprintln!(
-            "usage: btrd-load --addr HOST:PORT [--smoke] [--upload-limit BYTES] \
-             [--requests N] [--concurrency C] [--records N] [--timeout-ms N]"
+            "usage: btrd-load --addr HOST:PORT [--upload-limit BYTES] [--records N] \
+             [--timeout-ms N]"
         );
         std::process::exit(2);
     }
-    let outcome = if options.smoke {
-        run_smoke(&options)
-    } else {
-        run_throughput(&options)
-    };
-    if let Err(reason) = outcome {
+    if let Err(reason) = run_smoke(&options) {
         eprintln!("btrd-load: FAIL: {reason}");
         std::process::exit(1);
     }
@@ -49,10 +42,7 @@ fn main() {
 /// Parsed command line.
 struct Options {
     addr: String,
-    smoke: bool,
     upload_limit: u64,
-    requests: usize,
-    concurrency: usize,
     records: usize,
     timeout: Duration,
 }
@@ -61,10 +51,7 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             addr: String::new(),
-            smoke: false,
             upload_limit: 0,
-            requests: 64,
-            concurrency: 4,
             records: 20_000,
             timeout: Duration::from_secs(30),
         }
@@ -77,10 +64,7 @@ impl Options {
             let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
                 "--addr" => self.addr = value("--addr")?,
-                "--smoke" => self.smoke = true,
                 "--upload-limit" => self.upload_limit = parse(&flag, &value("--upload-limit")?)?,
-                "--requests" => self.requests = parse(&flag, &value("--requests")?)?,
-                "--concurrency" => self.concurrency = parse(&flag, &value("--concurrency")?)?,
                 "--records" => self.records = parse(&flag, &value("--records")?)?,
                 "--timeout-ms" => {
                     self.timeout = Duration::from_millis(parse(&flag, &value("--timeout-ms")?)?);
@@ -91,8 +75,8 @@ impl Options {
         if self.addr.is_empty() {
             return Err("--addr HOST:PORT is required".into());
         }
-        if self.requests == 0 || self.concurrency == 0 || self.records == 0 {
-            return Err("--requests, --concurrency and --records must be nonzero".into());
+        if self.records == 0 {
+            return Err("--records must be nonzero".into());
         }
         Ok(())
     }
@@ -364,9 +348,8 @@ fn run_smoke(options: &Options) -> Result<(), String> {
     check(
         "a concurrent burst answers every request (200 or clean 503)",
         {
-            let burst = options.concurrency.max(4);
             let failures: Vec<String> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..burst)
+                let handles: Vec<_> = (0..BURST)
                     .map(|i| {
                         let body = &body;
                         scope.spawn(move || -> Result<(), String> {
@@ -452,114 +435,4 @@ fn read_raw_response<R: std::io::BufRead>(r: &mut R) -> std::io::Result<ClientRe
     let mut all = Vec::new();
     r.read_to_end(&mut all)?;
     btr_serve::client::parse_response(&all)
-}
-
-// ---------------------------------------------------------------------------
-// Throughput mode
-// ---------------------------------------------------------------------------
-
-fn run_throughput(options: &Options) -> Result<(), String> {
-    let body = btrt_bytes(options.records)?;
-    let upload_bytes = body.len() as u64;
-    let issued = AtomicUsize::new(0);
-    let started = Instant::now();
-    let per_thread: Vec<Result<ThreadStats, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..options.concurrency)
-            .map(|_| {
-                let issued = &issued;
-                let body = &body;
-                let options = &options;
-                scope.spawn(move || -> Result<ThreadStats, String> {
-                    let mut stats = ThreadStats::default();
-                    loop {
-                        if issued.fetch_add(1, Ordering::Relaxed) >= options.requests {
-                            return Ok(stats);
-                        }
-                        let begun = Instant::now();
-                        let resp = send(
-                            &options.addr,
-                            &ClientRequest::post("/classify", body.clone()),
-                            options.timeout,
-                        )
-                        .map_err(|e| format!("request failed: {e}"))?;
-                        stats.latencies_us.push(begun.elapsed().as_micros() as u64);
-                        match resp.status {
-                            200 => stats.ok += 1,
-                            503 => stats.busy += 1,
-                            other => return Err(format!("unexpected status {other}")),
-                        }
-                        if resp.header("x-btr-cache") == Some("hit") {
-                            stats.cache_hits += 1;
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(result) => result,
-                Err(_) => Err("throughput worker panicked".into()),
-            })
-            .collect()
-    });
-    let elapsed = started.elapsed();
-    let mut merged = ThreadStats::default();
-    for stats in per_thread {
-        let stats = stats?;
-        merged.ok += stats.ok;
-        merged.busy += stats.busy;
-        merged.cache_hits += stats.cache_hits;
-        merged.latencies_us.extend(stats.latencies_us);
-    }
-    merged.latencies_us.sort_unstable();
-    let completed = merged.latencies_us.len() as u64;
-    let elapsed_us = elapsed.as_micros().max(1) as u64;
-    let summary = MapBuilder::new()
-        .field("requests", completed)
-        .field("concurrency", options.concurrency as u64)
-        .field("records_per_upload", options.records as u64)
-        .field("upload_bytes", upload_bytes)
-        .field("ok", merged.ok)
-        .field("busy_503", merged.busy)
-        .field("cache_hits", merged.cache_hits)
-        .field("elapsed_ms", elapsed_us / 1000)
-        .field(
-            "requests_per_sec",
-            completed.saturating_mul(1_000_000) / elapsed_us,
-        )
-        .field(
-            "records_per_sec",
-            completed
-                .saturating_mul(options.records as u64)
-                .saturating_mul(1_000_000)
-                / elapsed_us,
-        )
-        .field("p50_latency_us", percentile(&merged.latencies_us, 50))
-        .field("p99_latency_us", percentile(&merged.latencies_us, 99))
-        .build();
-    println!(
-        "{}",
-        summary
-            .to_json_pretty()
-            .map_err(|e| format!("summary render: {e}"))?
-    );
-    Ok(())
-}
-
-#[derive(Default)]
-struct ThreadStats {
-    ok: u64,
-    busy: u64,
-    cache_hits: u64,
-    latencies_us: Vec<u64>,
-}
-
-/// The `p`-th percentile of sorted microsecond samples (0 when empty).
-fn percentile(sorted: &[u64], p: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (sorted.len() - 1) * p / 100;
-    sorted[rank]
 }

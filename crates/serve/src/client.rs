@@ -1,8 +1,8 @@
 //! A minimal blocking HTTP/1.1 client, sized to `btrd`'s dialect.
 //!
 //! One request per connection, `Connection: close`, bodies read to EOF under
-//! `Content-Length` when present. Shared by the `btrd-load` driver, the
-//! benches and the e2e tests so every consumer speaks to the daemon through
+//! `Content-Length` when present. Shared by the `btrd-load` smoke client,
+//! the benches and the e2e tests so every consumer speaks to the daemon through
 //! the same code path.
 
 use std::io::{self, BufRead, BufReader, Write};

@@ -36,9 +36,10 @@ impl Request {
     /// # Errors
     ///
     /// Fails with [`ServeError::HeaderTooLarge`] when the head exceeds
-    /// [`MAX_HEAD_BYTES`], [`ServeError::BadRequest`] on malformed syntax,
-    /// and [`ServeError::Timeout`] / [`ServeError::Io`] on transport
-    /// failures.
+    /// [`MAX_HEAD_BYTES`], [`ServeError::BadRequest`] on malformed syntax or
+    /// on framing `btrd` does not speak (any `Transfer-Encoding`, or more
+    /// than one `Content-Length`), and [`ServeError::Timeout`] /
+    /// [`ServeError::Io`] on transport failures.
     pub fn parse<R: BufRead>(r: &mut R) -> Result<Request, ServeError> {
         let mut budget = MAX_HEAD_BYTES;
         let request_line = read_crlf_line(r, &mut budget)?;
@@ -89,6 +90,25 @@ impl Request {
             }
             headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
         }
+        // A body is framed by one Content-Length and nothing else (RFC 9112
+        // §6.3): a transfer coding this parser does not decode, or a second
+        // length that may disagree with the first, leaves the body's end
+        // ambiguous.
+        if headers.iter().any(|(n, _)| n == "transfer-encoding") {
+            return Err(ServeError::BadRequest(
+                "Transfer-Encoding is not supported; frame the body with Content-Length".into(),
+            ));
+        }
+        if headers
+            .iter()
+            .filter(|(n, _)| n == "content-length")
+            .count()
+            > 1
+        {
+            return Err(ServeError::BadRequest(
+                "more than one Content-Length header".into(),
+            ));
+        }
         Ok(Request {
             method: method.to_string(),
             path,
@@ -110,13 +130,18 @@ impl Request {
     /// # Errors
     ///
     /// [`ServeError::LengthRequired`] when absent, [`ServeError::BadRequest`]
-    /// when unparseable.
+    /// when not a decimal `1*DIGIT` that fits a `u64`.
     pub fn content_length(&self) -> Result<u64, ServeError> {
         let raw = self
             .header("content-length")
             .ok_or(ServeError::LengthRequired)?;
-        raw.parse::<u64>()
-            .map_err(|_| ServeError::BadRequest(format!("unparseable Content-Length {raw:?}")))
+        match raw.parse::<u64>() {
+            // `parse` alone would also take a leading `+`.
+            Ok(n) if raw.bytes().all(|b| b.is_ascii_digit()) => Ok(n),
+            _ => Err(ServeError::BadRequest(format!(
+                "unparseable Content-Length {raw:?}"
+            ))),
+        }
     }
 
     /// The value of one `key=value` pair in the query string, if present.
@@ -343,6 +368,10 @@ mod tests {
             "GET /x HTTP/1.1\r\nNoColonHere\r\n\r\n",
             "GET /x HTTP/1.1\r\nBad Name: v\r\n\r\n",
             "GET /x HTTP/1.1\r\nTruncated",
+            "POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 400\r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\n",
+            "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent-Length: 4\r\nTransfer-Encoding: identity\r\n\r\n",
         ] {
             let err = parse(raw).expect_err("malformed head must not parse");
             assert_eq!(err.status(), 400, "{raw:?} -> {err}");
@@ -364,9 +393,14 @@ mod tests {
     fn missing_and_malformed_content_length_are_distinguished() {
         let req = parse("POST /classify HTTP/1.1\r\n\r\n").expect("head parses");
         assert_eq!(req.content_length().expect_err("no length").status(), 411);
-        let req =
-            parse("POST /classify HTTP/1.1\r\nContent-Length: ten\r\n\r\n").expect("head parses");
-        assert_eq!(req.content_length().expect_err("bad length").status(), 400);
+        for raw in ["ten", "+5", "-0", "0x10", "4 4", "18446744073709551616"] {
+            let req = parse(&format!(
+                "POST /classify HTTP/1.1\r\nContent-Length: {raw}\r\n\r\n"
+            ))
+            .expect("head parses");
+            let err = req.content_length().expect_err("bad length");
+            assert_eq!(err.status(), 400, "{raw:?} -> {err}");
+        }
     }
 
     #[test]

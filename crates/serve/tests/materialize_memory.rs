@@ -4,18 +4,22 @@
 //! appended chunk by chunk, so its peak heap growth per conditional record
 //! stays under a fixed bound instead of the record copies, second statistics
 //! pass and re-interning a materialized `Trace` would add. (`btrd` itself
-//! streams every request; `serve_memory.rs` bounds that.)
+//! streams every request; `serve_memory.rs` bounds that.) The same test then
+//! checks that the eager reference decoder, `binary::read_trace`, does not
+//! size its allocation by a header's untrusted record count.
 //!
 //! The whole test binary runs under a counting global allocator (integration
 //! tests are their own crates, so the workspace's `forbid(unsafe_code)` lib
 //! attribute does not apply here). The upload is encoded before the baseline
 //! is taken, so the measured peak is the materialization's own footprint.
+//! The counters are global, so the binary holds a single test: a second one
+//! would run in parallel and pollute the peak.
 
 use btr_core::profile::ProgramProfile;
 use btr_serve::analysis::{materialize_sweep, BodyFormat, Budgets};
 use btr_serve::ServerConfig;
 use btr_trace::io::binary;
-use btr_trace::{BranchAddr, BranchKind, BranchRecord, Outcome, TraceBuilder};
+use btr_trace::{BranchAddr, BranchKind, BranchRecord, Outcome, TraceBuilder, TraceError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -50,6 +54,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Runs `f` and returns its result with the peak heap growth it caused.
+fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let baseline = LIVE.load(Ordering::SeqCst);
+    PEAK.store(baseline, Ordering::SeqCst);
+    let out = f();
+    (out, PEAK.load(Ordering::SeqCst).saturating_sub(baseline))
+}
 
 /// 400k records over 512 static conditional branches, one in eight an
 /// unconditional call: a `BTRT` upload a few MiB long.
@@ -89,11 +101,9 @@ fn materialize_peak_heap_per_conditional_record_is_bounded() {
         max_static_branches: config.max_static_branches,
     };
 
-    let baseline = LIVE.load(Ordering::SeqCst);
-    PEAK.store(baseline, Ordering::SeqCst);
-    let materialized =
-        materialize_sweep(bytes.as_slice(), BodyFormat::Btrt, budgets).expect("valid upload");
-    let peak_delta = PEAK.load(Ordering::SeqCst).saturating_sub(baseline);
+    let (materialized, peak_delta) =
+        peak_growth(|| materialize_sweep(bytes.as_slice(), BodyFormat::Btrt, budgets));
+    let materialized = materialized.expect("valid upload");
 
     assert_eq!(materialized.conditional, conditional);
     assert_eq!(materialized.interned.len() as u64, conditional);
@@ -129,5 +139,30 @@ fn materialize_peak_heap_per_conditional_record_is_bounded() {
         peak_delta <= bound,
         "peak heap growth {peak_delta} B exceeds {per_record} B per conditional record \
          + {fixed} B ({bound} B)"
+    );
+
+    // A header-only `BTRT` body (magic, version, count, two empty names, no
+    // seed: 21 bytes) that declares u64::MAX records. The decoder must fail
+    // on the missing first record without first reserving room for the
+    // declared count.
+    let mut header = Vec::new();
+    header.extend_from_slice(b"BTRT");
+    header.extend_from_slice(&1u32.to_le_bytes());
+    header.extend_from_slice(&u64::MAX.to_le_bytes());
+    header.extend_from_slice(&[0, 0, 0, 0, 0]);
+    assert_eq!(header.len(), 21);
+    let (decoded, header_peak) = peak_growth(|| binary::read_trace(&mut header.as_slice()));
+    println!(
+        "[materialize-memory] header declaring u64::MAX records: peak heap growth {:.2} MiB",
+        header_peak as f64 / (1024.0 * 1024.0),
+    );
+    assert!(
+        matches!(decoded, Err(TraceError::TruncatedRecord { record: 0, .. })),
+        "expected a truncated first record, got {decoded:?}"
+    );
+    let header_bound = 4 << 20;
+    assert!(
+        header_peak <= header_bound,
+        "a 21-byte header grew the heap by {header_peak} B (bound {header_bound} B)"
     );
 }

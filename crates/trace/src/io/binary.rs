@@ -348,7 +348,9 @@ pub fn read_trace<R: Read>(reader: &mut R) -> Result<Trace> {
     let stream = BinaryRecordReader::new(reader)?;
     let declared = stream.declared_count();
     let mut builder = TraceBuilder::with_metadata(stream.metadata().clone());
-    builder.reserve(declared.min(1 << 24) as usize);
+    // The declared count is untrusted: reserve at most a small head start
+    // and let the vector grow with the records actually present.
+    builder.reserve(declared.min(1 << 16) as usize);
     let mut actual = 0u64;
     for record in stream {
         builder.push(record?);

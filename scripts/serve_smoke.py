@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Serve smoke gate: the release `btrd` daemon must survive the full
-`btrd-load --smoke` scenario suite on an ephemeral port.
+`btrd-load` smoke scenario suite on an ephemeral port.
 
 Drill, against the release binaries:
 
 1. `btrd` is started on `127.0.0.1:0` with a deliberately small upload
    limit; its `btrd listening on HOST:PORT` stdout line yields the port.
-2. `btrd-load --smoke` drives the acceptance scenarios over real sockets:
+2. `btrd-load` drives the acceptance scenarios over real sockets:
    streamed BTRT and text classify, the fused history sweep in JSON and
    BTRW, content-addressed cache replay by digest, oversized/truncated/
    garbage/malformed uploads answered with their typed 4xx, 404/405
@@ -55,14 +55,13 @@ def main():
         load_cmd = [
             args.load,
             "--addr", addr,
-            "--smoke",
             "--upload-limit", str(UPLOAD_LIMIT),
             "--records", "50000",
         ]
         print(f"$ {' '.join(load_cmd)}")
         load = subprocess.run(load_cmd)
         if load.returncode != 0:
-            sys.exit(f"FAIL: btrd-load --smoke exited {load.returncode}")
+            sys.exit(f"FAIL: btrd-load exited {load.returncode}")
 
         if daemon.poll() is not None:
             sys.exit(f"FAIL: btrd died during the suite (exit {daemon.returncode})")
