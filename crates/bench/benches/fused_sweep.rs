@@ -3,17 +3,10 @@
 //!
 //! Throughput is declared as `records × history points`, so `per_sec` is
 //! directly the *history-point* throughput of a sweep and rate ratios are
-//! cost-per-point ratios. Three baselines, strongest first:
-//!
-//! * `per_history_17pass/…` — one monomorphized full-range
-//!   `run_window_dispatch` pass per history over the pre-interned trace (the
-//!   parallel runner's pre-fusion grid cell). Fused wins ~2.9–3.5× per point
-//!   against even this.
-//! * `per_history_17pass_dyn/…` — one `dyn` + `BTreeMap` `SimEngine::run`
-//!   pass per history (what the sequential `HistorySweep::run` executed
-//!   before fusion). Fused wins ~15–17× — the per-pass sweep the fused
-//!   engine replaced, and where the ≥ 4× per-point acceptance bound is
-//!   measured (`BENCH_pr5.json`).
+//! cost-per-point ratios. The baseline, `per_history_17pass/…`, is one
+//! monomorphized full-range `run_window_dispatch` pass per history over the
+//! pre-interned trace (the parallel runner's pre-fusion grid cell). Fused
+//! wins ~2.9–3.5× per point against it (`BENCH_pr5.json`).
 //!
 //! `fused_sweep_streamed/fused_streamed_chunk64k/…` prices the same curve
 //! from one chunked decode pass of the serialized `BTRT` bytes.
@@ -73,8 +66,7 @@ fn bench_fused_sweep(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(records * points));
     for (label, fused_factory, kind_factory) in &families {
-        // Strongest per-pass baseline: one full trace walk per history
-        // length on the monomorphized dispatch path (what the parallel
+        // The per-pass baseline: one full trace walk per history length on the monomorphized dispatch path (what the parallel
         // runner's grid cells executed before fusion).
         group.bench_function(format!("per_history_17pass/{label}"), |b| {
             b.iter(|| {
@@ -84,18 +76,6 @@ fn bench_fused_sweep(c: &mut Criterion) {
                     .collect::<Vec<_>>()
             })
         });
-        // What the sequential `HistorySweep::run` actually executed before
-        // fusion: one `dyn` + `BTreeMap` compatibility pass per length.
-        if *label != "gshare" {
-            group.bench_function(format!("per_history_17pass_dyn/{label}"), |b| {
-                b.iter(|| {
-                    histories
-                        .iter()
-                        .map(|&h| engine.run(&trace, &mut *kind_factory(h).build()))
-                        .collect::<Vec<_>>()
-                })
-            });
-        }
         // Fused: the whole curve from one pass.
         group.bench_function(format!("fused/{label}"), |b| {
             b.iter(|| engine.run_fused(&interned, &mut fused_factory(&histories)))

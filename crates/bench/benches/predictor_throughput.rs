@@ -1,6 +1,5 @@
-//! Throughput of the predictor substrate and of the two simulation-engine
-//! paths: the `dyn` + `BTreeMap` compatibility path versus the devirtualized,
-//! dense-indexed hot path over an interned trace.
+//! Throughput of the predictor substrate and of the monomorphized,
+//! dense-indexed per-predictor engine path over an interned trace.
 
 use btr_bench::run_full_window;
 use btr_predictors::prelude::*;
@@ -24,7 +23,7 @@ fn synthetic_stream(n: usize) -> Vec<(BranchAddr, Outcome)> {
 }
 
 /// A trace shaped like the generated suite: a few thousand static branches
-/// (deep `BTreeMap`, realistic table aliasing) with mixed behaviours.
+/// (realistic table aliasing) with mixed behaviours.
 fn synthetic_trace(n: usize) -> Trace {
     let mut b = TraceBuilder::new("throughput");
     b.reserve(n);
@@ -86,10 +85,8 @@ fn bench_predictors(c: &mut Criterion) {
     }
     group.finish();
 
-    // The acceptance comparison for the devirtualized hot path: same trace,
-    // same predictor configuration, both engine paths. `engine_dyn_btreemap`
-    // is the historical per-record virtual-call + address-map path;
-    // `engine_interned_fused` is the dense-indexed monomorphized loop.
+    // The per-predictor engine path: the dense-indexed monomorphized loop
+    // over an interned trace.
     let trace = synthetic_trace(200_000);
     let interned = trace.intern();
     let records = trace.conditional_records().len() as u64;
@@ -101,9 +98,6 @@ fn bench_predictors(c: &mut Criterion) {
         PredictorKind::PAsPaper { history: 8 },
         PredictorKind::GAsPaper { history: 12 },
     ] {
-        group.bench_function(format!("dyn_btreemap/{}", kind.label()), |b| {
-            b.iter(|| engine.run(&trace, &mut *kind.build()))
-        });
         group.bench_function(format!("interned_fused/{}", kind.label()), |b| {
             b.iter(|| run_full_window(&engine, &interned, kind))
         });

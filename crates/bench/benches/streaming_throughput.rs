@@ -1,22 +1,19 @@
 //! Streamed vs eager trace simulation: throughput of the chunked fused
 //! sweep (`run_fused_streamed`, one PAs(h=8) slot) against the eager
-//! read-intern-simulate path, plus the windowed-parallel path for one huge
-//! trace.
+//! read-intern-simulate path.
 //!
 //! All variants decode the *same* in-memory `BTRT` byte stream, so the
 //! comparison covers the full pipeline each path really executes: decode (+
 //! intern) + simulate.
 
 use btr_bench::run_full_window;
-use btr_sim::config::{PredictorFamily, PredictorKind, WarmupWindow, WindowConfig};
+use btr_sim::config::{PredictorFamily, PredictorKind};
 use btr_sim::engine::SimEngine;
-use btr_sim::runner::SuiteRunner;
 use btr_trace::io::binary;
 use btr_trace::{
     BranchAddr, BranchRecord, ChunkedTraceReader, Outcome, Trace, TraceBuilder,
     DEFAULT_CHUNK_RECORDS,
 };
-use btr_workloads::spec::SuiteConfig;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 /// A trace shaped like the generated suite: a few thousand static branches
@@ -89,25 +86,6 @@ fn bench_streaming(c: &mut Criterion) {
                 .sum::<usize>()
         })
     });
-    group.finish();
-
-    // One huge trace split across workers: sequential dispatch vs windowed
-    // warmup replay on the steal pool.
-    let interned = trace.intern();
-    let runner = SuiteRunner::new(SuiteConfig::default());
-    let mut group = c.benchmark_group("windowed_single_trace");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(interned.len() as u64));
-    group.bench_function(format!("sequential/{}", kind.label()), |b| {
-        b.iter(|| run_full_window(&engine, &interned, kind))
-    });
-    for warm in [4096usize, 65_536] {
-        let cfg = WindowConfig::new(1 << 18).with_warmup_window(WarmupWindow::Records(warm));
-        group.bench_function(
-            format!("windowed/warm{}k/{}", warm >> 10, kind.label()),
-            |b| b.iter(|| runner.run_trace_windowed(&interned, kind, cfg)),
-        );
-    }
     group.finish();
 }
 

@@ -9,7 +9,9 @@
 //! `EXPERIMENT` is one of `table1`, `table2`, `fig1` … `fig15`,
 //! `ablation-binning`, `ablation-hybrid`, `ablation-confidence`, or `all`
 //! (the default). `--quick` uses a reduced benchmark subset and coarse
-//! history sweep; `--scale` overrides the workload scale factor.
+//! history sweep; `--scale` overrides the workload scale factor, which must
+//! be finite and positive. A malformed command line is a usage error and
+//! exits with status 2.
 //!
 //! With `--out-dir DIR`, every experiment additionally writes three
 //! machine-readable artifacts next to the usual stdout output:
@@ -29,6 +31,7 @@ use btr_core::distribution::Metric;
 use btr_sim::config::PredictorFamily;
 use btr_sim::experiments::{self, ExperimentContext, SuiteData};
 use btr_wire::{json, MapBuilder, Value, Wire};
+use btr_workloads::spec::SuiteConfig;
 use std::env;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -65,11 +68,13 @@ fn parse_args() -> Result<Options, String> {
             "--quick" => quick = true,
             "--scale" => {
                 let value = args.next().ok_or("--scale requires a value")?;
-                scale = Some(
-                    value
-                        .parse::<f64>()
-                        .map_err(|_| format!("invalid scale {value:?}"))?,
-                );
+                let parsed = value
+                    .parse()
+                    .ok()
+                    .filter(|&f| SuiteConfig::is_valid_scale(f));
+                scale = Some(parsed.ok_or(format!(
+                    "--scale wants a finite number above 0, got {value:?}"
+                ))?);
             }
             "--out-dir" => {
                 let value = args.next().ok_or("--out-dir requires a path")?;
@@ -298,7 +303,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     // Reject typos before paying for suite preparation.

@@ -35,8 +35,8 @@ pub trait BranchPredictor {
     /// of a `predict`/`update` virtual-call pair. The default implementation
     /// composes the two primitives; table-based predictors override it to
     /// resolve their index/slot once per branch. Overrides must stay
-    /// bit-identical to `predict` followed by `update` — the engine's
-    /// compatibility path asserts that in tests.
+    /// bit-identical to `predict` followed by `update` — the engine's tests
+    /// check that against a `predict`-then-`update` oracle.
     #[inline]
     fn access(&mut self, addr: BranchAddr, outcome: Outcome) -> bool {
         let hit = self.predict(addr) == outcome;

@@ -171,8 +171,8 @@ fn parse_int(value: &str, name: &str) -> Result<u64, String> {
 fn build_spec(options: &Options) -> Result<SweepSpec, String> {
     let mut config = btr_workloads::SuiteConfig::default();
     if let Some(scale) = options.scale {
-        if scale.is_nan() || scale <= 0.0 {
-            return Err(format!("--scale must be positive, got {scale}"));
+        if !btr_workloads::SuiteConfig::is_valid_scale(scale) {
+            return Err(format!("--scale must be positive and finite, got {scale}"));
         }
         config.scale = scale;
     }

@@ -1,6 +1,5 @@
 //! Predictor and simulation configuration.
 
-use btr_core::class::BinningScheme;
 use btr_predictors::bimodal::BimodalPredictor;
 use btr_predictors::dispatch::DispatchPredictor;
 use btr_predictors::fused::FusedSweepPredictor;
@@ -26,14 +25,6 @@ impl PredictorFamily {
         match self {
             PredictorFamily::PAs => "PAs",
             PredictorFamily::GAs => "GAs",
-        }
-    }
-
-    /// The paper-sized predictor of this family at history length `history`.
-    pub fn paper_predictor(self, history: u32) -> TwoLevelPredictor {
-        match self {
-            PredictorFamily::PAs => TwoLevelPredictor::pas_paper(history),
-            PredictorFamily::GAs => TwoLevelPredictor::gas_paper(history),
         }
     }
 
@@ -147,98 +138,26 @@ impl PredictorKind {
     }
 }
 
-/// How much predictor state a parallel window re-warms before its scored
-/// region (see [`crate::engine::SimEngine::run_window_dispatch`]).
+/// How much predictor state a window re-warms before its scored region (see
+/// [`crate::engine::SimEngine::run_window_dispatch`]).
 ///
 /// A window simulated in isolation starts from a cold predictor, so its first
-/// predictions would diverge from a sequential run. Replaying a warmup region
-/// immediately before the window re-trains the predictor first:
-///
-/// * [`WarmupWindow::FullPrefix`] replays *everything* before the window. The
-///   predictor state entering the scored region is then exactly the
-///   sequential state, so windowed results are **bit-identical** to one
-///   full-range sequential run — at the cost of O(n²/window) total replay
-///   work.
-/// * [`WarmupWindow::Records`]`(k)` replays only the `k` records before the
-///   window: O(n·k/window) extra work, results **approximate** — branch
-///   history registers and counters re-converge within tens of records, so
-///   divergence is confined to long-range aliasing effects and shrinks as `k`
-///   grows (pinned by `tests/streamed_equivalence.rs`).
+/// predictions would diverge from a sequential run.
+/// [`WarmupWindow::FullPrefix`] replays *everything* before the window, so
+/// the predictor enters the scored region in exactly the sequential state and
+/// merged window partials are **bit-identical** to one full-range run, at the
+/// cost of replaying the prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WarmupWindow {
     /// Replay the entire prefix: exact, bit-identical results.
     FullPrefix,
-    /// Replay only this many records before the window: approximate results,
-    /// bounded replay cost.
-    Records(usize),
 }
 
 impl WarmupWindow {
-    /// The first record index to replay for a window starting at `start`.
-    pub fn warm_start(self, start: usize) -> usize {
+    /// The first record index to replay for a window starting at `_start`.
+    pub fn warm_start(self, _start: usize) -> usize {
         match self {
             WarmupWindow::FullPrefix => 0,
-            WarmupWindow::Records(k) => start.saturating_sub(k),
-        }
-    }
-}
-
-/// Configuration for splitting one trace into windows simulated in parallel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WindowConfig {
-    /// Conditional records scored per window (the last window may be
-    /// shorter).
-    pub window_records: usize,
-    /// Warmup replayed before each window's scored region.
-    pub warmup_window: WarmupWindow,
-}
-
-impl WindowConfig {
-    /// A window configuration with exact (full-prefix) warmup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_records` is zero.
-    pub fn new(window_records: usize) -> Self {
-        assert!(window_records > 0, "windows must cover at least one record");
-        WindowConfig {
-            window_records,
-            warmup_window: WarmupWindow::FullPrefix,
-        }
-    }
-
-    /// Sets the warmup window, builder style.
-    #[must_use]
-    pub fn with_warmup_window(mut self, warmup_window: WarmupWindow) -> Self {
-        self.warmup_window = warmup_window;
-        self
-    }
-
-    /// The `[start, end)` scored ranges covering a trace of `len` conditional
-    /// records, in order.
-    pub fn windows(&self, len: usize) -> Vec<(usize, usize)> {
-        (0..len)
-            .step_by(self.window_records)
-            .map(|start| (start, (start + self.window_records).min(len)))
-            .collect()
-    }
-}
-
-/// Top-level simulation configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimConfig {
-    /// The predictor to simulate.
-    pub predictor: PredictorKind,
-    /// The binning scheme used for any classification of the results.
-    pub scheme: BinningScheme,
-}
-
-impl SimConfig {
-    /// Creates a configuration with the paper's binning scheme.
-    pub fn new(predictor: PredictorKind) -> Self {
-        SimConfig {
-            predictor,
-            scheme: BinningScheme::Paper11,
         }
     }
 }
@@ -250,10 +169,6 @@ mod tests {
 
     #[test]
     fn families_build_paper_predictors() {
-        let pas = PredictorFamily::PAs.paper_predictor(8);
-        let gas = PredictorFamily::GAs.paper_predictor(8);
-        assert_eq!(pas.name(), "PAs(h=8)");
-        assert_eq!(gas.name(), "GAs(h=8)");
         assert_eq!(PredictorFamily::PAs.label(), "PAs");
         assert_eq!(PredictorFamily::GAs.max_history(), 16);
     }
@@ -277,29 +192,5 @@ mod tests {
                 kind.label()
             );
         }
-    }
-
-    #[test]
-    fn window_config_partitions_exactly() {
-        let cfg = WindowConfig::new(100).with_warmup_window(WarmupWindow::Records(32));
-        assert_eq!(cfg.windows(250), vec![(0, 100), (100, 200), (200, 250)]);
-        assert_eq!(cfg.windows(100), vec![(0, 100)]);
-        assert_eq!(cfg.windows(0), Vec::<(usize, usize)>::new());
-        assert_eq!(cfg.warmup_window.warm_start(150), 118);
-        assert_eq!(WarmupWindow::Records(500).warm_start(150), 0);
-        assert_eq!(WarmupWindow::FullPrefix.warm_start(150), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one record")]
-    fn zero_window_size_rejected() {
-        let _ = WindowConfig::new(0);
-    }
-
-    #[test]
-    fn sim_config_defaults_to_paper_binning() {
-        let cfg = SimConfig::new(PredictorKind::GAsPaper { history: 4 });
-        assert_eq!(cfg.scheme, BinningScheme::Paper11);
-        assert_eq!(cfg.predictor.label(), "GAs(h=4)");
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! [`SimEngine`] has five entry points, one per caller:
 //!
-//! * [`SimEngine::run`] — the `dyn` path: virtual predict-then-update calls
-//!   and an address-keyed map per record. It takes any predictor (the hybrid
-//!   ablation and the examples use it) and is the oracle the faster paths
-//!   are pinned against.
+//! * [`SimEngine::run`] — one predictor over a whole [`InternedTrace`],
+//!   generic over the predictor so the record loop is monomorphized for a
+//!   concrete type (a `&mut dyn BranchPredictor` works too). The hybrid
+//!   ablation and the examples use it.
 //! * [`SimEngine::run_fused`] — the scalar fused tier alone: every history
 //!   length of one family from a single pass over an [`InternedTrace`]. The
 //!   sequential [`crate::sweep::HistorySweep`] reference runs on it.
@@ -16,18 +16,18 @@
 //!   that runs the bit-sliced SWAR tier while the sweep fits it and the
 //!   scalar fused tier after.
 //! * [`SimEngine::run_window_dispatch`] — one window of a trace on a fresh
-//!   [`DispatchPredictor`] after a warmup replay ([`WarmupWindow`]); the
-//!   suite runner's per-predictor windowed path. Over the full range with
-//!   [`WarmupWindow::FullPrefix`] it is the monomorphized per-predictor
-//!   reference the fused tiers are tested against.
+//!   [`DispatchPredictor`] after a warmup replay ([`WarmupWindow`]). Over
+//!   the full range it is the monomorphized per-predictor reference the
+//!   fused tiers are tested against.
 //!
-//! Every path but [`SimEngine::run`] reads one record layout: the
-//! conditional columns of [`btr_trace::ConditionalColumns`] (address, dense
-//! id, outcome — 13 B per record), borrowed as a [`ConditionalView`] from an
-//! [`InternedTrace`] or straight from each streamed chunk, and cut into
-//! blocks with [`ConditionalView::slice`]. Every path is bit-identical to
-//! the others where they overlap; the equivalence suites under `tests/` pin
-//! it.
+//! Every path reads one record layout: the conditional columns of
+//! [`btr_trace::ConditionalColumns`] (address, dense id, outcome — 13 B per
+//! record), borrowed as a [`ConditionalView`] from an [`InternedTrace`] or
+//! straight from each streamed chunk, and cut into blocks with
+//! [`ConditionalView::slice`]. Every path is bit-identical to the others
+//! where they overlap, and to a `dyn` predict-then-update oracle over
+//! [`btr_trace::Trace`] rows kept in this module's tests; the equivalence
+//! suites under `tests/` pin the rest.
 
 use crate::config::WarmupWindow;
 use btr_core::analysis::{miss_map_from_value, miss_map_to_value, BranchMissMap, DenseMissTable};
@@ -35,7 +35,7 @@ use btr_predictors::dispatch::DispatchPredictor;
 use btr_predictors::fused::{FusedBlock, FusedSweepPredictor};
 use btr_predictors::predictor::{BranchPredictor, PredictionStats};
 use btr_predictors::swar::{self, CounterLut, SwarBlock, SwarScratch};
-use btr_trace::{BranchAddr, ChunkStream, ConditionalView, InternedTrace, Trace};
+use btr_trace::{BranchAddr, ChunkStream, ConditionalView, InternedTrace};
 use btr_wire::{MapBuilder, Value, Wire, WireError};
 
 /// Number of records per [`FusedBlock`] in the fused engine paths: small
@@ -271,9 +271,10 @@ impl FusedMissAccumulator {
 /// Folds a dense per-id statistics table into a [`RunResult`], computing the
 /// overall statistics as the table's column sums (exact, since every scored
 /// record lands in the table) and resolving ids through `addrs`. Shared by
-/// every dense-table path (fused, windowed-merge) so they cannot drift
-/// apart; public so callers of [`SimEngine::run_window_dispatch`] fold their
-/// partials through the same code.
+/// every dense-table path (per-predictor, fused, windowed-merge) so they
+/// cannot drift apart; public so callers of
+/// [`SimEngine::run_window_dispatch`] fold their partials through the same
+/// code.
 pub fn result_from_dense(dense: DenseMissTable, addrs: &[BranchAddr]) -> RunResult {
     RunResult {
         overall: column_sums(dense.stats()),
@@ -405,29 +406,20 @@ impl SimEngine {
         self
     }
 
-    /// Runs the predictor over every conditional branch of the trace.
+    /// Runs the predictor over every conditional branch of the trace and
+    /// returns its overall and per-branch statistics.
     ///
-    /// This is the compatibility path: virtual predict/update calls and an
-    /// address-keyed map per record. Prefer [`SimEngine::run_batch`] for
-    /// sweeps — it is many times faster and produces bit-identical results.
-    pub fn run(&self, trace: &Trace, predictor: &mut dyn BranchPredictor) -> RunResult {
-        let mut result = RunResult::default();
-        let mut seen = 0u64;
-        for record in trace.conditional_records() {
-            let hit = predictor.predict(record.addr()) == record.outcome();
-            predictor.update(record.addr(), record.outcome());
-            seen += 1;
-            if seen <= self.warmup {
-                continue;
-            }
-            result.overall.record(hit);
-            result
-                .per_branch
-                .entry(record.addr())
-                .or_default()
-                .record(hit);
-        }
-        result
+    /// The record loop is monomorphized for `P`, so a concrete predictor pays
+    /// no virtual call per record; statistics go to a dense per-id table.
+    /// Prefer [`SimEngine::run_batch`] for history sweeps: it runs every
+    /// history length of a family in one pass.
+    pub fn run<P: BranchPredictor + ?Sized>(
+        &self,
+        trace: &InternedTrace,
+        predictor: &mut P,
+    ) -> RunResult {
+        let dense = self.run_window(trace, predictor, 0, trace.len(), WarmupWindow::FullPrefix);
+        result_from_dense(dense, trace.addrs())
     }
 
     /// Runs a fused multi-history predictor over an interned trace, producing
@@ -519,8 +511,9 @@ impl SimEngine {
         Ok(planned.finish(chunks.addrs()))
     }
 
-    /// The monomorphized body of [`SimEngine::run_window_dispatch`].
-    fn run_window<P: BranchPredictor>(
+    /// The monomorphized body of [`SimEngine::run`] and
+    /// [`SimEngine::run_window_dispatch`].
+    fn run_window<P: BranchPredictor + ?Sized>(
         &self,
         trace: &InternedTrace,
         predictor: &mut P,
@@ -582,7 +575,30 @@ impl SimEngine {
 mod tests {
     use super::*;
     use crate::config::PredictorKind;
-    use btr_trace::{BranchAddr, BranchRecord, Outcome, TraceBuilder};
+    use btr_trace::{BranchAddr, BranchRecord, Outcome, Trace, TraceBuilder};
+
+    /// The `dyn` oracle: virtual predict-then-update calls over the trace's
+    /// conditional rows and an address-keyed map per record, sharing no code
+    /// with the interned drivers it checks.
+    fn run_dyn(engine: SimEngine, trace: &Trace, predictor: &mut dyn BranchPredictor) -> RunResult {
+        let mut result = RunResult::default();
+        let mut seen = 0u64;
+        for record in trace.conditional_records() {
+            let hit = predictor.predict(record.addr()) == record.outcome();
+            predictor.update(record.addr(), record.outcome());
+            seen += 1;
+            if seen <= engine.warmup {
+                continue;
+            }
+            result.overall.record(hit);
+            result
+                .per_branch
+                .entry(record.addr())
+                .or_default()
+                .record(hit);
+        }
+        result
+    }
 
     fn alternating_trace(n: u32) -> Trace {
         let mut b = TraceBuilder::new("alt");
@@ -606,7 +622,7 @@ mod tests {
                 Outcome::from_bool(i % 10 != 0),
             ));
         }
-        let trace = b.build();
+        let trace = b.build().intern();
         let result = SimEngine::new().run(&trace, &mut *PredictorKind::StaticTaken.build());
         assert_eq!(result.overall.lookups, 100);
         assert_eq!(result.overall.hits, 90);
@@ -616,7 +632,7 @@ mod tests {
 
     #[test]
     fn pas_with_history_beats_zero_history_on_alternation() {
-        let trace = alternating_trace(2000);
+        let trace = alternating_trace(2000).intern();
         let engine = SimEngine::new();
         let with_history = engine.run(&trace, &mut *PredictorKind::PAsPaper { history: 2 }.build());
         let without = engine.run(&trace, &mut *PredictorKind::PAsPaper { history: 0 }.build());
@@ -626,7 +642,7 @@ mod tests {
 
     #[test]
     fn warmup_excludes_initial_branches_from_statistics() {
-        let trace = alternating_trace(1000);
+        let trace = alternating_trace(1000).intern();
         let engine = SimEngine::new().with_warmup(500);
         let result = engine.run(&trace, &mut *PredictorKind::PAsPaper { history: 2 }.build());
         assert_eq!(result.overall.lookups, 500);
@@ -636,13 +652,13 @@ mod tests {
 
     #[test]
     fn merge_combines_per_branch_statistics() {
-        let t1 = alternating_trace(100);
+        let t1 = alternating_trace(100).intern();
         let mut t2_builder = TraceBuilder::new("other");
         t2_builder.push(BranchRecord::conditional(
             BranchAddr::new(0x9000),
             Outcome::Taken,
         ));
-        let t2 = t2_builder.build();
+        let t2 = t2_builder.build().intern();
         let engine = SimEngine::new();
         let mut a = engine.run(&t1, &mut *PredictorKind::StaticTaken.build());
         let b = engine.run(&t2, &mut *PredictorKind::StaticTaken.build());
@@ -699,16 +715,15 @@ mod tests {
             PredictorKind::StaticTaken,
             PredictorKind::StaticNotTaken,
         ] {
-            let via_dyn = engine.run(&trace, &mut *kind.build());
+            let via_dyn = run_dyn(engine, &trace, &mut *kind.build());
             let via_dispatch = run_full_window(engine, &interned, kind);
             assert_eq!(via_dyn, via_dispatch, "{} diverged", kind.label());
-            // And the generic path with a concrete predictor agrees too.
+            let via_run = engine.run(&interned, &mut *kind.build());
+            assert_eq!(via_dyn, via_run, "{} diverged on run", kind.label());
+            // And the driver monomorphized for a concrete predictor agrees too.
             if let PredictorKind::GAsPaper { history } = kind {
                 let mut concrete = btr_predictors::twolevel::TwoLevelPredictor::gas_paper(history);
-                let len = interned.len();
-                let dense =
-                    engine.run_window(&interned, &mut concrete, 0, len, WarmupWindow::FullPrefix);
-                assert_eq!(via_dyn, result_from_dense(dense, interned.addrs()));
+                assert_eq!(via_dyn, engine.run(&interned, &mut concrete));
             }
         }
     }
@@ -720,9 +735,10 @@ mod tests {
         for warmup in [0, 1, 500, 1999, 2000, 5000] {
             let engine = SimEngine::new().with_warmup(warmup);
             let kind = PredictorKind::PAsPaper { history: 4 };
-            let via_dyn = engine.run(&trace, &mut *kind.build());
+            let via_dyn = run_dyn(engine, &trace, &mut *kind.build());
             let via_fast = run_full_window(engine, &interned, kind);
             assert_eq!(via_dyn, via_fast, "warmup {warmup} diverged");
+            assert_eq!(via_dyn, engine.run(&interned, &mut *kind.build()));
         }
     }
 
@@ -730,11 +746,13 @@ mod tests {
     fn empty_trace_produces_empty_result() {
         let trace = TraceBuilder::new("empty").build();
         let kind = PredictorKind::GAsPaper { history: 4 };
-        let result = SimEngine::new().run(&trace, &mut *kind.build());
+        let result = run_dyn(SimEngine::new(), &trace, &mut *kind.build());
         assert_eq!(result.overall.lookups, 0);
         assert_eq!(result.miss_rate(), None);
         assert!(result.per_branch.is_empty());
-        let fast = run_full_window(SimEngine::new(), &trace.intern(), kind);
+        let interned = trace.intern();
+        let fast = run_full_window(SimEngine::new(), &interned, kind);
         assert_eq!(result, fast);
+        assert_eq!(result, SimEngine::new().run(&interned, &mut *kind.build()));
     }
 }

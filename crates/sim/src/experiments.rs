@@ -6,7 +6,7 @@
 //! benches and the `reproduce` binary.
 
 use crate::config::PredictorFamily;
-use crate::engine::{RunResult, SimEngine};
+use crate::engine::{column_sums, SimEngine};
 use crate::runner::SuiteRunner;
 use crate::sweep::SweepResult;
 use btr_core::advisor::HybridAdvisor;
@@ -25,8 +25,9 @@ use btr_predictors::gshare::GsharePredictor;
 use btr_predictors::hybrid::McFarlingHybrid;
 use btr_predictors::predictor::BranchPredictor;
 use btr_predictors::twolevel::TwoLevelPredictor;
-use btr_trace::Trace;
+use btr_trace::{InternedTrace, Trace};
 use btr_workloads::spec::{Benchmark, SuiteConfig};
+use stealpool::WorkStealingPool;
 
 /// Configuration shared by every experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,6 +103,7 @@ impl ExperimentContext {
         let gas = runner.run_sweep_interned(&interned, PredictorFamily::GAs, &self.histories);
         SuiteData {
             traces,
+            interned,
             profile,
             pas,
             gas,
@@ -114,6 +116,8 @@ impl ExperimentContext {
 pub struct SuiteData {
     /// One generated trace per benchmark, in Table 1 order.
     pub traces: Vec<Trace>,
+    /// The same traces interned (dense static-branch ids), in the same order.
+    pub interned: Vec<InternedTrace>,
     /// Merged per-branch profile of the whole suite.
     pub profile: ProgramProfile,
     /// PAs history sweep over the whole suite.
@@ -417,55 +421,54 @@ pub fn ablation_binning(data: &SuiteData) -> (Vec<(String, ClassificationAnalysi
     (results, rendered)
 }
 
-fn run_predictor_over_suite<F>(data: &SuiteData, mut make: F) -> RunResult
+/// One A2 row: `label` and the suite miss rate of a fresh predictor from
+/// `make` per interned trace, one [`WorkStealingPool`] task per trace on
+/// `ctx.threads` workers, the overall statistics merged in trace order.
+fn suite_miss_row<P, F>(
+    ctx: &ExperimentContext,
+    data: &SuiteData,
+    label: &str,
+    make: F,
+) -> (String, f64)
 where
-    F: FnMut() -> Box<dyn BranchPredictor>,
+    P: BranchPredictor,
+    F: Fn() -> P + Sync,
 {
     let engine = SimEngine::new();
-    let mut merged = RunResult::default();
-    for trace in &data.traces {
-        let mut predictor = make();
-        merged.merge(&engine.run(trace, &mut *predictor));
-    }
-    merged
+    let pool = WorkStealingPool::new(ctx.threads);
+    let partials = pool.run(data.interned.iter().collect(), |_, trace| {
+        engine.run(trace, &mut make()).overall
+    });
+    (
+        label.to_string(),
+        column_sums(&partials).miss_rate().unwrap_or(0.0),
+    )
 }
 
 /// Ablation A2: the classification-guided hybrid of §5.4 against same-budget
 /// baselines.
 pub fn ablation_hybrid(ctx: &ExperimentContext, data: &SuiteData) -> (Vec<(String, f64)>, String) {
     let advisor = HybridAdvisor::new(ctx.scheme);
-    let mut results: Vec<(String, f64)> = Vec::new();
-
-    let classified =
-        run_predictor_over_suite(data, || Box::new(advisor.build_hybrid(&data.profile)));
-    results.push((
-        "classified hybrid (§5.4)".to_string(),
-        classified.miss_rate().unwrap_or(0.0),
-    ));
-
-    let gshare = run_predictor_over_suite(data, || Box::new(GsharePredictor::paper_sized(12)));
-    results.push((
-        "gshare(h=12)".to_string(),
-        gshare.miss_rate().unwrap_or(0.0),
-    ));
-
-    let mcfarling = run_predictor_over_suite(data, || {
-        Box::new(McFarlingHybrid::new(
-            TwoLevelPredictor::pas_paper(8),
-            TwoLevelPredictor::gas_paper(12),
-            14,
-        ))
-    });
-    results.push((
-        "mcfarling(PAs8,GAs12)".to_string(),
-        mcfarling.miss_rate().unwrap_or(0.0),
-    ));
-
-    let pas_best = run_predictor_over_suite(data, || Box::new(TwoLevelPredictor::pas_paper(8)));
-    results.push(("PAs(h=8)".to_string(), pas_best.miss_rate().unwrap_or(0.0)));
-
-    let gas_best = run_predictor_over_suite(data, || Box::new(TwoLevelPredictor::gas_paper(12)));
-    results.push(("GAs(h=12)".to_string(), gas_best.miss_rate().unwrap_or(0.0)));
+    // PAs(h=8) and GAs(h=12) run here too rather than being read from
+    // `data.pas` / `data.gas`: a context's sweep need not include those
+    // history lengths, and one driver keeps every row on the same path.
+    let results = vec![
+        suite_miss_row(ctx, data, "classified hybrid (§5.4)", || {
+            advisor.build_hybrid(&data.profile)
+        }),
+        suite_miss_row(ctx, data, "gshare(h=12)", || {
+            GsharePredictor::paper_sized(12)
+        }),
+        suite_miss_row(ctx, data, "mcfarling(PAs8,GAs12)", || {
+            McFarlingHybrid::new(
+                TwoLevelPredictor::pas_paper(8),
+                TwoLevelPredictor::gas_paper(12),
+                14,
+            )
+        }),
+        suite_miss_row(ctx, data, "PAs(h=8)", || TwoLevelPredictor::pas_paper(8)),
+        suite_miss_row(ctx, data, "GAs(h=12)", || TwoLevelPredictor::gas_paper(12)),
+    ];
 
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -484,7 +487,6 @@ pub fn ablation_confidence(
     ctx: &ExperimentContext,
     data: &SuiteData,
 ) -> (Vec<(String, ConfidenceStats)>, String) {
-    let engine = SimEngine::new();
     let mut class_based = ClassConfidence::from_profile(&data.profile, ctx.scheme, 0.25);
     let mut one_level = JacobsenOneLevel::new(12, 4);
     let mut two_level = JacobsenTwoLevel::new(12, 4, 4);
@@ -496,8 +498,8 @@ pub fn ablation_confidence(
     for trace in &data.traces {
         let mut predictor = TwoLevelPredictor::gas_paper(8);
         // Re-run the trace record by record so each estimator sees the same
-        // correctness stream the predictor produces.
-        let _ = &engine;
+        // correctness stream the predictor produces. The estimators carry
+        // their tables from one trace to the next, so this stays sequential.
         for record in trace.conditional_records() {
             let correct = predictor.predict(record.addr()) == record.outcome();
             predictor.update(record.addr(), record.outcome());
@@ -729,6 +731,13 @@ mod tests {
             "classified {classified} vs GAs {gas}"
         );
         assert!(r2.contains("Ablation A2"));
+        // The per-trace tasks merge in trace order: one worker gives the same
+        // rows as the pool.
+        let sequential = ExperimentContext {
+            threads: 1,
+            ..ctx.clone()
+        };
+        assert_eq!(ablation_hybrid(&sequential, &data).0, hybrid);
 
         let (confidence, r3) = ablation_confidence(&ctx, &data);
         assert_eq!(confidence.len(), 3);

@@ -11,10 +11,9 @@
 //! a benchmark costs one traversal instead of `histories.len()`. Per-task
 //! partial results are still merged deterministically by benchmark index.
 
-use crate::config::{PredictorFamily, PredictorKind, WindowConfig};
+use crate::config::PredictorFamily;
 use crate::engine::{BatchLane, RunResult, SimEngine};
 use crate::sweep::SweepResult;
-use btr_core::analysis::DenseMissTable;
 use btr_core::profile::ProgramProfile;
 use btr_trace::{InternedTrace, Trace};
 use btr_workloads::spec::{Benchmark, SuiteConfig};
@@ -181,36 +180,6 @@ impl SuiteRunner {
             }
         }
         SweepResult::from_parts(family, parts)
-    }
-
-    /// Simulates **one** trace by splitting it into windows executed
-    /// concurrently on the work-stealing pool — the path for a single huge
-    /// trace that would otherwise occupy one worker while the rest idle.
-    ///
-    /// Every window gets a fresh predictor re-warmed on
-    /// `config.warmup_window` (see [`crate::config::WarmupWindow`] for the
-    /// exact-vs-approximate trade-off), and the per-window
-    /// [`DenseMissTable`] partials are merged in window-index order, so the
-    /// outcome is deterministic no matter how windows were scheduled — and
-    /// bit-identical to one full-range [`SimEngine::run_window_dispatch`]
-    /// under [`crate::config::WarmupWindow::FullPrefix`].
-    pub fn run_trace_windowed(
-        &self,
-        trace: &InternedTrace,
-        kind: PredictorKind,
-        config: WindowConfig,
-    ) -> RunResult {
-        let engine = SimEngine::new();
-        let windows = config.windows(trace.len());
-        let partials: Vec<DenseMissTable> = self.pool().run(windows, |_, (start, end)| {
-            let mut predictor = kind.build_dispatch();
-            engine.run_window_dispatch(trace, &mut predictor, start, end, config.warmup_window)
-        });
-        let mut dense = DenseMissTable::new(trace.static_count());
-        for partial in &partials {
-            dense.merge(partial);
-        }
-        crate::engine::result_from_dense(dense, trace.addrs())
     }
 }
 

@@ -1,14 +1,14 @@
-//! Equivalence suite for the windowed simulation path.
+//! Equivalence suite for windowed simulation.
 //!
-//! Windowed-parallel simulation with [`WarmupWindow::FullPrefix`] is
-//! **bit-identical** to one full-range sequential
-//! [`SimEngine::run_window_dispatch`] run, while finite warmup windows
-//! diverge by a bounded, shrinking amount. (The streamed sweep path is
-//! pinned by `fused_equivalence.rs`.)
+//! A trace cut into windows, each run through
+//! [`SimEngine::run_window_dispatch`] on a fresh predictor with
+//! [`WarmupWindow::FullPrefix`], merges into statistics **bit-identical** to
+//! one sequential [`SimEngine::run`]. (The streamed sweep path is pinned by
+//! `fused_equivalence.rs`.)
 
-use btr_sim::config::{PredictorKind, WarmupWindow, WindowConfig};
+use btr_core::analysis::DenseMissTable;
+use btr_sim::config::{PredictorKind, WarmupWindow};
 use btr_sim::engine::{result_from_dense, RunResult, SimEngine};
-use btr_sim::runner::SuiteRunner;
 use btr_trace::{BranchAddr, BranchRecord, InternedTrace, Outcome, Trace, TraceBuilder};
 use btr_workloads::spec::{Benchmark, SuiteConfig};
 use proptest::prelude::*;
@@ -44,12 +44,24 @@ fn generated_trace() -> Trace {
     )
 }
 
-/// One full-range [`SimEngine::run_window_dispatch`] run folded into a
-/// [`RunResult`]: the sequential reference the windowed runs must match.
+/// One sequential [`SimEngine::run`] on a boxed predictor: the reference the
+/// windowed runs must match.
 fn sequential_run(trace: &InternedTrace, kind: PredictorKind) -> RunResult {
-    let mut predictor = kind.build_dispatch();
-    let (len, full) = (trace.len(), WarmupWindow::FullPrefix);
-    let dense = SimEngine::new().run_window_dispatch(trace, &mut predictor, 0, len, full);
+    SimEngine::new().run(trace, &mut *kind.build())
+}
+
+/// Cuts `trace` into `window`-record windows, runs each on a fresh
+/// predictor after a full-prefix warmup replay, and merges the per-window
+/// partials in window order.
+fn windowed_run(trace: &InternedTrace, kind: PredictorKind, window: usize) -> RunResult {
+    let engine = SimEngine::new();
+    let mut dense = DenseMissTable::new(trace.static_count());
+    for start in (0..trace.len()).step_by(window) {
+        let end = (start + window).min(trace.len());
+        let mut predictor = kind.build_dispatch();
+        let full = WarmupWindow::FullPrefix;
+        dense.merge(&engine.run_window_dispatch(trace, &mut predictor, start, end, full));
+    }
     result_from_dense(dense, trace.addrs())
 }
 
@@ -65,7 +77,6 @@ fn predictor_kinds() -> Vec<PredictorKind> {
 
 #[test]
 fn windowed_full_prefix_warmup_is_bit_identical_to_dispatch() {
-    let runner = SuiteRunner::new(SuiteConfig::default()).with_threads(3);
     // Degenerate window sizes are O(n²/window) under full-prefix warmup, so
     // they run on a short trace; realistic sizes cover the longer traces.
     let short = mixed_trace(1200, 0x5eed);
@@ -79,8 +90,7 @@ fn windowed_full_prefix_warmup_is_bit_identical_to_dispatch() {
         for kind in predictor_kinds() {
             let sequential = sequential_run(&interned, kind);
             for &window in &windows {
-                let windowed =
-                    runner.run_trace_windowed(&interned, kind, WindowConfig::new(window));
+                let windowed = windowed_run(&interned, kind, window);
                 assert_eq!(
                     sequential,
                     windowed,
@@ -94,60 +104,10 @@ fn windowed_full_prefix_warmup_is_bit_identical_to_dispatch() {
 
 #[test]
 fn windowed_empty_trace_produces_empty_result() {
-    let runner = SuiteRunner::new(SuiteConfig::default()).with_threads(2);
     let interned = TraceBuilder::new("empty").build().intern();
-    let result = runner.run_trace_windowed(
-        &interned,
-        PredictorKind::GAsPaper { history: 4 },
-        WindowConfig::new(128),
-    );
+    let result = windowed_run(&interned, PredictorKind::GAsPaper { history: 4 }, 128);
     assert_eq!(result.overall.lookups, 0);
     assert!(result.per_branch.is_empty());
-}
-
-#[test]
-fn finite_warmup_divergence_is_bounded_and_shrinks() {
-    let trace = mixed_trace(20_000, 0xcafe);
-    let interned = trace.intern();
-    let runner = SuiteRunner::new(SuiteConfig::default()).with_threads(4);
-    // Bounds are calibrated to this deterministic workload (a third of its
-    // outcomes are pure noise, the worst case for window re-convergence):
-    // gshare re-converges fast; PAs pays slow per-address PHT retraining.
-    let cases = [
-        (
-            PredictorKind::Gshare { history: 8 },
-            [(0usize, 0.15), (1024, 0.04), (4096, 0.005)],
-        ),
-        (
-            PredictorKind::PAsPaper { history: 8 },
-            [(0usize, 0.10), (1024, 0.10), (4096, 0.05)],
-        ),
-    ];
-    for (kind, bounds) in cases {
-        let exact = sequential_run(&interned, kind);
-        let exact_rate = exact.miss_rate().unwrap();
-        let mut divergences = Vec::new();
-        for (warm, bound) in bounds {
-            let cfg = WindowConfig::new(1000).with_warmup_window(WarmupWindow::Records(warm));
-            let approx = runner.run_trace_windowed(&interned, kind, cfg);
-            // Every record is still scored exactly once: only *hit* counts
-            // move under approximate warmup.
-            assert_eq!(approx.overall.lookups, exact.overall.lookups);
-            let divergence = (approx.miss_rate().unwrap() - exact_rate).abs();
-            assert!(
-                divergence <= bound,
-                "{} warmup {warm}: divergence {divergence} exceeds {bound}",
-                kind.label()
-            );
-            divergences.push(divergence);
-        }
-        // Divergence shrinks as the warmup window grows.
-        assert!(divergences[1] <= divergences[0] + 1e-12, "{divergences:?}");
-        assert!(divergences[2] <= divergences[1] + 1e-12, "{divergences:?}");
-        // A warmup window longer than any prefix is exactly FullPrefix.
-        let huge = WindowConfig::new(1000).with_warmup_window(WarmupWindow::Records(usize::MAX));
-        assert_eq!(runner.run_trace_windowed(&interned, kind, huge), exact);
-    }
 }
 
 proptest! {
@@ -158,14 +118,12 @@ proptest! {
         seed in any::<u64>(),
         len in 1u64..2000,
         window in 1usize..600,
-        threads in 1usize..5,
     ) {
         let trace = mixed_trace(len, seed);
         let interned = trace.intern();
         let kind = PredictorKind::GAsPaper { history: 6 };
         let sequential = sequential_run(&interned, kind);
-        let runner = SuiteRunner::new(SuiteConfig::default()).with_threads(threads);
-        let windowed = runner.run_trace_windowed(&interned, kind, WindowConfig::new(window));
+        let windowed = windowed_run(&interned, kind, window);
         prop_assert_eq!(sequential, windowed);
     }
 }

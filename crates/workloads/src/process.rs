@@ -31,10 +31,12 @@ pub trait OutcomeProcess {
 /// that can exist at all (each transition needs both a taken and a not-taken
 /// execution nearby).
 ///
-/// A Markov branch is memoryless beyond its previous outcome, so pattern
-/// based predictors cannot exceed `max(p, 1-p)` accuracy on it no matter how
-/// much history they use; these are the paper's data-dependent, hard
-/// branches when `p ≈ t ≈ 0.5`.
+/// A Markov branch is memoryless beyond its previous outcome, so one bit of
+/// the branch's own history captures everything about it that can be
+/// predicted: the best possible accuracy is
+/// `p·max(a, 1 - a) + (1 - p)·max(b, 1 - b)`, and more history adds nothing.
+/// That bound is 1/2 only at `p = t = 1/2`; these are the paper's
+/// data-dependent, hard branches when `p ≈ t ≈ 0.5`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarkovProcess {
     taken_rate: f64,

@@ -36,14 +36,23 @@ impl Default for SuiteConfig {
 }
 
 impl SuiteConfig {
+    /// Whether `scale` is a usable scale factor: finite and strictly positive
+    /// (an infinite scale would ask the generator for `u64::MAX` records).
+    pub fn is_valid_scale(scale: f64) -> bool {
+        scale.is_finite() && scale > 0.0
+    }
+
     /// Sets the scale factor.
     ///
     /// # Panics
     ///
-    /// Panics if the scale is not strictly positive.
+    /// Panics if the scale is not finite and strictly positive.
     #[must_use]
     pub fn with_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0, "scale must be positive");
+        assert!(
+            Self::is_valid_scale(scale),
+            "scale must be positive and finite, got {scale}"
+        );
         self.scale = scale;
         self
     }
@@ -78,9 +87,9 @@ impl Wire for SuiteConfig {
 
     fn from_value(value: &Value) -> Result<Self, WireError> {
         let scale = value.get("scale")?.as_f64()?;
-        if scale.is_nan() || scale <= 0.0 {
+        if !SuiteConfig::is_valid_scale(scale) {
             return Err(WireError::schema(format!(
-                "suite scale must be positive, got {scale}"
+                "suite scale must be positive and finite, got {scale}"
             )));
         }
         Ok(SuiteConfig {

@@ -64,4 +64,13 @@ fn invalid_descriptor_fields_are_rejected() {
         SuiteConfig::from_json(r#"{"scale":-1.0,"seed":1,"min_executions_per_branch":10}"#)
             .expect_err("negative scale rejected");
     assert!(bad_scale.to_string().contains("positive"), "{bad_scale}");
+
+    // BTRW carries an f64 raw, so an infinite scale reaches the decoder (JSON
+    // cannot spell it); it would ask the generator for u64::MAX records.
+    let infinite = SuiteConfig {
+        scale: f64::INFINITY,
+        ..SuiteConfig::default()
+    };
+    let err = SuiteConfig::from_btrw(&infinite.to_btrw()).expect_err("infinite scale rejected");
+    assert!(err.to_string().contains("finite"), "{err}");
 }

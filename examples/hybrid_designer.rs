@@ -4,11 +4,24 @@
 //! Run with: `cargo run --release --example hybrid_designer`
 
 use btr::prelude::*;
+use btr::sim::engine::RunResult;
+use btr::trace::InternedTrace;
 use btr_core::advisor::HybridAdvisor;
 use btr_core::report;
 use btr_predictors::gshare::GsharePredictor;
-use btr_predictors::predictor::BranchPredictor;
 use btr_workloads::spec::Benchmark;
+
+/// The suite miss rate of one predictor configuration: a fresh predictor
+/// from `make` per trace, statistics merged over the suite. The engine's
+/// record loop is monomorphized for each predictor type.
+fn suite_miss_rate<P: BranchPredictor>(traces: &[InternedTrace], make: impl Fn() -> P) -> f64 {
+    let engine = SimEngine::new();
+    let mut merged = RunResult::default();
+    for trace in traces {
+        merged.merge(&engine.run(trace, &mut make()));
+    }
+    merged.miss_rate().unwrap_or(0.0)
+}
 
 fn main() {
     let config = SuiteConfig::default().with_scale(2e-6).with_seed(9);
@@ -52,23 +65,15 @@ fn main() {
     );
 
     // Materialise the hybrid and race it against baselines.
-    let engine = SimEngine::new();
-    let run_suite = |mut make: Box<dyn FnMut() -> Box<dyn BranchPredictor>>| {
-        let mut merged = btr::sim::engine::RunResult::default();
-        for trace in &traces {
-            let mut predictor = make();
-            merged.merge(&engine.run(trace, &mut *predictor));
-        }
-        merged.miss_rate().unwrap_or(0.0)
-    };
-    let classified = run_suite(Box::new(|| Box::new(advisor.build_hybrid(&profile))));
-    let gshare = run_suite(Box::new(|| Box::new(GsharePredictor::paper_sized(12))));
-    let pas = run_suite(Box::new(|| {
-        Box::new(TwoLevelPredictor::new(TwoLevelConfig::pas_paper(8)))
-    }));
-    let gas = run_suite(Box::new(|| {
-        Box::new(TwoLevelPredictor::new(TwoLevelConfig::gas_paper(12)))
-    }));
+    let interned: Vec<InternedTrace> = traces.iter().map(|t| t.intern()).collect();
+    let classified = suite_miss_rate(&interned, || advisor.build_hybrid(&profile));
+    let gshare = suite_miss_rate(&interned, || GsharePredictor::paper_sized(12));
+    let pas = suite_miss_rate(&interned, || {
+        TwoLevelPredictor::new(TwoLevelConfig::pas_paper(8))
+    });
+    let gas = suite_miss_rate(&interned, || {
+        TwoLevelPredictor::new(TwoLevelConfig::gas_paper(12))
+    });
 
     println!("\nsuite miss rates:");
     println!("  classification-guided hybrid : {classified:.4}");

@@ -44,13 +44,15 @@ fn main() {
         analysis.misclassified_pas
     );
 
-    // 4. Simulate the paper's PAs and GAs predictors at a few history lengths.
+    // 4. Simulate the paper's PAs and GAs predictors at a few history lengths
+    //    over the interned trace (dense per-branch ids).
+    let interned = trace.intern();
     let engine = SimEngine::new();
     for history in [0u32, 2, 8] {
         let mut pas = TwoLevelPredictor::new(TwoLevelConfig::pas_paper(history));
         let mut gas = TwoLevelPredictor::new(TwoLevelConfig::gas_paper(history));
-        let pas_result = engine.run(&trace, &mut pas);
-        let gas_result = engine.run(&trace, &mut gas);
+        let pas_result = engine.run(&interned, &mut pas);
+        let gas_result = engine.run(&interned, &mut gas);
         println!(
             "history {history:>2}:  PAs miss rate {:>6.3}   GAs miss rate {:>6.3}",
             pas_result.miss_rate().unwrap_or(0.0),

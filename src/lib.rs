@@ -52,7 +52,7 @@ pub mod prelude {
     pub use btr_predictors::{
         predictor::BranchPredictor, twolevel::TwoLevelConfig, twolevel::TwoLevelPredictor,
     };
-    pub use btr_sim::{config::PredictorKind, config::SimConfig, engine::SimEngine};
+    pub use btr_sim::{config::PredictorKind, engine::SimEngine};
     pub use btr_trace::{BranchAddr, BranchKind, BranchRecord, Outcome, Trace, TraceBuilder};
     pub use btr_wire::Wire;
     pub use btr_workloads::{spec::Benchmark, spec::SuiteConfig};

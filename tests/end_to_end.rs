@@ -103,10 +103,11 @@ fn classified_hybrid_is_competitive_with_monolithic_baselines() {
     let mut gas_misses = 0.0;
     let mut total = 0.0;
     for trace in &traces {
+        let trace = trace.intern();
         let mut hybrid = advisor.build_hybrid(&profile);
         let mut gas = TwoLevelPredictor::new(TwoLevelConfig::gas_paper(12));
-        let h = engine.run(trace, &mut hybrid);
-        let g = engine.run(trace, &mut gas);
+        let h = engine.run(&trace, &mut hybrid);
+        let g = engine.run(&trace, &mut gas);
         hybrid_misses += h.overall.misses() as f64;
         gas_misses += g.overall.misses() as f64;
         total += h.overall.lookups as f64;

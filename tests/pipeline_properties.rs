@@ -117,7 +117,7 @@ proptest! {
             .with_scale(2e-7)
             .with_seed(seed)
             .with_min_executions_per_branch(50);
-        let trace = Benchmark::compress().generate(&config);
+        let trace = Benchmark::compress().generate(&config).intern();
         let engine = SimEngine::new();
         let mut a = TwoLevelPredictor::new(TwoLevelConfig::pas_paper(4));
         let mut b = TwoLevelPredictor::new(TwoLevelConfig::pas_paper(4));
