@@ -9,14 +9,18 @@
 //! comparable to the `streaming_pipeline/decode_only/chunked64k` baselines
 //! recorded in earlier `BENCH_pr*.json` files.
 //!
+//! The `fast_stats/` row times the same fast decode plus the classify
+//! stats fold (`DenseTraceStats::observe_chunk` per chunk, then one
+//! `into_trace_stats`), so CI's records/s gate catches a slower fold too.
+//!
 //! The `≥ 2×` acceptance target for the fast decoder is declared as a
 //! `min_ratio` row appended to `$CRITERION_JSON` and enforced by
 //! `scripts/bench_gate.py` within the *current* run.
 
 use btr_trace::io::binary;
 use btr_trace::{
-    BranchAddr, BranchRecord, ChunkStream, ChunkedTraceReader, FastBtrtReader, Outcome, Trace,
-    TraceBuilder, DEFAULT_CHUNK_RECORDS,
+    BranchAddr, BranchRecord, ChunkStream, ChunkedTraceReader, DenseTraceStats, FastBtrtReader,
+    Outcome, Trace, TraceBuilder, DEFAULT_CHUNK_RECORDS,
 };
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::io::Write;
@@ -96,6 +100,20 @@ fn bench_decode_fast(c: &mut Criterion) {
                 reader.recycle(chunk);
             }
             total
+        })
+    });
+    // The fast path feeding `btrd`'s `/classify` stats fold, chunk by chunk.
+    group.bench_function("fast_stats/chunk64k", |b| {
+        b.iter(|| {
+            let mut reader =
+                FastBtrtReader::new(encoded.as_slice(), DEFAULT_CHUNK_RECORDS).unwrap();
+            let mut stats = DenseTraceStats::new();
+            while let Some(chunk) = reader.pull() {
+                let chunk = chunk.unwrap();
+                stats.observe_chunk(&chunk);
+                reader.recycle(chunk);
+            }
+            stats.into_trace_stats()
         })
     });
     group.finish();

@@ -10,8 +10,8 @@
 //! `ablation-binning`, `ablation-hybrid`, `ablation-confidence`, or `all`
 //! (the default). `--quick` uses a reduced benchmark subset and coarse
 //! history sweep; `--scale` overrides the workload scale factor, which must
-//! be finite and positive. A malformed command line is a usage error and
-//! exits with status 2.
+//! lie in `(0, 1]` (1 is the paper's own trace length). A malformed command
+//! line is a usage error and exits with status 2.
 //!
 //! With `--out-dir DIR`, every experiment additionally writes three
 //! machine-readable artifacts next to the usual stdout output:

@@ -103,17 +103,23 @@ impl ProgramProfile {
     }
 
     /// Profiles pre-accumulated trace statistics.
+    ///
+    /// The statistics iterate in address order, so the map is bulk-built
+    /// from one sorted pass rather than by an insert per branch.
     pub fn from_stats(stats: &TraceStats) -> Self {
-        let mut profile = ProgramProfile::new();
-        for (addr, s) in stats.iter() {
-            profile.insert(BranchProfile::new(
-                addr,
-                s.executions(),
-                s.taken(),
-                s.transitions(),
-            ));
+        let mut total_dynamic = 0;
+        let branches = stats
+            .iter()
+            .map(|(addr, s)| {
+                total_dynamic += s.executions();
+                let branch = BranchProfile::new(addr, s.executions(), s.taken(), s.transitions());
+                (addr, branch)
+            })
+            .collect();
+        ProgramProfile {
+            branches,
+            total_dynamic,
         }
-        profile
     }
 
     /// Inserts (or replaces) one branch profile.
@@ -125,8 +131,9 @@ impl ProgramProfile {
     }
 
     /// Merges another profile into this one, summing counts of branches that
-    /// appear in both (transition counts are summed, which undercounts by at
-    /// most one per merged branch — see `btr_trace::AddrStats::merge`).
+    /// appear in both. Transition counts are summed too, which undercounts by
+    /// at most one per merged branch: the transition between the last outcome
+    /// of one profile and the first of the other is not recoverable.
     pub fn merge(&mut self, other: &ProgramProfile) {
         for branch in other.iter() {
             match self.branches.get(&branch.addr()).copied() {

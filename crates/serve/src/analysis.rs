@@ -5,14 +5,17 @@
 //! [`crate::digest::DigestReader`] (content addressing) into the format's
 //! chunked decoder — [`FastBtrtReader`] for `BTRT` uploads (the columnar
 //! slice fast path), [`ChunkedTraceReader`] for text — and every decoded
-//! chunk is folded into a [`DenseTraceStats`] on the way past, with
-//! per-branch statistics indexed by the decoder's dense interned ids rather
-//! than a per-record map lookup. Classification ([`run_classify`]) drains
-//! the stream and a sweep ([`run_sweep`]) feeds it to the fused engine:
-//! `btrd`'s only two paths. Both hold one chunk plus the interning,
-//! statistics and per-slot tables, independent of upload length
-//! (`tests/serve_memory.rs`); the distinct-branch tables are capped by the
-//! static-branch budget.
+//! chunk is folded into a [`DenseTraceStats`] on the way past: 16 B of
+//! `u32` counters per static branch, indexed by the decoder's dense interned
+//! ids and updated without a data-dependent branch, instead of a per-record
+//! map lookup. Both formats share that one fold. The counters become the
+//! address-keyed [`TraceStats`] once, at the end of the stream, and
+//! [`ProgramProfile::from_stats`] bulk-builds the profile from that sorted
+//! map. Classification ([`run_classify`]) drains the stream and a sweep
+//! ([`run_sweep`]) feeds it to the fused engine: `btrd`'s only two paths.
+//! Both hold one chunk plus the interning, statistics and per-slot tables,
+//! independent of upload length (`tests/serve_memory.rs`); the
+//! distinct-branch tables are capped by the static-branch budget.
 //!
 //! [`materialize_sweep`] and [`sweep_document`] are the in-process sweep
 //! reference that the benchmark's oracle and the e2e suite check replies

@@ -13,7 +13,7 @@
 //! * `--family pas|gas`     predictor family (default `pas`)
 //! * `--histories LIST`     comma-separated history lengths (default `0..=16`)
 //! * `--benchmarks LIST`    comma-separated suite names (default: all)
-//! * `--scale FACTOR`       workload scale factor (default `2e-5`)
+//! * `--scale FACTOR`       workload scale factor in `(0, 1]` (default `2e-5`)
 //! * `--seed N`             workload base seed
 //! * `--group N`            history lengths per unit (default 6)
 //! * `--windows N`          trace windows per benchmark (default 1)

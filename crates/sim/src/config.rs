@@ -4,7 +4,6 @@ use btr_predictors::bimodal::BimodalPredictor;
 use btr_predictors::dispatch::DispatchPredictor;
 use btr_predictors::fused::FusedSweepPredictor;
 use btr_predictors::gshare::GsharePredictor;
-use btr_predictors::predictor::BranchPredictor;
 use btr_predictors::staticp::StaticPredictor;
 use btr_predictors::twolevel::TwoLevelPredictor;
 use btr_wire::{Value, Wire, WireError};
@@ -96,24 +95,10 @@ pub enum PredictorKind {
 }
 
 impl PredictorKind {
-    /// Builds the predictor.
-    pub fn build(self) -> Box<dyn BranchPredictor> {
-        match self {
-            PredictorKind::PAsPaper { history } => Box::new(TwoLevelPredictor::pas_paper(history)),
-            PredictorKind::GAsPaper { history } => Box::new(TwoLevelPredictor::gas_paper(history)),
-            PredictorKind::Gshare { history } => Box::new(GsharePredictor::paper_sized(history)),
-            PredictorKind::Bimodal { index_bits } => Box::new(BimodalPredictor::new(index_bits)),
-            PredictorKind::StaticTaken => Box::new(StaticPredictor::always_taken()),
-            PredictorKind::StaticNotTaken => Box::new(StaticPredictor::always_not_taken()),
-        }
-    }
-
     /// Builds the predictor as a [`DispatchPredictor`], the enum-dispatched
     /// form [`crate::engine::SimEngine::run_window_dispatch`] monomorphizes
-    /// over.
-    /// Every kind this enum can describe maps to a dispatch family, so the
-    /// fast path covers the whole configuration space; `build` remains for
-    /// predictors constructed outside it.
+    /// over. Every kind this enum can describe maps to a dispatch family, so
+    /// the fast path covers the whole configuration space.
     pub fn build_dispatch(self) -> DispatchPredictor {
         match self {
             PredictorKind::PAsPaper { history } => TwoLevelPredictor::pas_paper(history).into(),
@@ -166,6 +151,7 @@ impl WarmupWindow {
 mod tests {
     use super::*;
     use btr_predictors::budget::HardwareBudget;
+    use btr_predictors::predictor::BranchPredictor;
 
     #[test]
     fn families_build_paper_predictors() {
@@ -184,7 +170,7 @@ mod tests {
             PredictorKind::StaticTaken,
             PredictorKind::StaticNotTaken,
         ] {
-            let p = kind.build();
+            let p = kind.build_dispatch();
             assert!(!kind.label().is_empty());
             assert!(
                 p.storage_bits() <= budget.bits() + 64,

@@ -575,7 +575,24 @@ impl SimEngine {
 mod tests {
     use super::*;
     use crate::config::PredictorKind;
+    use btr_predictors::bimodal::BimodalPredictor;
+    use btr_predictors::gshare::GsharePredictor;
+    use btr_predictors::staticp::StaticPredictor;
+    use btr_predictors::twolevel::TwoLevelPredictor;
     use btr_trace::{BranchAddr, BranchRecord, Outcome, Trace, TraceBuilder};
+
+    /// Builds `kind` behind a `Box<dyn BranchPredictor>`, for the `dyn`
+    /// oracle and the `?Sized` path of [`SimEngine::run`].
+    fn boxed(kind: PredictorKind) -> Box<dyn BranchPredictor> {
+        match kind {
+            PredictorKind::PAsPaper { history } => Box::new(TwoLevelPredictor::pas_paper(history)),
+            PredictorKind::GAsPaper { history } => Box::new(TwoLevelPredictor::gas_paper(history)),
+            PredictorKind::Gshare { history } => Box::new(GsharePredictor::paper_sized(history)),
+            PredictorKind::Bimodal { index_bits } => Box::new(BimodalPredictor::new(index_bits)),
+            PredictorKind::StaticTaken => Box::new(StaticPredictor::always_taken()),
+            PredictorKind::StaticNotTaken => Box::new(StaticPredictor::always_not_taken()),
+        }
+    }
 
     /// The `dyn` oracle: virtual predict-then-update calls over the trace's
     /// conditional rows and an address-keyed map per record, sharing no code
@@ -623,7 +640,7 @@ mod tests {
             ));
         }
         let trace = b.build().intern();
-        let result = SimEngine::new().run(&trace, &mut *PredictorKind::StaticTaken.build());
+        let result = SimEngine::new().run(&trace, &mut *boxed(PredictorKind::StaticTaken));
         assert_eq!(result.overall.lookups, 100);
         assert_eq!(result.overall.hits, 90);
         assert!((result.miss_rate().unwrap() - 0.10).abs() < 1e-12);
@@ -634,8 +651,8 @@ mod tests {
     fn pas_with_history_beats_zero_history_on_alternation() {
         let trace = alternating_trace(2000).intern();
         let engine = SimEngine::new();
-        let with_history = engine.run(&trace, &mut *PredictorKind::PAsPaper { history: 2 }.build());
-        let without = engine.run(&trace, &mut *PredictorKind::PAsPaper { history: 0 }.build());
+        let with_history = engine.run(&trace, &mut *boxed(PredictorKind::PAsPaper { history: 2 }));
+        let without = engine.run(&trace, &mut *boxed(PredictorKind::PAsPaper { history: 0 }));
         assert!(with_history.miss_rate().unwrap() < 0.1);
         assert!(without.miss_rate().unwrap() > 0.4);
     }
@@ -644,7 +661,7 @@ mod tests {
     fn warmup_excludes_initial_branches_from_statistics() {
         let trace = alternating_trace(1000).intern();
         let engine = SimEngine::new().with_warmup(500);
-        let result = engine.run(&trace, &mut *PredictorKind::PAsPaper { history: 2 }.build());
+        let result = engine.run(&trace, &mut *boxed(PredictorKind::PAsPaper { history: 2 }));
         assert_eq!(result.overall.lookups, 500);
         // After warm-up the alternating pattern is learned almost perfectly.
         assert!(result.miss_rate().unwrap() < 0.02);
@@ -660,8 +677,8 @@ mod tests {
         ));
         let t2 = t2_builder.build().intern();
         let engine = SimEngine::new();
-        let mut a = engine.run(&t1, &mut *PredictorKind::StaticTaken.build());
-        let b = engine.run(&t2, &mut *PredictorKind::StaticTaken.build());
+        let mut a = engine.run(&t1, &mut *boxed(PredictorKind::StaticTaken));
+        let b = engine.run(&t2, &mut *boxed(PredictorKind::StaticTaken));
         a.merge(&b);
         assert_eq!(a.overall.lookups, 101);
         assert_eq!(a.per_branch.len(), 2);
@@ -715,10 +732,10 @@ mod tests {
             PredictorKind::StaticTaken,
             PredictorKind::StaticNotTaken,
         ] {
-            let via_dyn = run_dyn(engine, &trace, &mut *kind.build());
+            let via_dyn = run_dyn(engine, &trace, &mut *boxed(kind));
             let via_dispatch = run_full_window(engine, &interned, kind);
             assert_eq!(via_dyn, via_dispatch, "{} diverged", kind.label());
-            let via_run = engine.run(&interned, &mut *kind.build());
+            let via_run = engine.run(&interned, &mut *boxed(kind));
             assert_eq!(via_dyn, via_run, "{} diverged on run", kind.label());
             // And the driver monomorphized for a concrete predictor agrees too.
             if let PredictorKind::GAsPaper { history } = kind {
@@ -735,10 +752,10 @@ mod tests {
         for warmup in [0, 1, 500, 1999, 2000, 5000] {
             let engine = SimEngine::new().with_warmup(warmup);
             let kind = PredictorKind::PAsPaper { history: 4 };
-            let via_dyn = run_dyn(engine, &trace, &mut *kind.build());
+            let via_dyn = run_dyn(engine, &trace, &mut *boxed(kind));
             let via_fast = run_full_window(engine, &interned, kind);
             assert_eq!(via_dyn, via_fast, "warmup {warmup} diverged");
-            assert_eq!(via_dyn, engine.run(&interned, &mut *kind.build()));
+            assert_eq!(via_dyn, engine.run(&interned, &mut *boxed(kind)));
         }
     }
 
@@ -746,13 +763,13 @@ mod tests {
     fn empty_trace_produces_empty_result() {
         let trace = TraceBuilder::new("empty").build();
         let kind = PredictorKind::GAsPaper { history: 4 };
-        let result = run_dyn(SimEngine::new(), &trace, &mut *kind.build());
+        let result = run_dyn(SimEngine::new(), &trace, &mut *boxed(kind));
         assert_eq!(result.overall.lookups, 0);
         assert_eq!(result.miss_rate(), None);
         assert!(result.per_branch.is_empty());
         let interned = trace.intern();
         let fast = run_full_window(SimEngine::new(), &interned, kind);
         assert_eq!(result, fast);
-        assert_eq!(result, SimEngine::new().run(&interned, &mut *kind.build()));
+        assert_eq!(result, SimEngine::new().run(&interned, &mut *boxed(kind)));
     }
 }

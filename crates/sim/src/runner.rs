@@ -105,21 +105,9 @@ impl SuiteRunner {
     }
 
     /// Sweeps one predictor family over the given history lengths for all
-    /// traces. Every benchmark uses fresh predictor state per history
-    /// length, exactly as the sequential [`crate::sweep::HistorySweep`] does.
-    ///
-    /// Interns the traces first; prefer [`SuiteRunner::run_sweep_interned`]
-    /// when running several sweeps over the same traces.
-    pub fn run_sweep(
-        &self,
-        traces: &[Trace],
-        family: PredictorFamily,
-        histories: &[u32],
-    ) -> SweepResult {
-        self.run_sweep_interned(&self.intern_traces(traces), family, histories)
-    }
-
-    /// Sweeps one predictor family over already-interned traces.
+    /// interned traces (see [`SuiteRunner::intern_traces`]). Every benchmark
+    /// uses fresh predictor state per history length, exactly as the
+    /// sequential [`crate::sweep::HistorySweep`] does.
     ///
     /// The grid is (benchmark × fused history-group): by default one
     /// **fused** task per benchmark simulates every history length of the
@@ -245,7 +233,11 @@ mod tests {
         let traces = runner.generate_traces();
         let refs: Vec<&Trace> = traces.iter().collect();
         let histories = vec![0, 2, 4];
-        let parallel = runner.run_sweep(&traces, PredictorFamily::PAs, &histories);
+        let parallel = runner.run_sweep_interned(
+            &runner.intern_traces(&traces),
+            PredictorFamily::PAs,
+            &histories,
+        );
         let sequential = HistorySweep::new(PredictorFamily::PAs, histories.clone()).run(&refs);
         assert_eq!(
             parallel, sequential,
@@ -273,6 +265,6 @@ mod tests {
     #[should_panic(expected = "at least one history")]
     fn empty_histories_rejected() {
         let runner = tiny_runner();
-        let _ = runner.run_sweep(&[], PredictorFamily::PAs, &[]);
+        let _ = runner.run_sweep_interned(&[], PredictorFamily::PAs, &[]);
     }
 }

@@ -44,7 +44,8 @@ fn more_threads_than_histories_matches_sequential_bit_for_bit() {
     let traces = runner.generate_traces();
     let histories = [0u32, 4];
     for family in [PredictorFamily::PAs, PredictorFamily::GAs] {
-        let parallel = runner.run_sweep(&traces, family, &histories);
+        let parallel =
+            runner.run_sweep_interned(&runner.intern_traces(&traces), family, &histories);
         let sequential = sequential_reference(&traces, family, &histories);
         assert_eq!(parallel, sequential, "{} diverged", family.label());
     }
@@ -61,7 +62,8 @@ fn single_benchmark_with_many_threads_matches_sequential_bit_for_bit() {
     let traces = runner.generate_traces();
     let histories: Vec<u32> = (0..=16).collect();
     for family in [PredictorFamily::PAs, PredictorFamily::GAs] {
-        let parallel = runner.run_sweep(&traces, family, &histories);
+        let parallel =
+            runner.run_sweep_interned(&runner.intern_traces(&traces), family, &histories);
         let sequential = sequential_reference(&traces, family, &histories);
         assert_eq!(parallel, sequential, "{} diverged", family.label());
     }
@@ -72,7 +74,11 @@ fn single_thread_grid_matches_sequential_bit_for_bit() {
     let runner = runner_with_threads(1);
     let traces = runner.generate_traces();
     let histories = [0u32, 1, 2, 8];
-    let parallel = runner.run_sweep(&traces, PredictorFamily::PAs, &histories);
+    let parallel = runner.run_sweep_interned(
+        &runner.intern_traces(&traces),
+        PredictorFamily::PAs,
+        &histories,
+    );
     let sequential = sequential_reference(&traces, PredictorFamily::PAs, &histories);
     assert_eq!(parallel, sequential);
 }
@@ -85,7 +91,11 @@ fn empty_benchmark_set_matches_sequential_empty_sweep() {
     let traces = runner.generate_traces();
     assert!(traces.is_empty());
     let histories = [0u32, 2];
-    let parallel = runner.run_sweep(&traces, PredictorFamily::GAs, &histories);
+    let parallel = runner.run_sweep_interned(
+        &runner.intern_traces(&traces),
+        PredictorFamily::GAs,
+        &histories,
+    );
     let sequential = sequential_reference(&traces, PredictorFamily::GAs, &histories);
     assert_eq!(parallel, sequential);
     // Both produce one (empty) entry per history length.
@@ -99,23 +109,20 @@ fn grid_results_are_stable_across_thread_counts() {
     let reference = {
         let runner = runner_with_threads(1);
         let traces = runner.generate_traces();
-        runner.run_sweep(&traces, PredictorFamily::GAs, &histories)
+        runner.run_sweep_interned(
+            &runner.intern_traces(&traces),
+            PredictorFamily::GAs,
+            &histories,
+        )
     };
     for threads in [2, 3, 5, 16] {
         let runner = runner_with_threads(threads);
         let traces = runner.generate_traces();
-        let result = runner.run_sweep(&traces, PredictorFamily::GAs, &histories);
+        let result = runner.run_sweep_interned(
+            &runner.intern_traces(&traces),
+            PredictorFamily::GAs,
+            &histories,
+        );
         assert_eq!(result, reference, "thread count {threads} diverged");
     }
-}
-
-#[test]
-fn interned_sweep_entry_point_matches_trace_entry_point() {
-    let runner = runner_with_threads(4);
-    let traces = runner.generate_traces();
-    let interned = runner.intern_traces(&traces);
-    let histories = [0u32, 3];
-    let via_traces = runner.run_sweep(&traces, PredictorFamily::PAs, &histories);
-    let via_interned = runner.run_sweep_interned(&interned, PredictorFamily::PAs, &histories);
-    assert_eq!(via_traces, via_interned);
 }

@@ -7,6 +7,7 @@
 //! `fused_equivalence.rs`.)
 
 use btr_core::analysis::DenseMissTable;
+use btr_predictors::predictor::BranchPredictor;
 use btr_sim::config::{PredictorKind, WarmupWindow};
 use btr_sim::engine::{result_from_dense, RunResult, SimEngine};
 use btr_trace::{BranchAddr, BranchRecord, InternedTrace, Outcome, Trace, TraceBuilder};
@@ -47,7 +48,8 @@ fn generated_trace() -> Trace {
 /// One sequential [`SimEngine::run`] on a boxed predictor: the reference the
 /// windowed runs must match.
 fn sequential_run(trace: &InternedTrace, kind: PredictorKind) -> RunResult {
-    SimEngine::new().run(trace, &mut *kind.build())
+    let mut predictor: Box<dyn BranchPredictor> = Box::new(kind.build_dispatch());
+    SimEngine::new().run(trace, &mut *predictor)
 }
 
 /// Cuts `trace` into `window`-record windows, runs each on a fresh

@@ -11,6 +11,7 @@
 //! execution of a branch can never be a transition, so
 //! `transitions <= executions - 1` always holds for an executed branch.
 
+use crate::interned::ConditionalView;
 use crate::record::{BranchAddr, BranchRecord, Outcome};
 use std::collections::BTreeMap;
 
@@ -91,22 +92,6 @@ impl AddrStats {
             Some(self.transitions as f64 / self.executions as f64)
         }
     }
-
-    /// Merges the counts of `other` into `self`.
-    ///
-    /// Merging is intended for combining statistics of the *same* static
-    /// branch gathered over consecutive trace segments: the transition between
-    /// the last outcome of `self` and the first outcome of `other` is not
-    /// recoverable from the summaries alone, so the merged transition count is
-    /// a lower bound (off by at most one per merge).
-    pub fn merge(&mut self, other: &AddrStats) {
-        self.executions += other.executions;
-        self.taken += other.taken;
-        self.transitions += other.transitions;
-        if other.last_outcome.is_some() {
-            self.last_outcome = other.last_outcome;
-        }
-    }
 }
 
 /// Raw statistics for an entire trace, keyed by static branch address.
@@ -165,56 +150,45 @@ impl TraceStats {
         self.per_addr.iter().map(|(a, s)| (*a, s))
     }
 
-    /// Sum of per-address taken counts.
-    pub fn total_taken(&self) -> u64 {
-        self.per_addr.values().map(|s| s.taken()).sum()
-    }
-
-    /// Sum of per-address transition counts.
-    pub fn total_transitions(&self) -> u64 {
-        self.per_addr.values().map(|s| s.transitions()).sum()
-    }
-
-    /// Overall taken fraction across all conditional executions.
-    pub fn overall_taken_fraction(&self) -> Option<f64> {
-        if self.total_conditional == 0 {
-            None
-        } else {
-            Some(self.total_taken() as f64 / self.total_conditional as f64)
-        }
-    }
-
     /// The address with the most dynamic executions, if any.
     pub fn hottest_branch(&self) -> Option<(BranchAddr, &AddrStats)> {
         self.iter().max_by_key(|(_, s)| s.executions())
     }
-
-    /// Merges another statistics table into this one (see
-    /// [`AddrStats::merge`] for the transition-count caveat).
-    pub fn merge(&mut self, other: &TraceStats) {
-        self.total_conditional += other.total_conditional;
-        self.total_other += other.total_other;
-        for (addr, stats) in other.iter() {
-            self.per_addr.entry(addr).or_default().merge(stats);
-        }
-    }
 }
 
-/// Id-indexed statistics accumulator for streamed classification.
+/// `DenseTraceStats`' last outcome before a branch's first execution.
+const NO_OUTCOME: u32 = 2;
+
+/// The most records folded between two flushes, so no `u32` count overflows.
+const FLUSH_AT: u64 = u32::MAX as u64;
+
+/// Id-indexed statistics accumulator for streamed classification: it folds
+/// chunk columns into flat per-id counters and converts to the map-keyed
+/// [`TraceStats`] once at the end, bit-identically to observing every record
+/// through [`TraceStats::observe`] (`tests/dense_stats_equivalence.rs`).
 ///
-/// [`TraceStats::observe`] pays a `BTreeMap` traversal per record, which
-/// co-dominates a streamed classify once decode is fast. `DenseTraceStats`
-/// keeps one [`AddrStats`] slot per dense interned id instead — chunk columns
-/// feed straight into a flat vector index — and converts to the map-keyed
-/// [`TraceStats`] once at the end. Because each static branch sees exactly
-/// the same outcome sequence either way, the conversion is bit-identical to
-/// having observed every record through [`TraceStats`] directly.
+/// * **Layout.** One `[u32; 4]` per dense interned id (16 B): executions,
+///   taken, transitions and the last outcome (0 or 1; 2 before the first
+///   execution), beside the id → address table.
+/// * **Update.** Branch-free per record, with `t` the outcome bit:
+///   `taken += t`, `transitions += (last ^ t == 1)`, `last = t`. The one
+///   branch is the first-appearance push (`id == len`).
+/// * **Overflow.** A count grows by at most one per record, so
+///   [`DenseTraceStats::observe_chunk`] checks once per chunk whether the
+///   records since the last flush could pass `u32::MAX`, and if so splits
+///   the chunk there and adds the counts into `u64` totals. The totals are
+///   allocated at the first flush, which an upload under 2³² conditional
+///   records reaches only in [`DenseTraceStats::into_trace_stats`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DenseTraceStats {
-    /// Per-id accumulators; the id → address table is rebuilt from the
-    /// defining (first-appearance) records.
-    per_id: Vec<AddrStats>,
+    /// Per-id `[executions, taken, transitions, last outcome]` since the
+    /// last flush.
+    counts: Vec<[u32; 4]>,
+    /// Per-id flushed `[executions, taken, transitions]`; empty until the
+    /// first flush.
+    totals: Vec<[u64; 3]>,
     addrs: Vec<BranchAddr>,
+    since_flush: u64,
     total_conditional: u64,
     total_other: u64,
 }
@@ -226,7 +200,7 @@ impl DenseTraceStats {
     }
 
     /// Folds one chunk's records in: conditionals through the id-indexed
-    /// columns, non-conditionals as an aggregate count.
+    /// counters, non-conditionals as an aggregate count.
     ///
     /// Chunks must arrive in stream order with ids assigned by one persistent
     /// interner (what [`crate::ChunkedTraceReader`] and
@@ -236,14 +210,48 @@ impl DenseTraceStats {
         let conditional = chunk.conditional();
         self.total_conditional += conditional.len() as u64;
         self.total_other += (chunk.len() - conditional.len()) as u64;
-        for (addr, id, outcome) in conditional.iter() {
-            let id = id as usize;
-            if id == self.per_id.len() {
-                self.per_id.push(AddrStats::new());
-                self.addrs.push(addr);
+        let mut start = 0;
+        while start < conditional.len() {
+            if self.since_flush == FLUSH_AT {
+                self.flush();
             }
-            self.per_id[id].observe(outcome);
+            let room = usize::try_from(FLUSH_AT - self.since_flush).unwrap_or(usize::MAX);
+            let end = conditional.len().min(start.saturating_add(room));
+            self.fold(conditional.slice(start..end));
+            start = end;
         }
+    }
+
+    /// The per-record update, over at most `FLUSH_AT - since_flush` records.
+    #[inline]
+    fn fold(&mut self, records: ConditionalView<'_>) {
+        let addrs = records.addrs();
+        for (i, (&id, &taken)) in records.ids().iter().zip(records.taken()).enumerate() {
+            let id = id as usize;
+            if id == self.counts.len() {
+                self.counts.push([0, 0, 0, NO_OUTCOME]);
+                self.addrs.push(addrs[i]);
+            }
+            let t = u32::from(taken);
+            let [executions, taken, transitions, last] = &mut self.counts[id];
+            *executions += 1;
+            *taken += t;
+            *transitions += u32::from(*last ^ t == 1);
+            *last = t;
+        }
+        self.since_flush += records.len() as u64;
+    }
+
+    /// Adds every id's counts into its totals and zeroes them.
+    fn flush(&mut self) {
+        self.totals.resize(self.counts.len(), [0; 3]);
+        for (total, count) in self.totals.iter_mut().zip(&mut self.counts) {
+            for (total, count) in total.iter_mut().zip(&mut count[..3]) {
+                *total += u64::from(*count);
+                *count = 0;
+            }
+        }
+        self.since_flush = 0;
     }
 
     /// Total number of dynamic conditional branches observed.
@@ -258,25 +266,30 @@ impl DenseTraceStats {
 
     /// Number of distinct static conditional branches.
     pub fn static_conditional_count(&self) -> usize {
-        self.per_id.len()
+        self.counts.len()
     }
 
-    /// Converts to the address-keyed [`TraceStats`], building the map once.
-    pub fn into_trace_stats(self) -> TraceStats {
+    /// Flushes, then converts to the address-keyed [`TraceStats`], building
+    /// the map once.
+    pub fn into_trace_stats(mut self) -> TraceStats {
+        self.flush();
+        let per_addr = (self.addrs.into_iter().zip(self.totals).zip(self.counts))
+            .map(|((addr, [executions, taken, transitions]), [.., last])| {
+                // Every id was pushed by a record, so its last outcome is set.
+                let stats = AddrStats {
+                    executions,
+                    taken,
+                    transitions,
+                    last_outcome: Some(Outcome::from_bool(last == 1)),
+                };
+                (addr, stats)
+            })
+            .collect();
         TraceStats {
-            per_addr: self.addrs.into_iter().zip(self.per_id).collect(),
+            per_addr,
             total_conditional: self.total_conditional,
             total_other: self.total_other,
         }
-    }
-}
-
-impl<'a> IntoIterator for &'a TraceStats {
-    type Item = (BranchAddr, &'a AddrStats);
-    type IntoIter = std::vec::IntoIter<(BranchAddr, &'a AddrStats)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter().collect::<Vec<_>>().into_iter()
     }
 }
 
@@ -358,11 +371,10 @@ mod tests {
         assert_eq!(ts.total_conditional(), 3);
         assert_eq!(ts.total_other(), 1);
         assert_eq!(ts.static_conditional_count(), 2);
-        assert_eq!(ts.total_taken(), 2);
-        assert_eq!(ts.total_transitions(), 1);
+        assert_eq!(ts.iter().map(|(_, s)| s.taken()).sum::<u64>(), 2);
+        assert_eq!(ts.iter().map(|(_, s)| s.transitions()).sum::<u64>(), 1);
         assert_eq!(ts.addr(BranchAddr::new(0x10)).unwrap().executions(), 2);
         assert!(ts.addr(BranchAddr::new(0x30)).is_none());
-        assert!((ts.overall_taken_fraction().unwrap() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -377,23 +389,92 @@ mod tests {
         assert_eq!(stats.executions(), 5);
     }
 
+    /// One chunk of conditional records, ids assigned in first-appearance
+    /// order continuing from `stats`' id table.
+    fn chunk_after(stats: &DenseTraceStats, records: &[(u64, bool)]) -> crate::TraceChunk {
+        let mut addrs = stats.addrs.clone();
+        let mut chunk = crate::TraceChunk::empty();
+        for &(addr, taken) in records {
+            chunk.push(&rec(addr, taken), |addr| {
+                let id = addrs.iter().position(|&a| a == addr).unwrap_or_else(|| {
+                    addrs.push(addr);
+                    addrs.len() - 1
+                });
+                id as u32
+            });
+        }
+        chunk
+    }
+
     #[test]
-    fn merge_accumulates_counts() {
-        let mut a = TraceStats::new();
-        a.observe(&rec(0x10, true));
-        let mut b = TraceStats::new();
-        b.observe(&rec(0x10, false));
-        b.observe(&rec(0x20, true));
-        a.merge(&b);
-        assert_eq!(a.total_conditional(), 3);
-        assert_eq!(a.static_conditional_count(), 2);
-        assert_eq!(a.addr(BranchAddr::new(0x10)).unwrap().executions(), 2);
+    fn dense_fold_flushes_exactly_next_to_u32_max() {
+        let max = u64::from(u32::MAX);
+        let mut dense = DenseTraceStats::new();
+        dense.observe_chunk(&chunk_after(&dense, &[(0x10, true), (0x20, false)]));
+        assert!(dense.totals.is_empty(), "no flush below the bound");
+
+        // Put both counters and the records since the last flush just under
+        // the bound, consistently: the two ids' executions sum to
+        // `since_flush`.
+        dense.counts[0] = [u32::MAX - 5, u32::MAX - 6, u32::MAX - 6, 1];
+        dense.counts[1] = [2, 1, 1, 0];
+        dense.since_flush = max - 3;
+        dense.total_conditional = max - 3;
+        let mut oracle = [
+            AddrStats {
+                executions: max - 5,
+                taken: max - 6,
+                transitions: max - 6,
+                last_outcome: Some(Outcome::Taken),
+            },
+            AddrStats {
+                executions: 2,
+                taken: 1,
+                transitions: 1,
+                last_outcome: Some(Outcome::NotTaken),
+            },
+            AddrStats::new(),
+        ];
+
+        // 15 records: the first 3 reach the bound, the flush lands inside
+        // the chunk, and a third branch first appears after it. Branch 0x10
+        // alternates, so its executions and transitions both pass u32::MAX.
+        let mut records = Vec::new();
+        for i in 0..10u32 {
+            records.push((0x10, i % 2 == 1));
+            if i % 3 == 0 {
+                records.push((0x20, i > 3));
+            }
+        }
+        records.insert(5, (0x30, true));
+        assert_eq!(records.len(), 15);
+        for &(addr, taken) in &records {
+            let slot = match addr {
+                0x10 => 0,
+                0x20 => 1,
+                _ => 2,
+            };
+            oracle[slot].observe(Outcome::from_bool(taken));
+        }
+        dense.observe_chunk(&chunk_after(&dense, &records));
+
+        assert_eq!(dense.totals.len(), 2, "flushed once, before 0x30 appeared");
+        assert_eq!(dense.since_flush, 12);
+        assert!(oracle[0].executions() > max && oracle[0].transitions() > max);
+        let stats = dense.into_trace_stats();
+        assert_eq!(stats.total_conditional(), max + 12);
+        for (slot, addr) in [0x10, 0x20, 0x30].into_iter().enumerate() {
+            assert_eq!(
+                stats.addr(BranchAddr::new(addr)),
+                Some(&oracle[slot]),
+                "{addr:#x}"
+            );
+        }
     }
 
     #[test]
     fn empty_trace_stats_queries() {
         let ts = TraceStats::new();
-        assert_eq!(ts.overall_taken_fraction(), None);
         assert!(ts.hottest_branch().is_none());
         assert_eq!(ts.static_conditional_count(), 0);
     }

@@ -36,17 +36,19 @@ impl Default for SuiteConfig {
 }
 
 impl SuiteConfig {
-    /// Whether `scale` is a usable scale factor: finite and strictly positive
-    /// (an infinite scale would ask the generator for `u64::MAX` records).
+    /// Whether `scale` is a usable scale factor: `0 < scale <= 1`, where 1 is
+    /// the paper's own trace length. A larger scale would ask the generator
+    /// for more records than the paper traced, and a huge or infinite one
+    /// saturates the record count at `u64::MAX`.
     pub fn is_valid_scale(scale: f64) -> bool {
-        scale.is_finite() && scale > 0.0
+        scale > 0.0 && scale <= 1.0
     }
 
     /// Sets the scale factor.
     ///
     /// # Panics
     ///
-    /// Panics if the scale is not finite and strictly positive.
+    /// Panics unless `0 < scale <= 1` (see [`SuiteConfig::is_valid_scale`]).
     #[must_use]
     pub fn with_scale(mut self, scale: f64) -> Self {
         assert!(

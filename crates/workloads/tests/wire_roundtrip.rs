@@ -73,4 +73,12 @@ fn invalid_descriptor_fields_are_rejected() {
     };
     let err = SuiteConfig::from_btrw(&infinite.to_btrw()).expect_err("infinite scale rejected");
     assert!(err.to_string().contains("finite"), "{err}");
+
+    // A finite but huge scale saturates the record count the same way.
+    let huge = SuiteConfig {
+        scale: 1e30,
+        ..SuiteConfig::default()
+    };
+    let err = SuiteConfig::from_btrw(&huge.to_btrw()).expect_err("huge scale rejected");
+    assert!(err.to_string().contains("scale"), "{err}");
 }
