@@ -10,7 +10,7 @@
 use crate::class::{BinningScheme, ClassId};
 use crate::distribution::Metric;
 use crate::joint::JointClassTable;
-use crate::profile::ProgramProfile;
+use crate::profile::{BranchProfile, ProgramProfile};
 use btr_predictors::predictor::PredictionStats;
 use btr_trace::BranchAddr;
 use btr_wire::{MapBuilder, Value, Wire, WireError};
@@ -228,6 +228,23 @@ impl DenseMissTable {
     }
 }
 
+/// Pairs each profiled branch with its statistics in `misses`, in address
+/// order: a merge join of two address-sorted sequences. Branches on only one
+/// side are skipped.
+fn join_by_addr<'a>(
+    profile: &'a ProgramProfile,
+    misses: &'a BranchMissMap,
+) -> impl Iterator<Item = (&'a BranchProfile, &'a PredictionStats)> {
+    let mut misses = misses.iter().peekable();
+    profile.iter().filter_map(move |branch| {
+        let addr = branch.addr();
+        while misses.next_if(|(a, _)| **a < addr).is_some() {}
+        misses
+            .next_if(|(a, _)| **a == addr)
+            .map(|(_, s)| (branch, s))
+    })
+}
+
 /// Miss rates aggregated over the classes of one metric (one bar group of
 /// Figure 3 or Figure 4).
 #[derive(Debug, Clone, PartialEq)]
@@ -240,6 +257,10 @@ pub struct ClassMissRates {
 impl ClassMissRates {
     /// Aggregates per-branch statistics into per-class statistics, assigning
     /// each branch to its class under `metric` / `scheme`.
+    ///
+    /// The profile and `misses` are both sorted by address, so they are
+    /// merge-joined in one walk rather than probing `misses` per branch; a
+    /// branch is classified only when it has statistics.
     pub fn aggregate(
         profile: &ProgramProfile,
         metric: Metric,
@@ -247,12 +268,12 @@ impl ClassMissRates {
         misses: &BranchMissMap,
     ) -> Self {
         let mut stats = vec![PredictionStats::new(); scheme.class_count()];
-        for branch in profile.iter() {
+        for (branch, s) in join_by_addr(profile, misses) {
             let class = match metric {
                 Metric::TakenRate => branch.taken_class(scheme),
                 Metric::TransitionRate => branch.transition_class(scheme),
             };
-            if let (Some(class), Some(s)) = (class, misses.get(&branch.addr())) {
+            if let Some(class) = class {
                 stats[class.index()].merge(s);
             }
         }
@@ -457,13 +478,10 @@ impl JointMissMatrix {
         let n = scheme.class_count();
         // stats[history][transition][taken]
         let mut per_history = vec![vec![vec![PredictionStats::new(); n]; n]; runs.len()];
-        for branch in profile.iter() {
-            let Some((taken, transition)) = branch.joint_class(scheme) else {
-                continue;
-            };
-            for (run_idx, (_, misses)) in runs.iter().enumerate() {
-                if let Some(s) = misses.get(&branch.addr()) {
-                    per_history[run_idx][transition.index()][taken.index()].merge(s);
+        for ((_, misses), cells) in runs.iter().zip(&mut per_history) {
+            for (branch, s) in join_by_addr(profile, misses) {
+                if let Some((taken, transition)) = branch.joint_class(scheme) {
+                    cells[transition.index()][taken.index()].merge(s);
                 }
             }
         }

@@ -178,20 +178,6 @@ impl ProgramProfile {
             _ => 0.0,
         }
     }
-
-    /// Addresses of branches whose joint class satisfies a predicate,
-    /// e.g. selecting the hard 5/5 class.
-    pub fn select_by_class<F>(&self, scheme: BinningScheme, mut pred: F) -> Vec<BranchAddr>
-    where
-        F: FnMut(ClassId, ClassId) -> bool,
-    {
-        self.iter()
-            .filter_map(|b| {
-                let (taken, transition) = b.joint_class(scheme)?;
-                pred(taken, transition).then_some(b.addr())
-            })
-            .collect()
-    }
 }
 
 impl<'a> IntoIterator for &'a ProgramProfile {
@@ -404,23 +390,6 @@ mod tests {
         assert_eq!(a.static_count(), 3);
         assert_eq!(a.total_dynamic(), 30);
         assert_eq!(a.branch(BranchAddr::new(0x10)).unwrap().executions(), 20);
-    }
-
-    #[test]
-    fn select_by_class_picks_matching_branches() {
-        let p: ProgramProfile = vec![
-            profile(0x10, 100, 50, 50), // 5/5
-            profile(0x20, 100, 97, 4),  // 10/0
-            profile(0x30, 100, 52, 48), // 5/5-ish
-        ]
-        .into_iter()
-        .collect();
-        let hard = p.select_by_class(BinningScheme::Paper11, |t, x| {
-            t == ClassId(5) && x == ClassId(5)
-        });
-        assert_eq!(hard.len(), 2);
-        assert!(hard.contains(&BranchAddr::new(0x10)));
-        assert!(hard.contains(&BranchAddr::new(0x30)));
     }
 
     #[test]

@@ -70,15 +70,16 @@ impl ResponseCache {
         self.inner.lock().map.get(key).cloned()
     }
 
-    /// Inserts a rendered response, evicting the oldest entry when full.
-    /// Re-inserting an existing key refreshes the value without growing the
-    /// eviction queue.
-    pub fn insert(&self, key: CacheKey, response: Response) {
+    /// Inserts a copy of a rendered response, evicting the oldest entry when
+    /// full. Re-inserting an existing key refreshes the value without growing
+    /// the eviction queue. A zero-capacity cache copies nothing.
+    pub fn insert(&self, key: CacheKey, response: &Response) {
         if self.capacity == 0 {
             return;
         }
+        let response = Arc::new(response.clone());
         let mut inner = self.inner.lock();
-        if inner.map.insert(key.clone(), Arc::new(response)).is_some() {
+        if inner.map.insert(key.clone(), response).is_some() {
             return;
         }
         inner.order.push_back(key);
@@ -110,7 +111,7 @@ mod tests {
     #[test]
     fn hits_require_both_digest_and_params_to_match() {
         let cache = ResponseCache::new(8);
-        cache.insert(key("aa", "/classify?scheme=paper11"), resp("one"));
+        cache.insert(key("aa", "/classify?scheme=paper11"), &resp("one"));
         assert!(cache.get(&key("aa", "/classify?scheme=paper11")).is_some());
         assert!(cache.get(&key("ab", "/classify?scheme=paper11")).is_none());
         assert!(cache.get(&key("aa", "/classify?scheme=chang6")).is_none());
@@ -119,17 +120,17 @@ mod tests {
     #[test]
     fn eviction_is_fifo_and_bounded() {
         let cache = ResponseCache::new(2);
-        cache.insert(key("a", "p"), resp("a"));
-        cache.insert(key("b", "p"), resp("b"));
-        cache.insert(key("c", "p"), resp("c"));
+        cache.insert(key("a", "p"), &resp("a"));
+        cache.insert(key("b", "p"), &resp("b"));
+        cache.insert(key("c", "p"), &resp("c"));
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&key("a", "p")).is_none(), "oldest evicted");
         assert!(cache.get(&key("b", "p")).is_some());
         assert!(cache.get(&key("c", "p")).is_some());
         // Refreshing an existing key neither grows nor double-queues it.
-        cache.insert(key("c", "p"), resp("c2"));
+        cache.insert(key("c", "p"), &resp("c2"));
         assert_eq!(cache.len(), 2);
-        cache.insert(key("d", "p"), resp("d"));
+        cache.insert(key("d", "p"), &resp("d"));
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&key("b", "p")).is_none(), "b was next out");
         assert_eq!(
@@ -141,7 +142,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = ResponseCache::new(0);
-        cache.insert(key("a", "p"), resp("a"));
+        cache.insert(key("a", "p"), &resp("a"));
         assert!(cache.is_empty());
         assert!(cache.get(&key("a", "p")).is_none());
     }

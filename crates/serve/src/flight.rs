@@ -162,7 +162,7 @@ mod tests {
             })
         };
         // Land: fill the cache, then release the key.
-        cache.insert(k.clone(), Response::json(200, "{}".into()));
+        cache.insert(k.clone(), &Response::json(200, "{}".into()));
         drop(guard);
         assert_eq!(follower.join().expect("follower thread joins"), 200);
     }
@@ -194,7 +194,7 @@ mod tests {
         let table = FlightTable::new();
         let cache = ResponseCache::new(4);
         let k = key("prefilled");
-        cache.insert(k.clone(), Response::json(200, "{}".into()));
+        cache.insert(k.clone(), &Response::json(200, "{}".into()));
         match table.join(&k, &cache) {
             FlightOutcome::Served(resp) => assert_eq!(resp.status, 200),
             FlightOutcome::Leader(_) => panic!("a filled cache must serve, not lead"),

@@ -444,9 +444,7 @@ fn analyze(
     // The cached copy carries the digest but not the hit/store marker; each
     // reply stamps its own `X-Btr-Cache`.
     let base = encode(outcome.value, btrw, 200).with_header("X-Btr-Digest", digest.clone());
-    shared
-        .cache
-        .insert(CacheKey { digest, params }, base.clone());
+    shared.cache.insert(CacheKey { digest, params }, &base);
     Ok(base.with_header("X-Btr-Cache", "store"))
 }
 

@@ -11,6 +11,12 @@
 //! value trees therefore always serialise to identical bytes, which is what
 //! lets golden fixtures assert byte-identical re-encodes.
 //!
+//! Numbers are written straight into the output without allocating:
+//! the writer appends bytes and checks the UTF-8 once at the end, integers
+//! go two digits at a time through a stack buffer, and floats are formatted
+//! in place. A sweep reply carries one integer per branch per column per
+//! history, so a per-number `String` would dominate its encoding.
+//!
 //! [`to_string_pretty`] is the same encoding with two-space indentation, for
 //! human-facing artifacts; it parses back identically.
 //!
@@ -35,6 +41,7 @@
 
 use crate::error::WireError;
 use crate::value::Value;
+use std::io::Write as _;
 
 /// Maximum nesting depth the parser accepts, guarding against stack
 /// exhaustion on adversarial input.
@@ -46,9 +53,7 @@ pub const MAX_DEPTH: usize = 128;
 ///
 /// Fails only on non-finite floats, which JSON cannot represent.
 pub fn to_string(value: &Value) -> Result<String, WireError> {
-    let mut out = String::new();
-    write_value(&mut out, value, None, 0)?;
-    Ok(out)
+    encode(value, None)
 }
 
 /// Serialises a value as two-space-indented JSON (a trailing newline is not
@@ -58,28 +63,35 @@ pub fn to_string(value: &Value) -> Result<String, WireError> {
 ///
 /// Fails only on non-finite floats, which JSON cannot represent.
 pub fn to_string_pretty(value: &Value) -> Result<String, WireError> {
-    let mut out = String::new();
-    write_value(&mut out, value, Some(2), 0)?;
-    Ok(out)
+    encode(value, Some(2))
+}
+
+/// Writes into bytes, so a number or separator is a plain byte append, and
+/// checks the UTF-8 once at the end.
+fn encode(value: &Value, indent: Option<usize>) -> Result<String, WireError> {
+    let mut out = Vec::new();
+    write_value(&mut out, value, indent, 0)?;
+    Ok(String::from_utf8(out).expect("the writer emits string bytes verbatim and ASCII otherwise"))
 }
 
 fn write_value(
-    out: &mut String,
+    out: &mut Vec<u8>,
     value: &Value,
     indent: Option<usize>,
     level: usize,
 ) -> Result<(), WireError> {
     match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::U64(v) => out.push_str(&v.to_string()),
-        Value::I64(v) => out.push_str(&v.to_string()),
-        Value::F64(v) => out.push_str(&format_f64(*v)?),
+        Value::Null => out.extend_from_slice(b"null"),
+        Value::Bool(true) => out.extend_from_slice(b"true"),
+        Value::Bool(false) => out.extend_from_slice(b"false"),
+        Value::U64(v) => write_u64(out, *v),
+        Value::I64(v) => write_i64(out, *v),
+        Value::F64(v) => write_f64(out, *v)?,
         Value::Str(s) => write_string(out, s),
         Value::U64s(items) => {
-            write_seq(out, items.len(), indent, level, |out, i, ind, lvl| {
-                write_value(out, &Value::U64(items[i]), ind, lvl)
+            write_seq(out, items.len(), indent, level, |out, i, _, _| {
+                write_u64(out, items[i]);
+                Ok(())
             })?;
         }
         Value::List(items) => {
@@ -89,96 +101,133 @@ fn write_value(
         }
         Value::Map(entries) => {
             if entries.is_empty() {
-                out.push_str("{}");
+                out.extend_from_slice(b"{}");
                 return Ok(());
             }
-            out.push('{');
+            out.push(b'{');
             for (i, (key, field)) in entries.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 newline_indent(out, indent, level + 1);
                 write_string(out, key);
-                out.push(':');
+                out.push(b':');
                 if indent.is_some() {
-                    out.push(' ');
+                    out.push(b' ');
                 }
                 write_value(out, field, indent, level + 1)?;
             }
             newline_indent(out, indent, level);
-            out.push('}');
+            out.push(b'}');
         }
     }
     Ok(())
 }
 
 fn write_seq(
-    out: &mut String,
+    out: &mut Vec<u8>,
     len: usize,
     indent: Option<usize>,
     level: usize,
-    mut write_item: impl FnMut(&mut String, usize, Option<usize>, usize) -> Result<(), WireError>,
+    mut write_item: impl FnMut(&mut Vec<u8>, usize, Option<usize>, usize) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
     if len == 0 {
-        out.push_str("[]");
+        out.extend_from_slice(b"[]");
         return Ok(());
     }
-    out.push('[');
+    out.push(b'[');
     for i in 0..len {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
         newline_indent(out, indent, level + 1);
         write_item(out, i, indent, level + 1)?;
     }
     newline_indent(out, indent, level);
-    out.push(']');
+    out.push(b']');
     Ok(())
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
+fn newline_indent(out: &mut Vec<u8>, indent: Option<usize>, level: usize) {
     if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
-        }
+        out.push(b'\n');
+        out.resize(out.len() + width * level, b' ');
     }
 }
 
-/// Formats a finite float so it re-parses bit-exactly *as a float*: Rust's
+/// The two-digit decimal form of every `n` in `0..100`, at `2n..2n + 2`.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal, filling a stack buffer from the right two digits
+/// at a time (`u64::MAX` has 20 digits).
+fn write_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut pos = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        pos -= 2;
+        buf[pos..pos + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        pos -= 1;
+        buf[pos] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&buf[pos..]);
+}
+
+fn write_i64(out: &mut Vec<u8>, v: i64) {
+    if v < 0 {
+        out.push(b'-');
+    }
+    // `unsigned_abs` is exact for `i64::MIN`, whose magnitude has no `i64`.
+    write_u64(out, v.unsigned_abs());
+}
+
+/// Appends a finite float so it re-parses bit-exactly *as a float*: Rust's
 /// shortest round-trip representation, with `.0` appended when it would
 /// otherwise look like an integer token.
-fn format_f64(v: f64) -> Result<String, WireError> {
+fn write_f64(out: &mut Vec<u8>, v: f64) -> Result<(), WireError> {
     if !v.is_finite() {
         return Err(WireError::Unrepresentable {
             reason: format!("non-finite float {v} has no JSON representation"),
         });
     }
-    let mut s = format!("{v}");
-    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-        s.push_str(".0");
+    let start = out.len();
+    write!(out, "{v}").expect("writing into a Vec cannot fail");
+    if !out[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+        out.extend_from_slice(b".0");
     }
-    Ok(s)
+    Ok(())
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\u{000c}' => out.push_str("\\f"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+fn write_string(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    // Every escape is ASCII and every byte of a multi-byte UTF-8 sequence is
+    // at least 0x80, so a byte walk copies non-ASCII text through intact.
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            0x08 => out.extend_from_slice(b"\\b"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            0x0c => out.extend_from_slice(b"\\f"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            0..=0x1f => write!(out, "\\u{b:04x}").expect("writing into a Vec cannot fail"),
+            _ => out.push(b),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 /// Parses one JSON document into a [`Value`]. Trailing whitespace is
@@ -469,6 +518,99 @@ impl Parser<'_> {
 mod tests {
     use super::*;
     use crate::value::MapBuilder;
+    use proptest::prelude::*;
+
+    /// The bytes the writer produced when every number went through
+    /// `format!`: the reference the digit writer must reproduce.
+    fn oracle_number(value: &Value) -> String {
+        match value {
+            Value::U64(v) => format!("{v}"),
+            Value::I64(v) => format!("{v}"),
+            Value::F64(v) => {
+                let mut s = format!("{v}");
+                if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+                    s.push_str(".0");
+                }
+                s
+            }
+            other => panic!("not a number: {other:?}"),
+        }
+    }
+
+    /// The old writer's bytes for a top-level `U64s`, compact or pretty.
+    fn oracle_u64s(items: &[u64], pretty: bool) -> String {
+        if items.is_empty() {
+            return "[]".into();
+        }
+        let digits: Vec<String> = items.iter().map(|v| format!("{v}")).collect();
+        if pretty {
+            let lines: Vec<String> = digits.iter().map(|d| format!("  {d}")).collect();
+            format!("[\n{}\n]", lines.join(",\n"))
+        } else {
+            format!("[{}]", digits.join(","))
+        }
+    }
+
+    fn assert_matches_oracle(value: &Value) {
+        let expected = oracle_number(value);
+        assert_eq!(to_string(value).expect("number encodes"), expected);
+        assert_eq!(to_string_pretty(value).expect("number encodes"), expected);
+    }
+
+    fn assert_u64s_match_oracle(items: &[u64]) {
+        let value = Value::U64s(items.to_vec());
+        assert_eq!(
+            to_string(&value).expect("U64s encodes"),
+            oracle_u64s(items, false)
+        );
+        assert_eq!(
+            to_string_pretty(&value).expect("U64s encodes"),
+            oracle_u64s(items, true)
+        );
+    }
+
+    #[test]
+    fn number_writer_matches_format_on_edge_values() {
+        let mut unsigned = vec![0, 9, 10, 99, 100, 999, 1000, u64::MAX, u64::MAX - 1];
+        for power in 0..=19 {
+            let p = 10u64.pow(power);
+            unsigned.extend([p - 1, p, p + 1]);
+        }
+        for &v in &unsigned {
+            assert_matches_oracle(&Value::U64(v));
+        }
+        for v in [-1, 0, 1, -10, -99, -100, i64::MIN, i64::MIN + 1, i64::MAX] {
+            assert_matches_oracle(&Value::I64(v));
+        }
+        for v in [1.0, -1.0, 1e21, 1e-7, 5e-324, -0.0, 0.0, 0.1, f64::MAX] {
+            assert_matches_oracle(&Value::F64(v));
+        }
+        assert_u64s_match_oracle(&[]);
+        assert_u64s_match_oracle(&[0]);
+        assert_u64s_match_oracle(&unsigned);
+        // Inside a container the items keep the nesting's indentation.
+        let nested = MapBuilder::new().field("xs", vec![7u64, u64::MAX]).build();
+        assert_eq!(
+            to_string_pretty(&nested).expect("map encodes"),
+            "{\n  \"xs\": [\n    7,\n    18446744073709551615\n  ]\n}"
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn number_writer_matches_format(
+            u in any::<u64>(),
+            i in any::<i64>(),
+            items in proptest::collection::vec(any::<u64>(), 0..40),
+        ) {
+            assert_matches_oracle(&Value::U64(u));
+            assert_matches_oracle(&Value::I64(i));
+            // Small magnitudes exercise every digit count below 20.
+            assert_matches_oracle(&Value::U64(u >> (u % 64)));
+            assert_matches_oracle(&Value::I64(i >> (u % 64)));
+            assert_u64s_match_oracle(&items);
+        }
+    }
 
     fn roundtrip(v: &Value) -> Value {
         let text = to_string(v).expect("value encodes as JSON");
@@ -622,6 +764,11 @@ mod tests {
         assert!(to_string(&v)
             .expect("control character encodes")
             .contains("\\u0000"));
+        // Lowercase hex, and non-ASCII text passes through the byte walk.
+        assert_eq!(
+            to_string(&Value::Str("\u{1f}é\u{b}😀".into())).expect("string encodes"),
+            "\"\\u001fé\\u000b😀\""
+        );
     }
 
     #[test]
