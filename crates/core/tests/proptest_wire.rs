@@ -57,30 +57,34 @@ fn arb_counts() -> impl Strategy<Value = (u64, u64, u64)> {
     })
 }
 
-fn arb_branch_profile() -> impl Strategy<Value = BranchProfile> {
-    (any::<u64>(), arb_counts()).prop_map(|(addr, (execs, taken, transitions))| {
+fn arb_branch_profile(addrs: impl Strategy<Value = u64>) -> impl Strategy<Value = BranchProfile> {
+    (addrs, arb_counts()).prop_map(|(addr, (execs, taken, transitions))| {
         BranchProfile::new(BranchAddr::new(addr), execs, taken, transitions)
     })
 }
 
-fn arb_profile() -> impl Strategy<Value = ProgramProfile> {
-    proptest::collection::vec(arb_branch_profile(), 0..40)
+fn arb_profile(addrs: impl Strategy<Value = u64>) -> impl Strategy<Value = ProgramProfile> {
+    proptest::collection::vec(arb_branch_profile(addrs), 0..40)
         .prop_map(|branches| branches.into_iter().collect())
 }
 
-fn arb_miss_map() -> impl Strategy<Value = BranchMissMap> {
-    proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..40).prop_map(
-        |entries| {
-            entries
-                .into_iter()
-                .map(|(addr, lookups, h)| {
-                    let lookups = lookups % 1_000_000;
-                    let hits = if lookups == 0 { 0 } else { h % (lookups + 1) };
-                    (BranchAddr::new(addr), PredictionStats { lookups, hits })
-                })
-                .collect()
-        },
-    )
+fn arb_miss_map(addrs: impl Strategy<Value = u64>) -> impl Strategy<Value = BranchMissMap> {
+    proptest::collection::vec((addrs, any::<u64>(), any::<u64>()), 0..40).prop_map(|entries| {
+        entries
+            .into_iter()
+            .map(|(addr, lookups, h)| {
+                let lookups = lookups % 1_000_000;
+                let hits = if lookups == 0 { 0 } else { h % (lookups + 1) };
+                (BranchAddr::new(addr), PredictionStats { lookups, hits })
+            })
+            .collect()
+    })
+}
+
+/// 64 word-aligned addresses: profiles and miss maps drawn from this pool
+/// share branches, so the class matrices built from them carry rates.
+fn pooled_addrs() -> impl Strategy<Value = u64> {
+    (0u64..64).prop_map(|a| a * 4)
 }
 
 /// Finite doubles from arbitrary bit patterns (subnormals, exact powers of
@@ -102,7 +106,7 @@ proptest! {
     }
 
     #[test]
-    fn branch_and_program_profiles_roundtrip(profile in arb_profile()) {
+    fn branch_and_program_profiles_roundtrip(profile in arb_profile(any::<u64>())) {
         assert_wire_roundtrip(&profile);
         for branch in profile.iter() {
             assert_wire_roundtrip(branch);
@@ -114,7 +118,7 @@ proptest! {
 
     #[test]
     fn distributions_and_joint_tables_roundtrip(
-        profile in arb_profile(),
+        profile in arb_profile(any::<u64>()),
         metric in arb_metric(),
         scheme in arb_scheme(),
     ) {
@@ -124,7 +128,7 @@ proptest! {
     }
 
     #[test]
-    fn miss_maps_roundtrip(map in arb_miss_map()) {
+    fn miss_maps_roundtrip(map in arb_miss_map(any::<u64>())) {
         let value = miss_map_to_value(&map);
         let via_json = btr_wire::json::from_str(&btr_wire::json::to_string(&value).unwrap());
         prop_assert_eq!(miss_map_from_value(&via_json.unwrap()).unwrap(), map.clone());
@@ -134,10 +138,10 @@ proptest! {
 
     #[test]
     fn matrices_roundtrip(
-        profile in arb_profile(),
+        profile in arb_profile(pooled_addrs()),
         metric in arb_metric(),
         scheme in arb_scheme(),
-        maps in proptest::collection::vec(arb_miss_map(), 1..4),
+        maps in proptest::collection::vec(arb_miss_map(pooled_addrs()), 1..4),
     ) {
         let runs: Vec<(u32, ClassMissRates)> = maps
             .iter()

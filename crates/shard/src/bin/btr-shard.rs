@@ -23,7 +23,7 @@
 //!
 //! Scheduling options (how units are executed):
 //!
-//! * `--workers N`          attempts in flight at once (default 2)
+//! * `--workers N`          worker processes in flight at once (default 2)
 //! * `--deadline-ms N`      per-attempt straggler deadline (default 30000)
 //! * `--backoff-base-ms N`  backoff after the first failure (default 25)
 //! * `--backoff-cap-ms N`   backoff ceiling (default 1000)
@@ -33,10 +33,12 @@
 //! * `--worker PATH`        worker executable (default: `btr-shard-worker`
 //!   next to this binary)
 //!
-//! `run` refuses a directory that already holds a sweep; `resume` picks one
-//! up from its manifest, adopting any checkpoints a killed coordinator never
-//! recorded. `sequential` runs the unsharded reference and writes the same
-//! `final.btrw` — the crash-recovery gate byte-compares the two.
+//! `run` writes one `BTRT` trace per benchmark and the manifest into the
+//! out dir, then its units; it refuses a directory that already holds a
+//! sweep. `resume` picks one up from its manifest, regenerating the traces
+//! and adopting every valid checkpoint on disk. `sequential` runs the
+//! unsharded reference and writes the same `final.btrw` — the
+//! crash-recovery gate byte-compares the two.
 //!
 //! Exit codes: 0 sweep merged, 2 usage error, 3 interrupted at
 //! `--max-commits` (resumable), 4 retry budget exhausted, 1 other failure.

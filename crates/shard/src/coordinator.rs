@@ -1,11 +1,14 @@
-//! The sharded-sweep coordinator: dispatches work units to workers, commits
-//! their checkpoints to the manifest, re-issues failures and stragglers with
-//! capped exponential backoff, and re-merges the partials into a final
-//! [`SweepResult`] that is bit-identical to the sequential reference.
+//! The sharded-sweep coordinator: writes the manifest and one trace per
+//! benchmark, dispatches work units to workers, settles their checkpoints,
+//! re-issues failures and stragglers with capped exponential backoff, and
+//! re-merges the partials into a final [`SweepResult`] that is bit-identical
+//! to the sequential reference.
 //!
 //! ## Scheduling model
 //!
-//! The coordinator keeps at most `max_workers` attempts in flight. Each
+//! Process workers run at most `max_workers` attempts at once; the
+//! in-process launcher runs one unit at a time, decoding each trace file
+//! once per drive and sweeping every unit over it in place. Each
 //! finished attempt (clean exit, crash, or deadline kill) is *settled* by
 //! validating the unit's checkpoint on disk — never by trusting the exit
 //! code — so a worker that committed and then crashed still counts as done.
@@ -15,11 +18,13 @@
 //!
 //! ## Merge determinism
 //!
-//! Unit ids are contiguous per history group ([`SweepSpec::plan_units`]),
-//! so the merge folds each group's partials in unit-id order, concatenates
-//! the groups' parts and reassembles with [`SweepResult::from_parts`]. All
-//! per-counter merges are `u64` additions over disjoint windows, so the
-//! result is independent of which attempt produced each partial.
+//! Unit ids are contiguous per history group ([`SweepSpec::plan_units`]).
+//! Each validated partial is folded into its group's result as it settles
+//! (or, on resume, as it is adopted), and the groups' parts are then
+//! concatenated and reassembled with [`SweepResult::from_parts`]. All
+//! per-counter merges are `u64` additions into address-keyed maps, so the
+//! result is independent of settle order and of which attempt produced
+//! each partial.
 
 use crate::error::{Result, ShardError};
 use crate::fault::FaultPlan;
@@ -27,8 +32,9 @@ use crate::manifest::{Manifest, OutDir};
 use crate::unit::{SweepSpec, UnitSpec};
 use crate::worker;
 use btr_sim::sweep::SweepResult;
+use btr_trace::InternedTrace;
 use btr_wire::Wire;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -43,17 +49,20 @@ pub enum Launcher {
         /// Path of the worker executable.
         worker: PathBuf,
     },
-    /// Execute units synchronously inside the coordinator process (used by
-    /// benches and tests that do not want process overhead). Faults come
-    /// from [`CoordinatorConfig::fault_plan`]; an injected stall behaves
-    /// like a deadline-killed straggler (no commit, immediate failure).
+    /// Execute units one at a time inside the coordinator process (used by
+    /// benches and tests that do not want process overhead). Each trace
+    /// file is decoded once per drive and every unit sweeps it in place.
+    /// Faults come from [`CoordinatorConfig::fault_plan`]; an injected stall
+    /// behaves like a deadline-killed straggler (no commit, immediate
+    /// failure).
     InProcess,
 }
 
 /// Tunables for one coordinator run.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
-    /// Maximum attempts in flight at once (at least 1).
+    /// Maximum process-worker attempts in flight at once (at least 1). The
+    /// in-process launcher ignores it and runs units one at a time.
     pub max_workers: usize,
     /// Per-attempt deadline; process workers still running past it are
     /// killed and settled as failures (the straggler path).
@@ -65,9 +74,8 @@ pub struct CoordinatorConfig {
     /// Consecutive failures of one unit tolerated before the run aborts
     /// with [`ShardError::RetryBudgetExhausted`].
     pub retry_budget: u32,
-    /// Stop with [`ShardError::Interrupted`] after this many manifest
-    /// commits (simulates coordinator preemption; `resume` finishes the
-    /// sweep).
+    /// Stop with [`ShardError::Interrupted`] after this many units commit
+    /// (simulates coordinator preemption; `resume` finishes the sweep).
     pub max_commits: Option<u64>,
     /// How units are executed.
     pub launcher: Launcher,
@@ -135,11 +143,12 @@ impl Coordinator {
         &self.dir
     }
 
-    /// Starts a fresh sweep: plans units, persists the manifest and unit
-    /// specs, then drives every unit to completion and merges the final
-    /// result. Refuses to clobber a directory that already holds a sweep.
+    /// Starts a fresh sweep: plans units, writes each benchmark's trace and
+    /// then the manifest, drives every unit to completion and merges the
+    /// final result. Refuses to clobber a directory that already holds a
+    /// sweep.
     pub fn run(&self, spec: SweepSpec) -> Result<SweepResult> {
-        spec.validate()?;
+        let units = self.dir.plan_bound(&spec)?;
         self.dir.init()?;
         if self.dir.manifest_path().exists() {
             return Err(ShardError::bad_manifest(format!(
@@ -147,42 +156,54 @@ impl Coordinator {
                 self.dir.root().display()
             )));
         }
-        let units = spec.plan_units()?;
-        self.dir.write_unit_specs(&units)?;
-        let manifest = Manifest::new(spec);
+        self.dir.write_traces(&spec)?;
+        let manifest = Manifest { spec };
         manifest.save(&self.dir)?;
-        self.drive(manifest, &units)
+        self.drive(&manifest.spec, &units, false)
     }
 
-    /// Resumes a sweep from its manifest: reconciles the manifest against
-    /// the checkpoints actually on disk (adopting valid partials a killed
-    /// coordinator never recorded, re-opening units whose checkpoints are
-    /// torn or missing), then drives only the incomplete units.
+    /// Resumes a sweep from its manifest: regenerates the trace files, then
+    /// drives only the units without a valid checkpoint on disk (re-opening
+    /// torn or missing ones, adopting every valid one).
     pub fn resume(&self) -> Result<SweepResult> {
-        let mut manifest = Manifest::load(&self.dir)?;
-        let units = manifest.spec.plan_units()?;
-        self.dir.init()?;
-        self.dir.write_unit_specs(&units)?;
-        if manifest.reconcile(&self.dir, &units) {
-            manifest.save(&self.dir)?;
-        }
-        self.drive(manifest, &units)
+        let manifest = Manifest::load(&self.dir)?;
+        let units = self.dir.plan_bound(&manifest.spec)?;
+        self.dir.write_traces(&manifest.spec)?;
+        self.drive(&manifest.spec, &units, true)
     }
 
-    fn drive(&self, mut manifest: Manifest, units: &[UnitSpec]) -> Result<SweepResult> {
+    /// Drives every unit without a checkpoint to completion (with `adopt`,
+    /// valid checkpoints already on disk count as complete) and merges.
+    /// Each validated partial is folded into its history group's result as
+    /// it settles, so no checkpoint is read twice.
+    fn drive(&self, spec: &SweepSpec, units: &[UnitSpec], adopt: bool) -> Result<SweepResult> {
         let total = units.len();
+        let per_group = (spec.benchmarks.len() * spec.window_count as usize).max(1);
+        let mut groups: Vec<Option<SweepResult>> = vec![None; total.div_ceil(per_group)];
+        let mut fold =
+            |unit_id: u32, partial: SweepResult| match &mut groups[unit_id as usize / per_group] {
+                Some(merged) => merged.merge(&partial),
+                slot => *slot = Some(partial),
+            };
         // Wall-clock is confined to scheduling (straggler deadlines and
         // backoff pacing); nothing time-derived enters results or artifacts.
         let epoch = Instant::now();
-        let mut pending: BTreeMap<u32, Duration> = units
-            .iter()
-            .filter(|u| !manifest.completed.contains(&u.unit_id))
-            .map(|u| (u.unit_id, Duration::ZERO))
-            .collect();
+        let mut pending: BTreeMap<u32, Duration> = BTreeMap::new();
+        for unit in units {
+            match adopt.then(|| self.dir.load_partial(unit)) {
+                Some(Ok(partial)) => fold(unit.unit_id, partial),
+                _ => {
+                    pending.insert(unit.unit_id, Duration::ZERO);
+                }
+            }
+        }
+        let mut remaining = pending.len();
         let mut failures: BTreeMap<u32, u32> = BTreeMap::new();
         let mut running: Vec<Slot> = Vec::new();
         let mut finished: Vec<u32> = Vec::new();
         let mut commits: u64 = 0;
+        // The in-process launcher's decoded traces, one per bound file.
+        let mut decoded: BTreeMap<Option<String>, InternedTrace> = BTreeMap::new();
 
         loop {
             // Reap exited workers and kill stragglers past their deadline.
@@ -209,21 +230,20 @@ impl Coordinator {
             // Settle finished attempts by validating the checkpoint on disk.
             for unit_id in std::mem::take(&mut finished) {
                 let unit = &units[unit_id as usize];
-                if self.dir.load_partial(unit).is_ok() {
-                    if manifest.completed.insert(unit_id) {
-                        manifest.save(&self.dir)?;
-                        commits += 1;
-                        let quota_hit = self
-                            .config
-                            .max_commits
-                            .is_some_and(|quota| commits >= quota);
-                        if quota_hit && manifest.completed.len() < total {
-                            kill_all(&mut running);
-                            return Err(ShardError::Interrupted {
-                                completed: manifest.completed.len(),
-                                total,
-                            });
-                        }
+                if let Ok(partial) = self.dir.load_partial(unit) {
+                    fold(unit_id, partial);
+                    commits += 1;
+                    remaining -= 1;
+                    let quota_hit = self
+                        .config
+                        .max_commits
+                        .is_some_and(|quota| commits >= quota);
+                    if quota_hit && remaining > 0 {
+                        kill_all(&mut running);
+                        return Err(ShardError::Interrupted {
+                            completed: total - remaining,
+                            total,
+                        });
                     }
                 } else {
                     // Torn, corrupt, or absent checkpoint: clear any debris
@@ -261,8 +281,8 @@ impl Coordinator {
                     Launcher::Process { worker } => {
                         let mut command = Command::new(worker);
                         command
-                            .arg(self.dir.unit_path(unit_id))
                             .arg(self.dir.root())
+                            .arg(unit_id.to_string())
                             .arg(attempt.to_string())
                             .stdout(Stdio::null());
                         // An explicit plan overrides whatever BTR_FAULT the
@@ -286,9 +306,13 @@ impl Coordinator {
                             .fault_plan
                             .as_ref()
                             .and_then(|p| p.decide(unit_id, attempt));
+                        let trace = match decoded.entry(unit.trace_file.clone()) {
+                            Entry::Occupied(entry) => entry.into_mut(),
+                            Entry::Vacant(entry) => entry.insert(unit.load_trace()?),
+                        };
                         // Nonce folds the attempt in so racing temp files of
                         // one unit never collide.
-                        worker::execute_and_commit(&self.dir, unit, fault, attempt)?;
+                        worker::execute_and_commit(&self.dir, unit, trace, fault, attempt)?;
                         finished.push(unit_id);
                     }
                 }
@@ -313,31 +337,11 @@ impl Coordinator {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        self.merge(&manifest, units)
-    }
-
-    /// Folds every unit's validated checkpoint into the final result:
-    /// per-group merges in unit-id order, group parts concatenated and
-    /// reassembled. The final result carries no source labels, so its
-    /// encoding is byte-comparable to the sequential reference's.
-    fn merge(&self, manifest: &Manifest, units: &[UnitSpec]) -> Result<SweepResult> {
-        let spec = &manifest.spec;
-        let per_group = spec.benchmarks.len() * spec.window_count as usize;
-        let mut parts = Vec::new();
-        for chunk in units.chunks(per_group.max(1)) {
-            let mut merged: Option<SweepResult> = None;
-            for unit in chunk {
-                let partial = self.dir.load_partial(unit)?;
-                match &mut merged {
-                    None => merged = Some(partial),
-                    Some(m) => m.merge(&partial),
-                }
-            }
-            if let Some(m) = merged {
-                parts.extend(m.into_parts().1);
-            }
-        }
-        let final_result = SweepResult::from_parts(spec.family, parts);
+        // `into_parts` drops the source labels, so the final encoding is
+        // byte-comparable to the sequential reference's.
+        let parts = groups.into_iter().flatten();
+        let final_result =
+            SweepResult::from_parts(spec.family, parts.flat_map(|m| m.into_parts().1).collect());
         self.dir
             .write_atomic(&self.dir.final_path(), &final_result.to_btrw(), 0)?;
         Ok(final_result)

@@ -14,7 +14,7 @@ pub enum ShardError {
         /// The underlying error.
         source: io::Error,
     },
-    /// A wire payload (manifest, unit spec, partial) failed to decode.
+    /// A wire payload (manifest, partial) failed to decode.
     Wire(WireError),
     /// The sweep specification is not executable.
     InvalidSpec {
@@ -25,6 +25,13 @@ pub enum ShardError {
     BadManifest {
         /// Why the manifest was rejected.
         reason: String,
+    },
+    /// A worker was asked for a unit id outside the manifest's plan.
+    UnknownUnit {
+        /// The requested unit.
+        unit_id: u32,
+        /// Units in the plan.
+        total: usize,
     },
     /// A work unit failed (crashes, stragglers, invalid partials) more times
     /// than the retry budget allows.
@@ -38,7 +45,7 @@ pub enum ShardError {
     /// to simulate coordinator preemption); resume from the manifest to
     /// finish the sweep.
     Interrupted {
-        /// Units committed to the manifest so far.
+        /// Units with a valid checkpoint so far.
         completed: usize,
         /// Total units in the sweep.
         total: usize,
@@ -83,6 +90,9 @@ impl fmt::Display for ShardError {
             ShardError::Wire(e) => write!(f, "wire decode failed: {e}"),
             ShardError::InvalidSpec { reason } => write!(f, "invalid sweep spec: {reason}"),
             ShardError::BadManifest { reason } => write!(f, "bad manifest: {reason}"),
+            ShardError::UnknownUnit { unit_id, total } => {
+                write!(f, "unit {unit_id} is outside the sweep's {total} units")
+            }
             ShardError::RetryBudgetExhausted { unit_id, attempts } => write!(
                 f,
                 "unit {unit_id} failed {attempts} times, exhausting its retry budget"

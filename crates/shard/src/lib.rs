@@ -11,8 +11,9 @@
 //! * [`unit`](mod@unit) — [`unit::SweepSpec`] (the whole experiment) and
 //!   [`unit::UnitSpec`] (one self-contained work unit; ships descriptors,
 //!   never trace bytes).
-//! * [`manifest`] — the on-disk checkpoint store: crash-safe
-//!   write-temp-then-rename commits, the resume manifest, and
+//! * [`manifest`] — the one-directory out dir: crash-safe
+//!   write-temp-then-rename commits, the write-once manifest, one generated
+//!   `BTRT` trace per benchmark that every unit is bound to, and
 //!   first-committed-wins duplicate resolution.
 //! * [`coordinator`] — dispatch, straggler deadlines, capped exponential
 //!   backoff, retry budgets, and the deterministic final merge.

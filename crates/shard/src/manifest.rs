@@ -1,24 +1,30 @@
 //! The on-disk checkpoint store: output-directory layout, the crash-safe
-//! manifest, and the unit-partial commit protocol.
+//! manifest, the generated traces and the unit-partial commit protocol.
 //!
 //! ## Layout
 //!
 //! ```text
 //! <out-dir>/
-//!   manifest.btrw            versioned Manifest (spec + completed unit ids)
-//!   units/unit-<id>.btrw     one UnitSpec per work unit (written at plan time)
-//!   partials/unit-<id>.btrw  one committed SweepResult partial per unit
+//!   manifest.btrw            versioned Manifest (the sweep spec; written once)
+//!   trace-<k>.btrt           benchmark k's generated trace, as BTRT
+//!   partial-<id>.btrw        one committed SweepResult partial per unit
 //!   final.btrw               the merged SweepResult (written last)
 //! ```
+//!
+//! One directory, no subdirectories. A unit is a pure function of the
+//! manifest's spec and its id ([`OutDir::plan_bound`]), so no per-unit spec
+//! file is written: a worker plans its own unit from the manifest.
 //!
 //! ## Crash safety
 //!
 //! Every durable write follows *write-temp-then-rename*: bytes are written
 //! to a `.tmp-…` sibling and `rename(2)`d into place, so a reader never
-//! observes a half-written manifest or partial — it sees either the old
-//! file, the new file, or no file. A coordinator killed between a partial's
-//! rename and the manifest update loses nothing: resume re-scans the
-//! partials directory and adopts any valid checkpoint the manifest missed.
+//! observes a half-written manifest, trace or partial — it sees either the
+//! old file, the new file, or no file. The manifest is written once, before
+//! any unit runs, and never changes: progress lives only in the partials,
+//! and resume rebuilds it by validating each one. Traces are regenerated on
+//! every resume (generation is deterministic), so a trace file lost or torn
+//! between runs cannot reach a unit.
 //!
 //! ## Duplicate completions
 //!
@@ -39,7 +45,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Manifest schema version written to and expected from disk.
-pub const MANIFEST_FORMAT: u64 = 1;
+/// Format 1 also carried the completed-unit set, which resume now rebuilds
+/// from the partials on disk.
+pub const MANIFEST_FORMAT: u64 = 2;
 
 /// The output directory of one sharded sweep.
 #[derive(Debug, Clone)]
@@ -58,13 +66,10 @@ impl OutDir {
         &self.root
     }
 
-    /// Creates the directory skeleton.
+    /// Creates the directory (one level of the layout; no subdirectories).
     pub fn init(&self) -> Result<()> {
-        for dir in [self.root.clone(), self.units_dir(), self.partials_dir()] {
-            fs::create_dir_all(&dir)
-                .map_err(|e| ShardError::io(format!("creating {}", dir.display()), e))?;
-        }
-        Ok(())
+        fs::create_dir_all(&self.root)
+            .map_err(|e| ShardError::io(format!("creating {}", self.root.display()), e))
     }
 
     /// Path of the manifest.
@@ -72,24 +77,14 @@ impl OutDir {
         self.root.join("manifest.btrw")
     }
 
-    /// Directory holding per-unit spec files.
-    pub fn units_dir(&self) -> PathBuf {
-        self.root.join("units")
-    }
-
-    /// Path of one unit's spec file.
-    pub fn unit_path(&self, unit_id: u32) -> PathBuf {
-        self.units_dir().join(format!("unit-{unit_id}.btrw"))
-    }
-
-    /// Directory holding committed partials.
-    pub fn partials_dir(&self) -> PathBuf {
-        self.root.join("partials")
+    /// Path of benchmark `k`'s generated trace.
+    pub fn trace_path(&self, k: usize) -> PathBuf {
+        self.root.join(format!("trace-{k}.btrt"))
     }
 
     /// Path of one unit's committed partial.
     pub fn partial_path(&self, unit_id: u32) -> PathBuf {
-        self.partials_dir().join(format!("unit-{unit_id}.btrw"))
+        self.root.join(format!("partial-{unit_id}.btrw"))
     }
 
     /// Path of the merged final result.
@@ -171,13 +166,43 @@ impl OutDir {
         Ok(result)
     }
 
-    /// Writes every unit's spec file (idempotent; specs are deterministic
-    /// functions of the sweep spec, so overwriting on resume is harmless).
-    pub fn write_unit_specs(&self, units: &[UnitSpec]) -> Result<()> {
-        for unit in units {
-            self.write_atomic(&self.unit_path(unit.unit_id), &unit.to_btrw(), unit.unit_id)?;
+    /// Generates each benchmark of `spec` once and writes it as `BTRT` to
+    /// [`OutDir::trace_path`]. A spec that names its own trace file has
+    /// nothing to generate.
+    pub fn write_traces(&self, spec: &SweepSpec) -> Result<()> {
+        if spec.trace_file.is_some() {
+            return Ok(());
+        }
+        for (k, benchmark) in spec.benchmarks.iter().enumerate() {
+            let mut bytes = Vec::new();
+            btr_trace::io::write_binary(&mut bytes, &benchmark.generate(&spec.config))
+                .map_err(|e| ShardError::io("encoding a trace", io::Error::other(e.to_string())))?;
+            self.write_atomic(&self.trace_path(k), &bytes, k as u32)?;
         }
         Ok(())
+    }
+
+    /// Plans `spec`'s units and binds each to its benchmark's trace file in
+    /// this directory; a spec that names its own trace file keeps it. The
+    /// coordinator and the process worker both plan through here, so they
+    /// agree on every unit.
+    pub fn plan_bound(&self, spec: &SweepSpec) -> Result<Vec<UnitSpec>> {
+        let mut units = spec.plan_units()?;
+        if spec.trace_file.is_none() {
+            let paths = (0..spec.benchmarks.len())
+                .map(|k| self.trace_path(k).into_os_string().into_string())
+                .collect::<std::result::Result<Vec<_>, _>>()
+                .map_err(|p| ShardError::invalid_spec(format!("trace path {p:?} is not UTF-8")))?;
+            // Units run (group, benchmark, window) in order, so each run of
+            // `window_count` units shares one benchmark, cycling per group.
+            let per_benchmark = units.chunks_mut(spec.window_count as usize);
+            for (chunk, path) in per_benchmark.zip(paths.iter().cycle()) {
+                for unit in chunk {
+                    unit.trace_file = Some(path.clone());
+                }
+            }
+        }
+        Ok(units)
     }
 }
 
@@ -190,37 +215,24 @@ fn tmp_sibling(path: &Path, nonce: u32) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// The durable record of a sweep's progress: its spec and the set of units
-/// whose partials are committed. Everything else is reconstructible.
+/// The durable record of a sweep: its spec, written once before any unit
+/// runs. Progress is not recorded here; the partials on disk are the record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
     /// The sweep this manifest tracks.
     pub spec: SweepSpec,
-    /// Units whose validated partials are on disk.
-    pub completed: BTreeSet<u32>,
 }
 
 impl Manifest {
-    /// A fresh manifest with nothing completed.
-    pub fn new(spec: SweepSpec) -> Self {
-        Manifest {
-            spec,
-            completed: BTreeSet::new(),
-        }
-    }
-
     /// Saves the manifest atomically (write-temp-then-rename).
     pub fn save(&self, dir: &OutDir) -> Result<()> {
-        dir.write_atomic(
-            &dir.manifest_path(),
-            &self.to_btrw(),
-            self.completed.len() as u32,
-        )
+        dir.write_atomic(&dir.manifest_path(), &self.to_btrw(), 0)
     }
 
-    /// Loads a manifest, mapping a missing file to [`ShardError::BadManifest`]
-    /// (a torn `.tmp` sibling left by a killed coordinator is ignored: the
-    /// rename either happened or the old manifest is still in place).
+    /// Loads a manifest, mapping a missing file or a format other than
+    /// [`MANIFEST_FORMAT`] to [`ShardError::BadManifest`] (a torn `.tmp`
+    /// sibling left by a killed coordinator is ignored: the rename either
+    /// happened or no manifest is in place).
     pub fn load(dir: &OutDir) -> Result<Self> {
         let path = dir.manifest_path();
         let bytes = match fs::read(&path) {
@@ -236,48 +248,17 @@ impl Manifest {
         let manifest = Manifest::from_btrw(&bytes)
             .map_err(|e| ShardError::bad_manifest(format!("{}: {e}", path.display())))?;
         manifest.spec.validate()?;
-        let total = manifest.spec.plan_units()?.len() as u32;
-        if let Some(stray) = manifest.completed.iter().find(|id| **id >= total) {
-            return Err(ShardError::bad_manifest(format!(
-                "completed unit {stray} outside the sweep's {total} units"
-            )));
-        }
         Ok(manifest)
-    }
-
-    /// Reconciles the manifest against the partials actually on disk:
-    /// completed units whose checkpoints vanished or fail validation are
-    /// re-opened, and valid checkpoints the manifest missed (a coordinator
-    /// killed between rename and manifest save) are adopted. Returns whether
-    /// anything changed (callers then re-save the manifest).
-    pub fn reconcile(&mut self, dir: &OutDir, units: &[UnitSpec]) -> bool {
-        let mut changed = false;
-        for unit in units {
-            let valid = dir.load_partial(unit).is_ok();
-            let recorded = self.completed.contains(&unit.unit_id);
-            if valid && !recorded {
-                self.completed.insert(unit.unit_id);
-                changed = true;
-            } else if !valid && recorded {
-                self.completed.remove(&unit.unit_id);
-                changed = true;
-            }
-        }
-        changed
     }
 }
 
-/// [`Manifest`] encodes a format version, the sweep spec and the sorted
-/// completed-unit set; unknown future versions are rejected on decode.
+/// [`Manifest`] encodes a format version and the sweep spec; any other
+/// version is rejected on decode.
 impl Wire for Manifest {
     fn to_value(&self) -> Value {
         MapBuilder::new()
             .field("format", MANIFEST_FORMAT)
             .field("spec", self.spec.to_value())
-            .field(
-                "completed",
-                Value::U64s(self.completed.iter().map(|id| u64::from(*id)).collect()),
-            )
             .build()
     }
 
@@ -288,14 +269,8 @@ impl Wire for Manifest {
                 "manifest format {format} not supported (expected {MANIFEST_FORMAT})"
             )));
         }
-        let mut completed = BTreeSet::new();
-        for id in value.get("completed")?.as_u64_seq()? {
-            completed
-                .insert(u32::try_from(id).map_err(|_| WireError::schema("unit id exceeds u32"))?);
-        }
         Ok(Manifest {
             spec: SweepSpec::from_value(value.get("spec")?)?,
-            completed,
         })
     }
 }

@@ -2,17 +2,20 @@
 //! [`SweepSpec::plan_units`] splits it into self-contained [`UnitSpec`] work
 //! units along three axes — benchmark × history-group × trace window.
 //!
-//! A unit ships *no trace bytes*: workload generation is deterministic per
-//! `(Benchmark, SuiteConfig)` (pinned by the workloads crate), so a worker
-//! regenerates its trace from the descriptors in the unit and the partial it
-//! returns is bit-identical wherever it runs. Alternatively a spec can name
-//! a shared `BTRT` trace file ([`SweepSpec::trace_file`]); units then decode
-//! it through the columnar [`btr_trace::FastBtrtReader`] fast path instead
-//! of regenerating, which is how captured (non-synthetic) traces are swept.
+//! A unit ships *no trace bytes*: the coordinator generates each benchmark
+//! once (generation is deterministic per `(Benchmark, SuiteConfig)`, pinned
+//! by the workloads crate) and writes it as `BTRT` into the out dir, and
+//! [`crate::OutDir::plan_bound`] binds every unit to its benchmark's file.
+//! A spec can instead name one captured `BTRT` trace file
+//! ([`SweepSpec::trace_file`]), which is how non-synthetic traces are swept.
+//! Either way a bound unit decodes its trace through the columnar
+//! [`btr_trace::FastBtrtReader`] fast path, so the partial it returns is
+//! bit-identical wherever it runs. Only an unbound unit (straight from
+//! [`SweepSpec::plan_units`]) regenerates its workload.
 
 use crate::error::{Result, ShardError};
 use btr_sim::config::PredictorFamily;
-use btr_sim::engine::{BatchLane, SimEngine};
+use btr_sim::engine::SimEngine;
 use btr_sim::sweep::SweepResult;
 use btr_trace::{read_interned_btrt, InternedTrace};
 use btr_wire::{MapBuilder, Value, Wire, WireError};
@@ -37,7 +40,7 @@ pub struct SweepSpec {
     /// contiguous windows simulated independently (with full-prefix warmup,
     /// so merged windows stay bit-identical to the sequential run).
     pub window_count: u32,
-    /// Path to a shared `BTRT` trace file to sweep instead of regenerating
+    /// Path to a shared `BTRT` trace file to sweep instead of generating
     /// the benchmark workload. Requires exactly one benchmark (the label the
     /// results are filed under); every worker must see the file at this path.
     pub trace_file: Option<String>,
@@ -110,7 +113,10 @@ impl Wire for SweepSpec {
     fn to_value(&self) -> Value {
         let mut builder = MapBuilder::new()
             .field("family", self.family.to_value())
-            .field("histories", Value::U64s(histories_to_u64s(&self.histories)))
+            .field(
+                "histories",
+                Value::U64s(self.histories.iter().map(|h| u64::from(*h)).collect()),
+            )
             .field(
                 "benchmarks",
                 Value::List(self.benchmarks.iter().map(Wire::to_value).collect()),
@@ -140,7 +146,10 @@ impl Wire for SweepSpec {
                 .map_err(|_| WireError::schema("history_group exceeds usize"))?,
             window_count: u32::try_from(value.get("window_count")?.as_u64()?)
                 .map_err(|_| WireError::schema("window_count exceeds u32"))?,
-            trace_file: trace_file_from_value(value)?,
+            // Absent (as in specs written before the field) means generate.
+            trace_file: (value.get_opt("trace_file")?)
+                .map(|path| path.as_str().map(str::to_string))
+                .transpose()?,
         })
     }
 }
@@ -156,7 +165,7 @@ pub struct UnitSpec {
     pub family: PredictorFamily,
     /// The history lengths this unit sweeps (one group of the spec).
     pub histories: Vec<u32>,
-    /// The benchmark whose trace this unit regenerates.
+    /// The benchmark whose trace this unit sweeps.
     pub benchmark: Benchmark,
     /// Workload generation parameters.
     pub config: SuiteConfig,
@@ -164,8 +173,10 @@ pub struct UnitSpec {
     pub window_index: u32,
     /// Total windows the trace is split into (1 = whole trace).
     pub window_count: u32,
-    /// Shared `BTRT` trace file to decode instead of regenerating the
-    /// benchmark (see [`SweepSpec::trace_file`]).
+    /// The `BTRT` trace file the unit decodes: the spec's own
+    /// ([`SweepSpec::trace_file`]) or, once bound by
+    /// [`crate::OutDir::plan_bound`], its benchmark's generated trace. An
+    /// unbound unit regenerates the benchmark instead.
     pub trace_file: Option<String>,
 }
 
@@ -186,29 +197,32 @@ impl UnitSpec {
         (start, end)
     }
 
-    /// Executes the unit: obtain the trace (regenerate the benchmark, or
-    /// decode [`UnitSpec::trace_file`] through the `BTRT` fast path), sweep
-    /// this unit's history group over its window, and return the (unlabeled)
-    /// partial.
-    ///
-    /// The window `[start, end)` is one [`SimEngine::run_batch`] lane over
-    /// the trace cut at `end`, with the engine warmup set to `start`: the
-    /// fused predictor trains on `[0, start)` and scores `[start, end)` —
-    /// exactly what a full-prefix warmup window does, in one pass for the
-    /// whole history group. One window is simply `start = 0, end = len`.
-    /// Merging every unit of a sweep reproduces the sequential result bit
-    /// for bit (pinned by `tests/fault_convergence.rs`).
+    /// Executes the unit: obtain the trace (decode [`UnitSpec::trace_file`]
+    /// through the `BTRT` fast path, or regenerate an unbound unit's
+    /// benchmark), sweep this unit's history group over its window, and
+    /// return the (unlabeled) partial.
     pub fn execute(&self) -> Result<SweepResult> {
+        self.execute_over(&self.load_trace()?)
+    }
+
+    /// Sweeps this unit's history group over its window of `trace`.
+    ///
+    /// The window `[start, end)` is one [`SimEngine::run_prefix`] over the
+    /// trace's first `end` records, borrowed in place, with the engine
+    /// warmup set to `start`: the fused predictor trains on `[0, start)` and
+    /// scores `[start, end)` — exactly what a full-prefix warmup window does,
+    /// in one pass for the whole history group. One window is simply
+    /// `start = 0, end = len`. Merging every unit of a sweep reproduces the
+    /// sequential result bit for bit (pinned by `tests/fault_convergence.rs`).
+    pub(crate) fn execute_over(&self, trace: &InternedTrace) -> Result<SweepResult> {
         validate_histories(self.family, &self.histories).map_err(ShardError::invalid_spec)?;
-        let mut interned = self.load_trace()?;
         let (start, end) =
-            UnitSpec::window_bounds(interned.len(), self.window_index, self.window_count);
-        interned.truncate(end);
-        let lane = BatchLane::new(0, self.family.fused_paper(&self.histories));
-        let results = SimEngine::new()
-            .with_warmup(start as u64)
-            .run_batch(&[&interned], vec![lane])
-            .remove(0);
+            UnitSpec::window_bounds(trace.len(), self.window_index, self.window_count);
+        let results = SimEngine::new().with_warmup(start as u64).run_prefix(
+            trace,
+            end,
+            &mut self.family.fused_paper(&self.histories),
+        );
         let parts = self.histories.iter().copied().zip(results).collect();
         Ok(SweepResult::from_parts(self.family, parts))
     }
@@ -217,7 +231,7 @@ impl UnitSpec {
     /// the columnar fast path when set, regenerated from the benchmark
     /// descriptors otherwise. Both routes intern with first-appearance ids,
     /// so results are bit-identical for identical record streams.
-    fn load_trace(&self) -> Result<InternedTrace> {
+    pub(crate) fn load_trace(&self) -> Result<InternedTrace> {
         match &self.trace_file {
             Some(path) => {
                 let (_metadata, interned) = read_interned_btrt(path).map_err(|e| {
@@ -230,51 +244,6 @@ impl UnitSpec {
             }
             None => Ok(self.benchmark.generate(&self.config).intern()),
         }
-    }
-}
-
-/// [`UnitSpec`] encodes every field verbatim; the coordinator writes one
-/// unit file per unit and workers decode it as their entire job description.
-impl Wire for UnitSpec {
-    fn to_value(&self) -> Value {
-        let mut builder = MapBuilder::new()
-            .field("unit_id", u64::from(self.unit_id))
-            .field("family", self.family.to_value())
-            .field("histories", Value::U64s(histories_to_u64s(&self.histories)))
-            .field("benchmark", self.benchmark.to_value())
-            .field("config", self.config.to_value())
-            .field("window_index", u64::from(self.window_index))
-            .field("window_count", u64::from(self.window_count));
-        if let Some(path) = &self.trace_file {
-            builder = builder.field("trace_file", path.as_str());
-        }
-        builder.build()
-    }
-
-    fn from_value(value: &Value) -> std::result::Result<Self, WireError> {
-        let window_count = u32::try_from(value.get("window_count")?.as_u64()?)
-            .map_err(|_| WireError::schema("window_count exceeds u32"))?;
-        let window_index = u32::try_from(value.get("window_index")?.as_u64()?)
-            .map_err(|_| WireError::schema("window_index exceeds u32"))?;
-        if window_count == 0 || window_index >= window_count {
-            return Err(WireError::schema(format!(
-                "window {window_index} outside its window count {window_count}"
-            )));
-        }
-        let family = PredictorFamily::from_value(value.get("family")?)?;
-        let histories = histories_from_value(value.get("histories")?)?;
-        validate_histories(family, &histories).map_err(WireError::schema)?;
-        Ok(UnitSpec {
-            unit_id: u32::try_from(value.get("unit_id")?.as_u64()?)
-                .map_err(|_| WireError::schema("unit id exceeds u32"))?,
-            family,
-            histories,
-            benchmark: Benchmark::from_value(value.get("benchmark")?)?,
-            config: SuiteConfig::from_value(value.get("config")?)?,
-            window_index,
-            window_count,
-            trace_file: trace_file_from_value(value)?,
-        })
     }
 }
 
@@ -298,19 +267,6 @@ fn validate_histories(
         )),
         None => Ok(()),
     }
-}
-
-fn histories_to_u64s(histories: &[u32]) -> Vec<u64> {
-    histories.iter().map(|h| u64::from(*h)).collect()
-}
-
-/// Decodes the optional `trace_file` field shared by both spec encodings;
-/// absent (as in pre-field manifests) means regenerate-from-descriptors.
-fn trace_file_from_value(value: &Value) -> std::result::Result<Option<String>, WireError> {
-    Ok(match value.get_opt("trace_file")? {
-        Some(path) => Some(path.as_str()?.to_string()),
-        None => None,
-    })
 }
 
 fn histories_from_value(value: &Value) -> std::result::Result<Vec<u32>, WireError> {
@@ -386,32 +342,5 @@ mod tests {
             SweepSpec::from_btrw(&spec.to_btrw()).expect("sweep spec decodes"),
             spec
         );
-        let unit = &spec.plan_units().expect("spec is valid")[3];
-        assert_eq!(
-            &UnitSpec::from_btrw(&unit.to_btrw()).expect("unit spec decodes"),
-            unit
-        );
-    }
-
-    #[test]
-    fn out_of_range_window_index_rejected_on_decode() {
-        let unit = small_spec().plan_units().expect("spec is valid")[0].clone();
-        // (window_index, histories, expected error text)
-        let cases = [
-            (5, unit.histories.clone(), "window"),
-            (0, vec![99], "budget"),
-            (0, vec![2, 2], "strictly increasing"),
-            (0, vec![], "no history lengths"),
-        ];
-        for (window_index, histories, expected) in cases {
-            let bad = UnitSpec {
-                window_index,
-                histories,
-                ..unit.clone()
-            };
-            let err = UnitSpec::from_btrw(&bad.to_btrw()).expect_err("bad unit rejected");
-            assert!(matches!(err, WireError::Schema { .. }), "{err:?}");
-            assert!(err.to_string().contains(expected), "{err}");
-        }
     }
 }

@@ -1,5 +1,6 @@
-//! Worker-side unit execution: decode a [`UnitSpec`], simulate it, commit
-//! the checkpoint — and, under a [`FaultPlan`], misbehave on purpose.
+//! Worker-side unit execution: plan a [`UnitSpec`] from the manifest,
+//! simulate it, commit the checkpoint — and, under a [`FaultPlan`],
+//! misbehave on purpose.
 //!
 //! The exit-code protocol is deliberately *not* load-bearing: completion is
 //! decided by the checkpoint on disk, never by how the process died. The
@@ -10,8 +11,9 @@
 
 use crate::error::{Result, ShardError};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::manifest::OutDir;
+use crate::manifest::{Manifest, OutDir};
 use crate::unit::UnitSpec;
+use btr_trace::InternedTrace;
 use btr_wire::Wire;
 use std::fs;
 use std::path::Path;
@@ -23,43 +25,48 @@ pub const EXIT_OK: i32 = 0;
 /// Worker exit: an injected fault made this attempt die without a valid
 /// checkpoint of its own.
 pub const EXIT_INJECTED: i32 = 10;
-/// Worker exit: real failure (I/O, decode, invalid unit).
+/// Worker exit: real failure (I/O, decode, a unit id outside the plan).
 pub const EXIT_ERROR: i32 = 11;
 /// Worker exit: an injected stall expired without the coordinator killing
 /// the worker (only reachable with a deadline longer than the stall).
 pub const EXIT_STALL_EXPIRED: i32 = 12;
 
-/// Runs one worker invocation: decodes the unit file, applies the fault the
-/// `BTR_FAULT` plan schedules for `(unit, attempt)`, and returns the exit
-/// code the process should report.
-pub fn run_worker(unit_path: &Path, out_root: &Path, attempt: u32) -> Result<i32> {
-    let bytes = fs::read(unit_path)
-        .map_err(|e| ShardError::io(format!("reading unit spec {}", unit_path.display()), e))?;
-    let unit = UnitSpec::from_btrw(&bytes)?;
+/// Runs one worker invocation: loads the manifest under `out_root`, plans
+/// unit `unit_id` from its spec ([`OutDir::plan_bound`]), applies the fault
+/// the `BTR_FAULT` plan schedules for `(unit, attempt)`, and returns the
+/// exit code the process should report.
+pub fn run_worker(out_root: &Path, unit_id: u32, attempt: u32) -> Result<i32> {
     let dir = OutDir::new(out_root);
+    let units = dir.plan_bound(&Manifest::load(&dir)?.spec)?;
+    let total = units.len();
+    let unit = (units.into_iter().nth(unit_id as usize))
+        .ok_or(ShardError::UnknownUnit { unit_id, total })?;
     let fault = FaultPlan::from_env()?;
-    let decision = fault.as_ref().and_then(|p| p.decide(unit.unit_id, attempt));
+    let decision = fault.as_ref().and_then(|p| p.decide(unit_id, attempt));
     if let Some(FaultKind::Stall) = decision {
         // Hang without committing until the coordinator's deadline kills us.
         let stall = fault.map(|p| p.stall_ms).unwrap_or(60_000);
         std::thread::sleep(Duration::from_millis(stall));
         return Ok(EXIT_STALL_EXPIRED);
     }
-    let clean = execute_and_commit(&dir, &unit, decision, std::process::id())?;
+    let trace = unit.load_trace()?;
+    let clean = execute_and_commit(&dir, &unit, &trace, decision, std::process::id())?;
     Ok(if clean { EXIT_OK } else { EXIT_INJECTED })
 }
 
-/// Executes a unit and commits its checkpoint, applying a (non-stall)
-/// injected fault to the commit path. Returns whether the attempt should
-/// report a clean exit. Shared by the worker binary and the coordinator's
-/// in-process launcher, so fault semantics cannot drift between the two.
+/// Executes a unit over its decoded `trace` and commits its checkpoint,
+/// applying a (non-stall) injected fault to the commit path. Returns whether
+/// the attempt should report a clean exit. Shared by the worker binary and
+/// the coordinator's in-process launcher, so fault semantics cannot drift
+/// between the two.
 pub fn execute_and_commit(
     dir: &OutDir,
     unit: &UnitSpec,
+    trace: &InternedTrace,
     fault: Option<FaultKind>,
     nonce: u32,
 ) -> Result<bool> {
-    let result = unit.execute()?.with_source(unit.source_label());
+    let result = unit.execute_over(trace)?.with_source(unit.source_label());
     match fault {
         None => {
             dir.commit_partial(unit, &result, nonce)?;
@@ -103,8 +110,8 @@ mod tests {
     use btr_sim::config::PredictorFamily;
     use btr_workloads::{Benchmark, SuiteConfig};
 
-    fn tiny_unit() -> UnitSpec {
-        SweepSpec {
+    fn tiny_unit() -> (UnitSpec, InternedTrace) {
+        let unit = SweepSpec {
             family: PredictorFamily::PAs,
             histories: vec![0, 2],
             benchmarks: vec![Benchmark::compress()],
@@ -115,7 +122,9 @@ mod tests {
         }
         .plan_units()
         .expect("spec is valid")
-        .remove(0)
+        .remove(0);
+        let trace = unit.load_trace().expect("unbound units regenerate");
+        (unit, trace)
     }
 
     fn temp_dir(tag: &str) -> OutDir {
@@ -131,8 +140,8 @@ mod tests {
     #[test]
     fn clean_execution_commits_a_valid_partial() {
         let dir = temp_dir("clean");
-        let unit = tiny_unit();
-        assert!(execute_and_commit(&dir, &unit, None, 1).expect("unit executes"));
+        let (unit, trace) = tiny_unit();
+        assert!(execute_and_commit(&dir, &unit, &trace, None, 1).expect("unit executes"));
         let partial = dir
             .load_partial(&unit)
             .expect("committed partial validates");
@@ -143,19 +152,19 @@ mod tests {
     #[test]
     fn torn_and_corrupt_checkpoints_fail_validation() {
         let dir = temp_dir("torn");
-        let unit = tiny_unit();
+        let (unit, trace) = tiny_unit();
         assert!(
-            !execute_and_commit(&dir, &unit, Some(FaultKind::TornWrite), 1)
+            !execute_and_commit(&dir, &unit, &trace, Some(FaultKind::TornWrite), 1)
                 .expect("torn attempt runs")
         );
         assert!(dir.load_partial(&unit).is_err(), "torn partial rejected");
         assert!(
-            execute_and_commit(&dir, &unit, Some(FaultKind::CorruptPartial), 2)
+            execute_and_commit(&dir, &unit, &trace, Some(FaultKind::CorruptPartial), 2)
                 .expect("corrupt attempt runs")
         );
         assert!(dir.load_partial(&unit).is_err(), "corrupt partial rejected");
         // A clean retry replaces the invalid checkpoint.
-        assert!(execute_and_commit(&dir, &unit, None, 3).expect("retry runs"));
+        assert!(execute_and_commit(&dir, &unit, &trace, None, 3).expect("retry runs"));
         assert!(dir.load_partial(&unit).is_ok());
         let _ = fs::remove_dir_all(dir.root());
     }
@@ -163,15 +172,15 @@ mod tests {
     #[test]
     fn first_committed_checkpoint_wins_the_duplicate_race() {
         let dir = temp_dir("dup");
-        let unit = tiny_unit();
+        let (unit, trace) = tiny_unit();
         assert!(
-            execute_and_commit(&dir, &unit, Some(FaultKind::CrashAfterCommit), 1)
+            execute_and_commit(&dir, &unit, &trace, Some(FaultKind::CrashAfterCommit), 1)
                 .map(|clean| !clean)
                 .expect("first attempt commits then crashes")
         );
         let first = dir.load_partial(&unit).expect("first checkpoint is valid");
         // The re-issued duplicate completes but must yield to the first.
-        assert!(execute_and_commit(&dir, &unit, None, 2).expect("duplicate runs"));
+        assert!(execute_and_commit(&dir, &unit, &trace, None, 2).expect("duplicate runs"));
         assert_eq!(dir.load_partial(&unit).expect("still valid"), first);
         let _ = fs::remove_dir_all(dir.root());
     }

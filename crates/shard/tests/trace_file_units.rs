@@ -1,10 +1,11 @@
 //! Pins for file-backed sweeps: a spec naming a captured `BTRT` trace file
-//! must (a) roundtrip its `trace_file` field on the wire, (b) reject shapes
+//! must (a) roundtrip its `trace_file` field on the wire and keep it through
+//! out-dir binding, (b) reject shapes
 //! that cannot execute, and (c) produce partials **bit-identical** to the
 //! regenerate-from-descriptors route over the same records — the fast
 //! decoder and the workload generator must be interchangeable trace sources.
 
-use btr_shard::{SweepSpec, UnitSpec};
+use btr_shard::{OutDir, SweepSpec};
 use btr_sim::config::PredictorFamily;
 use btr_wire::Wire;
 use btr_workloads::{Benchmark, SuiteConfig};
@@ -41,10 +42,15 @@ fn trace_file_field_roundtrips_on_both_spec_kinds() {
     let spec = spec_with(Some("captures/compress.btrt".into()), 2);
     let back = SweepSpec::from_btrw(&spec.to_btrw()).expect("spec decodes");
     assert_eq!(back, spec);
-    for unit in spec.plan_units().expect("spec plans") {
+    // Planned units carry the captured file, and binding them to an out dir
+    // keeps it: a captured trace is never replaced by a generated one.
+    let planned = spec.plan_units().expect("spec plans");
+    assert_eq!(
+        OutDir::new("out").plan_bound(&spec).expect("spec binds"),
+        planned
+    );
+    for unit in planned {
         assert_eq!(unit.trace_file.as_deref(), Some("captures/compress.btrt"));
-        let back = UnitSpec::from_btrw(&unit.to_btrw()).expect("unit decodes");
-        assert_eq!(back, unit);
     }
 }
 

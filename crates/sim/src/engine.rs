@@ -1,6 +1,6 @@
 //! The trace → predictor simulation engine.
 //!
-//! [`SimEngine`] has five entry points, one per caller:
+//! [`SimEngine`] has six entry points, one per caller:
 //!
 //! * [`SimEngine::run`] — one predictor over a whole [`InternedTrace`],
 //!   generic over the predictor so the record loop is monomorphized for a
@@ -10,11 +10,12 @@
 //!   length of one family from a single pass over an [`InternedTrace`]. The
 //!   sequential [`crate::sweep::HistorySweep`] reference runs on it.
 //! * [`SimEngine::run_fused_streamed`] — the same sweep from a
-//!   [`ChunkStream`], without materialising the trace (`btrd`'s `/sweep`),
-//!   and [`SimEngine::run_batch`], one sweep per interned-trace lane (the
-//!   suite runner and every `btr-shard` unit). Both feed one planned driver
-//!   that runs the bit-sliced SWAR tier while the sweep fits it and the
-//!   scalar fused tier after.
+//!   [`ChunkStream`], without materialising the trace (`btrd`'s `/sweep`);
+//!   [`SimEngine::run_batch`], one sweep per interned-trace lane (the suite
+//!   runner); and [`SimEngine::run_prefix`], one lane over a borrowed
+//!   prefix of a trace (every `btr-shard` unit). All three feed one planned
+//!   driver that runs the bit-sliced SWAR tier while the sweep fits it and
+//!   the scalar fused tier after.
 //! * [`SimEngine::run_window_dispatch`] — one window of a trace on a fresh
 //!   [`DispatchPredictor`] after a warmup replay ([`WarmupWindow`]). Over
 //!   the full range it is the monomorphized per-predictor reference the
@@ -470,13 +471,29 @@ impl SimEngine {
     ) -> Vec<Vec<RunResult>> {
         lanes
             .into_iter()
-            .map(|mut lane| {
-                let trace = traces[lane.trace_index];
-                let mut planned = PlannedSweep::new(&mut lane.fused, self.warmup);
-                planned.feed(trace.records(), trace.static_count());
-                planned.finish(trace.addrs())
-            })
+            .map(|mut lane| self.run_prefix(traces[lane.trace_index], usize::MAX, &mut lane.fused))
             .collect()
+    }
+
+    /// One [`SimEngine::run_batch`] lane over the first `end` conditional
+    /// records of `trace` (clamped to its length), borrowed in place. The
+    /// prefix keeps the trace's whole id → address table, so the result is
+    /// bit-identical to a lane over the trace truncated at `end` (pinned by
+    /// `tests/batch_equivalence.rs`); callers sweeping many prefixes of one
+    /// trace need neither a copy nor a truncation per prefix.
+    pub fn run_prefix(
+        &self,
+        trace: &InternedTrace,
+        end: usize,
+        fused: &mut FusedSweepPredictor,
+    ) -> Vec<RunResult> {
+        let records = trace.records();
+        let mut planned = PlannedSweep::new(fused, self.warmup);
+        planned.feed(
+            records.slice(0..end.min(records.len())),
+            trace.static_count(),
+        );
+        planned.finish(trace.addrs())
     }
 
     /// The fused sweep over a [`ChunkStream`]: the whole history curve from

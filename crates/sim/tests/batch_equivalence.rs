@@ -172,6 +172,34 @@ fn oversized_static_counts_fall_back_without_diverging() {
     assert_eq!(results, reference);
 }
 
+/// A prefix run borrows the trace in place; it must equal a batch lane over
+/// the trace truncated at the same point, on both tiers, at every warmup.
+#[test]
+fn prefix_runs_match_lanes_over_the_truncated_trace() {
+    let traces = [
+        mixed_trace(2055, 0xf00d).intern(),
+        oversized_static_trace().intern(),
+    ];
+    for trace in &traces {
+        for end in [0, 1, 137, 1029, 2048, trace.len(), usize::MAX] {
+            let mut truncated = trace.clone();
+            truncated.truncate(end);
+            for warmup in [0u64, 100, 1029] {
+                let engine = SimEngine::new().with_warmup(warmup);
+                for config in [0, 5, 10] {
+                    let lane = vec![BatchLane::new(0, lane_config(config))];
+                    let reference = engine.run_batch(&[&truncated], lane).remove(0);
+                    let prefix = engine.run_prefix(trace, end, &mut lane_config(config));
+                    assert_eq!(
+                        prefix, reference,
+                        "end {end} warmup {warmup} config {config}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn empty_traces_produce_empty_results_per_lane() {
     let engine = SimEngine::new();

@@ -254,16 +254,6 @@ impl DenseTraceStats {
         self.since_flush = 0;
     }
 
-    /// Total number of dynamic conditional branches observed.
-    pub fn total_conditional(&self) -> u64 {
-        self.total_conditional
-    }
-
-    /// Total number of non-conditional control transfers observed.
-    pub fn total_other(&self) -> u64 {
-        self.total_other
-    }
-
     /// Number of distinct static conditional branches.
     pub fn static_conditional_count(&self) -> usize {
         self.counts.len()

@@ -60,13 +60,13 @@ def run(cmd, env=None, check_code=None):
 
 
 def committed_partials(out_dir):
-    partials = os.path.join(out_dir, "partials")
-    if not os.path.isdir(partials):
+    """Committed checkpoints: `partial-<id>.btrw` in the out dir's root."""
+    if not os.path.isdir(out_dir):
         return 0
     return sum(
         1
-        for name in os.listdir(partials)
-        if name.startswith("unit-") and name.endswith(".btrw")
+        for name in os.listdir(out_dir)
+        if name.startswith("partial-") and name.endswith(".btrw")
     )
 
 
