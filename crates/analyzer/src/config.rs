@@ -9,12 +9,13 @@
 //!   counts that may only decrease. `btr-analyzer ratchet` rewrites them from
 //!   the current tree; `btr-analyzer check` fails if any count is exceeded.
 //! * **Allowlist sections** (`[determinism]`, `[unsafe-gate]`,
-//!   `[no-wallclock]`, `[structural]`): per-site permitted counts. Every
-//!   entry must carry a written justification as the comment line(s)
-//!   immediately above it — an entry without one is itself a finding.
+//!   `[no-wallclock]`, `[structural]`, `[dead-pub]`): per-site permitted
+//!   counts. Every entry must carry a written justification as the comment
+//!   line(s) immediately above it — an entry without one is itself a
+//!   finding.
 
+use crate::Error;
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// One `"key" = count` entry with the comment lines directly above it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,29 +37,14 @@ pub struct Config {
     sections: BTreeMap<String, Vec<Entry>>,
 }
 
-/// A config-file syntax error with its line number.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError {
-    /// 1-based line the error was detected on.
-    pub line: u32,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
 impl Config {
     /// Parses the config text.
     ///
     /// # Errors
     ///
     /// Fails on entries outside any section, malformed entries, or duplicate
-    /// keys within a section.
-    pub fn parse(text: &str) -> Result<Config, ConfigError> {
+    /// keys within a section; the message names the line.
+    pub fn parse(text: &str) -> Result<Config, Error> {
         let mut sections: BTreeMap<String, Vec<Entry>> = BTreeMap::new();
         let mut current: Option<String> = None;
         let mut pending_comments: Vec<String> = Vec::new();
@@ -74,34 +60,30 @@ impl Config {
                 continue;
             }
             if let Some(name) = line.strip_prefix('[') {
-                let name = name.strip_suffix(']').ok_or_else(|| ConfigError {
-                    line: line_no,
-                    message: format!("unterminated section header {line:?}"),
+                let name = name.strip_suffix(']').ok_or_else(|| {
+                    syntax_error(line_no, format!("unterminated section header {line:?}"))
                 })?;
                 current = Some(name.trim().to_string());
                 sections.entry(name.trim().to_string()).or_default();
                 pending_comments.clear();
                 continue;
             }
-            let (key_part, value_part) = line.split_once('=').ok_or_else(|| ConfigError {
-                line: line_no,
-                message: format!("expected `\"key\" = count`, got {line:?}"),
+            let (key_part, value_part) = line.split_once('=').ok_or_else(|| {
+                syntax_error(line_no, format!("expected `\"key\" = count`, got {line:?}"))
             })?;
             let key = key_part.trim().trim_matches('"').to_string();
-            let count: u64 = value_part.trim().parse().map_err(|_| ConfigError {
-                line: line_no,
-                message: format!("count is not an unsigned integer: {}", value_part.trim()),
+            let count: u64 = value_part.trim().parse().map_err(|_| {
+                syntax_error(
+                    line_no,
+                    format!("count is not an unsigned integer: {}", value_part.trim()),
+                )
             })?;
-            let section = current.clone().ok_or_else(|| ConfigError {
-                line: line_no,
-                message: "entry before any [section] header".to_string(),
+            let section = current.clone().ok_or_else(|| {
+                syntax_error(line_no, "entry before any [section] header".to_string())
             })?;
             let entries = sections.entry(section).or_default();
             if entries.iter().any(|e| e.key == key) {
-                return Err(ConfigError {
-                    line: line_no,
-                    message: format!("duplicate key {key:?}"),
-                });
+                return Err(syntax_error(line_no, format!("duplicate key {key:?}")));
             }
             entries.push(Entry {
                 key,
@@ -176,6 +158,11 @@ impl Config {
         text.push('\n');
         text
     }
+}
+
+/// A config syntax error on 1-based line `line`.
+fn syntax_error(line: u32, message: String) -> Error {
+    Error(format!("line {line}: {message}"))
 }
 
 #[cfg(test)]

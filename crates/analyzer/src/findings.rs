@@ -78,7 +78,7 @@ impl Report {
     }
 
     /// The findings not covered by the baseline or an allowlist.
-    pub fn unratcheted(&self) -> impl Iterator<Item = &Finding> {
+    pub(crate) fn unratcheted(&self) -> impl Iterator<Item = &Finding> {
         self.findings.iter().filter(|f| !f.ratcheted)
     }
 

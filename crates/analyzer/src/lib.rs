@@ -16,7 +16,9 @@
 //!    [`passes::determinism`] (no `HashMap`/`HashSet` feeding results
 //!    without a justified allowlist entry), [`passes::unsafe_gate`]
 //!    (`#![forbid(unsafe_code)]` on every crate root, no stray `unsafe`),
-//!    and [`passes::wallclock`] (no clock reads in result-producing code);
+//!    [`passes::wallclock`] (no clock reads in result-producing code) and
+//!    [`passes::dead_pub`] (no public item that no other library file
+//!    names, unless allowlisted for its caller outside the library);
 //! 3. **structural cross-checks** ([`passes::structural`]) over the
 //!    manifests, CI config and README — bench-gate coverage, wire roundtrip
 //!    coverage, vendor-table completeness.
@@ -91,7 +93,7 @@ pub fn run_check(root: &Path) -> Result<Report, Error> {
 /// # Errors
 ///
 /// Fails if the tree cannot be read.
-pub fn run_with_config(root: &Path, config: &Config) -> Result<Report, Error> {
+fn run_with_config(root: &Path, config: &Config) -> Result<Report, Error> {
     let files = files::discover(root)?;
     let lexed: Vec<LexedFile> = files
         .into_iter()

@@ -12,6 +12,7 @@
 //!   file can never quietly drift out of sync with the tree. Every allowlist
 //!   entry must carry a justification comment directly above it.
 
+pub mod dead_pub;
 pub mod determinism;
 pub mod panic_path;
 pub mod structural;
@@ -63,11 +64,18 @@ pub fn run_all(ctx: &Context<'_>, report: &mut Report) {
     unsafe_gate::run(ctx, report);
     wallclock::run(ctx, report);
     structural::run(ctx, report);
+    dead_pub::run(ctx, report);
 }
 
 /// Fails any allowlist entry that carries no justification comment.
 fn audit_allowlist_justifications(ctx: &Context<'_>, report: &mut Report) {
-    for section in ["determinism", "unsafe-gate", "no-wallclock", "structural"] {
+    for section in [
+        "determinism",
+        "unsafe-gate",
+        "no-wallclock",
+        "structural",
+        dead_pub::PASS,
+    ] {
         for entry in ctx.config.section(section) {
             if entry.justification.iter().all(|l| l.trim().is_empty()) {
                 report.findings.push(Finding {

@@ -305,11 +305,6 @@ impl ClassMissRates {
         self.stats(class).miss_rate()
     }
 
-    /// Miss rates for every class in order (`None` for empty classes).
-    pub fn miss_rates(&self) -> Vec<Option<f64>> {
-        self.scheme.classes().map(|c| self.miss_rate(c)).collect()
-    }
-
     /// Overall miss rate across all classes.
     pub fn overall_miss_rate(&self) -> Option<f64> {
         let mut total = PredictionStats::new();
@@ -398,15 +393,6 @@ impl ClassHistoryMatrix {
             }
         }
         best
-    }
-
-    /// Miss rate of each class at its own optimal history length
-    /// (the bars of Figures 3 and 4).
-    pub fn optimal_miss_rates(&self) -> Vec<Option<f64>> {
-        self.scheme
-            .classes()
-            .map(|c| self.optimal_history(c).map(|(_, rate)| rate))
-            .collect()
     }
 }
 
@@ -512,21 +498,6 @@ impl JointMissMatrix {
             .and_then(|row| row.get(taken.index()))
             .copied()
             .flatten()
-    }
-
-    /// The worst-predicted cell and its miss rate.
-    pub fn worst_cell(&self) -> Option<(ClassId, ClassId, f64)> {
-        let mut worst: Option<(ClassId, ClassId, f64)> = None;
-        for (t_idx, row) in self.rates.iter().enumerate() {
-            for (k_idx, rate) in row.iter().enumerate() {
-                if let Some(rate) = rate {
-                    if worst.map(|(_, _, w)| *rate > w).unwrap_or(true) {
-                        worst = Some((ClassId(k_idx), ClassId(t_idx), *rate));
-                    }
-                }
-            }
-        }
-        worst
     }
 }
 
@@ -771,7 +742,6 @@ mod tests {
                 .abs()
                 < 1e-9
         );
-        assert_eq!(by_transition.miss_rates().len(), 11);
     }
 
     #[test]
@@ -819,7 +789,6 @@ mod tests {
             .optimal_history(ClassId(0))
             .expect("class 0 has an optimum");
         assert_eq!(best_h0, 0);
-        assert_eq!(matrix.optimal_miss_rates().len(), 11);
         assert_eq!(matrix.miss_at(ClassId(10), 7), None);
         assert_eq!(matrix.row(ClassId(3)), vec![None, None]);
     }
@@ -857,9 +826,6 @@ mod tests {
                 .abs()
                 < 1e-9
         );
-        let (taken, transition, rate) = matrix.worst_cell().expect("matrix has populated cells");
-        assert_eq!((taken, transition), (ClassId(5), ClassId(5)));
-        assert!(rate > 0.4);
         assert_eq!(matrix.miss_at(ClassId(3), ClassId(3)), None);
         assert_eq!(matrix.scheme(), scheme);
     }

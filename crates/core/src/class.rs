@@ -97,7 +97,7 @@ impl BinningScheme {
     /// # Panics
     ///
     /// Panics if the class index is out of range for this scheme.
-    pub fn bounds(&self, class: ClassId) -> (f64, f64) {
+    fn bounds(&self, class: ClassId) -> (f64, f64) {
         let c = class.index();
         assert!(c < self.class_count(), "class {c} out of range");
         match self {

@@ -92,21 +92,6 @@ impl ClassDistribution {
     pub fn percentages(&self) -> Vec<f64> {
         self.scheme.classes().map(|c| self.percent(c)).collect()
     }
-
-    /// Sum of the percentages of the given classes.
-    pub fn coverage(&self, classes: &[ClassId]) -> f64 {
-        classes.iter().map(|c| self.percent(*c)).sum()
-    }
-
-    /// The class with the largest dynamic share.
-    pub fn dominant_class(&self) -> Option<ClassId> {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| **c)
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, _)| ClassId(i))
-    }
 }
 
 /// [`Metric`] encodes as a snake-case tag (`"taken_rate"` /
@@ -199,7 +184,6 @@ mod tests {
         assert_eq!(taken.total(), 1000);
         assert!((taken.percent(ClassId(10)) - 90.0).abs() < 1e-9);
         assert!((taken.percent(ClassId(5)) - 10.0).abs() < 1e-9);
-        assert_eq!(taken.dominant_class(), Some(ClassId(10)));
 
         let transition = ClassDistribution::from_profile(&profile, Metric::TransitionRate, scheme);
         assert!((transition.percent(ClassId(0)) - 90.0).abs() < 1e-9);
@@ -214,15 +198,6 @@ mod tests {
             let sum: f64 = d.percentages().iter().sum();
             assert!((sum - 100.0).abs() < 1e-9, "{metric:?} sums to {sum}");
         }
-    }
-
-    #[test]
-    fn coverage_sums_selected_classes() {
-        let profile = profile_with(&[(0x10, 50, 1, 1), (0x20, 50, 49, 1)]);
-        let scheme = BinningScheme::Paper11;
-        let d = ClassDistribution::from_profile(&profile, Metric::TakenRate, scheme);
-        let easy = d.coverage(&scheme.taken_easy_classes());
-        assert!((easy - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -260,7 +235,6 @@ mod tests {
         );
         assert_eq!(d.total(), 0);
         assert_eq!(d.percent(ClassId(0)), 0.0);
-        assert_eq!(d.dominant_class(), None);
         assert_eq!(d.metric().label(), "taken rate");
         assert_eq!(d.scheme(), BinningScheme::Paper11);
     }

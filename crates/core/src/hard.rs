@@ -33,16 +33,6 @@ impl HardBranchCriteria {
         }
     }
 
-    /// A wider window covering classes 4–6 on both axes.
-    pub fn centre_window() -> Self {
-        HardBranchCriteria {
-            taken_min: 4,
-            taken_max: 6,
-            transition_min: 4,
-            transition_max: 6,
-        }
-    }
-
     /// Whether a joint class satisfies the criteria.
     pub fn matches(&self, taken: ClassId, transition: ClassId) -> bool {
         (self.taken_min..=self.taken_max).contains(&taken.index())
@@ -91,11 +81,6 @@ impl HardBranchSet {
     /// Number of static hard branches.
     pub fn static_count(&self) -> usize {
         self.addrs.len()
-    }
-
-    /// Dynamic executions attributable to hard branches.
-    pub fn dynamic_executions(&self) -> u64 {
-        self.dynamic_executions
     }
 
     /// Hard branches as a percentage of all dynamic executions.
@@ -167,11 +152,6 @@ impl DistanceHistogram {
         DistanceHistogram::from_trace(trace, hard, 8)
     }
 
-    /// Number of distance buckets (the last one pools `max_distance`+).
-    pub fn bucket_count(&self) -> usize {
-        self.max_distance
-    }
-
     /// Total number of hard-branch pairs measured.
     pub fn total(&self) -> u64 {
         self.total
@@ -179,7 +159,7 @@ impl DistanceHistogram {
 
     /// Count of pairs at distance `d` (1-based; the last bucket pools longer
     /// distances).
-    pub fn count_at(&self, distance: usize) -> u64 {
+    fn count_at(&self, distance: usize) -> u64 {
         if distance == 0 || distance > self.max_distance {
             0
         } else {
@@ -188,7 +168,7 @@ impl DistanceHistogram {
     }
 
     /// Percentage of pairs at distance `d`.
-    pub fn percent_at(&self, distance: usize) -> f64 {
+    fn percent_at(&self, distance: usize) -> f64 {
         if self.total == 0 {
             0.0
         } else {
@@ -234,9 +214,6 @@ mod tests {
         assert!(paper.matches(ClassId(5), ClassId(5)));
         assert!(!paper.matches(ClassId(5), ClassId(6)));
         assert!(!paper.matches(ClassId(4), ClassId(5)));
-        let window = HardBranchCriteria::centre_window();
-        assert!(window.matches(ClassId(4), ClassId(6)));
-        assert!(!window.matches(ClassId(3), ClassId(5)));
         assert_eq!(HardBranchCriteria::default(), paper);
     }
 
@@ -255,7 +232,6 @@ mod tests {
             HardBranchCriteria::paper_5_5(),
         );
         assert_eq!(hard.static_count(), 2);
-        assert_eq!(hard.dynamic_executions(), 200);
         assert!((hard.dynamic_percent() - 40.0).abs() < 1e-9);
         assert!(hard.contains(BranchAddr::new(0x10)));
         assert!(!hard.contains(BranchAddr::new(0x20)));
@@ -316,7 +292,6 @@ mod tests {
         assert_eq!(hist.total(), 1);
         assert_eq!(hist.count_at(8), 1);
         assert!((hist.percent_at(8) - 100.0).abs() < 1e-9);
-        assert_eq!(hist.bucket_count(), 8);
     }
 
     #[test]

@@ -65,21 +65,6 @@ pub fn ascii_table(headers: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders rows as comma-separated values with a header row.
-///
-/// Cells are joined verbatim — callers own quoting/escaping, which the
-/// numeric tables this crate emits never need.
-pub fn csv(headers: &[String], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&headers.join(","));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 /// Formats an optional miss rate with three decimals, `-` when no branch of
 /// the class was simulated (distinct from a genuine 0.000 rate).
 fn fmt_opt_rate(rate: Option<f64>) -> String {
@@ -269,15 +254,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[1].len(), "only".len() + 2 + "extra-cell".len());
         assert!(lines[3].trim_end().ends_with('b'));
-    }
-
-    #[test]
-    fn csv_renders_headers_and_rows() {
-        let out = csv(
-            &["a".to_string(), "b".to_string()],
-            &[vec!["1".to_string(), "2".to_string()]],
-        );
-        assert_eq!(out, "a,b\n1,2\n");
     }
 
     #[test]

@@ -21,7 +21,7 @@ impl HardwareBudget {
     }
 
     /// A budget of `kib` kibibytes.
-    pub fn from_kib(kib: u64) -> Self {
+    fn from_kib(kib: u64) -> Self {
         HardwareBudget::from_bytes(kib * 1024)
     }
 
@@ -41,37 +41,13 @@ impl HardwareBudget {
     }
 
     /// Whether `used_bits` fits within this budget.
-    pub fn fits_bits(self, used_bits: u64) -> bool {
+    fn fits_bits(self, used_bits: u64) -> bool {
         used_bits <= self.bits
     }
 
     /// Whether a predictor's declared storage fits within this budget.
     pub fn fits<P: BranchPredictor + ?Sized>(self, predictor: &P) -> bool {
         self.fits_bits(predictor.storage_bits())
-    }
-
-    /// The unused portion of the budget, in bits, given `used_bits` of state
-    /// (zero if over budget).
-    pub fn slack_bits(self, used_bits: u64) -> u64 {
-        self.bits.saturating_sub(used_bits)
-    }
-
-    /// Fraction of the budget consumed by `used_bits` (may exceed 1).
-    pub fn utilisation(self, used_bits: u64) -> f64 {
-        used_bits as f64 / self.bits as f64
-    }
-
-    /// The largest power-of-two entry count of `entry_bits`-wide entries that
-    /// fits in this budget (used to size tables the way the paper does).
-    ///
-    /// Returns the log2 of the entry count, or `None` if not even one entry
-    /// fits or `entry_bits` is zero.
-    pub fn max_pow2_entries(self, entry_bits: u64) -> Option<u32> {
-        if entry_bits == 0 || self.bits < entry_bits {
-            return None;
-        }
-        let entries = self.bits / entry_bits;
-        Some((63 - entries.leading_zeros()).min(63))
     }
 }
 
@@ -115,24 +91,9 @@ mod tests {
     }
 
     #[test]
-    fn slack_and_utilisation() {
+    fn fits_bits_is_inclusive() {
         let b = HardwareBudget::from_bytes(10);
-        assert_eq!(b.slack_bits(16), 64);
-        assert_eq!(b.slack_bits(200), 0);
-        assert!((b.utilisation(40) - 0.5).abs() < 1e-12);
         assert!(b.fits_bits(80));
         assert!(!b.fits_bits(81));
-    }
-
-    #[test]
-    fn max_pow2_entries_matches_paper_sizing() {
-        // 32 KB of 2-bit counters -> 2^17 entries.
-        assert_eq!(HardwareBudget::paper().max_pow2_entries(2), Some(17));
-        // 16 KB of 2-bit counters -> 2^16 entries (PAs PHT).
-        assert_eq!(HardwareBudget::from_kib(16).max_pow2_entries(2), Some(16));
-        // 16 KB of 16-bit history registers -> 2^13 entries (PAs BHT at k=16).
-        assert_eq!(HardwareBudget::from_kib(16).max_pow2_entries(16), Some(13));
-        assert_eq!(HardwareBudget::from_bytes(1).max_pow2_entries(16), None);
-        assert_eq!(HardwareBudget::from_bytes(1).max_pow2_entries(0), None);
     }
 }

@@ -21,13 +21,6 @@ pub enum Confidence {
     Low,
 }
 
-impl Confidence {
-    /// `true` for [`Confidence::High`].
-    pub fn is_high(self) -> bool {
-        matches!(self, Confidence::High)
-    }
-}
-
 /// Estimates, per branch, whether the next prediction should be trusted.
 pub trait ConfidenceEstimator {
     /// The confidence in the next prediction of the branch at `addr`.

@@ -80,11 +80,6 @@ impl SaturatingCounter {
         SaturatingCounter::new(2)
     }
 
-    /// A 1-bit (last-direction) counter.
-    pub fn one_bit() -> Self {
-        SaturatingCounter::new(1)
-    }
-
     fn max_for(bits: u8) -> u8 {
         (1u8 << bits) - 1
     }
@@ -100,7 +95,7 @@ impl SaturatingCounter {
     }
 
     /// The maximum representable value.
-    pub fn max_value(&self) -> u8 {
+    fn max_value(&self) -> u8 {
         Self::max_for(self.bits)
     }
 
@@ -108,11 +103,6 @@ impl SaturatingCounter {
     #[inline]
     pub fn predict(&self) -> Outcome {
         Outcome::from_bool(self.value >= (1u8 << (self.bits - 1)))
-    }
-
-    /// Whether the counter is in a saturated (strong) state.
-    pub fn is_strong(&self) -> bool {
-        self.value == 0 || self.value == self.max_value()
     }
 
     /// Updates the counter towards the observed outcome.
@@ -130,14 +120,6 @@ impl SaturatingCounter {
                 }
             }
         }
-    }
-
-    /// Trains towards `outcome` and returns whether the pre-update prediction
-    /// matched it (a convenience for accuracy accounting).
-    pub fn train_and_check(&mut self, outcome: Outcome) -> bool {
-        let hit = self.predict() == outcome;
-        self.train(outcome);
-        hit
     }
 
     /// Resets the counter to the weakly-not-taken cold state.
@@ -217,7 +199,6 @@ mod tests {
         assert_eq!(c.predict(), Outcome::Taken); // weakly taken
         c.train(Outcome::Taken);
         assert_eq!(c.value(), 3); // strongly taken
-        assert!(c.is_strong());
         c.train(Outcome::Taken);
         assert_eq!(c.value(), 3); // saturates
         c.train(Outcome::NotTaken);
@@ -228,7 +209,7 @@ mod tests {
 
     #[test]
     fn one_bit_counter_tracks_last_outcome() {
-        let mut c = SaturatingCounter::one_bit();
+        let mut c = SaturatingCounter::new(1);
         c.train(Outcome::Taken);
         assert_eq!(c.predict(), Outcome::Taken);
         c.train(Outcome::NotTaken);
@@ -246,15 +227,6 @@ mod tests {
             c.train(Outcome::Taken);
         }
         assert_eq!(c.value(), 7);
-    }
-
-    #[test]
-    fn train_and_check_reports_pre_update_hit() {
-        let mut c = SaturatingCounter::two_bit();
-        // predicts not taken, so a taken outcome is a miss
-        assert!(!c.train_and_check(Outcome::Taken));
-        // now weakly taken; a taken outcome is a hit
-        assert!(c.train_and_check(Outcome::Taken));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use btr_trace::{BranchAddr, Outcome};
 /// monomorphized simulation loops without trait objects.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DispatchPredictor {
-    /// Two-level adaptive predictors (the paper's PAs/GAs plus GAg/PAg).
+    /// Two-level adaptive predictors (the paper's PAs and GAs).
     TwoLevel(TwoLevelPredictor),
     /// McFarling's gshare.
     Gshare(GsharePredictor),

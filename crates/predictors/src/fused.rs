@@ -57,8 +57,8 @@
 //! each slot's counters still observe exactly its record sequence in order;
 //! results stay bit-identical to the record-major `access_all` and to the
 //! standalone per-history predictors. This is what the simulation engine's
-//! `run_fused` paths use; `access_all` remains as the one-record form and
-//! the equivalence anchor.
+//! `run_fused` paths use; `access_all`, the one-record form, lives in the
+//! unit tests as their equivalence anchor.
 //!
 //! # Per-address history and BHT geometry groups
 //!
@@ -82,9 +82,9 @@ use crate::twolevel::TwoLevelConfig;
 use btr_trace::{BranchAddr, Outcome};
 use core::ops::Range;
 
-/// Maximum number of history slots one fused predictor can drive
-/// ([`FusedSweepPredictor::access_all`] reports hits as a `u64` bitmask).
-pub const MAX_FUSED_SLOTS: usize = 64;
+/// Maximum number of history slots one fused predictor can drive (one
+/// record's per-slot hits form a `u64` bitmask).
+const MAX_FUSED_SLOTS: usize = 64;
 
 /// One byte of four cold 2-bit counters: each weakly not-taken, matching
 /// [`crate::counter::SaturatingCounter::two_bit`].
@@ -234,10 +234,10 @@ struct SlotGeometry {
 ///
 /// Construct with the paper-sized family constructors
 /// ([`FusedSweepPredictor::pas_paper`], [`FusedSweepPredictor::gas_paper`],
-/// [`FusedSweepPredictor::gshare_paper`]), then call
-/// [`FusedSweepPredictor::access_all`] once per dynamic conditional branch;
-/// bit `i` of the returned mask is the hit/miss of the standalone predictor
-/// at `histories[i]`.
+/// [`FusedSweepPredictor::gshare_paper`]), then feed the trace in blocks:
+/// [`FusedSweepPredictor::load_block`] once per block and
+/// [`FusedSweepPredictor::replay_slot`] once per slot. Slot `i` reports the
+/// hits and misses of the standalone predictor at `histories[i]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedSweepPredictor {
     core: FusedCore,
@@ -264,7 +264,7 @@ impl FusedSweepPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `histories` is empty, longer than [`MAX_FUSED_SLOTS`], or
+    /// Panics if `histories` is empty, longer than 64 slots, or
     /// contains a length the 32 KB budget rejects.
     pub fn pas_paper(histories: &[u32]) -> Self {
         let geometry: Vec<SlotGeometry> = histories
@@ -286,7 +286,7 @@ impl FusedSweepPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `histories` is empty, longer than [`MAX_FUSED_SLOTS`], or
+    /// Panics if `histories` is empty, longer than 64 slots, or
     /// contains a length the 32 KB budget rejects.
     pub fn gas_paper(histories: &[u32]) -> Self {
         let geometry: Vec<SlotGeometry> = histories
@@ -308,7 +308,7 @@ impl FusedSweepPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `histories` is empty, longer than [`MAX_FUSED_SLOTS`], or
+    /// Panics if `histories` is empty, longer than 64 slots, or
     /// contains a length above the 17-bit index width.
     pub fn gshare_paper(histories: &[u32]) -> Self {
         const GSHARE_INDEX_BITS: u32 = 17;
@@ -405,9 +405,8 @@ impl FusedSweepPredictor {
         }
     }
 
-    /// The history lengths this predictor drives, in slot order (bit `i` of
-    /// the [`FusedSweepPredictor::access_all`] mask corresponds to
-    /// `histories()[i]`).
+    /// The history lengths this predictor drives, in slot order (slot `i`
+    /// simulates `histories()[i]`).
     pub fn histories(&self) -> &[u32] {
         &self.histories
     }
@@ -433,34 +432,6 @@ impl FusedSweepPredictor {
         let counters = self.arena.len() as u64 * 8;
         let bhts: u64 = self.bhts.iter().map(PackedBht::storage_bits).sum();
         counters + bhts + u64::from(self.global.bits())
-    }
-
-    /// Simulates one dynamic conditional branch through **every** history
-    /// slot: predicts and trains each slot's counter from the shared pre-push
-    /// history, then shifts `outcome` into the shared register(s) once.
-    ///
-    /// Bit `i` of the returned mask is set iff the slot at `histories()[i]`
-    /// predicted `outcome` correctly — bit-identical to calling the
-    /// standalone predictor's fused `access` at that history length.
-    #[inline]
-    pub fn access_all(&mut self, addr: BranchAddr, outcome: Outcome) -> u64 {
-        let taken = outcome.as_bit() != 0;
-        match self.core {
-            FusedCore::GlobalTwoLevel => {
-                self.scratch[0] = self.global.pattern_and_push(outcome);
-                self.drive_concat(addr, taken)
-            }
-            FusedCore::PerAddressTwoLevel => {
-                for (g, bht) in self.bhts.iter_mut().enumerate() {
-                    self.scratch[g + 1] = bht.pattern_and_push(addr, outcome);
-                }
-                self.drive_concat(addr, taken)
-            }
-            FusedCore::Gshare => {
-                self.scratch[0] = self.global.pattern_and_push(outcome);
-                self.drive_xor(addr, taken)
-            }
-        }
     }
 
     /// Creates a reusable record batch for the blocked replay path, sized
@@ -586,8 +557,8 @@ impl FusedSweepPredictor {
     /// `sink(record_index, hit)` for every record in block order.
     ///
     /// Counter state after the replay — and every reported hit — is
-    /// bit-identical to having driven the slot record-by-record through
-    /// [`FusedSweepPredictor::access_all`].
+    /// bit-identical to having driven the slot record by record through the
+    /// standalone predictor at its history length.
     ///
     /// # Panics
     ///
@@ -773,35 +744,6 @@ impl FusedSweepPredictor {
         };
         (base..base + (1usize << (index_bits - 2)), pass)
     }
-
-    /// Slot loop for the two-level index form `history ++ address bits`.
-    #[inline]
-    fn drive_concat(&mut self, addr: BranchAddr, taken: bool) -> u64 {
-        let word = addr.low_bits(64);
-        let mut hits = 0u64;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let history = self.scratch[slot.group as usize] & slot.history_mask;
-            let addr_low = word & ((1u64 << slot.addr_bits) - 1);
-            let index = (history << slot.addr_bits) | addr_low;
-            let hit = access_packed(&mut self.arena, slot.pht_offset + index as usize, taken);
-            hits |= u64::from(hit) << i;
-        }
-        hits
-    }
-
-    /// Slot loop for the gshare index form `address bits XOR history`.
-    #[inline]
-    fn drive_xor(&mut self, addr: BranchAddr, taken: bool) -> u64 {
-        let word = addr.low_bits(64);
-        let mut hits = 0u64;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let history = self.scratch[slot.group as usize] & slot.history_mask;
-            let index = (word & ((1u64 << slot.addr_bits) - 1)) ^ history;
-            let hit = access_packed(&mut self.arena, slot.pht_offset + index as usize, taken);
-            hits |= u64::from(hit) << i;
-        }
-        hits
-    }
 }
 
 #[cfg(test)]
@@ -810,6 +752,64 @@ mod tests {
     use crate::gshare::GsharePredictor;
     use crate::predictor::BranchPredictor;
     use crate::twolevel::TwoLevelPredictor;
+
+    /// The record-major form of the blocked replay: the equivalence anchor
+    /// every blocked and SWAR test checks against.
+    impl FusedSweepPredictor {
+        /// Simulates one dynamic conditional branch through **every** history
+        /// slot: predicts and trains each slot's counter from the shared pre-push
+        /// history, then shifts `outcome` into the shared register(s) once.
+        ///
+        /// Bit `i` of the returned mask is set iff the slot at `histories()[i]`
+        /// predicted `outcome` correctly — bit-identical to calling the
+        /// standalone predictor's fused `access` at that history length.
+        fn access_all(&mut self, addr: BranchAddr, outcome: Outcome) -> u64 {
+            let taken = outcome.as_bit() != 0;
+            match self.core {
+                FusedCore::GlobalTwoLevel => {
+                    self.scratch[0] = self.global.pattern_and_push(outcome);
+                    self.drive_concat(addr, taken)
+                }
+                FusedCore::PerAddressTwoLevel => {
+                    for (g, bht) in self.bhts.iter_mut().enumerate() {
+                        self.scratch[g + 1] = bht.pattern_and_push(addr, outcome);
+                    }
+                    self.drive_concat(addr, taken)
+                }
+                FusedCore::Gshare => {
+                    self.scratch[0] = self.global.pattern_and_push(outcome);
+                    self.drive_xor(addr, taken)
+                }
+            }
+        }
+
+        /// Slot loop for the two-level index form `history ++ address bits`.
+        fn drive_concat(&mut self, addr: BranchAddr, taken: bool) -> u64 {
+            let word = addr.low_bits(64);
+            let mut hits = 0u64;
+            for (i, slot) in self.slots.iter().enumerate() {
+                let history = self.scratch[slot.group as usize] & slot.history_mask;
+                let addr_low = word & ((1u64 << slot.addr_bits) - 1);
+                let index = (history << slot.addr_bits) | addr_low;
+                let hit = access_packed(&mut self.arena, slot.pht_offset + index as usize, taken);
+                hits |= u64::from(hit) << i;
+            }
+            hits
+        }
+
+        /// Slot loop for the gshare index form `address bits XOR history`.
+        fn drive_xor(&mut self, addr: BranchAddr, taken: bool) -> u64 {
+            let word = addr.low_bits(64);
+            let mut hits = 0u64;
+            for (i, slot) in self.slots.iter().enumerate() {
+                let history = self.scratch[slot.group as usize] & slot.history_mask;
+                let index = (word & ((1u64 << slot.addr_bits) - 1)) ^ history;
+                let hit = access_packed(&mut self.arena, slot.pht_offset + index as usize, taken);
+                hits |= u64::from(hit) << i;
+            }
+            hits
+        }
+    }
 
     /// A deterministic stream mixing biased, alternating and pseudo-random
     /// branches over enough addresses to exercise BHT/PHT aliasing.

@@ -39,18 +39,8 @@ impl<A: BranchPredictor, B: BranchPredictor> McFarlingHybrid<A, B> {
     }
 
     /// Whether component A would be used for `addr` right now.
-    pub fn uses_component_a(&self, addr: BranchAddr) -> bool {
+    fn uses_component_a(&self, addr: BranchAddr) -> bool {
         self.choice.predict(self.choice_index(addr)).is_taken()
-    }
-
-    /// Borrow the first component.
-    pub fn component_a(&self) -> &A {
-        &self.component_a
-    }
-
-    /// Borrow the second component.
-    pub fn component_b(&self) -> &B {
-        &self.component_b
     }
 }
 
@@ -153,29 +143,12 @@ impl ClassifiedHybrid {
         self.assignment.insert(addr, component);
     }
 
-    /// Routes every address produced by the iterator to `component`.
-    pub fn assign_all<I: IntoIterator<Item = BranchAddr>>(&mut self, addrs: I, component: usize) {
-        for addr in addrs {
-            self.assign(addr, component);
-        }
-    }
-
     /// The component index a branch would use.
-    pub fn component_of(&self, addr: BranchAddr) -> usize {
+    fn component_of(&self, addr: BranchAddr) -> usize {
         self.assignment
             .get(&addr)
             .copied()
             .unwrap_or(self.default_component)
-    }
-
-    /// Number of components.
-    pub fn component_count(&self) -> usize {
-        self.components.len()
-    }
-
-    /// Number of branches with explicit assignments.
-    pub fn assigned_branches(&self) -> usize {
-        self.assignment.len()
     }
 }
 
@@ -245,8 +218,6 @@ mod tests {
         // Both components are correct so the choice table stays put and the
         // prediction is taken regardless.
         assert_eq!(hybrid.predict(addr), Outcome::Taken);
-        assert!(hybrid.component_a().name().contains("static"));
-        assert!(hybrid.component_b().name().contains("bimodal"));
     }
 
     #[test]
@@ -263,8 +234,6 @@ mod tests {
         hybrid.assign(biased, 0);
         assert_eq!(hybrid.component_of(biased), 0);
         assert_eq!(hybrid.component_of(patterned), 1); // default
-        assert_eq!(hybrid.component_count(), 2);
-        assert_eq!(hybrid.assigned_branches(), 1);
 
         // The biased branch is always predicted taken by the static component.
         assert_eq!(hybrid.predict(biased), Outcome::Taken);
@@ -281,24 +250,6 @@ mod tests {
         assert!(hybrid.name().starts_with("classified["));
         let dbg = format!("{hybrid:?}");
         assert!(dbg.contains("assigned_branches"));
-    }
-
-    #[test]
-    fn assign_all_routes_batches() {
-        let mut hybrid = ClassifiedHybrid::new(
-            vec![
-                Box::new(StaticPredictor::always_not_taken()),
-                Box::new(BimodalPredictor::new(8)),
-            ],
-            1,
-        );
-        let addrs: Vec<BranchAddr> = (0..10).map(|i| BranchAddr::new(0x100 + i * 4)).collect();
-        hybrid.assign_all(addrs.clone(), 0);
-        assert_eq!(hybrid.assigned_branches(), 10);
-        for a in addrs {
-            assert_eq!(hybrid.component_of(a), 0);
-            assert_eq!(hybrid.predict(a), Outcome::NotTaken);
-        }
     }
 
     #[test]

@@ -59,5 +59,5 @@ pub mod prelude {
     pub use crate::predictor::BranchPredictor;
     pub use crate::staticp::StaticPredictor;
     pub use crate::swar::{CounterLut, SwarBlock};
-    pub use crate::twolevel::{TwoLevelConfig, TwoLevelPredictor, TwoLevelScheme};
+    pub use crate::twolevel::{TwoLevelConfig, TwoLevelPredictor};
 }

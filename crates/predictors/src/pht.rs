@@ -93,29 +93,31 @@ impl PatternHistoryTable {
     pub fn storage_bits(&self) -> u64 {
         self.counters.len() as u64 * u64::from(self.counters[0].bits())
     }
-
-    /// Exports the table as a packed 2-bit counter arena — four counters per
-    /// byte, counter `i` in bits `2*(i % 4)..` of byte `i / 4` — the exact
-    /// layout of the fused sweep arena and the SWAR replay tier, so
-    /// equivalence suites can compare a standalone table against an arena
-    /// region byte-for-byte.
-    ///
-    /// Returns `None` unless the table holds 2-bit counters.
-    pub fn packed_two_bit(&self) -> Option<Vec<u8>> {
-        if self.counters[0].bits() != 2 {
-            return None;
-        }
-        let mut packed = vec![0u8; self.counters.len().div_ceil(4)];
-        for (i, counter) in self.counters.iter().enumerate() {
-            packed[i >> 2] |= counter.value() << ((i & 3) * 2);
-        }
-        Some(packed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PatternHistoryTable {
+        /// Exports the table as a packed 2-bit counter arena — four counters per
+        /// byte, counter `i` in bits `2*(i % 4)..` of byte `i / 4` — the exact
+        /// layout of the fused sweep arena and the SWAR replay tier, so
+        /// equivalence suites can compare a standalone table against an arena
+        /// region byte-for-byte.
+        ///
+        /// Returns `None` unless the table holds 2-bit counters.
+        pub(crate) fn packed_two_bit(&self) -> Option<Vec<u8>> {
+            if self.counters[0].bits() != 2 {
+                return None;
+            }
+            let mut packed = vec![0u8; self.counters.len().div_ceil(4)];
+            for (i, counter) in self.counters.iter().enumerate() {
+                packed[i >> 2] |= counter.value() << ((i & 3) * 2);
+            }
+            Some(packed)
+        }
+    }
 
     #[test]
     fn pht_trains_and_predicts_per_slot() {

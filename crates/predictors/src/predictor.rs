@@ -107,11 +107,6 @@ impl PredictionStats {
         }
     }
 
-    /// Hit (accuracy) rate in `[0, 1]`, or `None` if no lookups were made.
-    pub fn hit_rate(&self) -> Option<f64> {
-        self.miss_rate().map(|m| 1.0 - m)
-    }
-
     /// Merges another statistics value into this one.
     pub fn merge(&mut self, other: &PredictionStats) {
         self.lookups += other.lookups;
@@ -175,7 +170,6 @@ mod tests {
         assert_eq!(s.hits, 2);
         assert_eq!(s.misses(), 2);
         assert_eq!(s.miss_rate(), Some(0.5));
-        assert_eq!(s.hit_rate(), Some(0.5));
 
         let mut other = PredictionStats::new();
         other.record(true);

@@ -7,73 +7,43 @@
 
 use crate::predictor::BranchPredictor;
 use btr_trace::{BranchAddr, Outcome};
-use std::collections::BTreeMap;
 
 /// The decision rule of a [`StaticPredictor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StaticRule {
+enum StaticRule {
     /// Predict every branch taken.
     AlwaysTaken,
     /// Predict every branch not taken.
     AlwaysNotTaken,
-    /// Backward taken, forward not taken. Falls back to taken when the branch
-    /// direction (sign of displacement) is unknown.
-    BackwardTakenForwardNotTaken,
 }
 
 /// A stateless predictor applying a fixed rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaticPredictor {
     rule: StaticRule,
-    /// Branches known (e.g. from profiling) to be backward, for the BTFN rule.
-    backward: BTreeMap<BranchAddr, bool>,
 }
 
 impl StaticPredictor {
-    /// Creates a predictor with the given rule.
-    pub fn new(rule: StaticRule) -> Self {
-        StaticPredictor {
-            rule,
-            backward: BTreeMap::new(),
-        }
-    }
-
     /// Predicts every branch taken.
     pub fn always_taken() -> Self {
-        StaticPredictor::new(StaticRule::AlwaysTaken)
+        StaticPredictor {
+            rule: StaticRule::AlwaysTaken,
+        }
     }
 
     /// Predicts every branch not taken.
     pub fn always_not_taken() -> Self {
-        StaticPredictor::new(StaticRule::AlwaysNotTaken)
-    }
-
-    /// Backward-taken / forward-not-taken using a static direction map.
-    pub fn btfn() -> Self {
-        StaticPredictor::new(StaticRule::BackwardTakenForwardNotTaken)
-    }
-
-    /// Registers whether the branch at `addr` jumps backward (used by BTFN).
-    pub fn set_direction(&mut self, addr: BranchAddr, is_backward: bool) {
-        self.backward.insert(addr, is_backward);
-    }
-
-    /// The rule in force.
-    pub fn rule(&self) -> StaticRule {
-        self.rule
+        StaticPredictor {
+            rule: StaticRule::AlwaysNotTaken,
+        }
     }
 }
 
 impl BranchPredictor for StaticPredictor {
-    fn predict(&self, addr: BranchAddr) -> Outcome {
+    fn predict(&self, _addr: BranchAddr) -> Outcome {
         match self.rule {
             StaticRule::AlwaysTaken => Outcome::Taken,
             StaticRule::AlwaysNotTaken => Outcome::NotTaken,
-            StaticRule::BackwardTakenForwardNotTaken => match self.backward.get(&addr) {
-                Some(true) => Outcome::Taken,
-                Some(false) => Outcome::NotTaken,
-                None => Outcome::Taken,
-            },
         }
     }
 
@@ -85,75 +55,11 @@ impl BranchPredictor for StaticPredictor {
         match self.rule {
             StaticRule::AlwaysTaken => "static-taken".to_string(),
             StaticRule::AlwaysNotTaken => "static-not-taken".to_string(),
-            StaticRule::BackwardTakenForwardNotTaken => "static-btfn".to_string(),
         }
     }
 
     fn storage_bits(&self) -> u64 {
         // Direction hints live in the instruction encoding, not predictor state.
-        0
-    }
-}
-
-/// A profile-guided static predictor: each branch is pinned to the direction
-/// it took most often in a profiling run (Chang et al.'s per-branch static
-/// assignment for strongly biased classes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProfiledStaticPredictor {
-    directions: BTreeMap<BranchAddr, Outcome>,
-    fallback: Outcome,
-}
-
-impl Default for ProfiledStaticPredictor {
-    fn default() -> Self {
-        ProfiledStaticPredictor::new()
-    }
-}
-
-impl ProfiledStaticPredictor {
-    /// Creates an empty profile that falls back to predicting taken.
-    pub fn new() -> Self {
-        ProfiledStaticPredictor {
-            directions: BTreeMap::new(),
-            fallback: Outcome::Taken,
-        }
-    }
-
-    /// Sets the fallback direction for unprofiled branches.
-    #[must_use]
-    pub fn with_fallback(mut self, fallback: Outcome) -> Self {
-        self.fallback = fallback;
-        self
-    }
-
-    /// Pins the branch at `addr` to `direction`.
-    pub fn pin(&mut self, addr: BranchAddr, direction: Outcome) {
-        self.directions.insert(addr, direction);
-    }
-
-    /// Number of profiled branches.
-    pub fn len(&self) -> usize {
-        self.directions.len()
-    }
-
-    /// Whether no branches are profiled.
-    pub fn is_empty(&self) -> bool {
-        self.directions.is_empty()
-    }
-}
-
-impl BranchPredictor for ProfiledStaticPredictor {
-    fn predict(&self, addr: BranchAddr) -> Outcome {
-        self.directions.get(&addr).copied().unwrap_or(self.fallback)
-    }
-
-    fn update(&mut self, _addr: BranchAddr, _outcome: Outcome) {}
-
-    fn name(&self) -> String {
-        format!("static-profiled({} branches)", self.directions.len())
-    }
-
-    fn storage_bits(&self) -> u64 {
         0
     }
 }
@@ -170,20 +76,6 @@ mod tests {
         assert_eq!(t.predict(addr), Outcome::Taken);
         assert_eq!(n.predict(addr), Outcome::NotTaken);
         assert_eq!(t.storage_bits(), 0);
-        assert_eq!(t.rule(), StaticRule::AlwaysTaken);
-    }
-
-    #[test]
-    fn btfn_uses_direction_map() {
-        let mut p = StaticPredictor::btfn();
-        let back = BranchAddr::new(0x100);
-        let fwd = BranchAddr::new(0x200);
-        p.set_direction(back, true);
-        p.set_direction(fwd, false);
-        assert_eq!(p.predict(back), Outcome::Taken);
-        assert_eq!(p.predict(fwd), Outcome::NotTaken);
-        // Unknown branches default to taken (loop-branch heuristic).
-        assert_eq!(p.predict(BranchAddr::new(0x300)), Outcome::Taken);
     }
 
     #[test]
@@ -191,18 +83,5 @@ mod tests {
         let mut p = StaticPredictor::always_taken();
         p.update(BranchAddr::new(0x10), Outcome::NotTaken);
         assert_eq!(p.predict(BranchAddr::new(0x10)), Outcome::Taken);
-    }
-
-    #[test]
-    fn profiled_static_pins_directions() {
-        let mut p = ProfiledStaticPredictor::new().with_fallback(Outcome::NotTaken);
-        assert!(p.is_empty());
-        p.pin(BranchAddr::new(0x10), Outcome::Taken);
-        p.pin(BranchAddr::new(0x20), Outcome::NotTaken);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.predict(BranchAddr::new(0x10)), Outcome::Taken);
-        assert_eq!(p.predict(BranchAddr::new(0x20)), Outcome::NotTaken);
-        assert_eq!(p.predict(BranchAddr::new(0x30)), Outcome::NotTaken);
-        assert!(p.name().contains("2 branches"));
     }
 }

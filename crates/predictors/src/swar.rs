@@ -18,7 +18,7 @@
 //! Masking the addend to non-saturated lanes (and the subtrahend to non-zero
 //! lanes) confines every carry/borrow to its own lane, so one 64-bit add
 //! steps 32 independent state machines. Per-lane outcome and update masks
-//! ([`lane_mask`], [`expand_lanes`]) select between the two directions, and
+//! (low bit per lane, widened by [`expand_lanes`]) select between the two directions, and
 //! ragged groups — a tail of fewer than 32 live counters — are handled by
 //! passing a partial select mask to [`train_word_select`] rather than by a
 //! scalar remainder loop.
@@ -117,18 +117,6 @@ pub const MAX_STAGED_RECORDS: usize = u16::MAX as usize;
 /// slot's hit bit occupies one bit of the per-record `u64` hit-lane mask
 /// (see [`drain_hit_lanes`]).
 pub const MAX_SWAR_SLOTS: usize = 64;
-
-/// A per-lane outcome/select mask with the given lanes' low bits set
-/// (lane `i` of `lanes` → bit `2i`), for [`train_word`] /
-/// [`train_word_select`]. Lanes at or above [`COUNTER_LANES`] are ignored.
-#[inline]
-#[must_use]
-pub fn lane_mask(lanes: impl IntoIterator<Item = usize>) -> u64 {
-    lanes
-        .into_iter()
-        .filter(|&lane| lane < COUNTER_LANES)
-        .fold(0, |mask, lane| mask | 1u64 << (2 * lane))
-}
 
 /// Expands a per-lane low-bit mask to cover both bits of each selected lane
 /// (`01` per lane → `11` per lane).
@@ -605,7 +593,7 @@ mod tests {
     #[test]
     fn select_mask_freezes_unselected_lanes() {
         let word = 0b01_10_01u64; // lanes 0..3 = 1, 2, 1
-        let select = lane_mask([1]);
+        let select = 1 << 2; // lane 1's low bit
         let updated = train_word_select(word, LANE_LOW, select);
         assert_eq!(updated & 3, 1, "lane 0 frozen");
         assert_eq!((updated >> 2) & 3, 3, "lane 1 increments");
@@ -613,9 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_mask_builds_and_ignores_out_of_range() {
-        assert_eq!(lane_mask([0, 2]), 0b01_00_01);
-        assert_eq!(lane_mask([32, 100]), 0);
+    fn expand_lanes_covers_both_bits_of_each_lane() {
         assert_eq!(expand_lanes(0b01_00_01), 0b11_00_11);
     }
 

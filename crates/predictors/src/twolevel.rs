@@ -23,32 +23,26 @@ use crate::pht::PatternHistoryTable;
 use crate::predictor::BranchPredictor;
 use btr_trace::{BranchAddr, Outcome};
 
-/// The four classical members of the two-level family.
+/// The two members of the two-level family the paper sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TwoLevelScheme {
+pub(crate) enum TwoLevelScheme {
     /// Global history, set-indexed (per-set / per-address bits) PHT.
     GAs,
-    /// Global history, single global PHT indexed by history only.
-    GAg,
     /// Per-address history, set-indexed PHT.
     PAs,
-    /// Per-address history, single global PHT indexed by history only.
-    PAg,
 }
 
 impl TwoLevelScheme {
     /// Whether the first level keeps per-address history registers.
-    pub fn is_per_address(self) -> bool {
-        matches!(self, TwoLevelScheme::PAs | TwoLevelScheme::PAg)
+    fn is_per_address(self) -> bool {
+        self == TwoLevelScheme::PAs
     }
 
-    /// Short uppercase label (`"GAs"`, `"PAg"`, …).
-    pub fn label(self) -> &'static str {
+    /// Short uppercase label (`"GAs"` or `"PAs"`).
+    fn label(self) -> &'static str {
         match self {
             TwoLevelScheme::GAs => "GAs",
-            TwoLevelScheme::GAg => "GAg",
             TwoLevelScheme::PAs => "PAs",
-            TwoLevelScheme::PAg => "PAg",
         }
     }
 }
@@ -57,7 +51,7 @@ impl TwoLevelScheme {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TwoLevelConfig {
     /// Which scheme to build.
-    pub scheme: TwoLevelScheme,
+    pub(crate) scheme: TwoLevelScheme,
     /// History length `k` in bits.
     pub history_bits: u32,
     /// log2 of the number of PHT counters.
@@ -117,28 +111,6 @@ impl TwoLevelConfig {
             pht_index_bits: 16,
             counter_bits: 2,
             bht_index_bits: paper_bht_index_bits(k),
-        }
-    }
-
-    /// A GAg configuration (PHT indexed purely by global history).
-    pub fn gag(k: u32) -> Self {
-        TwoLevelConfig {
-            scheme: TwoLevelScheme::GAg,
-            history_bits: k,
-            pht_index_bits: k,
-            counter_bits: 2,
-            bht_index_bits: 0,
-        }
-    }
-
-    /// A PAg configuration with a `2^bht_index_bits`-entry BHT.
-    pub fn pag(k: u32, bht_index_bits: u32) -> Self {
-        TwoLevelConfig {
-            scheme: TwoLevelScheme::PAg,
-            history_bits: k,
-            pht_index_bits: k,
-            counter_bits: 2,
-            bht_index_bits,
         }
     }
 
@@ -446,28 +418,12 @@ mod tests {
     #[test]
     fn scheme_labels_and_config_labels() {
         assert_eq!(TwoLevelScheme::GAs.label(), "GAs");
-        assert!(TwoLevelScheme::PAg.is_per_address());
-        assert!(!TwoLevelScheme::GAg.is_per_address());
+        assert!(TwoLevelScheme::PAs.is_per_address());
+        assert!(!TwoLevelScheme::GAs.is_per_address());
         assert_eq!(TwoLevelConfig::pas_paper(8).label(), "PAs(h=8)");
         let p = TwoLevelPredictor::gas_paper(4);
         assert_eq!(p.name(), "GAs(h=4)");
         assert_eq!(p.config().history_bits, 4);
-    }
-
-    #[test]
-    fn gag_and_pag_index_by_history_only() {
-        let mut gag = TwoLevelPredictor::new(TwoLevelConfig::gag(4));
-        let mut pag = TwoLevelPredictor::new(TwoLevelConfig::pag(4, 6));
-        let addr = BranchAddr::new(0x3000);
-        for i in 0..100u32 {
-            let o = Outcome::from_bool(i % 2 == 0);
-            gag.update(addr, o);
-            pag.update(addr, o);
-        }
-        // Both should have learned the alternating pattern.
-        let g = gag.predict(addr);
-        let p = pag.predict(addr);
-        assert_eq!(g, p);
     }
 
     #[test]

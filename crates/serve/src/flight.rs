@@ -29,7 +29,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// How one request joined a flight: see [`FlightTable::join`].
 #[derive(Debug)]
-pub enum FlightOutcome<'a> {
+pub(crate) enum FlightOutcome<'a> {
     /// No computation was in flight for the key: the caller must run the
     /// analysis; dropping the guard (success or failure) releases the key
     /// and wakes every follower.
@@ -61,7 +61,7 @@ impl FlightTable {
     /// The waits are bounded (re-checked every 50 ms) so a lost wakeup can
     /// only add latency, never a hang; the leader's socket timeouts bound
     /// how long a key can stay in flight.
-    pub fn join<'a>(&'a self, key: &CacheKey, cache: &ResponseCache) -> FlightOutcome<'a> {
+    pub(crate) fn join<'a>(&'a self, key: &CacheKey, cache: &ResponseCache) -> FlightOutcome<'a> {
         let mut in_flight = lock(&self.in_flight);
         loop {
             if !in_flight.contains(key) {
@@ -98,7 +98,7 @@ impl FlightTable {
 /// Releases the leader's key on drop — error paths included — and wakes
 /// every follower waiting on the flight.
 #[derive(Debug)]
-pub struct FlightGuard<'a> {
+pub(crate) struct FlightGuard<'a> {
     table: &'a FlightTable,
     key: CacheKey,
 }

@@ -13,7 +13,7 @@ use std::io::{BufRead, Read, Write};
 /// Cap on the request head (request line + headers, CRLFs included): enough
 /// for any legitimate client, small enough that a hostile one cannot balloon
 /// per-connection memory before admission control even runs.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// A parsed request head. The body, if any, stays in the stream the head was
 /// parsed from and is streamed by the handler under its declared length.
@@ -36,7 +36,7 @@ impl Request {
     /// # Errors
     ///
     /// Fails with [`ServeError::HeaderTooLarge`] when the head exceeds
-    /// [`MAX_HEAD_BYTES`], [`ServeError::BadRequest`] on malformed syntax or
+    /// 16 KiB, [`ServeError::BadRequest`] on malformed syntax or
     /// on framing `btrd` does not speak (any `Transfer-Encoding`, or more
     /// than one `Content-Length`), and [`ServeError::Timeout`] /
     /// [`ServeError::Io`] on transport failures.
@@ -228,6 +228,17 @@ impl Response {
     ///
     /// Fails only if the underlying writer fails.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+        self.write_with_header(w, None)
+    }
+
+    /// [`Response::write_to`] with `extra` written after the stored headers,
+    /// so a cached response shared by many replies is stamped per reply
+    /// without being copied.
+    pub(crate) fn write_with_header<W: Write>(
+        &self,
+        w: &mut W,
+        extra: Option<(&str, &str)>,
+    ) -> std::io::Result<()> {
         write!(
             w,
             "HTTP/1.1 {} {}\r\nConnection: close\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
@@ -236,7 +247,8 @@ impl Response {
             self.content_type,
             self.body.len()
         )?;
-        for (name, value) in &self.headers {
+        let stored = self.headers.iter().map(|(n, v)| (n.as_str(), v.as_str()));
+        for (name, value) in stored.chain(extra) {
             write!(w, "{name}: {value}\r\n")?;
         }
         w.write_all(b"\r\n")?;
@@ -246,7 +258,7 @@ impl Response {
 }
 
 /// The canonical reason phrase for the statuses `btrd` emits.
-pub fn status_text(status: u16) -> &'static str {
+fn status_text(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",

@@ -52,7 +52,7 @@ impl Metrics {
     }
 
     /// Marks a request received and starts its latency clock.
-    pub fn begin_request(&self) -> RequestTimer {
+    pub(crate) fn begin_request(&self) -> RequestTimer {
         self.requests.fetch_add(1, Ordering::Relaxed);
         RequestTimer {
             started: Instant::now(),
@@ -61,7 +61,7 @@ impl Metrics {
 
     /// Folds a finished request into the counters, classifying by status.
     /// Call it before writing the response, so `/metrics` never lags a reply.
-    pub fn finish_request(&self, timer: RequestTimer, status: u16) {
+    pub(crate) fn finish_request(&self, timer: RequestTimer, status: u16) {
         let micros = timer.started.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.request_micros.fetch_add(micros, Ordering::Relaxed);
         let bucket = match status {
@@ -109,14 +109,9 @@ impl Metrics {
 
     /// Marks an analysis entering the admission-gated section; the returned
     /// guard decrements on drop, so the gauge survives error paths.
-    pub fn analysis_guard(&self) -> AnalysisGuard<'_> {
+    pub(crate) fn analysis_guard(&self) -> AnalysisGuard<'_> {
         self.active_analyses.fetch_add(1, Ordering::Relaxed);
         AnalysisGuard { metrics: self }
-    }
-
-    /// Analyses currently in flight (the admission-gate depth).
-    pub fn active_analyses(&self) -> u64 {
-        self.active_analyses.load(Ordering::Relaxed)
     }
 
     /// A point-in-time copy of every counter.
@@ -149,13 +144,13 @@ impl Default for Metrics {
 /// Latency clock for one request; fold back in with
 /// [`Metrics::finish_request`].
 #[derive(Debug)]
-pub struct RequestTimer {
+pub(crate) struct RequestTimer {
     started: Instant,
 }
 
 /// Decrements the active-analysis gauge on drop.
 #[derive(Debug)]
-pub struct AnalysisGuard<'a> {
+pub(crate) struct AnalysisGuard<'a> {
     metrics: &'a Metrics,
 }
 
@@ -275,9 +270,9 @@ mod tests {
         {
             let _g1 = m.analysis_guard();
             let _g2 = m.analysis_guard();
-            assert_eq!(m.active_analyses(), 2);
+            assert_eq!(m.snapshot().active_analyses, 2);
         }
-        assert_eq!(m.active_analyses(), 0);
+        assert_eq!(m.snapshot().active_analyses, 0);
     }
 
     #[test]

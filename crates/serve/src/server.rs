@@ -156,7 +156,7 @@ impl Server {
     }
 
     /// A handle for shutdown and telemetry.
-    pub fn handle(&self) -> ServerHandle {
+    fn handle(&self) -> ServerHandle {
         ServerHandle {
             shared: Arc::clone(&self.shared),
         }
@@ -243,17 +243,42 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
     let timer = shared.metrics.begin_request();
     let mut reader = BufReader::new(stream);
-    let response = match Request::parse(&mut reader) {
+    let reply = match Request::parse(&mut reader) {
         Ok(request) => match route(&request, &mut reader, shared) {
-            Ok(response) => response,
-            Err(e) => error_response(&e),
+            Ok(reply) => reply,
+            Err(e) => Reply::Fresh(error_response(&e)),
         },
-        Err(e) => error_response(&e),
+        Err(e) => Reply::Fresh(error_response(&e)),
     };
     // Counted before the write, so `/metrics` never lags a reply.
-    shared.metrics.finish_request(timer, response.status);
-    let _ = response.write_to(reader.get_mut());
+    shared.metrics.finish_request(timer, reply.status());
+    let _ = reply.write_to(reader.get_mut());
     let _ = reader.get_mut().shutdown(std::net::Shutdown::Both);
+}
+
+/// One reply: rendered for this request, or a cached response shared with
+/// the cache and stamped with its `X-Btr-Cache` marker as it is written.
+enum Reply {
+    Fresh(Response),
+    Cached(Arc<Response>, &'static str),
+}
+
+impl Reply {
+    fn status(&self) -> u16 {
+        match self {
+            Reply::Fresh(response) => response.status,
+            Reply::Cached(response, _) => response.status,
+        }
+    }
+
+    fn write_to(&self, w: &mut TcpStream) -> io::Result<()> {
+        match self {
+            Reply::Fresh(response) => response.write_to(w),
+            Reply::Cached(response, marker) => {
+                response.write_with_header(w, Some(("X-Btr-Cache", marker)))
+            }
+        }
+    }
 }
 
 /// Renders a [`ServeError`] as its JSON error document.
@@ -272,18 +297,18 @@ fn route(
     request: &Request,
     body: &mut BufReader<TcpStream>,
     shared: &Shared,
-) -> Result<Response, ServeError> {
+) -> Result<Reply, ServeError> {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Ok(encode(
+        ("GET", "/healthz") => Ok(Reply::Fresh(encode(
             MapBuilder::new().field("ok", true).build(),
             wants_btrw(request),
             200,
-        )),
-        ("GET", "/metrics") => Ok(encode(
+        ))),
+        ("GET", "/metrics") => Ok(Reply::Fresh(encode(
             shared.metrics.snapshot().to_value(),
             wants_btrw(request),
             200,
-        )),
+        ))),
         ("POST", "/classify") | ("POST", "/sweep") => analyze(request, body, shared),
         (_, "/healthz" | "/metrics" | "/classify" | "/sweep") => {
             Err(ServeError::MethodNotAllowed(request.method.clone()))
@@ -327,7 +352,7 @@ fn analyze(
     request: &Request,
     body: &mut BufReader<TcpStream>,
     shared: &Shared,
-) -> Result<Response, ServeError> {
+) -> Result<Reply, ServeError> {
     let btrw = wants_btrw(request);
     let format = analysis::BodyFormat::from_content_type(request.header("content-type"))?;
     let scheme = analysis::parse_scheme(request.query_param("scheme"))?;
@@ -375,7 +400,7 @@ fn analyze(
         };
         if let Some(cached) = shared.cache.get(&key) {
             shared.metrics.cache_hit();
-            return Ok((*cached).clone().with_header("X-Btr-Cache", "hit"));
+            return Ok(Reply::Cached(cached, "hit"));
         }
         // Single-flight: concurrent uploads of the same digest+params
         // coalesce onto one computation. Followers block here — before
@@ -385,7 +410,7 @@ fn analyze(
             FlightOutcome::Served(cached) => {
                 shared.metrics.cache_hit();
                 shared.metrics.coalesced_hit();
-                return Ok((*cached).clone().with_header("X-Btr-Cache", "coalesced"));
+                return Ok(Reply::Cached(cached, "coalesced"));
             }
             FlightOutcome::Leader(guard) => flight = Some(guard),
         }
@@ -445,7 +470,7 @@ fn analyze(
     // reply stamps its own `X-Btr-Cache`.
     let base = encode(outcome.value, btrw, 200).with_header("X-Btr-Digest", digest.clone());
     shared.cache.insert(CacheKey { digest, params }, &base);
-    Ok(base.with_header("X-Btr-Cache", "store"))
+    Ok(Reply::Fresh(base.with_header("X-Btr-Cache", "store")))
 }
 
 /// Decrements an atomic counter when dropped (error paths included).

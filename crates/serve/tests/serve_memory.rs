@@ -6,16 +6,22 @@
 //! follows the chunk size and the static-branch tables, never the upload's
 //! length; a path that holds the upload's records breaks the bound.
 //!
+//! A second row turns the response cache on and replays a `/sweep` by its
+//! digest: the hit is written from the cached response itself, so it may
+//! not grow the heap by a copy of the reply body.
+//!
 //! The counting allocator sees every thread — server, pool and client — so
 //! this binary holds exactly one test. Uploads are encoded before each
-//! baseline is taken, and the response cache is off so no reply outlives
-//! its request.
+//! baseline is taken, and the first row runs with the response cache off so
+//! no reply outlives its request.
 
 use btr_serve::client::{send, ClientRequest};
 use btr_serve::{Server, ServerConfig};
 use btr_trace::io::binary;
 use btr_trace::{BranchAddr, BranchRecord, Outcome, TraceBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -95,6 +101,43 @@ fn peak_heap_growth(addr: &str, target: &str, body: Vec<u8>) -> usize {
     PEAK.load(Ordering::SeqCst).saturating_sub(baseline)
 }
 
+/// Replays [`SWEEP`] by `digest` alone over a raw socket, reading the reply
+/// through fixed stack buffers so the client allocates nothing per byte.
+/// Answers the peak heap growth over the live bytes just before the request,
+/// the reply's first bytes and its total length.
+fn cache_hit_peak_heap_growth(addr: &str, digest: &str) -> (usize, String, usize) {
+    let request = format!(
+        "POST {SWEEP} HTTP/1.1\r\nHost: btrd\r\nContent-Length: 0\r\n\
+         X-Btr-Digest: {digest}\r\nConnection: close\r\n\r\n"
+    );
+    let mut head = [0u8; 1024];
+    let mut chunk = [0u8; 16 * 1024];
+    let (mut head_len, mut total) = (0, 0);
+    let baseline = LIVE.load(Ordering::SeqCst);
+    PEAK.store(baseline, Ordering::SeqCst);
+    let mut stream = TcpStream::connect(addr).expect("connect to btrd");
+    stream
+        .write_all(request.as_bytes())
+        .expect("send request head");
+    loop {
+        let n = stream.read(&mut chunk).expect("read reply");
+        if n == 0 {
+            break;
+        }
+        let take = n.min(head.len() - head_len);
+        head[head_len..head_len + take].copy_from_slice(&chunk[..take]);
+        head_len += take;
+        total += n;
+    }
+    drop(stream);
+    let growth = PEAK.load(Ordering::SeqCst).saturating_sub(baseline);
+    (
+        growth,
+        String::from_utf8_lossy(&head[..head_len]).into_owned(),
+        total,
+    )
+}
+
 #[test]
 fn per_request_peak_heap_does_not_grow_with_upload_length() {
     let (handle, join) = Server::spawn(ServerConfig {
@@ -125,6 +168,42 @@ fn per_request_peak_heap_does_not_grow_with_upload_length() {
             4 * short,
         );
     }
+    handle.shutdown();
+    join.join()
+        .expect("accept thread joins")
+        .expect("accept loop exits cleanly");
+
+    // Cache on: a digest replay is answered from the cached response.
+    let (handle, join) = Server::spawn(ServerConfig {
+        cache_entries: 4,
+        ..ServerConfig::default()
+    })
+    .expect("ephemeral server must spawn");
+    let addr = handle.addr().to_string();
+    let stored = send(
+        &addr,
+        &ClientRequest::post(SWEEP, short_body),
+        Duration::from_secs(60),
+    )
+    .expect("request must complete");
+    assert_eq!(stored.status, 200, "{}", stored.text());
+    assert_eq!(stored.header("x-btr-cache"), Some("store"));
+    let digest = stored.header("x-btr-digest").expect("digest").to_string();
+    let body_len = stored.body.len();
+    drop(stored);
+    let (hit_peak, head, reply_len) = cache_hit_peak_heap_growth(&addr, &digest);
+    println!(
+        "[serve-memory] {SWEEP} cache hit: peak heap growth {:.2} MiB for a {:.2} MiB reply body",
+        hit_peak as f64 / (1024.0 * 1024.0),
+        body_len as f64 / (1024.0 * 1024.0),
+    );
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(head.contains("X-Btr-Cache: hit"), "{head}");
+    assert!(reply_len > body_len, "the whole reply arrived");
+    assert!(
+        hit_peak < body_len,
+        "cache hit grew the heap by {hit_peak} B, at least a copy of its {body_len} B body"
+    );
     handle.shutdown();
     join.join()
         .expect("accept thread joins")

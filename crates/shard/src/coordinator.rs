@@ -13,7 +13,7 @@
 //! validating the unit's checkpoint on disk — never by trusting the exit
 //! code — so a worker that committed and then crashed still counts as done.
 //! Invalid (torn/corrupt/missing) checkpoints re-queue the unit with
-//! [`backoff_delay`] applied, until `retry_budget` consecutive failures
+//! `backoff_delay` applied, until `retry_budget` consecutive failures
 //! exhaust it.
 //!
 //! ## Merge determinism
@@ -109,7 +109,7 @@ impl Default for CoordinatorConfig {
 /// `failures = 0` returning [`Duration::ZERO`] matters: a unit scheduled
 /// through this function without any recorded failure must not inherit the
 /// first-failure delay (`saturating_sub` used to fold 0 and 1 together).
-pub fn backoff_delay(failures: u32, base: Duration, cap: Duration) -> Duration {
+fn backoff_delay(failures: u32, base: Duration, cap: Duration) -> Duration {
     if failures == 0 {
         return Duration::ZERO;
     }

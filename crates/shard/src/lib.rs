@@ -51,7 +51,7 @@ pub mod manifest;
 pub mod unit;
 pub mod worker;
 
-pub use coordinator::{backoff_delay, Coordinator, CoordinatorConfig, Launcher};
+pub use coordinator::{Coordinator, CoordinatorConfig, Launcher};
 pub use error::{Result, ShardError};
 pub use fault::{FaultKind, FaultPlan, FAULT_ENV};
 pub use manifest::{Manifest, OutDir, MANIFEST_FORMAT};

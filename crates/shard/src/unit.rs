@@ -74,7 +74,7 @@ impl SweepSpec {
     }
 
     /// The history groups, in order: `histories` chunked by `history_group`.
-    pub fn history_groups(&self) -> Vec<Vec<u32>> {
+    fn history_groups(&self) -> Vec<Vec<u32>> {
         self.histories
             .chunks(self.history_group)
             .map(<[u32]>::to_vec)

@@ -21,15 +21,15 @@ use std::time::Duration;
 
 /// Worker exit: unit executed and checkpoint committed (or yielded to an
 /// earlier valid commit).
-pub const EXIT_OK: i32 = 0;
+const EXIT_OK: i32 = 0;
 /// Worker exit: an injected fault made this attempt die without a valid
 /// checkpoint of its own.
-pub const EXIT_INJECTED: i32 = 10;
+const EXIT_INJECTED: i32 = 10;
 /// Worker exit: real failure (I/O, decode, a unit id outside the plan).
 pub const EXIT_ERROR: i32 = 11;
 /// Worker exit: an injected stall expired without the coordinator killing
 /// the worker (only reachable with a deadline longer than the stall).
-pub const EXIT_STALL_EXPIRED: i32 = 12;
+const EXIT_STALL_EXPIRED: i32 = 12;
 
 /// Runs one worker invocation: loads the manifest under `out_root`, plans
 /// unit `unit_id` from its spec ([`OutDir::plan_bound`]), applies the fault

@@ -448,8 +448,8 @@ impl SimEngine {
         acc.into_results(trace.addrs())
     }
 
-    /// Runs each lane's fused sweep over its trace — up to
-    /// [`MAX_FUSED_SLOTS`] history slots per lane — returning one
+    /// Runs each lane's fused sweep over its trace — up to 64 history slots
+    /// per lane — returning one
     /// `Vec<RunResult>` per lane (slot order), in lane order.
     ///
     /// Each lane's trace is one view fed to the planned driver: the SWAR
@@ -458,8 +458,6 @@ impl SimEngine {
     /// otherwise. Results and final predictor state are bit-identical to a
     /// standalone [`SimEngine::run_fused`] of the lane (pinned by
     /// `tests/batch_equivalence.rs`), with the warmup applied per trace.
-    ///
-    /// [`MAX_FUSED_SLOTS`]: btr_predictors::fused::MAX_FUSED_SLOTS
     ///
     /// # Panics
     ///

@@ -27,6 +27,10 @@ use btr_predictors::predictor::BranchPredictor;
 use btr_predictors::twolevel::TwoLevelPredictor;
 use btr_trace::{InternedTrace, Trace};
 use btr_workloads::spec::{Benchmark, SuiteConfig};
+use btr_workloads::table2::{
+    PAPER_MISCLASSIFIED_GAS, PAPER_MISCLASSIFIED_PAS, PAPER_TAKEN_EASY_COVERAGE,
+    PAPER_TRANSITION_EASY_COVERAGE_GAS, PAPER_TRANSITION_EASY_COVERAGE_PAS,
+};
 use stealpool::WorkStealingPool;
 
 /// Configuration shared by every experiment.
@@ -174,16 +178,21 @@ pub fn table2(
         &table,
     );
     out.push_str(&format!(
-        "\nEasy coverage by taken rate (classes 0,10):        {:6.2}%  (paper: 62.90%)\n\
-         Easy coverage by transition rate, GAs (0,1):        {:6.2}%  (paper: 71.62%)\n\
-         Easy coverage by transition rate, PAs (0,1,9,10):   {:6.2}%  (paper: 72.19%)\n\
-         Misclassified as hard by taken rate (GAs view):     {:6.2}%  (paper: 8.72%)\n\
-         Misclassified as hard by taken rate (PAs view):     {:6.2}%  (paper: 9.29%)\n",
+        "\nEasy coverage by taken rate (classes 0,10):        {:6.2}%  (paper: {:.2}%)\n\
+         Easy coverage by transition rate, GAs (0,1):        {:6.2}%  (paper: {:.2}%)\n\
+         Easy coverage by transition rate, PAs (0,1,9,10):   {:6.2}%  (paper: {:.2}%)\n\
+         Misclassified as hard by taken rate (GAs view):     {:6.2}%  (paper: {:.2}%)\n\
+         Misclassified as hard by taken rate (PAs view):     {:6.2}%  (paper: {:.2}%)\n",
         analysis.taken_easy_coverage,
+        PAPER_TAKEN_EASY_COVERAGE,
         analysis.transition_easy_coverage_gas,
+        PAPER_TRANSITION_EASY_COVERAGE_GAS,
         analysis.transition_easy_coverage_pas,
+        PAPER_TRANSITION_EASY_COVERAGE_PAS,
         analysis.misclassified_gas,
+        PAPER_MISCLASSIFIED_GAS,
         analysis.misclassified_pas,
+        PAPER_MISCLASSIFIED_PAS,
     ));
     (table, analysis, out)
 }
@@ -676,7 +685,8 @@ mod tests {
             // the assertion is on the region, not the exact cell.)
             let centre = matrix.miss_at(ClassId(5), ClassId(5)).unwrap();
             assert!(centre > 0.3, "{} 5/5 miss rate {centre}", family.label());
-            let (taken, transition, rate) = matrix.worst_cell().unwrap();
+            let (taken, transition, rate) =
+                crate::sweep::test_support::worst_cell(&matrix).unwrap();
             assert!(
                 (2..=8).contains(&taken.index()) && (2..=8).contains(&transition.index()),
                 "{} worst cell at ({taken}, {transition})",

@@ -306,11 +306,6 @@ impl HistorySweep {
         HistorySweep::new(family, (0..=16).collect())
     }
 
-    /// A reduced sweep for quick tests and benches.
-    pub fn coarse(family: PredictorFamily) -> Self {
-        HistorySweep::new(family, vec![0, 1, 2, 4, 8, 12, 16])
-    }
-
     /// Sets a warm-up exclusion (see [`SimEngine::with_warmup`]).
     #[must_use]
     pub fn with_warmup(mut self, warmup: u64) -> Self {
@@ -360,6 +355,26 @@ impl HistorySweep {
             }
         }
         SweepResult::assemble(self.family, merged)
+    }
+}
+
+/// Test support shared by the sweep and experiment tests.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use btr_core::analysis::JointMissMatrix;
+    use btr_core::class::ClassId;
+
+    /// The worst-predicted (taken, transition) cell of `matrix` and its miss
+    /// rate, scanning transition-major and keeping the first maximum.
+    pub(crate) fn worst_cell(matrix: &JointMissMatrix) -> Option<(ClassId, ClassId, f64)> {
+        (0..11)
+            .flat_map(|transition| (0..11).map(move |taken| (ClassId(taken), ClassId(transition))))
+            .filter_map(|(taken, transition)| {
+                matrix
+                    .miss_at(taken, transition)
+                    .map(|rate| (taken, transition, rate))
+            })
+            .reduce(|worst, cell| if cell.2 > worst.2 { cell } else { worst })
     }
 }
 
@@ -450,7 +465,8 @@ mod tests {
         let sweep = HistorySweep::new(PredictorFamily::GAs, vec![0, 4, 8]);
         let result = sweep.run(&[&trace]);
         let joint = result.joint_miss_matrix(&profile, BinningScheme::Paper11);
-        let (taken, transition, rate) = joint.worst_cell().expect("matrix has populated cells");
+        let (taken, transition, rate) =
+            test_support::worst_cell(&joint).expect("matrix has populated cells");
         // The coin-flip branch lives near the 5/5 centre and stays near 50%.
         assert!(
             (4..=6).contains(&taken.index()),
@@ -482,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn paper_and_coarse_sweeps_have_expected_shapes() {
+    fn paper_sweeps_have_expected_shapes() {
         assert_eq!(
             HistorySweep::paper(PredictorFamily::PAs).histories().len(),
             17
@@ -491,9 +507,8 @@ mod tests {
             HistorySweep::paper(PredictorFamily::GAs).histories()[16],
             16
         );
-        assert!(HistorySweep::coarse(PredictorFamily::PAs).histories().len() < 17);
         assert_eq!(
-            HistorySweep::coarse(PredictorFamily::GAs).family(),
+            HistorySweep::paper(PredictorFamily::GAs).family(),
             PredictorFamily::GAs
         );
     }

@@ -6,7 +6,7 @@
 //! ([`Sampled`]). These adapters work over any `Iterator<Item = BranchRecord>`
 //! so they compose with both in-memory traces and streaming readers.
 
-use crate::record::{BranchAddr, BranchRecord};
+use crate::record::BranchRecord;
 
 /// Yields only conditional-branch records from the underlying stream.
 #[derive(Debug, Clone)]
@@ -113,33 +113,6 @@ impl<I: Iterator<Item = BranchRecord>> Iterator for Windowed<I> {
     }
 }
 
-/// Keeps only records whose branch address satisfies a predicate.
-#[derive(Debug, Clone)]
-pub struct AddrFiltered<I, F> {
-    inner: I,
-    pred: F,
-}
-
-impl<I, F> AddrFiltered<I, F> {
-    /// Wraps an iterator with an address predicate.
-    pub fn new(inner: I, pred: F) -> Self {
-        AddrFiltered { inner, pred }
-    }
-}
-
-impl<I, F> Iterator for AddrFiltered<I, F>
-where
-    I: Iterator<Item = BranchRecord>,
-    F: FnMut(BranchAddr) -> bool,
-{
-    type Item = BranchRecord;
-
-    fn next(&mut self) -> Option<BranchRecord> {
-        let pred = &mut self.pred;
-        self.inner.by_ref().find(|r| pred(r.addr()))
-    }
-}
-
 /// Extension trait adding the adapters to any record iterator.
 pub trait RecordStreamExt: Iterator<Item = BranchRecord> + Sized {
     /// Keeps only conditional branches.
@@ -156,11 +129,6 @@ pub trait RecordStreamExt: Iterator<Item = BranchRecord> + Sized {
     fn windowed(self, start: usize, end: usize) -> Windowed<Self> {
         Windowed::new(self, start, end)
     }
-
-    /// Keeps records whose address satisfies `pred`.
-    fn filter_addr<F: FnMut(BranchAddr) -> bool>(self, pred: F) -> AddrFiltered<Self, F> {
-        AddrFiltered::new(self, pred)
-    }
 }
 
 impl<I: Iterator<Item = BranchRecord>> RecordStreamExt for I {}
@@ -168,7 +136,7 @@ impl<I: Iterator<Item = BranchRecord>> RecordStreamExt for I {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{BranchKind, Outcome};
+    use crate::record::{BranchAddr, BranchKind, Outcome};
 
     fn cond(addr: u64, taken: bool) -> BranchRecord {
         BranchRecord::conditional(BranchAddr::new(addr), Outcome::from_bool(taken))
@@ -229,16 +197,6 @@ mod tests {
     #[should_panic(expected = "start must not exceed end")]
     fn window_rejects_inverted_range() {
         let _ = Windowed::new(std::iter::empty::<BranchRecord>(), 5, 2);
-    }
-
-    #[test]
-    fn addr_filter_selects_addresses() {
-        let stream = vec![cond(0x10, true), cond(0x20, false), cond(0x10, false)];
-        let kept: Vec<_> = stream
-            .into_iter()
-            .filter_addr(|a| a.raw() == 0x10)
-            .collect();
-        assert_eq!(kept.len(), 2);
     }
 
     #[test]

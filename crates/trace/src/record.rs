@@ -256,20 +256,6 @@ impl BranchRecord {
     pub fn target(&self) -> Option<BranchAddr> {
         self.target
     }
-
-    /// Returns `true` if this is a conditional branch that was taken.
-    pub fn is_taken_conditional(&self) -> bool {
-        self.kind.is_conditional() && self.outcome.is_taken()
-    }
-
-    /// Whether the branch target lies at a lower address than the branch
-    /// itself (a "backward" branch), when a target is recorded.
-    ///
-    /// Backward/forward direction is what static BTFN (backward-taken,
-    /// forward-not-taken) predictors key on.
-    pub fn is_backward(&self) -> Option<bool> {
-        self.target.map(|t| t.raw() < self.addr.raw())
-    }
 }
 
 impl fmt::Display for BranchRecord {
@@ -330,18 +316,15 @@ mod tests {
         let r = BranchRecord::conditional(BranchAddr::new(0x1000), Outcome::Taken)
             .with_target(BranchAddr::new(0x0800));
         assert_eq!(r.addr().raw(), 0x1000);
-        assert!(r.is_taken_conditional());
-        assert_eq!(r.is_backward(), Some(true));
+        assert_eq!(r.target(), Some(BranchAddr::new(0x0800)));
 
         let fwd = BranchRecord::conditional(BranchAddr::new(0x1000), Outcome::NotTaken)
             .with_target(BranchAddr::new(0x2000));
-        assert_eq!(fwd.is_backward(), Some(false));
-        assert!(!fwd.is_taken_conditional());
+        assert_eq!(fwd.target(), Some(BranchAddr::new(0x2000)));
 
         let untargeted =
             BranchRecord::new(BranchAddr::new(0x1000), BranchKind::Return, Outcome::Taken);
-        assert_eq!(untargeted.is_backward(), None);
-        assert!(!untargeted.is_taken_conditional());
+        assert_eq!(untargeted.target(), None);
     }
 
     #[test]

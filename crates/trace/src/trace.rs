@@ -1,6 +1,6 @@
 //! In-memory branch traces and their builder.
 
-use crate::record::{BranchKind, BranchRecord};
+use crate::record::BranchRecord;
 use crate::stats::TraceStats;
 use std::fmt;
 use std::sync::OnceLock;
@@ -163,16 +163,6 @@ impl Trace {
         self.stats().static_conditional_count()
     }
 
-    /// Counts records of a particular kind.
-    pub fn count_kind(&self, kind: BranchKind) -> u64 {
-        self.records.iter().filter(|r| r.kind() == kind).count() as u64
-    }
-
-    /// Consumes the trace and returns its record vector.
-    pub fn into_records(self) -> Vec<BranchRecord> {
-        self.records
-    }
-
     /// Concatenates another trace onto this one. Derived state is dropped
     /// and recomputed on the next read.
     pub fn extend_from(&mut self, other: &Trace) {
@@ -316,7 +306,7 @@ impl FromIterator<BranchRecord> for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{BranchAddr, Outcome};
+    use crate::record::{BranchAddr, BranchKind, Outcome};
 
     fn rec(addr: u64, taken: bool) -> BranchRecord {
         BranchRecord::conditional(BranchAddr::new(addr), Outcome::from_bool(taken))
@@ -379,9 +369,6 @@ mod tests {
         let t = b.build();
         assert_eq!(t.len(), 3);
         assert_eq!(t.conditional_count(), 1);
-        assert_eq!(t.count_kind(BranchKind::Call), 1);
-        assert_eq!(t.count_kind(BranchKind::Return), 1);
-        assert_eq!(t.count_kind(BranchKind::Indirect), 0);
         assert_eq!(t.static_conditional_count(), 1);
     }
 

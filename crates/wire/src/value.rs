@@ -14,8 +14,8 @@
 //! carry that distinction, so the JSON parser classifies tokens
 //! (unsigned-looking → [`Value::U64`], negative → [`Value::I64`], fractional
 //! or exponent → [`Value::F64`]) and the typed accessors ([`Value::as_u64`],
-//! [`Value::as_i64`], [`Value::as_f64`]) accept any numeric variant that
-//! represents the requested value exactly.
+//! [`Value::as_f64`]) accept any numeric variant that represents the
+//! requested value exactly.
 //!
 //! ## Dense unsigned sequences
 //!
@@ -102,19 +102,6 @@ impl Value {
             Value::U64(v) => Ok(*v),
             Value::I64(v) if *v >= 0 => Ok(*v as u64),
             other => Err(mismatch("u64", other)),
-        }
-    }
-
-    /// Reads this value as an `i64`, accepting any integer variant in range.
-    ///
-    /// # Errors
-    ///
-    /// Fails on non-integers and on unsigned values above `i64::MAX`.
-    pub fn as_i64(&self) -> Result<i64, WireError> {
-        match self {
-            Value::I64(v) => Ok(*v),
-            Value::U64(v) if *v <= i64::MAX as u64 => Ok(*v as i64),
-            other => Err(mismatch("i64", other)),
         }
     }
 
@@ -336,8 +323,6 @@ mod tests {
         assert_eq!(Value::U64(7).as_u64().expect("u64 reads as u64"), 7);
         assert_eq!(Value::I64(7).as_u64().expect("exact i64 reads as u64"), 7);
         assert!(Value::I64(-1).as_u64().is_err());
-        assert_eq!(Value::U64(7).as_i64().expect("exact u64 reads as i64"), 7);
-        assert!(Value::U64(u64::MAX).as_i64().is_err());
         assert_eq!(
             Value::U64(5).as_f64().expect("exact integer reads as f64"),
             5.0

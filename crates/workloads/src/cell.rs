@@ -13,31 +13,12 @@ pub const CLASS_COUNT: usize = 11;
 /// # Panics
 ///
 /// Panics if `class >= 11`.
-pub fn class_bounds(class: usize) -> (f64, f64) {
+fn class_bounds(class: usize) -> (f64, f64) {
     assert!(class < CLASS_COUNT, "class index out of range");
     match class {
         0 => (0.0, 0.05),
         10 => (0.95, 1.0),
         c => (0.05 + 0.10 * (c as f64 - 1.0), 0.05 + 0.10 * c as f64),
-    }
-}
-
-/// The class (0–10) a rate in `[0, 1]` falls into under the paper binning.
-///
-/// # Panics
-///
-/// Panics if the rate is outside `[0, 1]`.
-pub fn class_of(rate: f64) -> usize {
-    assert!((0.0..=1.0).contains(&rate), "rate out of range");
-    // Work in tenths of a percent to avoid floating-point drift at the 5% /
-    // 95% boundaries.
-    let permille = (rate * 1000.0).round() as i64;
-    if permille < 50 {
-        0
-    } else if permille >= 950 {
-        10
-    } else {
-        ((permille - 50) / 100) as usize + 1
     }
 }
 
@@ -68,18 +49,13 @@ impl JointCell {
         }
     }
 
-    /// The central hard-to-predict cell (taken ≈ 50%, transition ≈ 50%).
-    pub fn hard_center() -> Self {
-        JointCell::new(5, 5)
-    }
-
     /// Taken-rate bounds for this cell.
-    pub fn taken_bounds(&self) -> (f64, f64) {
+    fn taken_bounds(&self) -> (f64, f64) {
         class_bounds(self.taken_class)
     }
 
     /// Transition-rate bounds for this cell.
-    pub fn transition_bounds(&self) -> (f64, f64) {
+    fn transition_bounds(&self) -> (f64, f64) {
         class_bounds(self.transition_class)
     }
 
@@ -107,7 +83,7 @@ impl CellTarget {
     /// The hard upper limit on the transition rate of any branch with taken
     /// rate `p`: every transition needs a minority-direction execution next to
     /// it, so `t <= 2·min(p, 1 - p)` in the long run.
-    pub fn transition_limit(taken_rate: f64) -> f64 {
+    fn transition_limit(taken_rate: f64) -> f64 {
         2.0 * taken_rate.min(1.0 - taken_rate)
     }
 
@@ -118,7 +94,7 @@ impl CellTarget {
     /// Returns `None` for cells that are mathematically impossible (e.g.
     /// taken class 0 with transition class 5) — such cells are empty in the
     /// paper's Table 2 as well.
-    pub fn representative(cell: JointCell) -> Option<CellTarget> {
+    fn representative(cell: JointCell) -> Option<CellTarget> {
         let (plo, phi) = cell.taken_bounds();
         let (xlo, xhi) = cell.transition_bounds();
         // Margin keeps targets strictly inside half-open bins.
@@ -201,6 +177,27 @@ impl CellTarget {
     }
 }
 
+/// The class (0–10) a rate in `[0, 1]` falls into under the paper binning;
+/// unit tests use it to place hand-written branches in their cell.
+///
+/// # Panics
+///
+/// Panics if the rate is outside `[0, 1]`.
+#[cfg(test)]
+pub(crate) fn class_of(rate: f64) -> usize {
+    assert!((0.0..=1.0).contains(&rate), "rate out of range");
+    // Work in tenths of a percent to avoid floating-point drift at the 5% /
+    // 95% boundaries.
+    let permille = (rate * 1000.0).round() as i64;
+    if permille < 50 {
+        0
+    } else if permille >= 950 {
+        10
+    } else {
+        ((permille - 50) / 100) as usize + 1
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,7 +250,6 @@ mod tests {
     #[test]
     fn all_cells_enumerates_121() {
         assert_eq!(JointCell::all().count(), 121);
-        assert_eq!(JointCell::hard_center(), JointCell::new(5, 5));
     }
 
     #[test]

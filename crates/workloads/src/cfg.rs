@@ -105,12 +105,6 @@ impl CfgBuilder {
         a
     }
 
-    /// Appends straight-line (branch-free) work.
-    pub fn work(&mut self) -> &mut Self {
-        self.elements.push(Element::Work);
-        self
-    }
-
     /// Appends an `if`/`else` guarded by `condition`; the then-arm contains
     /// `then_work` work elements and the else-arm `else_work`.
     pub fn if_else(
@@ -308,6 +302,15 @@ impl CfgProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CfgBuilder {
+        /// Appends straight-line (branch-free) work; unit tests use it to give
+        /// a loop a body.
+        fn work(&mut self) -> &mut Self {
+            self.elements.push(Element::Work);
+            self
+        }
+    }
 
     #[test]
     fn counted_loop_produces_loop_exit_pattern() {

@@ -30,7 +30,7 @@ impl StaticBranchSpec {
     /// than a class width, and never longer than the branch's execution count
     /// (a branch that only runs through part of its period would otherwise
     /// sample a biased prefix of it).
-    pub fn build_process(&self) -> BranchProcess {
+    fn build_process(&self) -> BranchProcess {
         if self.predictable {
             let period = self.executions.clamp(12, 120) as usize;
             BranchProcess::Pattern(PeriodicPattern::from_rates(
@@ -54,7 +54,7 @@ impl StaticBranchSpec {
 
     /// Whether this branch belongs to the hard-to-predict centre of the joint
     /// table (taken and transition classes 4–6), the set Figure 15 studies.
-    pub fn is_hard(&self) -> bool {
+    pub(crate) fn is_hard(&self) -> bool {
         (4..=6).contains(&self.cell.taken_class) && (4..=6).contains(&self.cell.transition_class)
     }
 }
@@ -89,18 +89,6 @@ impl WorkloadGenerator {
             region_size: 12,
             branches: Vec::new(),
         }
-    }
-
-    /// Sets the number of static branches treated as one loop-body region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region_size` is zero.
-    #[must_use]
-    pub fn with_region_size(mut self, region_size: usize) -> Self {
-        assert!(region_size > 0, "region size must be positive");
-        self.region_size = region_size;
-        self
     }
 
     /// Sets the input-set label recorded in the trace metadata.
@@ -138,7 +126,7 @@ impl WorkloadGenerator {
     }
 
     /// Total number of dynamic executions that will be generated.
-    pub fn total_executions(&self) -> u64 {
+    fn total_executions(&self) -> u64 {
         self.branches.iter().map(|b| b.executions).sum()
     }
 

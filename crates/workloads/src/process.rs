@@ -8,15 +8,9 @@ use rand::Rng;
 ///
 /// Implementations must be deterministic given the same RNG stream, so that a
 /// workload regenerated from the same seed is bit-identical.
-pub trait OutcomeProcess {
+pub(crate) trait OutcomeProcess {
     /// Produces the next outcome of the branch.
     fn next_outcome<R: Rng>(&mut self, rng: &mut R) -> Outcome;
-
-    /// The long-run taken rate this process is designed to exhibit.
-    fn target_taken_rate(&self) -> f64;
-
-    /// The long-run transition rate this process is designed to exhibit.
-    fn target_transition_rate(&self) -> f64;
 }
 
 /// A two-state Markov chain over {taken, not-taken} with exactly the
@@ -83,16 +77,6 @@ impl MarkovProcess {
             },
         })
     }
-
-    /// The probability of leaving the taken state.
-    pub fn leave_taken_probability(&self) -> f64 {
-        self.leave_taken
-    }
-
-    /// The probability of leaving the not-taken state.
-    pub fn leave_not_taken_probability(&self) -> f64 {
-        self.leave_not_taken
-    }
 }
 
 impl OutcomeProcess for MarkovProcess {
@@ -105,14 +89,6 @@ impl OutcomeProcess for MarkovProcess {
             self.state = self.state.flipped();
         }
         self.state
-    }
-
-    fn target_taken_rate(&self) -> f64 {
-        self.taken_rate
-    }
-
-    fn target_transition_rate(&self) -> f64 {
-        self.transition_rate
     }
 }
 
@@ -179,39 +155,9 @@ impl PeriodicPattern {
         }
     }
 
-    /// A loop-exit branch: taken `trip_count - 1` times, then not taken once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trip_count` is zero.
-    pub fn loop_exit(trip_count: usize) -> Self {
-        assert!(trip_count > 0, "trip count must be positive");
-        let mut pattern = vec![true; trip_count];
-        pattern[trip_count - 1] = false;
-        PeriodicPattern {
-            pattern,
-            position: 0,
-        }
-    }
-
-    /// A perfectly alternating branch (transition rate ~100%).
-    pub fn alternating() -> Self {
-        PeriodicPattern {
-            pattern: vec![true, false],
-            position: 0,
-        }
-    }
-
     /// The period of the pattern.
     pub fn period(&self) -> usize {
         self.pattern.len()
-    }
-
-    fn rate_of(&self, pred: impl Fn(&[bool], usize) -> bool) -> f64 {
-        let hits = (0..self.pattern.len())
-            .filter(|i| pred(&self.pattern, *i))
-            .count();
-        hits as f64 / self.pattern.len() as f64
     }
 }
 
@@ -220,53 +166,6 @@ impl OutcomeProcess for PeriodicPattern {
         let outcome = Outcome::from_bool(self.pattern[self.position]);
         self.position = (self.position + 1) % self.pattern.len();
         outcome
-    }
-
-    fn target_taken_rate(&self) -> f64 {
-        self.rate_of(|p, i| p[i])
-    }
-
-    fn target_transition_rate(&self) -> f64 {
-        // Count transitions across one period including the wrap-around,
-        // which is what the rate converges to over many periods.
-        self.rate_of(|p, i| {
-            let prev = if i == 0 { p[p.len() - 1] } else { p[i - 1] };
-            p[i] != prev
-        })
-    }
-}
-
-/// A branch whose outcomes are independent coin flips with probability
-/// `taken_rate` of being taken (transition rate `2·p·(1-p)`), modelling
-/// data-dependent branches with no temporal structure at all.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BiasedRandom {
-    taken_rate: f64,
-}
-
-impl BiasedRandom {
-    /// Creates an independent-coin-flip process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is outside `[0, 1]`.
-    pub fn new(taken_rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&taken_rate), "taken rate out of range");
-        BiasedRandom { taken_rate }
-    }
-}
-
-impl OutcomeProcess for BiasedRandom {
-    fn next_outcome<R: Rng>(&mut self, rng: &mut R) -> Outcome {
-        Outcome::from_bool(rng.gen::<f64>() < self.taken_rate)
-    }
-
-    fn target_taken_rate(&self) -> f64 {
-        self.taken_rate
-    }
-
-    fn target_transition_rate(&self) -> f64 {
-        2.0 * self.taken_rate * (1.0 - self.taken_rate)
     }
 }
 
@@ -277,8 +176,6 @@ pub enum BranchProcess {
     Pattern(PeriodicPattern),
     /// Two-state Markov chain (unpredictable beyond its bias / last outcome).
     Markov(MarkovProcess),
-    /// Independent coin flips (unpredictable beyond its bias).
-    Random(BiasedRandom),
 }
 
 impl OutcomeProcess for BranchProcess {
@@ -286,23 +183,6 @@ impl OutcomeProcess for BranchProcess {
         match self {
             BranchProcess::Pattern(p) => p.next_outcome(rng),
             BranchProcess::Markov(p) => p.next_outcome(rng),
-            BranchProcess::Random(p) => p.next_outcome(rng),
-        }
-    }
-
-    fn target_taken_rate(&self) -> f64 {
-        match self {
-            BranchProcess::Pattern(p) => p.target_taken_rate(),
-            BranchProcess::Markov(p) => p.target_taken_rate(),
-            BranchProcess::Random(p) => p.target_taken_rate(),
-        }
-    }
-
-    fn target_transition_rate(&self) -> f64 {
-        match self {
-            BranchProcess::Pattern(p) => p.target_transition_rate(),
-            BranchProcess::Markov(p) => p.target_transition_rate(),
-            BranchProcess::Random(p) => p.target_transition_rate(),
         }
     }
 }
@@ -331,6 +211,17 @@ mod tests {
             prev = Some(o);
         }
         (taken as f64 / n as f64, transitions as f64 / n as f64)
+    }
+
+    /// One period's exact (taken, transition) rates, counting the
+    /// wrap-around transition the long-run rate converges to.
+    fn exact_rates(p: &PeriodicPattern) -> (f64, f64) {
+        let len = p.pattern.len();
+        let taken = p.pattern.iter().filter(|&&t| t).count();
+        let transitions = (0..len)
+            .filter(|&i| p.pattern[i] != p.pattern[(i + len - 1) % len])
+            .count();
+        (taken as f64 / len as f64, transitions as f64 / len as f64)
     }
 
     #[test]
@@ -384,16 +275,16 @@ mod tests {
         let (taken, trans) = measure(&mut p, 40_000, 3);
         assert!((taken - 0.6).abs() < 0.01, "taken {taken}");
         assert!((trans - 0.4).abs() < 0.02, "transitions {trans}");
-        assert!((p.target_taken_rate() - 0.6).abs() < 0.026);
-        assert!((p.target_transition_rate() - 0.4).abs() < 0.051);
+        let (exact_taken, exact_trans) = exact_rates(&p);
+        assert!((exact_taken - 0.6).abs() < 0.026);
+        assert!((exact_trans - 0.4).abs() < 0.051);
     }
 
     #[test]
     fn loop_exit_pattern_has_expected_rates() {
-        let mut p = PeriodicPattern::loop_exit(10);
+        let mut p = PeriodicPattern::from_rates(0.9, 0.2, 10);
         assert_eq!(p.period(), 10);
-        assert!((p.target_taken_rate() - 0.9).abs() < 1e-9);
-        assert!((p.target_transition_rate() - 0.2).abs() < 1e-9);
+        assert_eq!(exact_rates(&p), (0.9, 0.2));
         let (taken, trans) = measure(&mut p, 10_000, 5);
         assert!((taken - 0.9).abs() < 0.01);
         assert!((trans - 0.2).abs() < 0.01);
@@ -401,55 +292,38 @@ mod tests {
 
     #[test]
     fn alternating_pattern_transitions_every_time() {
-        let mut p = PeriodicPattern::alternating();
+        let mut p = PeriodicPattern::from_rates(0.5, 1.0, 2);
         let (taken, trans) = measure(&mut p, 1000, 1);
         assert!((taken - 0.5).abs() < 0.01);
         assert!(trans > 0.99);
-        assert!((p.target_transition_rate() - 1.0).abs() < 1e-9);
+        assert_eq!(exact_rates(&p), (0.5, 1.0));
     }
 
     #[test]
     fn extreme_patterns_are_constant() {
         let always = PeriodicPattern::from_rates(1.0, 0.0, 16);
-        assert!((always.target_taken_rate() - 1.0).abs() < 1e-9);
-        assert_eq!(always.target_transition_rate(), 0.0);
+        assert_eq!(exact_rates(&always), (1.0, 0.0));
         let never = PeriodicPattern::from_rates(0.0, 0.0, 16);
-        assert_eq!(never.target_taken_rate(), 0.0);
-    }
-
-    #[test]
-    fn biased_random_matches_its_coin() {
-        let mut p = BiasedRandom::new(0.7);
-        let (taken, trans) = measure(&mut p, 100_000, 11);
-        assert!((taken - 0.7).abs() < 0.01);
-        assert!((trans - 0.42).abs() < 0.02);
-        assert!((p.target_transition_rate() - 0.42).abs() < 1e-9);
+        assert_eq!(exact_rates(&never), (0.0, 0.0));
     }
 
     #[test]
     fn branch_process_dispatches_to_inner_kind() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut pattern = BranchProcess::Pattern(PeriodicPattern::alternating());
+        let mut pattern = BranchProcess::Pattern(PeriodicPattern::from_rates(0.5, 1.0, 2));
         let a = pattern.next_outcome(&mut rng);
         let b = pattern.next_outcome(&mut rng);
         assert_ne!(a, b);
-        assert!((pattern.target_transition_rate() - 1.0).abs() < 1e-9);
 
-        let markov = BranchProcess::Markov(MarkovProcess::from_rates(0.9, 0.1).unwrap());
-        assert!((markov.target_taken_rate() - 0.9).abs() < 1e-9);
-        let random = BranchProcess::Random(BiasedRandom::new(0.3));
-        assert!((random.target_taken_rate() - 0.3).abs() < 1e-9);
+        let mut markov = BranchProcess::Markov(MarkovProcess::from_rates(0.9, 0.1).unwrap());
+        let (taken, trans) = measure(&mut markov, 100_000, 9);
+        assert!((taken - 0.9).abs() < 0.02, "taken {taken}");
+        assert!((trans - 0.1).abs() < 0.02, "transitions {trans}");
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_length_pattern_rejected() {
         let _ = PeriodicPattern::from_rates(0.5, 0.5, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_random_rate_rejected() {
-        let _ = BiasedRandom::new(1.5);
     }
 }

@@ -154,7 +154,7 @@ impl Benchmark {
     }
 
     /// 126.gcc with one of its 24 input files.
-    pub fn gcc(input_set: &str, paper_dynamic_branches: u64) -> Self {
+    fn gcc(input_set: &str, paper_dynamic_branches: u64) -> Self {
         Benchmark::new(
             "gcc",
             input_set,
@@ -194,7 +194,7 @@ impl Benchmark {
     }
 
     /// 134.perl with one of its script inputs.
-    pub fn perl(input_set: &str, paper_dynamic_branches: u64) -> Self {
+    fn perl(input_set: &str, paper_dynamic_branches: u64) -> Self {
         Benchmark::new(
             "perl",
             input_set,
@@ -362,7 +362,7 @@ impl Wire for Benchmark {
 }
 
 /// The 24 gcc inputs of Table 1 with their dynamic conditional branch counts.
-pub const GCC_INPUTS: &[(&str, u64)] = &[
+const GCC_INPUTS: &[(&str, u64)] = &[
     ("amptjp.i", 194_467_495),
     ("c-decl-s.i", 194_487_972),
     ("cccp.i", 190_138_561),
@@ -388,14 +388,6 @@ pub const GCC_INPUTS: &[(&str, u64)] = &[
     ("toplev.i", 65_824_567),
     ("varasm.i", 37_656_353),
 ];
-
-/// Sum of the paper's Table 1 dynamic branch counts over the whole suite.
-pub fn paper_suite_dynamic_branches() -> u64 {
-    Benchmark::suite()
-        .iter()
-        .map(|b| b.paper_dynamic_branches)
-        .sum()
-}
 
 #[cfg(test)]
 mod tests {
@@ -424,7 +416,10 @@ mod tests {
 
     #[test]
     fn suite_total_matches_sum_of_rows() {
-        let total = paper_suite_dynamic_branches();
+        let total: u64 = Benchmark::suite()
+            .iter()
+            .map(|b| b.paper_dynamic_branches)
+            .sum();
         // ~47.5 billion dynamic conditional branches across the suite.
         assert!(
             total > 45_000_000_000 && total < 50_000_000_000,

@@ -13,7 +13,7 @@ pub const CLASS_COUNT: usize = 11;
 
 /// `PAPER_TABLE2[transition_class][taken_class]` = percent of dynamic
 /// branches, exactly as printed in the paper.
-pub const PAPER_TABLE2: [[f64; CLASS_COUNT]; CLASS_COUNT] = [
+pub(crate) const PAPER_TABLE2: [[f64; CLASS_COUNT]; CLASS_COUNT] = [
     // taken:  0      1      2      3      4      5      6      7      8      9      10
     [
         26.11, 0.71, 0.01, 0.05, 0.04, 0.02, 0.07, 0.32, 0.69, 0.05, 32.73,

@@ -10,9 +10,15 @@ and fails when
 
 * any unratcheted finding appears in the report,
 * any ratcheted `[panic-path]` count in the report exceeds its baseline
-  (debt may only fall), or
+  (debt may only fall),
+* an allowlist entry (`[dead-pub]` and every other section but
+  `[panic-path]`) has no justification comment directly above it, or
 * the report totals disagree with the findings list (a tampered or
   truncated artifact).
+
+Beside the debt table it prints the `[dead-pub]` entry count — the public
+items kept only for callers outside `crates/*/src` — so each burn-down of
+dead public API shows in the CI log.
 
 Usage: ratchet_gate.py RATCHET.toml FINDINGS.json
 """
@@ -25,17 +31,28 @@ import sys
 def parse_ratchet(path):
     """Parses the analyzer's TOML subset: [section] headers, # comments and
     `"file#category" = count` entries. Mirrors crates/analyzer/src/config.rs;
-    anything that parser rejects is rejected here too."""
+    anything that parser rejects is rejected here too.
+
+    Returns the per-section entries and the (section, key, line) of every
+    entry with no comment line directly above it (a blank line or a section
+    header in between detaches a comment, as in the Rust parser)."""
     sections = {}
+    uncommented = []
     current = None
+    commented = False
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line:
+                commented = False
+                continue
+            if line.startswith("#"):
+                commented = commented or bool(line[1:].strip())
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip()
                 sections.setdefault(current, {})
+                commented = False
                 continue
             if "=" not in line or current is None:
                 raise SystemExit(f"{path}:{line_no}: malformed line: {line!r}")
@@ -48,7 +65,10 @@ def parse_ratchet(path):
                 entries[key] = int(value.strip())
             except ValueError:
                 raise SystemExit(f"{path}:{line_no}: non-integer count: {line!r}")
-    return sections
+            if not commented:
+                uncommented.append((current, key, line_no))
+            commented = False
+    return sections, uncommented
 
 
 def print_table(rows):
@@ -80,11 +100,20 @@ def main():
     parser.add_argument("findings", help="findings JSON emitted by check --json")
     args = parser.parse_args()
 
-    baseline = parse_ratchet(args.ratchet).get("panic-path", {})
+    sections, uncommented = parse_ratchet(args.ratchet)
+    baseline = sections.get("panic-path", {})
     with open(args.findings, encoding="utf-8") as fh:
         report = json.load(fh)
 
     failures = []
+
+    # Every allowlist entry carries its justification; ratchet counts do not.
+    for section, key, line_no in uncommented:
+        if section != "panic-path":
+            failures.append(
+                f"{args.ratchet}:{line_no}: [{section}] entry {key!r} has no "
+                "justification comment above it"
+            )
 
     # Independent total cross-checks against the findings list.
     findings = report.get("findings", [])
@@ -120,6 +149,8 @@ def main():
             status = "OK"
         rows.append((key, old, new, status))
     print_table(rows)
+    dead_pub = len(sections.get("dead-pub", {}))
+    print(f"\n  [dead-pub] {dead_pub} public items kept for callers outside crates/*/src")
 
     debt = sum(current.values())
     if failures:
