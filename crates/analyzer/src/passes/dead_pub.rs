@@ -10,15 +10,17 @@
 //! `#[cfg(test)]` items and `src/bin/`. Restricted visibility (`pub(crate)`
 //! and the like) is out of scope. An item is live when an identifier token
 //! with its name appears in non-test code of *another* library file, binaries
-//! under `src/bin/` included. Tokens inside a `use …;` declaration do not
+//! under `src/bin/` included. Tokens inside a `pub use …;` re-export do not
 //! count, so a `lib.rs` re-export or the facade prelude keeps nothing alive.
+//! A private `use` does count: an unused one fails clippy, and a trait
+//! imported only to call its methods is named nowhere else in the file.
 //! Matching is by bare name, so a clash can only hide a dead item, never
 //! flag a live one.
 //!
 //! Each dead item is a `file#Name` finding. One the workspace keeps on
 //! purpose is allowlisted in `[dead-pub]` with a comment naming its caller
-//! outside `crates/*/src` (an e2ebench file, example, bench or the
-//! integration test that uses it as an oracle) or the paper figure it holds.
+//! outside library code (an e2ebench file, example, bench or the test that
+//! uses it as an oracle) or the paper figure it holds.
 
 use super::{finding, reconcile, Context, Mode};
 use crate::files::Scope;
@@ -39,13 +41,13 @@ pub fn run(ctx: &Context<'_>, report: &mut Report) {
         .iter()
         .filter(|lexed| lexed.file.scope == Scope::WorkspaceLib)
         .collect();
-    // Which library files name each identifier outside tests and `use`.
+    // Which library files name each identifier outside tests and re-exports.
     let mut named_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
     for (idx, lexed) in lib.iter().enumerate() {
         let stream = &lexed.stream;
-        let in_use = use_declarations(&stream.tokens);
+        let in_reexport = reexports(&stream.tokens);
         for (i, tok) in stream.tokens.iter().enumerate() {
-            if tok.kind == TokenKind::Ident && !stream.in_test[i] && !in_use[i] {
+            if tok.kind == TokenKind::Ident && !stream.in_test[i] && !in_reexport[i] {
                 named_in.entry(tok.text.as_str()).or_default().insert(idx);
             }
         }
@@ -105,18 +107,28 @@ fn pub_items(stream: &TokenStream) -> Vec<(&str, &Token)> {
     items
 }
 
-/// Marks the tokens of every `use …;` declaration, `use` through `;`.
-fn use_declarations(tokens: &[Token]) -> Vec<bool> {
+/// Marks the tokens of every `pub use …;` re-export (`pub(…) use` too),
+/// from `pub` through `;`.
+fn reexports(tokens: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let mut i = 0;
     while i < tokens.len() {
-        if tokens[i].is_ident("use") {
-            while i < tokens.len() {
-                mask[i] = true;
-                if tokens[i].is_punct(';') {
-                    break;
+        if tokens[i].is_ident("pub") {
+            let mut j = i + 1;
+            if tokens.get(j).is_some_and(|t| t.is_punct('(')) {
+                while j < tokens.len() && !tokens[j].is_punct(')') {
+                    j += 1;
                 }
-                i += 1;
+                j += 1;
+            }
+            if tokens.get(j).is_some_and(|t| t.is_ident("use")) {
+                while i < tokens.len() {
+                    mask[i] = true;
+                    if tokens[i].is_punct(';') {
+                        break;
+                    }
+                    i += 1;
+                }
             }
         }
         i += 1;
@@ -211,13 +223,32 @@ mod tests {
     fn a_pub_use_reexport_alone_leaves_an_item_dead() {
         let reexport = "pub use crate::thing::{make, Widget};\npub mod thing;";
         let prelude = "pub mod prelude { pub use a::thing::*; pub use a::Widget; }";
+        let scoped = "pub(crate) use crate::thing::make;";
         assert_eq!(
             dead(&[
                 ("crates/a/src/lib.rs", Scope::WorkspaceLib, reexport),
                 ("src/lib.rs", Scope::WorkspaceLib, prelude),
+                ("crates/a/src/inner.rs", Scope::WorkspaceLib, scoped),
             ]),
             ["Widget", "make"]
         );
+    }
+
+    #[test]
+    fn a_private_use_for_trait_methods_makes_a_trait_live() {
+        let defining = "pub trait Draw { fn draw(&self); }\n\
+                        pub struct Widget;\nimpl Draw for Widget { fn draw(&self) {} }";
+        let caller = "use crate::thing::Draw;\npub(crate) fn show(w: &W) { w.draw(); }";
+        let report = run_files(
+            &[
+                (DEFINING, Scope::WorkspaceLib, defining),
+                ("crates/a/src/view.rs", Scope::WorkspaceLib, caller),
+            ],
+            "",
+            run,
+        );
+        let dead: Vec<_> = report.unratcheted().map(|f| f.category.clone()).collect();
+        assert_eq!(dead, ["Widget"]);
     }
 
     #[test]

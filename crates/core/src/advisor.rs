@@ -226,9 +226,10 @@ mod tests {
         let mut hybrid = advisor.build_hybrid(&profile);
         assert_eq!(hybrid.name().split(", ").count(), 5);
         assert!(format!("{hybrid:?}").contains("assigned_branches: 2"));
-        // The biased branch goes to the static-taken component, which
-        // predicts taken before any training.
-        assert_eq!(hybrid.predict(BranchAddr::new(0x10)), Outcome::Taken);
+        // The biased branch goes to the static-taken component (index 0).
+        assert_eq!(hybrid.component_of(BranchAddr::new(0x10)), 0);
+        // The alternator goes to the short-history PAs component (index 2).
+        assert_eq!(hybrid.component_of(BranchAddr::new(0x20)), 2);
         // And both are predicted accurately after a short warm-up.
         let mut hits = 0u32;
         let n = 1000u32;

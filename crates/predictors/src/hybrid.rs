@@ -144,7 +144,7 @@ impl ClassifiedHybrid {
     }
 
     /// The component index a branch would use.
-    fn component_of(&self, addr: BranchAddr) -> usize {
+    pub fn component_of(&self, addr: BranchAddr) -> usize {
         self.assignment
             .get(&addr)
             .copied()
@@ -218,6 +218,10 @@ mod tests {
         // Both components are correct so the choice table stays put and the
         // prediction is taken regardless.
         assert_eq!(hybrid.predict(addr), Outcome::Taken);
+        // The constructor keeps its components in order.
+        let name = hybrid.name();
+        assert!(name.starts_with("mcfarling(static"), "{name}");
+        assert!(name.contains("vs bimodal"), "{name}");
     }
 
     #[test]

@@ -367,8 +367,10 @@ pub(crate) mod test_support {
     /// The worst-predicted (taken, transition) cell of `matrix` and its miss
     /// rate, scanning transition-major and keeping the first maximum.
     pub(crate) fn worst_cell(matrix: &JointMissMatrix) -> Option<(ClassId, ClassId, f64)> {
-        (0..11)
-            .flat_map(|transition| (0..11).map(move |taken| (ClassId(taken), ClassId(transition))))
+        let scheme = matrix.scheme();
+        scheme
+            .classes()
+            .flat_map(|transition| scheme.classes().map(move |taken| (taken, transition)))
             .filter_map(|(taken, transition)| {
                 matrix
                     .miss_at(taken, transition)

@@ -8,7 +8,7 @@ use rand::Rng;
 ///
 /// Implementations must be deterministic given the same RNG stream, so that a
 /// workload regenerated from the same seed is bit-identical.
-pub(crate) trait OutcomeProcess {
+pub trait OutcomeProcess {
     /// Produces the next outcome of the branch.
     fn next_outcome<R: Rng>(&mut self, rng: &mut R) -> Outcome;
 }

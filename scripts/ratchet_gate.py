@@ -17,7 +17,7 @@ and fails when
   truncated artifact).
 
 Beside the debt table it prints the `[dead-pub]` entry count — the public
-items kept only for callers outside `crates/*/src` — so each burn-down of
+items kept only for callers outside library code — so each burn-down of
 dead public API shows in the CI log.
 
 Usage: ratchet_gate.py RATCHET.toml FINDINGS.json
@@ -150,7 +150,7 @@ def main():
         rows.append((key, old, new, status))
     print_table(rows)
     dead_pub = len(sections.get("dead-pub", {}))
-    print(f"\n  [dead-pub] {dead_pub} public items kept for callers outside crates/*/src")
+    print(f"\n  [dead-pub] {dead_pub} public items kept for callers outside library code")
 
     debt = sum(current.values())
     if failures:
