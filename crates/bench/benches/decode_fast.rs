@@ -1,10 +1,12 @@
-//! Slice-based fast `BTRT` decode versus the generic-`Read` reference path.
+//! Slice-based fast `BTRT` decode versus the per-record reference decoder.
 //!
 //! Both variants decode the *same* in-memory byte stream into interned
 //! columnar chunks, so the comparison isolates exactly what the fast path
 //! changes: block refills into a reusable buffer, inlined slice varints, a
 //! direct-mapped intern cache and recycled chunk buffers, against the
-//! per-record `Read` calls of [`ChunkedTraceReader`]. The trace generator is
+//! per-byte `Read` calls of the test oracle in
+//! `crates/trace/tests/support/btrt_reference.rs` (included below), chunked
+//! by `ChunkedTraceReader::from_records`. The trace generator is
 //! the same as `streaming_throughput`, so the `slow/` row here is directly
 //! comparable to the `streaming_pipeline/decode_only/chunked64k` baselines
 //! recorded in earlier `BENCH_pr*.json` files.
@@ -17,10 +19,13 @@
 //! `min_ratio` row appended to `$CRITERION_JSON` and enforced by
 //! `scripts/bench_gate.py` within the *current* run.
 
+#[path = "../../trace/tests/support/btrt_reference.rs"]
+mod btrt_reference;
+
 use btr_trace::io::binary;
 use btr_trace::{
-    BranchAddr, BranchRecord, ChunkStream, ChunkedTraceReader, DenseTraceStats, FastBtrtReader,
-    Outcome, Trace, TraceBuilder, DEFAULT_CHUNK_RECORDS,
+    BranchAddr, BranchRecord, ChunkStream, DenseTraceStats, FastBtrtReader, Outcome, Trace,
+    TraceBuilder, DEFAULT_CHUNK_RECORDS,
 };
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::io::Write;
@@ -77,11 +82,11 @@ fn bench_decode_fast(c: &mut Criterion) {
     let mut group = c.benchmark_group("decode_fast");
     group.sample_size(10);
     group.throughput(Throughput::Elements(n as u64));
-    // The generic-`Read` reference: per-record decode through buffered
-    // `Read` calls, row chunks interned on the way past.
+    // The per-record reference: one `Read` call per byte, row chunks
+    // interned on the way past.
     group.bench_function("slow/chunk64k", |b| {
         b.iter(|| {
-            ChunkedTraceReader::btrt(encoded.as_slice(), DEFAULT_CHUNK_RECORDS)
+            btrt_reference::chunked(encoded.as_slice(), DEFAULT_CHUNK_RECORDS)
                 .unwrap()
                 .map(|c| c.unwrap().len())
                 .sum::<usize>()

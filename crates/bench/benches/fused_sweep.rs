@@ -9,14 +9,14 @@
 //! wins ~2.9–3.5× per point against it (`BENCH_pr5.json`).
 //!
 //! `fused_sweep_streamed/fused_streamed_chunk64k/…` prices the same curve
-//! from one chunked decode pass of the serialized `BTRT` bytes.
+//! from one `FastBtrtReader` decode pass of the serialized `BTRT` bytes.
 
 use btr_bench::run_full_window;
 use btr_predictors::fused::FusedSweepPredictor;
 use btr_sim::config::PredictorKind;
 use btr_sim::engine::SimEngine;
 use btr_trace::io::binary;
-use btr_trace::{BranchAddr, BranchRecord, ChunkedTraceReader, Outcome, Trace, TraceBuilder};
+use btr_trace::{BranchAddr, BranchRecord, FastBtrtReader, Outcome, Trace, TraceBuilder};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 /// A trace shaped like the generated suite: a few thousand static branches
@@ -93,7 +93,7 @@ fn bench_fused_sweep(c: &mut Criterion) {
     for (label, fused_factory, _) in families.iter().take(2) {
         group.bench_function(format!("fused_streamed_chunk64k/{label}"), |b| {
             b.iter(|| {
-                let chunks = ChunkedTraceReader::btrt(bytes.as_slice(), 64 * 1024).unwrap();
+                let chunks = FastBtrtReader::new(bytes.as_slice(), 64 * 1024).unwrap();
                 engine
                     .run_fused_streamed(chunks, &mut fused_factory(&histories))
                     .unwrap()

@@ -4,16 +4,20 @@
 //!
 //! All variants decode the *same* in-memory `BTRT` byte stream, so the
 //! comparison covers the full pipeline each path really executes: decode (+
-//! intern) + simulate.
+//! intern) + simulate. Every row decodes through the per-record reference
+//! decoder (`crates/trace/tests/support/btrt_reference.rs`, included below),
+//! eagerly or chunked, so its rows stay comparable with the
+//! `streaming_pipeline/` baselines recorded in `BENCH_pr*.json`; the
+//! production decoder's rate is the `decode_fast` bench.
+
+#[path = "../../trace/tests/support/btrt_reference.rs"]
+mod btrt_reference;
 
 use btr_bench::run_full_window;
 use btr_sim::config::{PredictorFamily, PredictorKind};
 use btr_sim::engine::SimEngine;
 use btr_trace::io::binary;
-use btr_trace::{
-    BranchAddr, BranchRecord, ChunkedTraceReader, Outcome, Trace, TraceBuilder,
-    DEFAULT_CHUNK_RECORDS,
-};
+use btr_trace::{BranchAddr, BranchRecord, Outcome, Trace, TraceBuilder, DEFAULT_CHUNK_RECORDS};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 /// A trace shaped like the generated suite: a few thousand static branches
@@ -51,7 +55,7 @@ fn bench_streaming(c: &mut Criterion) {
     group.throughput(Throughput::Elements(n as u64));
     group.bench_function(format!("eager/{}", kind.label()), |b| {
         b.iter(|| {
-            let trace = binary::read_trace(&mut encoded.as_slice()).unwrap();
+            let trace = btrt_reference::read_trace(encoded.as_slice()).unwrap();
             let interned = trace.intern();
             run_full_window(&engine, &interned, kind)
         })
@@ -66,7 +70,7 @@ fn bench_streaming(c: &mut Criterion) {
             |b| {
                 b.iter(|| {
                     let chunks =
-                        ChunkedTraceReader::btrt(encoded.as_slice(), chunk_records).unwrap();
+                        btrt_reference::chunked(encoded.as_slice(), chunk_records).unwrap();
                     engine
                         .run_fused_streamed(chunks, &mut PredictorFamily::PAs.fused_paper(&[8]))
                         .unwrap()
@@ -76,11 +80,15 @@ fn bench_streaming(c: &mut Criterion) {
     }
     // Decode-only: the I/O layer's own overhead, without simulation.
     group.bench_function("decode_only/eager", |b| {
-        b.iter(|| binary::read_trace(&mut encoded.as_slice()).unwrap().len())
+        b.iter(|| {
+            btrt_reference::read_trace(encoded.as_slice())
+                .unwrap()
+                .len()
+        })
     });
     group.bench_function("decode_only/chunked64k", |b| {
         b.iter(|| {
-            ChunkedTraceReader::btrt(encoded.as_slice(), DEFAULT_CHUNK_RECORDS)
+            btrt_reference::chunked(encoded.as_slice(), DEFAULT_CHUNK_RECORDS)
                 .unwrap()
                 .map(|c| c.unwrap().len())
                 .sum::<usize>()

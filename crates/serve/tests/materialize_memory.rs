@@ -5,8 +5,10 @@
 //! stays under a fixed bound instead of the record copies, second statistics
 //! pass and re-interning a materialized `Trace` would add. (`btrd` itself
 //! streams every request; `serve_memory.rs` bounds that.) The same test then
-//! checks that the eager reference decoder, `binary::read_trace`, does not
-//! size its allocation by a header's untrusted record count.
+//! checks that the file-backed ingest route of `read_interned_btrt` —
+//! `FastBtrtReader` into `InternedTrace::from_chunks`, which every
+//! `btr-shard` unit runs — does not size its allocation by a header's
+//! untrusted record count.
 //!
 //! The whole test binary runs under a counting global allocator (integration
 //! tests are their own crates, so the workspace's `forbid(unsafe_code)` lib
@@ -19,7 +21,10 @@ use btr_core::profile::ProgramProfile;
 use btr_serve::analysis::{materialize_sweep, BodyFormat, Budgets};
 use btr_serve::ServerConfig;
 use btr_trace::io::binary;
-use btr_trace::{BranchAddr, BranchKind, BranchRecord, Outcome, TraceBuilder, TraceError};
+use btr_trace::{
+    BranchAddr, BranchKind, BranchRecord, FastBtrtReader, InternedTrace, Outcome, Trace,
+    TraceBuilder, TraceError, DEFAULT_CHUNK_RECORDS,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -64,8 +69,9 @@ fn peak_growth<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// 400k records over 512 static conditional branches, one in eight an
-/// unconditional call: a `BTRT` upload a few MiB long.
-fn upload() -> (Vec<u8>, u64) {
+/// unconditional call: a `BTRT` upload a few MiB long, with the trace it
+/// encodes.
+fn upload() -> (Vec<u8>, Trace, u64) {
     let mut b = TraceBuilder::new("materialize-memory");
     let mut state = 0x5eed_u64;
     let mut conditional = 0u64;
@@ -87,14 +93,15 @@ fn upload() -> (Vec<u8>, u64) {
             conditional += 1;
         }
     }
+    let trace = b.build();
     let mut bytes = Vec::new();
-    binary::write_trace(&mut bytes, &b.build()).expect("in-memory encode");
-    (bytes, conditional)
+    binary::write_trace(&mut bytes, &trace).expect("in-memory encode");
+    (bytes, trace, conditional)
 }
 
 #[test]
 fn materialize_peak_heap_per_conditional_record_is_bounded() {
-    let (bytes, conditional) = upload();
+    let (bytes, trace, conditional) = upload();
     let config = ServerConfig::default();
     let budgets = Budgets {
         chunk_records: config.chunk_records,
@@ -108,12 +115,11 @@ fn materialize_peak_heap_per_conditional_record_is_bounded() {
     assert_eq!(materialized.conditional, conditional);
     assert_eq!(materialized.interned.len() as u64, conditional);
     assert_eq!(materialized.interned.static_count(), 512);
-    // Same ids and profile as materializing the eager trace.
-    let eager = binary::read_trace(&mut bytes.as_slice()).expect("valid upload");
-    assert_eq!(*materialized.interned, eager.intern());
+    // Same ids and profile as the trace the upload encodes.
+    assert_eq!(*materialized.interned, trace.intern());
     assert_eq!(
         materialized.profile,
-        ProgramProfile::from_stats(eager.stats())
+        ProgramProfile::from_stats(trace.stats())
     );
 
     // The stated bound: three copies of the 13 B column footprint per
@@ -144,14 +150,17 @@ fn materialize_peak_heap_per_conditional_record_is_bounded() {
     // A header-only `BTRT` body (magic, version, count, two empty names, no
     // seed: 21 bytes) that declares u64::MAX records. The decoder must fail
     // on the missing first record without first reserving room for the
-    // declared count.
+    // declared count, on the route `read_interned_btrt` takes.
     let mut header = Vec::new();
     header.extend_from_slice(b"BTRT");
     header.extend_from_slice(&1u32.to_le_bytes());
     header.extend_from_slice(&u64::MAX.to_le_bytes());
     header.extend_from_slice(&[0, 0, 0, 0, 0]);
     assert_eq!(header.len(), 21);
-    let (decoded, header_peak) = peak_growth(|| binary::read_trace(&mut header.as_slice()));
+    let (decoded, header_peak) = peak_growth(|| {
+        FastBtrtReader::new(header.as_slice(), DEFAULT_CHUNK_RECORDS)
+            .and_then(InternedTrace::from_chunks)
+    });
     println!(
         "[materialize-memory] header declaring u64::MAX records: peak heap growth {:.2} MiB",
         header_peak as f64 / (1024.0 * 1024.0),

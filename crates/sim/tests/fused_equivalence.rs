@@ -15,7 +15,7 @@ use btr_sim::engine::{result_from_dense, RunResult, SimEngine};
 use btr_sim::runner::SuiteRunner;
 use btr_sim::sweep::HistorySweep;
 use btr_trace::io::binary;
-use btr_trace::{BranchAddr, BranchRecord, ChunkedTraceReader, Outcome, Trace, TraceBuilder};
+use btr_trace::{BranchAddr, BranchRecord, FastBtrtReader, Outcome, Trace, TraceBuilder};
 use btr_workloads::spec::{Benchmark, SuiteConfig};
 use proptest::prelude::*;
 
@@ -218,7 +218,7 @@ fn streamed_fused_is_bit_identical_to_eager_fused() {
         for family in Family::all() {
             let eager = engine.run_fused(&interned, &mut family.fused(&histories));
             for chunk_records in [1usize, 7, 4096, 10_000_000] {
-                let chunks = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
+                let chunks = FastBtrtReader::new(buf.as_slice(), chunk_records).unwrap();
                 let streamed = engine
                     .run_fused_streamed(chunks, &mut family.fused(&histories))
                     .unwrap();
@@ -252,7 +252,7 @@ fn streamed_fused_honours_warmup_and_matches_per_history() {
             let engine = SimEngine::new().with_warmup(warmup);
             for family in Family::all() {
                 let reference = per_history_reference(&engine, &trace, family, &histories);
-                let chunks = ChunkedTraceReader::btrt(buf.as_slice(), 256).unwrap();
+                let chunks = FastBtrtReader::new(buf.as_slice(), 256).unwrap();
                 let streamed = engine
                     .run_fused_streamed(chunks, &mut family.fused(&histories))
                     .unwrap();
@@ -273,7 +273,7 @@ fn streamed_fused_propagates_decode_errors() {
     let mut buf = Vec::new();
     binary::write_trace(&mut buf, &trace).unwrap();
     buf.truncate(buf.len() - 3);
-    let chunks = ChunkedTraceReader::btrt(buf.as_slice(), 64).unwrap();
+    let chunks = FastBtrtReader::new(buf.as_slice(), 64).unwrap();
     let err = SimEngine::new()
         .run_fused_streamed(chunks, &mut FusedSweepPredictor::gas_paper(&[0, 8]))
         .unwrap_err();
@@ -380,7 +380,7 @@ proptest! {
         let engine = SimEngine::new();
         let histories = vec![0u32, 5, 16];
         let eager = engine.run_fused(&trace.intern(), &mut family.fused(&histories));
-        let chunks = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
+        let chunks = FastBtrtReader::new(buf.as_slice(), chunk_records).unwrap();
         let streamed = engine
             .run_fused_streamed(chunks, &mut family.fused(&histories))
             .unwrap();

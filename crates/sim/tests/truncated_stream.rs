@@ -7,7 +7,7 @@
 use btr_sim::engine::SimEngine;
 use btr_trace::io::binary;
 use btr_trace::{
-    BranchAddr, BranchRecord, ChunkedTraceReader, ConditionalColumns, Outcome, Trace, TraceBuilder,
+    BranchAddr, BranchRecord, ConditionalColumns, FastBtrtReader, Outcome, Trace, TraceBuilder,
     TraceError,
 };
 
@@ -38,7 +38,7 @@ fn run_fused_streamed_over_a_torn_trace_errors_too() {
     let trace = mixed_trace(150);
     let buf = encoded(&trace);
     let torn = &buf[..buf.len() - 3];
-    let reader = ChunkedTraceReader::btrt(torn, 8).expect("header is intact");
+    let reader = FastBtrtReader::new(torn, 8).expect("header is intact");
     let mut fused = btr_sim::config::PredictorFamily::PAs.fused_paper(&[0, 2, 4]);
     let err = SimEngine::new()
         .run_fused_streamed(reader, &mut fused)
@@ -51,7 +51,7 @@ fn complete_records_before_the_tear_decode_exactly_and_nothing_more() {
     let trace = mixed_trace(64);
     let buf = encoded(&trace);
     let torn = &buf[..buf.len() - 2];
-    let mut reader = ChunkedTraceReader::btrt(torn, 10).expect("header is intact");
+    let mut reader = FastBtrtReader::new(torn, 10).expect("header is intact");
     let mut decoded = ConditionalColumns::new();
     let mut errors = 0;
     for chunk in &mut reader {
@@ -85,7 +85,7 @@ fn a_header_only_truncation_fails_at_open_time() {
     for cut in [1usize, 4, 8] {
         let torn = &buf[..cut.min(buf.len())];
         assert!(
-            ChunkedTraceReader::btrt(torn, 8).is_err(),
+            FastBtrtReader::new(torn, 8).is_err(),
             "cut to {cut} bytes must fail header validation"
         );
     }

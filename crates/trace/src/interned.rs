@@ -346,13 +346,6 @@ impl InternedTrace {
         self.columns.view()
     }
 
-    /// Drops every record from position `len` on, keeping the whole
-    /// id → address table, so ids stay valid and [`InternedTrace::static_count`]
-    /// is unchanged. Does nothing when `len` is not below [`InternedTrace::len`].
-    pub fn truncate(&mut self, len: usize) {
-        self.columns.truncate(len);
-    }
-
     /// The id → address table, in id (first-appearance) order.
     pub fn addrs(&self) -> &[BranchAddr] {
         &self.addrs
@@ -432,22 +425,6 @@ mod tests {
         let interned = b.build().intern();
         assert_eq!(interned.len(), 2);
         assert_eq!(interned.static_count(), 2);
-    }
-
-    #[test]
-    fn truncate_keeps_the_address_table() {
-        let mut b = TraceBuilder::new("t");
-        for addr in [0x10, 0x20, 0x10, 0x30] {
-            b.push(rec(addr, true));
-        }
-        let full = b.build().intern();
-        let mut prefix = full.clone();
-        prefix.truncate(2);
-        assert_eq!(prefix.records(), full.records().slice(0..2));
-        assert_eq!(prefix.addrs(), full.addrs());
-        assert_eq!(prefix.static_count(), 3);
-        prefix.truncate(10);
-        assert_eq!(prefix.len(), 2);
     }
 
     #[test]

@@ -18,10 +18,13 @@
 //! kind (3 bits), the outcome (1 bit) and target presence (1 bit). Typical
 //! workload traces compress to roughly 2 bytes per record because consecutive
 //! branches tend to be close together in the address space.
+//!
+//! This module encodes ([`write_trace`]); [`super::fast::FastBtrtReader`]
+//! decodes, sharing the header parser and flag-byte layout defined here.
 
 use crate::error::TraceError;
-use crate::record::{BranchAddr, BranchKind, BranchRecord, Outcome};
-use crate::trace::{Trace, TraceBuilder, TraceMetadata};
+use crate::record::{BranchKind, BranchRecord};
+use crate::trace::{Trace, TraceMetadata};
 use crate::Result;
 use std::io::{Read, Write};
 
@@ -65,14 +68,10 @@ pub(crate) fn kind_from_code(code: u8) -> Option<BranchKind> {
 // canonical-varint implementation for the whole workspace (overflow and
 // non-minimal encodings rejected there), with errors mapped to trace terms
 // at this boundary.
-use btr_wire::varint::{zigzag_decode, zigzag_encode};
+use btr_wire::varint::zigzag_encode;
 
 fn write_varint<W: Write>(w: &mut W, v: u64) -> Result<()> {
     btr_wire::varint::write_varint(w, v).map_err(varint_error)
-}
-
-fn read_varint<R: Read>(r: &mut R, context: &'static str) -> Result<u64> {
-    btr_wire::varint::read_varint(r, context).map_err(varint_error)
 }
 
 pub(crate) fn varint_error(e: btr_wire::WireError) -> TraceError {
@@ -195,9 +194,8 @@ impl<R: Read> Read for CountingReader<R> {
 }
 
 /// Parses a `BTRT` header, returning the metadata and the declared record
-/// count. Shared by the per-record [`BinaryRecordReader`] and the block
-/// decoder in [`super::fast`] so the two paths cannot diverge on header
-/// validation or error contexts.
+/// count. The block decoder in [`super::fast`] reads the header through it
+/// before switching to slice decoding for the records.
 pub(crate) fn read_header<R: Read>(reader: &mut CountingReader<R>) -> Result<(TraceMetadata, u64)> {
     let magic: [u8; 4] = read_exact(reader, "magic")?;
     if magic != MAGIC {
@@ -229,142 +227,14 @@ pub(crate) fn read_header<R: Read>(reader: &mut CountingReader<R>) -> Result<(Tr
     Ok((metadata, declared))
 }
 
-/// Streaming reader yielding one [`BranchRecord`] at a time from a `BTRT`
-/// stream, so very large traces do not have to be materialised.
-#[derive(Debug)]
-pub struct BinaryRecordReader<R> {
-    reader: CountingReader<R>,
-    metadata: TraceMetadata,
-    declared: u64,
-    produced: u64,
-    prev_addr: u64,
-}
-
-impl<R: Read> BinaryRecordReader<R> {
-    /// Reads and validates the header, returning a record iterator.
-    ///
-    /// # Errors
-    ///
-    /// Fails on bad magic bytes, unsupported versions, or truncated headers.
-    pub fn new(reader: R) -> Result<Self> {
-        let mut reader = CountingReader {
-            inner: reader,
-            bytes: 0,
-        };
-        let (metadata, declared) = read_header(&mut reader)?;
-        Ok(BinaryRecordReader {
-            reader,
-            metadata,
-            declared,
-            produced: 0,
-            prev_addr: 0,
-        })
-    }
-
-    /// The metadata decoded from the header.
-    pub fn metadata(&self) -> &TraceMetadata {
-        &self.metadata
-    }
-
-    /// The number of records the header declared.
-    pub fn declared_count(&self) -> u64 {
-        self.declared
-    }
-
-    /// The number of bytes consumed from the underlying stream so far
-    /// (header included).
-    pub fn byte_offset(&self) -> u64 {
-        self.reader.bytes
-    }
-
-    /// Promotes a record-level end-of-stream into the typed truncation error,
-    /// pinning the record index and byte offset; other errors pass through.
-    fn truncation(&self, e: TraceError) -> TraceError {
-        match e {
-            TraceError::UnexpectedEof { context } => TraceError::TruncatedRecord {
-                record: self.produced,
-                offset: self.reader.bytes,
-                context,
-            },
-            other => other,
-        }
-    }
-
-    // Kept free of error-path decoration: end-of-stream promotion to
-    // `TruncatedRecord` happens once in `next()`, so the hot loop carries no
-    // per-field closure captures.
-    fn read_record(&mut self) -> Result<BranchRecord> {
-        let flags: [u8; 1] = read_exact(&mut self.reader, "record flags")?;
-        let flags = flags[0];
-        let kind = kind_from_code(flags & KIND_MASK).ok_or(TraceError::UnknownKind {
-            code: char::from(b'0' + (flags & KIND_MASK)),
-        })?;
-        let outcome = Outcome::from_bool(flags & FLAG_TAKEN != 0);
-        let has_target = flags & FLAG_TARGET != 0;
-        let delta = zigzag_decode(read_varint(&mut self.reader, "address delta")?);
-        let addr = self.prev_addr.wrapping_add(delta as u64);
-        self.prev_addr = addr;
-        let mut record = BranchRecord::new(BranchAddr::new(addr), kind, outcome);
-        if has_target {
-            let target = read_varint(&mut self.reader, "target address")?;
-            record = record.with_target(BranchAddr::new(target));
-        }
-        Ok(record)
-    }
-}
-
-impl<R: Read> Iterator for BinaryRecordReader<R> {
-    type Item = Result<BranchRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.produced >= self.declared {
-            return None;
-        }
-        match self.read_record() {
-            Ok(record) => {
-                self.produced += 1;
-                Some(Ok(record))
-            }
-            Err(e) => {
-                // Promote end-of-stream to the typed truncation error here —
-                // once per failure, not once per field — then fuse the
-                // iterator: a decode error is not recoverable mid-stream,
-                // since record boundaries are lost.
-                let e = self.truncation(e);
-                self.produced = self.declared;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// Reads an entire trace from a `BTRT` stream into memory.
-///
-/// # Errors
-///
-/// Fails on any decoding error or if the declared record count does not match
-/// the number of records present.
-pub fn read_trace<R: Read>(reader: &mut R) -> Result<Trace> {
-    let stream = BinaryRecordReader::new(reader)?;
-    let declared = stream.declared_count();
-    let mut builder = TraceBuilder::with_metadata(stream.metadata().clone());
-    // The declared count is untrusted: reserve at most a small head start
-    // and let the vector grow with the records actually present.
-    builder.reserve(declared.min(1 << 16) as usize);
-    let mut actual = 0u64;
-    for record in stream {
-        builder.push(record?);
-        actual += 1;
-    }
-    if actual != declared {
-        return Err(TraceError::CountMismatch { declared, actual });
-    }
-    Ok(builder.build())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::fast::FastBtrtReader;
+    use crate::record::{BranchAddr, Outcome};
+    use crate::trace::TraceBuilder;
+    use crate::InternedTrace;
+    use btr_wire::varint::zigzag_decode;
 
     fn sample_trace() -> Trace {
         let mut b = TraceBuilder::new("gcc")
@@ -389,54 +259,70 @@ mod tests {
         b.build()
     }
 
+    fn encode(trace: &Trace) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_trace(&mut buf, trace).expect("writing to a Vec cannot fail");
+        buf
+    }
+
+    /// The encoded header length of `trace`: where its first record starts.
+    fn header_len(trace: &Trace) -> usize {
+        let mut buf = Vec::new();
+        write_header(&mut buf, trace.metadata(), trace.len() as u64)
+            .expect("writing to a Vec cannot fail");
+        buf.len()
+    }
+
+    /// Decodes `bytes` through the production decoder: the header metadata,
+    /// the number of records of every kind, and the interned conditional
+    /// stream.
+    fn decode(bytes: &[u8]) -> Result<(TraceMetadata, u64, InternedTrace)> {
+        let mut reader = FastBtrtReader::new(bytes, 2)?;
+        let interned = InternedTrace::from_chunks(&mut reader)?;
+        Ok((reader.metadata().clone(), reader.records_read(), interned))
+    }
+
     #[test]
     fn roundtrip_preserves_records_and_metadata() {
         let trace = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
-        let back = read_trace(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.records(), trace.records());
-        assert_eq!(back.metadata().benchmark, "gcc");
-        assert_eq!(back.metadata().input_set, "cccp.i");
-        assert_eq!(back.metadata().seed, Some(42));
+        let (metadata, records, interned) = decode(&encode(&trace)).unwrap();
+        assert_eq!(records, trace.len() as u64);
+        assert_eq!(interned, trace.intern());
+        assert_eq!(metadata.benchmark, "gcc");
+        assert_eq!(metadata.input_set, "cccp.i");
+        assert_eq!(metadata.seed, Some(42));
     }
 
     #[test]
     fn empty_trace_roundtrips() {
         let trace = TraceBuilder::new("empty").build();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
-        let back = read_trace(&mut buf.as_slice()).unwrap();
-        assert!(back.is_empty());
-        assert_eq!(back.metadata().benchmark, "empty");
+        let (metadata, records, interned) = decode(&encode(&trace)).unwrap();
+        assert_eq!(records, 0);
+        assert!(interned.is_empty());
+        assert_eq!(metadata.benchmark, "empty");
     }
 
     #[test]
     fn bad_magic_is_rejected() {
         let buf = b"NOPExxxxxxxxxxxxxxxxxxxx".to_vec();
-        let err = read_trace(&mut buf.as_slice()).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert!(matches!(err, TraceError::BadMagic { .. }));
     }
 
     #[test]
     fn wrong_version_is_rejected() {
-        let trace = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
+        let mut buf = encode(&sample_trace());
         buf[4] = 9; // corrupt the version field
-        let err = read_trace(&mut buf.as_slice()).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert!(matches!(err, TraceError::UnsupportedVersion { found: 9 }));
     }
 
     #[test]
     fn truncation_inside_a_record_body_is_typed_with_offset() {
-        let trace = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
+        let mut buf = encode(&sample_trace());
         let full_len = buf.len() as u64;
         buf.truncate(buf.len() - 2);
-        let err = read_trace(&mut buf.as_slice()).unwrap_err();
-        match err {
+        match decode(&buf).unwrap_err() {
             TraceError::TruncatedRecord { record, offset, .. } => {
                 // The cut lands inside the third record (index 2), after the
                 // decoder consumed every remaining byte.
@@ -450,16 +336,13 @@ mod tests {
     #[test]
     fn truncation_between_flag_and_delta_is_typed() {
         let trace = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
+        let mut buf = encode(&trace);
         // Keep the header plus the first record's flag byte only: the delta
         // varint of record 0 is missing.
-        let reader = BinaryRecordReader::new(buf.as_slice()).unwrap();
-        let header_len = reader.byte_offset() as usize;
+        let header_len = header_len(&trace);
         buf.truncate(header_len + 1);
-        let mut stream = BinaryRecordReader::new(buf.as_slice()).unwrap();
-        let err = stream.next().unwrap().unwrap_err();
-        match err {
+        let mut stream = FastBtrtReader::new(buf.as_slice(), 1).unwrap();
+        match stream.next().unwrap().unwrap_err() {
             TraceError::TruncatedRecord {
                 record,
                 offset,
@@ -471,19 +354,17 @@ mod tests {
             }
             other => panic!("expected TruncatedRecord, got {other:?}"),
         }
-        // The iterator is fused after the error.
+        // The reader is fused after the error.
         assert!(stream.next().is_none());
     }
 
     #[test]
     fn truncation_inside_the_header_stays_an_eof_error() {
-        let trace = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
+        let mut buf = encode(&sample_trace());
         // Cut inside the record-count field: no record boundary exists yet,
         // so the error stays at header level.
         buf.truncate(10);
-        let err = read_trace(&mut buf.as_slice()).unwrap_err();
+        let err = decode(&buf).unwrap_err();
         assert!(
             matches!(&err, TraceError::UnexpectedEof { context } if context == "record count"),
             "got {err:?}"
@@ -492,13 +373,11 @@ mod tests {
 
     #[test]
     fn truncation_inside_the_benchmark_name_is_contextual() {
-        let trace = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).expect("writing to a Vec cannot fail");
+        let mut buf = encode(&sample_trace());
         // Header prefix: magic (4) + version (4) + count (8) + bench_len (2)
         // = 18 bytes; "gcc" is 3 bytes, so cutting at 19 lands mid-name.
         buf.truncate(19);
-        let err = read_trace(&mut buf.as_slice()).expect_err("truncated header must not decode");
+        let err = decode(&buf).expect_err("truncated header must not decode");
         assert!(
             matches!(&err, TraceError::UnexpectedEof { context } if context == "benchmark name"),
             "got {err:?}"
@@ -507,13 +386,11 @@ mod tests {
 
     #[test]
     fn truncation_inside_the_input_name_is_contextual() {
-        let trace = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).expect("writing to a Vec cannot fail");
+        let mut buf = encode(&sample_trace());
         // 18 bytes of fixed header + "gcc" (3) + input_len (2) = 23 bytes;
         // "cccp.i" is 6 bytes, so any cut in (23, 29) lands mid-name.
         buf.truncate(25);
-        let err = read_trace(&mut buf.as_slice()).expect_err("truncated header must not decode");
+        let err = decode(&buf).expect_err("truncated header must not decode");
         assert!(
             matches!(&err, TraceError::UnexpectedEof { context } if context == "input name"),
             "got {err:?}"
@@ -525,16 +402,9 @@ mod tests {
         // Sweep every proper prefix of the header: each cut must surface as
         // the typed contextual EOF, never a bare `TraceError::Io`.
         let trace = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).expect("writing to a Vec cannot fail");
-        let header_len = BinaryRecordReader::new(buf.as_slice())
-            .expect("intact header decodes")
-            .byte_offset() as usize;
-        for cut in 4..header_len {
-            let mut short = buf.clone();
-            short.truncate(cut);
-            let err =
-                read_trace(&mut short.as_slice()).expect_err("truncated header must not decode");
+        let buf = encode(&trace);
+        for cut in 4..header_len(&trace) {
+            let err = decode(&buf[..cut]).expect_err("truncated header must not decode");
             assert!(
                 matches!(err, TraceError::UnexpectedEof { .. }),
                 "cut at {cut}: got {err:?}"
@@ -545,12 +415,23 @@ mod tests {
     #[test]
     fn streaming_reader_yields_each_record() {
         let trace = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
-        let reader = BinaryRecordReader::new(buf.as_slice()).unwrap();
-        assert_eq!(reader.declared_count(), 3);
-        let records: Vec<_> = reader.map(|r| r.unwrap()).collect();
-        assert_eq!(records.as_slice(), trace.records());
+        let buf = encode(&trace);
+        let mut reader = FastBtrtReader::new(buf.as_slice(), 1).unwrap();
+        let chunks: Vec<_> = (&mut reader).map(|c| c.unwrap()).collect();
+        assert_eq!(reader.records_read(), 3);
+        // One record per chunk, in order; only conditional records land in
+        // the columns.
+        assert_eq!(chunks.len(), trace.len());
+        for (i, (chunk, record)) in chunks.iter().zip(trace.records()).enumerate() {
+            assert_eq!(chunk.first_record(), i as u64);
+            assert_eq!(chunk.len(), 1);
+            let expected: &[BranchAddr] = if record.kind().is_conditional() {
+                &[record.addr()]
+            } else {
+                &[]
+            };
+            assert_eq!(chunk.conditional().addrs(), expected);
+        }
     }
 
     #[test]
@@ -565,8 +446,8 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX >> 1] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v).unwrap();
-            let back = read_varint(&mut buf.as_slice(), "test").unwrap();
-            assert_eq!(back, v);
+            let back = btr_wire::varint::read_varint_slice(&buf, "test").unwrap();
+            assert_eq!(back, (v, buf.len()));
         }
     }
 
@@ -581,8 +462,7 @@ mod tests {
             ));
         }
         let trace = b.build();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).unwrap();
+        let buf = encode(&trace);
         assert!(buf.len() < 4 * 1000, "encoded size {} too large", buf.len());
     }
 }

@@ -1,30 +1,30 @@
 //! Chunked, bounded-memory trace decoding.
 //!
-//! [`crate::io::binary::read_trace`] materialises every record before the
-//! simulator sees the first one, so memory grows linearly with trace length —
-//! untenable for the paper-scale captures (10⁸+ records) the classification
-//! analysis is meant to run over. [`ChunkedTraceReader`] decodes the same
-//! `BTRT` (or text) stream into bounded, fixed-size [`TraceChunk`]s instead:
-//! peak memory is one chunk plus the id-interning tables, independent of
-//! trace length.
+//! Materialising every record before the simulator sees the first one makes
+//! memory grow linearly with trace length — untenable for the paper-scale
+//! captures (10⁸+ records) the classification analysis is meant to run
+//! over. The chunked readers decode a stream into bounded, fixed-size
+//! [`TraceChunk`]s instead: peak memory is one chunk plus the id-interning
+//! tables, independent of trace length. [`crate::io::fast::FastBtrtReader`]
+//! produces them from `BTRT`; [`ChunkedTraceReader`] produces them from any
+//! record iterator — the text format through [`ChunkedTraceReader::text`],
+//! or a caller's own source through [`ChunkedTraceReader::from_records`].
 //!
 //! Each chunk carries the dense interned ids of its conditional records,
 //! assigned by a persistent [`IncrementalInterner`] — so the ids seen across
 //! all chunks are *identical* to the ids [`crate::Trace::intern`] assigns to
-//! the eagerly-read trace, no matter the chunk size. That invariant (pinned
-//! by `tests/streamed_vs_eager.rs`) is what lets a streaming simulation keep
+//! the whole trace, no matter the chunk size. That invariant (pinned by
+//! `tests/streamed_vs_eager.rs`) is what lets a streaming simulation keep
 //! per-branch statistics in flat vectors and still merge bit-identically with
 //! the eager path.
 //!
-//! Any `Read` source works — a file (`File::open` handed to
-//! [`ChunkedTraceReader::btrt`], which callers may pre-position with
-//! pread-style offsets first), a network socket, or an in-memory buffer;
-//! decoding itself is sequential because `BTRT` records are delta-encoded
-//! against their predecessor.
+//! Any `Read` source works — a file, a network socket, or an in-memory
+//! buffer; decoding itself is sequential because `BTRT` records are
+//! delta-encoded against their predecessor.
 //!
 //! ```
-//! use btr_trace::io::{binary, chunked::ChunkedTraceReader};
-//! use btr_trace::{BranchAddr, BranchRecord, Outcome, TraceBuilder};
+//! use btr_trace::io::binary;
+//! use btr_trace::{BranchAddr, BranchRecord, FastBtrtReader, Outcome, TraceBuilder};
 //!
 //! let mut b = TraceBuilder::new("demo");
 //! for i in 0..10u64 {
@@ -37,7 +37,7 @@
 //! let mut buf = Vec::new();
 //! binary::write_trace(&mut buf, &trace)?;
 //!
-//! let reader = ChunkedTraceReader::btrt(buf.as_slice(), 4)?;
+//! let reader = FastBtrtReader::new(buf.as_slice(), 4)?;
 //! assert_eq!(reader.metadata().benchmark, "demo");
 //! let chunks: Vec<_> = reader.collect::<btr_trace::Result<_>>()?;
 //! assert_eq!(chunks.len(), 3); // 4 + 4 + 2 records
@@ -47,7 +47,6 @@
 
 use crate::error::TraceError;
 use crate::interned::{ConditionalColumns, ConditionalView, IncrementalInterner};
-use crate::io::binary::BinaryRecordReader;
 use crate::io::text::TextRecordReader;
 use crate::record::{BranchAddr, BranchRecord};
 use crate::trace::TraceMetadata;
@@ -181,10 +180,11 @@ impl<S: ChunkStream> ChunkStream for &mut S {
 /// Decodes a trace stream into bounded fixed-size [`TraceChunk`]s, interning
 /// conditional-branch addresses incrementally as they first appear.
 ///
-/// Generic over any record source (`Iterator<Item = Result<BranchRecord>>`);
-/// the provided constructors cover the `BTRT` binary format and the text
-/// format, from readers or files. The iterator yields `Result<TraceChunk>`
-/// and fuses after the first error.
+/// Generic over any record source (`Iterator<Item = Result<BranchRecord>>`):
+/// [`ChunkedTraceReader::text`] covers the text format from any reader, and
+/// [`ChunkedTraceReader::from_records`] any other source. `BTRT` streams
+/// decode through [`crate::io::fast::FastBtrtReader`] instead. The iterator
+/// yields `Result<TraceChunk>` and fuses after the first error.
 #[derive(Debug)]
 pub struct ChunkedTraceReader<I> {
     source: I,
@@ -200,42 +200,17 @@ pub struct ChunkedTraceReader<I> {
     spare: Option<TraceChunk>,
 }
 
-impl<R: Read> ChunkedTraceReader<BinaryRecordReader<R>> {
-    /// Starts chunked decoding of a `BTRT` stream, reading and validating the
-    /// header eagerly.
-    ///
-    /// # Errors
-    ///
-    /// Fails on bad magic bytes, unsupported versions, or truncated headers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_records` is zero.
-    pub fn btrt(reader: R, chunk_records: usize) -> Result<Self> {
-        let source = BinaryRecordReader::new(reader)?;
-        let metadata = source.metadata().clone();
-        let declared = Some(source.declared_count());
-        Ok(ChunkedTraceReader::from_records(
-            metadata,
-            declared,
-            source,
-            chunk_records,
-        ))
-    }
-}
-
 impl<R: Read> ChunkedTraceReader<TextRecordReader<R>> {
     /// Starts chunked decoding of a text-format stream. The leading comment
     /// block is consumed eagerly so [`ChunkedTraceReader::metadata`] is
-    /// populated; the text format declares no record count, so
-    /// [`ChunkedTraceReader::declared_count`] is `None`.
+    /// populated; the text format declares no record count, so none is
+    /// checked.
     ///
     /// [`ChunkedTraceReader::metadata`] is a snapshot of the *leading*
     /// comment block only. Metadata comments appearing between records (an
-    /// unconventional layout the eager [`crate::io::text::read_trace`] does
-    /// honour) are folded into the underlying [`TextRecordReader`] as chunks
-    /// are consumed — query them through [`ChunkedTraceReader::source`] after
-    /// draining:
+    /// unconventional layout) are folded into the underlying
+    /// [`TextRecordReader`] as chunks are consumed — query them through
+    /// [`ChunkedTraceReader::source`] after draining:
     ///
     /// ```
     /// use btr_trace::ChunkedTraceReader;
@@ -293,11 +268,6 @@ impl<I: Iterator<Item = Result<BranchRecord>>> ChunkedTraceReader<I> {
     /// up-to-date metadata after mid-stream comment lines were consumed.
     pub fn source(&self) -> &I {
         &self.source
-    }
-
-    /// The record count the header declared, if the format carries one.
-    pub fn declared_count(&self) -> Option<u64> {
-        self.declared
     }
 
     /// The configured records-per-chunk bound.
@@ -384,6 +354,7 @@ impl<I: Iterator<Item = Result<BranchRecord>>> ChunkStream for ChunkedTraceReade
 mod tests {
     use super::*;
     use crate::io::binary;
+    use crate::io::fast::FastBtrtReader;
     use crate::record::{BranchAddr, BranchKind, Outcome};
     use crate::trace::{Trace, TraceBuilder};
 
@@ -411,19 +382,25 @@ mod tests {
         b.build()
     }
 
-    fn encode(trace: &Trace) -> Vec<u8> {
-        let mut buf = Vec::new();
-        binary::write_trace(&mut buf, trace).unwrap();
-        buf
+    /// Chunks an in-memory trace's records, declaring its length.
+    fn chunk_trace(
+        trace: &Trace,
+        chunk_records: usize,
+    ) -> ChunkedTraceReader<impl Iterator<Item = Result<BranchRecord>> + '_> {
+        ChunkedTraceReader::from_records(
+            trace.metadata().clone(),
+            Some(trace.len() as u64),
+            trace.records().iter().copied().map(Ok),
+            chunk_records,
+        )
     }
 
     #[test]
     fn chunks_partition_the_stream_in_order() {
         let trace = mixed_trace(103);
-        let buf = encode(&trace);
-        let reader = ChunkedTraceReader::btrt(buf.as_slice(), 10).unwrap();
+        let reader = chunk_trace(&trace, 10);
         assert_eq!(reader.metadata(), trace.metadata());
-        assert_eq!(reader.declared_count(), Some(103));
+        assert_eq!(reader.declared, Some(103));
         assert_eq!(reader.chunk_records(), 10);
         let chunks: Vec<TraceChunk> = reader.map(|c| c.unwrap()).collect();
         assert_eq!(chunks.len(), 11);
@@ -455,10 +432,9 @@ mod tests {
     #[test]
     fn interned_ids_match_the_eager_interner_across_chunk_sizes() {
         let trace = mixed_trace(64);
-        let buf = encode(&trace);
         let eager = trace.intern();
         for chunk_records in [1usize, 3, 7, 64, 1000] {
-            let mut reader = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
+            let mut reader = chunk_trace(&trace, chunk_records);
             let (_, streamed) = collect(&mut reader);
             assert_eq!(streamed.view(), eager.records(), "size {chunk_records}");
             assert_eq!(reader.addrs(), eager.addrs());
@@ -470,8 +446,7 @@ mod tests {
     #[test]
     fn empty_stream_yields_no_chunks() {
         let trace = TraceBuilder::new("empty").build();
-        let buf = encode(&trace);
-        let mut reader = ChunkedTraceReader::btrt(buf.as_slice(), 8).unwrap();
+        let mut reader = chunk_trace(&trace, 8);
         assert!(reader.next().is_none());
         assert!(reader.next().is_none());
         assert_eq!(reader.records_read(), 0);
@@ -484,7 +459,7 @@ mod tests {
         crate::io::text::write_trace(&mut buf, &trace).unwrap();
         let reader = ChunkedTraceReader::text(buf.as_slice(), 8);
         assert_eq!(reader.metadata(), trace.metadata());
-        assert_eq!(reader.declared_count(), None);
+        assert_eq!(reader.declared, None);
         let (records, conditional) = collect(reader);
         assert_eq!(records, trace.len());
         assert_eq!(conditional.view(), trace.intern().records());
@@ -500,31 +475,57 @@ mod tests {
         let total: usize = (&mut reader).map(|c| c.unwrap().len()).sum();
         assert_eq!(total, 2);
         // …while the underlying text reader keeps folding mid-stream
-        // comments, matching what the eager text reader reports.
+        // comments, ending with every comment line applied.
         assert_eq!(reader.source().metadata().input_set, "late");
         assert_eq!(reader.source().metadata().seed, Some(7));
-        let eager = crate::io::text::read_trace(&mut text.as_bytes()).unwrap();
-        assert_eq!(eager.metadata(), reader.source().metadata());
+        let every_line = TraceMetadata::named("demo")
+            .with_input_set("late")
+            .with_seed(7);
+        assert_eq!(reader.source().metadata(), &every_line);
+    }
+
+    /// Drains `chunks`, checking that every chunk before the error is
+    /// non-empty, that exactly one `TruncatedRecord` surfaces, and that the
+    /// stream stays fused after it.
+    fn assert_truncation_fuses(mut chunks: impl Iterator<Item = Result<TraceChunk>>) {
+        let mut errors = 0;
+        for chunk in &mut chunks {
+            match chunk {
+                Ok(c) => assert!(!c.is_empty()),
+                Err(e) => {
+                    assert!(matches!(e, TraceError::TruncatedRecord { .. }), "{e:?}");
+                    errors += 1;
+                }
+            }
+        }
+        assert_eq!(errors, 1);
+        assert!(chunks.next().is_none());
     }
 
     #[test]
     fn truncated_streams_surface_the_typed_error_and_fuse() {
         let trace = mixed_trace(32);
-        let mut buf = encode(&trace);
+        let mut buf = Vec::new();
+        binary::write_trace(&mut buf, &trace).unwrap();
         buf.truncate(buf.len() - 1);
-        let mut reader = ChunkedTraceReader::btrt(buf.as_slice(), 8).unwrap();
-        let mut saw_error = false;
-        for chunk in &mut reader {
-            match chunk {
-                Ok(c) => assert!(!c.is_empty()),
-                Err(e) => {
-                    assert!(matches!(e, TraceError::TruncatedRecord { .. }), "{e:?}");
-                    saw_error = true;
-                }
-            }
-        }
-        assert!(saw_error);
-        assert!(reader.next().is_none());
+        // The `BTRT` decoder, and this reader over a source that fails the
+        // same way partway through.
+        assert_truncation_fuses(FastBtrtReader::new(buf.as_slice(), 8).unwrap());
+        let torn = trace.records()[..27]
+            .iter()
+            .copied()
+            .map(Ok)
+            .chain(std::iter::once(Err(TraceError::TruncatedRecord {
+                record: 27,
+                offset: 0,
+                context: "record flags".into(),
+            })));
+        assert_truncation_fuses(ChunkedTraceReader::from_records(
+            trace.metadata().clone(),
+            Some(trace.len() as u64),
+            torn,
+            8,
+        ));
     }
 
     #[test]
@@ -558,8 +559,7 @@ mod tests {
     #[should_panic(expected = "at least one record")]
     fn zero_chunk_size_is_rejected() {
         let trace = mixed_trace(4);
-        let buf = encode(&trace);
-        let _ = ChunkedTraceReader::btrt(buf.as_slice(), 0);
+        let _ = chunk_trace(&trace, 0);
     }
 
     #[test]
@@ -567,10 +567,12 @@ mod tests {
         let trace = mixed_trace(57);
         let dir = std::env::temp_dir().join("btr-chunked-test");
         std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("roundtrip-{}.btrt", std::process::id()));
-        std::fs::write(&path, encode(&trace))?;
+        let path = dir.join(format!("roundtrip-{}.txt", std::process::id()));
+        let mut buf = Vec::new();
+        crate::io::text::write_trace(&mut buf, &trace)?;
+        std::fs::write(&path, buf)?;
         let file = std::io::BufReader::new(std::fs::File::open(&path)?);
-        let reader = ChunkedTraceReader::btrt(file, 16)?;
+        let reader = ChunkedTraceReader::text(file, 16);
         let (records, conditional) = collect(reader);
         assert_eq!(records, trace.len());
         assert_eq!(conditional.view(), trace.intern().records());

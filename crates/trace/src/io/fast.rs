@@ -1,14 +1,10 @@
-//! Slice-based block decoding of `BTRT` streams — the ingest fast path.
+//! Slice-based block decoding of `BTRT` streams — the one `BTRT` decoder.
 //!
-//! [`crate::ChunkedTraceReader`] walks a `BTRT` stream through the generic
-//! [`Read`] trait: one `read` call per byte inside the varint loops, one
-//! bounds-checked dispatch per field. That is the *correctness reference* —
-//! simple, works over any reader — but it tops out around 3×10⁷ records/s,
-//! an order of magnitude below what the SWAR replay tier can simulate, so
-//! every streaming pipeline was decode-bound.
-//!
-//! [`FastBtrtReader`] closes the gap by changing the unit of work from bytes
-//! to blocks:
+//! A per-record decoder walking the stream through the generic [`Read`]
+//! trait pays one `read` call per byte inside the varint loops and one
+//! bounds-checked dispatch per field; it tops out around 3×10⁷ records/s,
+//! an order of magnitude below what the SWAR replay tier can simulate.
+//! [`FastBtrtReader`] changes the unit of work from bytes to blocks:
 //!
 //! * the stream is pulled into a large reusable buffer with one `read` call
 //!   per ~256 KiB, not per byte;
@@ -24,12 +20,13 @@
 //! * chunk buffers are recycled through [`ChunkStream::recycle`], so
 //!   steady-state streaming allocates nothing per chunk.
 //!
-//! The fast path is **bit-identical** to the slow one — same chunk lengths,
-//! same conditional columns and interned ids, and the same typed errors with
-//! the same offsets for the same malformed inputs
-//! (`tests/fast_decode_equivalence.rs` pins all three across adversarial
-//! chunkings and truncation points). The slow path remains for non-`BTRT`
-//! formats and as the reference the equivalence suite compares against.
+//! The per-record reader survives only as a test oracle
+//! (`tests/support/btrt_reference.rs`), with its own header parser and
+//! varint loop. `tests/fast_decode_equivalence.rs` pins this decoder to it
+//! across adversarial chunkings, socket-shaped reads, every truncation point
+//! and arbitrary corruption: same chunk lengths, same conditional columns
+//! and interned ids, and the same typed errors with the same record index
+//! and byte offset.
 
 use crate::error::TraceError;
 use crate::interned::CachedInterner;
@@ -84,11 +81,10 @@ fn decode_record(bytes: &[u8], prev_addr: u64) -> Result<(BranchRecord, usize)> 
 
 /// Block-decoding `BTRT` reader yielding columnar [`TraceChunk`]s.
 ///
-/// Drop-in replacement for [`crate::ChunkedTraceReader`] over `BTRT` input:
-/// same header validation, same chunk boundaries, same interned ids, same
-/// errors (see the module docs for the equivalence contract), several times
-/// the throughput. Implements both [`Iterator`] (for drain-style consumers)
-/// and [`ChunkStream`] (for recycling consumers).
+/// Yields the same chunk boundaries and interned ids as
+/// [`crate::ChunkedTraceReader`] does over the same records (see the module
+/// docs for the equivalence contract). Implements both [`Iterator`] (for
+/// drain-style consumers) and [`ChunkStream`] (for recycling consumers).
 #[derive(Debug)]
 pub struct FastBtrtReader<R> {
     inner: R,
@@ -101,12 +97,12 @@ pub struct FastBtrtReader<R> {
     eof: bool,
     /// Total bytes pulled from `inner` (header included). At end-of-stream
     /// truncation this equals the stream length, which is exactly the offset
-    /// the byte-at-a-time slow path reports.
+    /// a byte-at-a-time decoder reports.
     fetched: u64,
     metadata: TraceMetadata,
     declared: u64,
-    /// Records fully decoded so far (error reporting uses this, matching the
-    /// slow path's per-record counter).
+    /// Records fully decoded so far (error reporting uses this, matching a
+    /// per-record decoder's counter).
     decoded: u64,
     /// Records in chunks actually yielded.
     records_read: u64,
@@ -126,7 +122,7 @@ impl<R: Read> FastBtrtReader<R> {
     /// # Errors
     ///
     /// Fails on bad magic bytes, unsupported versions, or truncated headers
-    /// — identically to [`crate::ChunkedTraceReader::btrt`].
+    /// (a contextual [`TraceError::UnexpectedEof`] naming the field).
     pub fn new(reader: R, chunk_records: usize) -> Result<Self> {
         let mut counting = CountingReader {
             inner: reader,
@@ -170,7 +166,7 @@ impl<R: Read> FastBtrtReader<R> {
 
     /// Slides the unconsumed tail to the buffer front and performs one
     /// successful `read` into the freed space (`ErrorKind::Interrupted` is
-    /// retried transparently, like the slow path's byte reads). A zero-byte
+    /// retried transparently, as `Read::read_exact` does). A zero-byte
     /// read marks end-of-stream.
     fn refill(&mut self) -> Result<()> {
         if self.start > 0 {
@@ -196,8 +192,8 @@ impl<R: Read> FastBtrtReader<R> {
     }
 
     /// Decodes records into `chunk` until it is full or the declared count
-    /// is reached. Errors carry the exact record index and stream offset the
-    /// slow path would report.
+    /// is reached. Errors carry the exact record index and stream offset a
+    /// per-record decoder would report.
     fn fill_chunk(&mut self, chunk: &mut TraceChunk) -> Result<()> {
         while chunk.len < self.chunk_records && self.decoded < self.declared {
             let avail = self.len - self.start;
@@ -209,8 +205,8 @@ impl<R: Read> FastBtrtReader<R> {
                 continue;
             }
             if avail == 0 {
-                // Clean EOF before the declared count: the slow path fails
-                // reading the next flag byte and reports every byte consumed.
+                // Clean EOF before the declared count: a per-record decoder
+                // fails reading the next flag byte, every byte consumed.
                 return Err(TraceError::TruncatedRecord {
                     record: self.decoded,
                     offset: self.fetched,
@@ -266,8 +262,7 @@ impl<R: Read> Iterator for FastBtrtReader<R> {
             Err(e) => {
                 // Fuse, recycling the partial chunk's buffers: a decode
                 // error is not recoverable mid-stream (record boundaries are
-                // lost), matching the slow path's behaviour of discarding
-                // the partial chunk.
+                // lost), so the partial chunk is discarded.
                 self.finished = true;
                 self.spare = Some(chunk);
                 return Some(Err(e));
@@ -354,16 +349,22 @@ mod tests {
 
     #[test]
     fn fast_chunks_match_the_slow_reader_exactly() {
+        // The reference chunks come from the same records chunked straight
+        // from memory: no `BTRT` decode at all on that side.
         let trace = mixed_trace(1003);
         let buf = encode(&trace);
         for chunk_records in [1usize, 7, 64, 100_000] {
-            let slow: Vec<TraceChunk> =
-                crate::ChunkedTraceReader::btrt(buf.as_slice(), chunk_records)
-                    .expect("valid header")
-                    .map(|c| c.expect("valid stream"))
-                    .collect();
+            let slow: Vec<TraceChunk> = crate::ChunkedTraceReader::from_records(
+                trace.metadata().clone(),
+                Some(trace.len() as u64),
+                trace.records().iter().copied().map(Ok),
+                chunk_records,
+            )
+            .map(|c| c.expect("in-memory records"))
+            .collect();
             let mut fast_reader =
                 FastBtrtReader::new(buf.as_slice(), chunk_records).expect("valid header");
+            assert_eq!(fast_reader.metadata(), trace.metadata());
             let fast: Vec<TraceChunk> = (&mut fast_reader)
                 .map(|c| c.expect("valid stream"))
                 .collect();
@@ -398,16 +399,22 @@ mod tests {
     fn truncated_streams_report_the_slow_path_error() {
         let trace = mixed_trace(64);
         let mut buf = encode(&trace);
+        // Records 62 and 63 are conditional with one-byte deltas (+4, then
+        // -24), two bytes each: cutting three bytes drops record 63 and the
+        // delta of record 62.
         buf.truncate(buf.len() - 3);
-        let slow_err = crate::ChunkedTraceReader::btrt(buf.as_slice(), 16)
-            .expect("valid header")
-            .find_map(|c| c.err())
-            .expect("truncated stream errors");
         let fast_err = FastBtrtReader::new(buf.as_slice(), 16)
             .expect("valid header")
             .find_map(|c| c.err())
             .expect("truncated stream errors");
-        assert_eq!(format!("{fast_err:?}"), format!("{slow_err:?}"));
+        assert!(
+            matches!(
+                &fast_err,
+                TraceError::TruncatedRecord { record: 62, offset, context }
+                    if *offset == buf.len() as u64 && context == "address delta"
+            ),
+            "{fast_err:?}"
+        );
     }
 
     #[test]

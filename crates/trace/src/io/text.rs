@@ -13,7 +13,7 @@
 
 use crate::error::TraceError;
 use crate::record::{BranchAddr, BranchKind, BranchRecord, Outcome};
-use crate::trace::{Trace, TraceBuilder, TraceMetadata};
+use crate::trace::{Trace, TraceMetadata};
 use crate::Result;
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -187,28 +187,17 @@ fn parse_hex(token: &str, line: usize) -> Result<u64> {
     })
 }
 
-/// Reads a trace in the text format.
-///
-/// # Errors
-///
-/// Returns an error for malformed lines, unknown kind mnemonics or I/O
-/// failures.
-pub fn read_trace<R: Read>(reader: &mut R) -> Result<Trace> {
-    let mut stream = TextRecordReader::new(reader);
-    let mut records = Vec::new();
-    for record in &mut stream {
-        records.push(record?);
-    }
-    // Metadata lines may appear anywhere in the file, so the builder is
-    // constructed only after every line has been consumed.
-    let mut b = TraceBuilder::with_metadata(stream.metadata().clone());
-    b.extend(records);
-    Ok(b.build())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceBuilder;
+
+    /// Reads a whole text trace, with metadata from every comment line.
+    fn read_trace(bytes: &[u8]) -> Result<Trace> {
+        let mut reader = TextRecordReader::new(bytes);
+        let records = (&mut reader).collect::<Result<Vec<_>>>()?;
+        Ok(Trace::from_records(reader.metadata().clone(), records))
+    }
 
     fn sample_trace() -> Trace {
         let mut b = TraceBuilder::new("perl")
@@ -238,7 +227,7 @@ mod tests {
         let trace = sample_trace();
         let mut buf = Vec::new();
         write_trace(&mut buf, &trace).unwrap();
-        let back = read_trace(&mut buf.as_slice()).unwrap();
+        let back = read_trace(buf.as_slice()).unwrap();
         assert_eq!(back.records(), trace.records());
         assert_eq!(back.metadata().benchmark, "perl");
         assert_eq!(back.metadata().input_set, "primes.pl");
@@ -254,7 +243,7 @@ C 0x1000 T
 C 0x1004 N
 R 0x1008 T
 ";
-        let trace = read_trace(&mut text.as_bytes()).unwrap();
+        let trace = read_trace(text.as_bytes()).unwrap();
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.conditional_count(), 2);
         assert_eq!(trace.metadata().benchmark, "demo");
@@ -263,14 +252,14 @@ R 0x1008 T
     #[test]
     fn blank_lines_and_comments_are_skipped() {
         let text = "\n\n# just a comment\nC 0x1000 T\n\n";
-        let trace = read_trace(&mut text.as_bytes()).unwrap();
+        let trace = read_trace(text.as_bytes()).unwrap();
         assert_eq!(trace.len(), 1);
     }
 
     #[test]
     fn lowercase_and_numeric_outcomes_accepted() {
         let text = "C 0x1000 t\nC 0x1004 0\nC 0x1008 1\n";
-        let trace = read_trace(&mut text.as_bytes()).unwrap();
+        let trace = read_trace(text.as_bytes()).unwrap();
         assert_eq!(trace.records()[0].outcome(), Outcome::Taken);
         assert_eq!(trace.records()[1].outcome(), Outcome::NotTaken);
         assert_eq!(trace.records()[2].outcome(), Outcome::Taken);
@@ -279,7 +268,7 @@ R 0x1008 T
     #[test]
     fn malformed_lines_are_reported_with_line_numbers() {
         let text = "C 0x1000 T\nC zzzz T\n";
-        let err = read_trace(&mut text.as_bytes()).unwrap_err();
+        let err = read_trace(text.as_bytes()).unwrap_err();
         match err {
             TraceError::MalformedLine { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
@@ -289,14 +278,14 @@ R 0x1008 T
     #[test]
     fn unknown_kind_is_reported() {
         let text = "X 0x1000 T\n";
-        let err = read_trace(&mut text.as_bytes()).unwrap_err();
+        let err = read_trace(text.as_bytes()).unwrap_err();
         assert!(matches!(err, TraceError::UnknownKind { code: 'X' }));
     }
 
     #[test]
     fn missing_fields_are_reported() {
         for text in ["C\n", "C 0x1000\n", "C 0x1000 Q\n"] {
-            assert!(read_trace(&mut text.as_bytes()).is_err(), "{text:?}");
+            assert!(read_trace(text.as_bytes()).is_err(), "{text:?}");
         }
     }
 }

@@ -5,8 +5,7 @@
 //! This crate provides the data model shared by every other crate in the
 //! workspace: individual branch execution [`record::BranchRecord`]s, in-memory
 //! [`trace::Trace`]s, a compact binary and a line-oriented text serialization
-//! format ([`io`]), stream adapters for filtering and windowing ([`filter`]),
-//! and raw per-address statistics accumulation ([`stats`]).
+//! format ([`io`]), and raw per-address statistics accumulation ([`stats`]).
 //!
 //! The original paper instrumented SimpleScalar's `sim-bpred` to observe the
 //! dynamic stream of *conditional* branch outcomes. Everything the paper
@@ -33,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod filter;
 pub mod interned;
 pub mod io;
 pub mod record;
@@ -42,7 +40,6 @@ pub mod trace;
 pub mod wire;
 
 pub use error::TraceError;
-pub use filter::{ConditionalOnly, Sampled, Windowed};
 pub use interned::{ConditionalColumns, ConditionalView, IncrementalInterner, InternedTrace};
 pub use io::chunked::{ChunkStream, ChunkedTraceReader, TraceChunk, DEFAULT_CHUNK_RECORDS};
 pub use io::fast::{read_interned_btrt, FastBtrtReader};

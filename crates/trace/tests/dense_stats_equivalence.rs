@@ -9,6 +9,8 @@
 //! every chunk size, under socket-shaped byte delivery, on the golden
 //! fixtures, and on arbitrary traces.
 
+mod support;
+
 use btr_trace::io::{binary, text};
 use btr_trace::{
     BranchAddr, BranchKind, BranchRecord, ChunkStream, ChunkedTraceReader, DenseTraceStats,
@@ -16,6 +18,7 @@ use btr_trace::{
 };
 use proptest::prelude::*;
 use std::io::Read;
+use support::btrt_reference;
 
 /// The chunk sizes every input is folded under: degenerate, odd, small,
 /// `btrd`'s 16 Ki-record chunks and the readers' 64 Ki default.
@@ -152,7 +155,7 @@ fn dense_fold_matches_the_oracle_on_the_golden_fixtures() {
         "empty_body.btrt",
     ] {
         let bytes = fixture(name);
-        let trace = binary::read_trace(&mut bytes.as_slice()).expect("fixture decodes");
+        let trace = btrt_reference::read_trace(bytes.as_slice()).expect("fixture decodes");
         for chunk_records in CHUNK_SIZES {
             assert_eq!(
                 &fold_btrt(bytes.as_slice(), chunk_records),

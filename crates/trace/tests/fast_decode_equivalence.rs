@@ -1,23 +1,27 @@
-//! Equivalence suite pinning the slice-based fast `BTRT` decoder
-//! ([`FastBtrtReader`]) to the generic-`Read` reference path
-//! ([`ChunkedTraceReader`]): over arbitrary traces, chunk sizes, socket-shaped
-//! byte delivery, and — crucially — *every* truncation prefix and arbitrary
-//! single-byte corruption, both decoders must produce bit-identical chunks
-//! (lengths and conditional columns), interned ids **and errors** (same
-//! variant, same record index, same byte offset, pinned by comparing the
-//! full `Debug` rendering).
+//! Equivalence suite pinning the slice-based `BTRT` decoder
+//! ([`FastBtrtReader`]) to the per-record reference decoder
+//! (`support/btrt_reference.rs`, chunked through
+//! `ChunkedTraceReader::from_records`): over arbitrary traces, chunk sizes,
+//! socket-shaped byte delivery, and — crucially — *every* truncation prefix
+//! and arbitrary single-byte corruption, both decoders must produce
+//! bit-identical chunks (lengths and conditional columns), interned ids
+//! **and errors** (same variant, same record index, same byte offset, pinned
+//! by comparing the full `Debug` rendering).
 //!
-//! The fast path is an independent reimplementation of the record decode
-//! (buffered slices + inlined varints instead of `Read` calls), so this suite
-//! is what licenses routing production ingest through it.
+//! The reference decodes one byte per `read` call with its own header parser
+//! and varint loop, so it shares no decode code with the fast path; this
+//! suite is what licenses routing production ingest through it.
+
+mod support;
 
 use btr_trace::io::binary;
 use btr_trace::{
-    BranchAddr, BranchKind, BranchRecord, ChunkStream, ChunkedTraceReader, ConditionalColumns,
-    FastBtrtReader, Outcome, Trace, TraceMetadata,
+    BranchAddr, BranchKind, BranchRecord, ChunkStream, ConditionalColumns, FastBtrtReader, Outcome,
+    Trace, TraceMetadata,
 };
 use proptest::prelude::*;
 use std::io::Read;
+use support::btrt_reference;
 
 /// The chunk sizes every property is checked under.
 const CHUNK_SIZES: [usize; 4] = [1, 7, 64, 100_000];
@@ -83,7 +87,7 @@ type Drained = (Vec<usize>, ConditionalColumns, Vec<BranchAddr>);
 
 fn drain_slow(bytes: &[u8], chunk_records: usize) -> Drained {
     let mut reader =
-        ChunkedTraceReader::btrt(bytes, chunk_records).expect("slow header must decode");
+        btrt_reference::chunked(bytes, chunk_records).expect("slow header must decode");
     let mut lens = Vec::new();
     let mut conditional = ConditionalColumns::new();
     for chunk in &mut reader {
@@ -140,7 +144,7 @@ fn outcome<S: Iterator<Item = btr_trace::Result<btr_trace::TraceChunk>>>(
 }
 
 fn outcome_slow(bytes: &[u8], chunk_records: usize) -> DecodeOutcome {
-    outcome(ChunkedTraceReader::btrt(bytes, chunk_records))
+    outcome(btrt_reference::chunked(bytes, chunk_records))
 }
 
 fn outcome_fast(bytes: &[u8], chunk_records: usize) -> DecodeOutcome {

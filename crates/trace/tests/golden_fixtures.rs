@@ -4,16 +4,20 @@
 //! encoder (a Python script following the format spec in `io/binary.rs`), so
 //! any drift in the Rust encoder or decoder — header layout, flag packing,
 //! zig-zag/varint encoding, delta wraparound — breaks these tests without
-//! relying on proptest luck. Each fixture is decoded eagerly, decoded
-//! chunked, round-tripped through the text format, and re-encoded
-//! byte-identically (the encoder is canonical: minimal varints, one layout
-//! per trace).
+//! relying on proptest luck. Each fixture is decoded eagerly and chunked by
+//! the reference decoder (`support/btrt_reference.rs`), decoded by the
+//! production [`FastBtrtReader`], round-tripped through the text format, and
+//! re-encoded byte-identically (the encoder is canonical: minimal varints,
+//! one layout per trace).
+
+mod support;
 
 use btr_trace::io::{binary, text};
 use btr_trace::{
-    BranchAddr, BranchKind, BranchRecord, ChunkedTraceReader, ConditionalColumns, FastBtrtReader,
-    Outcome, Trace, TraceChunk,
+    BranchAddr, BranchKind, BranchRecord, ConditionalColumns, FastBtrtReader, Outcome, Trace,
+    TraceChunk,
 };
+use support::btrt_reference;
 
 fn fixture(name: &str) -> Vec<u8> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -44,16 +48,16 @@ fn collect(
 /// expected records before re-encoding byte-identically.
 fn check_fixture(bytes: &[u8], expected: &[BranchRecord]) -> Trace {
     // Eager binary decode.
-    let trace = binary::read_trace(&mut &bytes[..]).expect("fixture must decode");
+    let trace = btrt_reference::read_trace(bytes).expect("fixture must decode");
     assert_eq!(trace.records(), expected);
 
     // Chunked decode at several sizes, including degenerate ones — through
-    // both the generic-`Read` reference path and the slice fast path. Chunks
+    // both the per-record reference decoder and the slice fast path. Chunks
     // count every record and carry the conditional columns of the eager
     // trace's interning.
     let interned = trace.intern();
     for chunk_records in [1usize, 3, 1024] {
-        let reader = ChunkedTraceReader::btrt(bytes, chunk_records).unwrap();
+        let reader = btrt_reference::chunked(bytes, chunk_records).unwrap();
         assert_eq!(reader.metadata(), trace.metadata());
         let (count, columns) = collect(reader);
         assert_eq!(count, expected.len());
@@ -69,7 +73,7 @@ fn check_fixture(bytes: &[u8], expected: &[BranchRecord]) -> Trace {
     // Text round-trip preserves records and metadata.
     let mut text_buf = Vec::new();
     text::write_trace(&mut text_buf, &trace).unwrap();
-    let via_text = text::read_trace(&mut text_buf.as_slice()).unwrap();
+    let via_text = support::read_text(text_buf.as_slice()).unwrap();
     assert_eq!(via_text.records(), expected);
     assert_eq!(via_text.metadata(), trace.metadata());
 
@@ -93,7 +97,7 @@ fn empty_body_fixture() {
     assert_eq!(trace.metadata().input_set, "none");
     assert_eq!(trace.metadata().seed, Some(7));
     // An empty body yields zero chunks, not one empty chunk — on both paths.
-    let mut reader = ChunkedTraceReader::btrt(bytes.as_slice(), 8).unwrap();
+    let mut reader = btrt_reference::chunked(bytes.as_slice(), 8).unwrap();
     assert!(reader.next().is_none());
     let mut fast = FastBtrtReader::new(bytes.as_slice(), 8).unwrap();
     assert!(fast.next().is_none());

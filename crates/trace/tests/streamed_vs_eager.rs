@@ -1,16 +1,21 @@
-//! Equivalence suite pinning the chunked reader to the eager readers: over
+//! Equivalence suite pinning the chunked readers to the eager readers: over
 //! arbitrary traces and chunk sizes — degenerate (1), prime (7), typical
-//! (4096) and larger-than-the-trace — the chunks must partition exactly the
-//! records `read_binary` / `read_text` decode, their conditional columns
-//! must be bit-identical to the eager trace's, and the incrementally
-//! interned ids must match `Trace::intern` exactly.
+//! (4096) and larger-than-the-trace — the chunks of [`FastBtrtReader`], of
+//! the reference `BTRT` decoder (`support/btrt_reference.rs`) and of the
+//! text [`ChunkedTraceReader`] must partition exactly the records the eager
+//! readers decode, their conditional columns must be bit-identical to the
+//! eager trace's, and the incrementally interned ids must match
+//! `Trace::intern` exactly.
+
+mod support;
 
 use btr_trace::io::{binary, text};
 use btr_trace::{
     BranchAddr, BranchKind, BranchRecord, ChunkStream, ChunkedTraceReader, ConditionalColumns,
-    FastBtrtReader, InternedTrace, Outcome, Trace, TraceMetadata,
+    FastBtrtReader, InternedTrace, Outcome, Trace, TraceChunk, TraceMetadata,
 };
 use proptest::prelude::*;
+use support::btrt_reference;
 
 /// The chunk sizes every property is checked under.
 const CHUNK_SIZES: [usize; 4] = [1, 7, 4096, 100_000];
@@ -160,18 +165,22 @@ impl Read for InterruptingReader<'_> {
 /// id → address table.
 type Drained = (Vec<usize>, ConditionalColumns, Vec<BranchAddr>);
 
-fn drain_btrt<R: Read>(reader: R, chunk_records: usize) -> Drained {
-    drain(ChunkedTraceReader::btrt(reader, chunk_records).expect("header must decode"))
+/// Drains the per-record reference decoder.
+fn drain_reference<R: Read>(reader: R, chunk_records: usize) -> Drained {
+    drain(btrt_reference::chunked(reader, chunk_records).expect("header must decode"))
 }
 
-/// Drains the slice fast path the same way, so every property below can pin
-/// it against the generic-`Read` reference in passing.
+/// Drains the production decoder the same way, so every property below pins
+/// it against the reference.
 fn drain_fast<R: Read>(reader: R, chunk_records: usize) -> Drained {
     let mut reader = FastBtrtReader::new(reader, chunk_records).expect("header must decode");
     let mut lens = Vec::new();
     let mut conditional = ConditionalColumns::new();
-    for chunk in &mut reader {
+    for (expected_index, chunk) in (&mut reader).enumerate() {
         let chunk = chunk.expect("well-formed stream must decode");
+        assert_eq!(chunk.index(), expected_index);
+        assert_eq!(chunk.first_record(), lens.iter().sum::<usize>() as u64);
+        assert!(!chunk.is_empty(), "readers never yield empty chunks");
         conditional.extend_from(chunk.conditional());
         lens.push(chunk.len());
     }
@@ -212,10 +221,12 @@ fn one_byte_reads_yield_bit_identical_chunks() {
     let trace = adversarial_trace();
     let mut buf = Vec::new();
     binary::write_trace(&mut buf, &trace).unwrap();
-    let oneshot = drain_btrt(buf.as_slice(), 16);
+    let oneshot = drain_reference(buf.as_slice(), 16);
     for max in [1usize, 2, 3, 5] {
-        let trickled = drain_btrt(TrickleReader { data: &buf, max }, 16);
+        let trickled = drain_reference(TrickleReader { data: &buf, max }, 16);
         assert_eq!(trickled, oneshot, "max {max} bytes per read diverged");
+        let fast = drain_fast(TrickleReader { data: &buf, max }, 16);
+        assert_eq!(fast, oneshot, "fast, max {max} bytes per read diverged");
     }
 }
 
@@ -224,37 +235,43 @@ fn reads_split_at_header_and_record_boundaries_are_bit_identical() {
     let trace = adversarial_trace();
     let mut buf = Vec::new();
     binary::write_trace(&mut buf, &trace).unwrap();
-    let oneshot = drain_btrt(buf.as_slice(), 16);
+    let oneshot = drain_reference(buf.as_slice(), 16);
     // Recover the exact header and per-record byte boundaries from a clean
     // decode pass.
-    let mut boundary_probe =
-        btr_trace::io::binary::BinaryRecordReader::new(buf.as_slice()).unwrap();
+    let mut boundary_probe = btrt_reference::RecordReader::new(buf.as_slice()).unwrap();
     let mut splits = vec![boundary_probe.byte_offset() as usize];
     while let Some(record) = boundary_probe.next() {
         record.unwrap();
         splits.push(boundary_probe.byte_offset() as usize);
     }
+    let split = |splits: &[usize]| BoundarySplitReader {
+        data: &buf,
+        pos: 0,
+        splits: splits.to_vec(),
+    };
     // Every read stops at the next header/record boundary…
-    let split_all = drain_btrt(
-        BoundarySplitReader {
-            data: &buf,
-            pos: 0,
-            splits: splits.clone(),
-        },
-        16,
+    assert_eq!(
+        drain_reference(split(&splits), 16),
+        oneshot,
+        "record-boundary splits diverged"
     );
-    assert_eq!(split_all, oneshot, "record-boundary splits diverged");
+    assert_eq!(
+        drain_fast(split(&splits), 16),
+        oneshot,
+        "fast, record-boundary splits diverged"
+    );
     // …and a sparser variant splits at the header plus every 3rd record.
     let sparse: Vec<usize> = splits.iter().copied().step_by(3).collect();
-    let split_sparse = drain_btrt(
-        BoundarySplitReader {
-            data: &buf,
-            pos: 0,
-            splits: sparse,
-        },
-        16,
+    assert_eq!(
+        drain_reference(split(&sparse), 16),
+        oneshot,
+        "sparse boundary splits diverged"
     );
-    assert_eq!(split_sparse, oneshot, "sparse boundary splits diverged");
+    assert_eq!(
+        drain_fast(split(&sparse), 16),
+        oneshot,
+        "fast, sparse boundary splits diverged"
+    );
 }
 
 #[test]
@@ -262,10 +279,12 @@ fn interrupted_mid_stream_reads_are_bit_identical() {
     let trace = adversarial_trace();
     let mut buf = Vec::new();
     binary::write_trace(&mut buf, &trace).unwrap();
-    let oneshot = drain_btrt(buf.as_slice(), 16);
+    let oneshot = drain_reference(buf.as_slice(), 16);
     for max in [1usize, 2, 7] {
-        let interrupted = drain_btrt(InterruptingReader::new(&buf, max), 16);
+        let interrupted = drain_reference(InterruptingReader::new(&buf, max), 16);
         assert_eq!(interrupted, oneshot, "interrupted max {max} diverged");
+        let fast = drain_fast(InterruptingReader::new(&buf, max), 16);
+        assert_eq!(fast, oneshot, "fast, interrupted max {max} diverged");
     }
     // The text decode path tolerates interrupts identically.
     let mut text_buf = Vec::new();
@@ -287,7 +306,7 @@ fn truncated_interrupted_streams_still_surface_the_typed_error() {
     binary::write_trace(&mut buf, &trace).unwrap();
     buf.truncate(buf.len() - 1);
     let mut reader =
-        ChunkedTraceReader::btrt(InterruptingReader::new(&buf, 1), 16).expect("header decodes");
+        FastBtrtReader::new(InterruptingReader::new(&buf, 1), 16).expect("header decodes");
     let err = (&mut reader)
         .filter_map(|c| c.err())
         .next()
@@ -306,10 +325,10 @@ proptest! {
     ) {
         let mut buf = Vec::new();
         binary::write_trace(&mut buf, &trace).unwrap();
-        let oneshot = drain_btrt(buf.as_slice(), 7);
-        let trickled = drain_btrt(TrickleReader { data: &buf, max }, 7);
+        let oneshot = drain_reference(buf.as_slice(), 7);
+        let trickled = drain_reference(TrickleReader { data: &buf, max }, 7);
         prop_assert_eq!(&trickled, &oneshot);
-        let interrupted = drain_btrt(InterruptingReader::new(&buf, max), 7);
+        let interrupted = drain_reference(InterruptingReader::new(&buf, max), 7);
         prop_assert_eq!(&interrupted, &oneshot);
         let fast_trickled = drain_fast(TrickleReader { data: &buf, max }, 7);
         prop_assert_eq!(&fast_trickled, &oneshot);
@@ -323,13 +342,14 @@ proptest! {
     fn chunked_btrt_is_bit_identical_to_read_binary(trace in arb_trace()) {
         let mut buf = Vec::new();
         binary::write_trace(&mut buf, &trace).unwrap();
-        let eager = binary::read_trace(&mut buf.as_slice()).unwrap();
+        let eager = btrt_reference::read_trace(buf.as_slice()).unwrap();
         prop_assert_eq!(eager.records(), trace.records());
+        let header = btrt_reference::RecordReader::new(buf.as_slice()).unwrap();
+        prop_assert_eq!(header.declared_count(), trace.len() as u64);
         let eager_interned = eager.intern();
         for chunk_records in CHUNK_SIZES {
-            let reader = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
+            let reader = btrt_reference::chunked(buf.as_slice(), chunk_records).unwrap();
             prop_assert_eq!(reader.metadata(), eager.metadata());
-            prop_assert_eq!(reader.declared_count(), Some(trace.len() as u64));
             let (lens, conditional, _) = drain(reader);
             prop_assert_eq!(lens.iter().sum::<usize>(), eager.len(), "chunk size {}", chunk_records);
             prop_assert_eq!(conditional.view(), eager_interned.records(), "chunk size {}", chunk_records);
@@ -345,7 +365,7 @@ proptest! {
         binary::write_trace(&mut buf, &trace).unwrap();
         let eager = trace.intern();
         for chunk_records in CHUNK_SIZES {
-            let reader = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
+            let reader = btrt_reference::chunked(buf.as_slice(), chunk_records).unwrap();
             let (_, conditional, addrs) = drain(reader);
             prop_assert_eq!(conditional.view(), eager.records(), "chunk size {}", chunk_records);
             prop_assert_eq!(addrs.as_slice(), eager.addrs(), "chunk size {}", chunk_records);
@@ -359,7 +379,7 @@ proptest! {
     fn chunked_text_is_bit_identical_to_read_text(trace in arb_trace()) {
         let mut buf = Vec::new();
         text::write_trace(&mut buf, &trace).unwrap();
-        let eager = text::read_trace(&mut buf.as_slice()).unwrap();
+        let eager = support::read_text(buf.as_slice()).unwrap();
         let eager_interned = eager.intern();
         for chunk_records in CHUNK_SIZES {
             let reader = ChunkedTraceReader::text(buf.as_slice(), chunk_records);
@@ -377,17 +397,25 @@ proptest! {
     ) {
         let mut buf = Vec::new();
         binary::write_trace(&mut buf, &trace).unwrap();
-        let reader = ChunkedTraceReader::btrt(buf.as_slice(), chunk_records).unwrap();
-        let chunks: Vec<_> = reader.map(|c| c.unwrap()).collect();
-        // Every chunk except the last is exactly full.
-        for chunk in chunks.iter().rev().skip(1) {
-            prop_assert_eq!(chunk.len(), chunk_records);
-        }
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        prop_assert_eq!(total, trace.len());
-        if let Some(last) = chunks.last() {
-            prop_assert!(last.len() <= chunk_records);
-            prop_assert!(!last.is_empty());
+        let reference: Vec<TraceChunk> = btrt_reference::chunked(buf.as_slice(), chunk_records)
+            .unwrap()
+            .map(|c| c.unwrap())
+            .collect();
+        let fast: Vec<TraceChunk> = FastBtrtReader::new(buf.as_slice(), chunk_records)
+            .unwrap()
+            .map(|c| c.unwrap())
+            .collect();
+        for chunks in [reference, fast] {
+            // Every chunk except the last is exactly full.
+            for chunk in chunks.iter().rev().skip(1) {
+                prop_assert_eq!(chunk.len(), chunk_records);
+            }
+            let total: usize = chunks.iter().map(|c| c.len()).sum();
+            prop_assert_eq!(total, trace.len());
+            if let Some(last) = chunks.last() {
+                prop_assert!(last.len() <= chunk_records);
+                prop_assert!(!last.is_empty());
+            }
         }
     }
 }

@@ -1,12 +1,12 @@
 //! Trace tools: build a branch trace from the structured CFG program model,
-//! round-trip it through the binary and text formats, and inspect it with the
-//! stream adapters.
+//! round-trip it through the binary and text formats, and inspect it with
+//! std's iterator adapters.
 //!
 //! Run with: `cargo run --release --example trace_tools`
 
 use btr::prelude::*;
-use btr_trace::filter::RecordStreamExt;
 use btr_trace::io::{binary, text};
+use btr_trace::{FastBtrtReader, InternedTrace, DEFAULT_CHUNK_RECORDS};
 use btr_workloads::cfg::{CfgBuilder, Condition};
 use std::error::Error;
 
@@ -35,8 +35,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Round-trip through both serialization formats.
     let mut binary_bytes = Vec::new();
     binary::write_trace(&mut binary_bytes, &trace)?;
-    let reread = binary::read_trace(&mut binary_bytes.as_slice())?;
-    assert_eq!(reread.records(), trace.records());
+    let mut reader = FastBtrtReader::new(binary_bytes.as_slice(), DEFAULT_CHUNK_RECORDS)?;
+    let reread = InternedTrace::from_chunks(&mut reader)?;
+    assert_eq!(reader.metadata(), trace.metadata());
+    assert_eq!(reread, trace.intern());
     println!(
         "binary format: {} bytes ({:.2} bytes/record)",
         binary_bytes.len(),
@@ -47,14 +49,13 @@ fn main() -> Result<(), Box<dyn Error>> {
     text::write_trace(&mut text_bytes, &trace)?;
     println!("text format:   {} bytes", text_bytes.len());
 
-    // Stream adapters: sample the conditional branches in a window.
+    // Sample the conditional branches in a window, one in a hundred.
     let sampled: Vec<_> = trace
         .records()
         .iter()
-        .copied()
-        .conditional_only()
-        .windowed(0, 10_000)
-        .sampled(100)
+        .filter(|r| r.kind().is_conditional())
+        .take(10_000)
+        .step_by(100)
         .collect();
     println!(
         "sampled {} records from the first 10k (1 in 100)",

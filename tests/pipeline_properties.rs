@@ -4,6 +4,7 @@
 use btr::prelude::*;
 use btr_core::rates::TakenRate;
 use btr_trace::io::binary;
+use btr_trace::{DenseTraceStats, FastBtrtReader, InternedTrace, DEFAULT_CHUNK_RECORDS};
 use btr_workloads::cell::{CellTarget, JointCell};
 use btr_workloads::generator::{StaticBranchSpec, WorkloadGenerator};
 use proptest::prelude::*;
@@ -90,8 +91,9 @@ proptest! {
         prop_assert!(analysis.misclassified_gas >= -1e-9);
     }
 
-    /// A generated trace survives a binary round-trip bit-for-bit, and the
-    /// profile computed after the round trip matches the original.
+    /// A generated trace survives a binary round-trip through the production
+    /// decoder: same metadata, same interned conditional stream, and the
+    /// profile of the decoded stream's statistics matches the original.
     #[test]
     fn generated_traces_roundtrip_through_the_binary_format((seed, specs) in arb_workload()) {
         prop_assume!(!specs.is_empty());
@@ -102,10 +104,16 @@ proptest! {
         let trace = generator.generate();
         let mut bytes = Vec::new();
         binary::write_trace(&mut bytes, &trace).unwrap();
-        let reread = binary::read_trace(&mut bytes.as_slice()).unwrap();
-        prop_assert_eq!(reread.records(), trace.records());
+        let mut reader = FastBtrtReader::new(bytes.as_slice(), DEFAULT_CHUNK_RECORDS).unwrap();
+        let reread = InternedTrace::from_chunks(&mut reader).unwrap();
+        prop_assert_eq!(reader.metadata(), trace.metadata());
+        prop_assert_eq!(reread, trace.intern());
+        let mut stats = DenseTraceStats::new();
+        for chunk in FastBtrtReader::new(bytes.as_slice(), DEFAULT_CHUNK_RECORDS).unwrap() {
+            stats.observe_chunk(&chunk.unwrap());
+        }
         let original = ProgramProfile::from_trace(&trace);
-        let restored = ProgramProfile::from_trace(&reread);
+        let restored = ProgramProfile::from_stats(&stats.into_trace_stats());
         prop_assert_eq!(original, restored);
     }
 
