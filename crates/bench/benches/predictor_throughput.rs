@@ -89,7 +89,7 @@ fn bench_predictors(c: &mut Criterion) {
     // over an interned trace.
     let trace = synthetic_trace(200_000);
     let interned = trace.intern();
-    let records = trace.conditional_records().len() as u64;
+    let records = interned.len() as u64;
     let engine = SimEngine::new();
     let mut group = c.benchmark_group("sim_engine_path");
     group.sample_size(10);

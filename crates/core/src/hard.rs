@@ -3,7 +3,7 @@
 
 use crate::class::{BinningScheme, ClassId};
 use crate::profile::ProgramProfile;
-use btr_trace::{BranchAddr, Trace};
+use btr_trace::BranchAddr;
 use std::collections::BTreeSet;
 
 /// Which joint classes count as "hard to predict".
@@ -117,21 +117,23 @@ pub struct DistanceHistogram {
 }
 
 impl DistanceHistogram {
-    /// Measures the histogram over a trace.
+    /// Measures the histogram over a conditional address column: the
+    /// addresses of a stream's conditional branches in execution order
+    /// (an interned trace's `records().addrs()`).
     ///
     /// # Panics
     ///
     /// Panics if `max_distance` is zero.
-    pub fn from_trace(trace: &Trace, hard: &HardBranchSet, max_distance: usize) -> Self {
+    fn from_addrs(addrs: &[BranchAddr], hard: &HardBranchSet, max_distance: usize) -> Self {
         assert!(max_distance > 0, "max distance must be positive");
         let mut counts = vec![0u64; max_distance];
         let mut total = 0u64;
         let mut since_last: Option<usize> = None;
-        for record in trace.conditional_records() {
+        for &addr in addrs {
             if let Some(d) = since_last.as_mut() {
                 *d += 1;
             }
-            if hard.contains(record.addr()) {
+            if hard.contains(addr) {
                 if let Some(distance) = since_last {
                     let bucket = distance.min(max_distance) - 1;
                     counts[bucket] += 1;
@@ -148,8 +150,8 @@ impl DistanceHistogram {
     }
 
     /// The paper's 8-bucket histogram (distances 1–7 and "8+").
-    pub fn paper_buckets(trace: &Trace, hard: &HardBranchSet) -> Self {
-        DistanceHistogram::from_trace(trace, hard, 8)
+    pub fn paper_buckets(addrs: &[BranchAddr], hard: &HardBranchSet) -> Self {
+        DistanceHistogram::from_addrs(addrs, hard, 8)
     }
 
     /// Total number of hard-branch pairs measured.
@@ -198,7 +200,10 @@ impl DistanceHistogram {
 mod tests {
     use super::*;
     use crate::profile::BranchProfile;
-    use btr_trace::{BranchRecord, Outcome, TraceBuilder};
+
+    fn column(raw: &[u64]) -> Vec<BranchAddr> {
+        raw.iter().copied().map(BranchAddr::new).collect()
+    }
 
     fn hard_set_for(addrs: &[u64], total_dynamic: u64) -> HardBranchSet {
         HardBranchSet {
@@ -244,20 +249,12 @@ mod tests {
         // Distances: 3, 1, 6.
         let hard_addr = 0x100;
         let easy_addr = 0x200;
-        let mut b = TraceBuilder::new("hist");
-        let order = [
+        let addrs = column(&[
             hard_addr, easy_addr, easy_addr, hard_addr, hard_addr, easy_addr, easy_addr, easy_addr,
             easy_addr, easy_addr, hard_addr,
-        ];
-        for addr in order {
-            b.push(BranchRecord::conditional(
-                BranchAddr::new(addr),
-                Outcome::Taken,
-            ));
-        }
-        let trace = b.build();
-        let hard = hard_set_for(&[hard_addr], trace.conditional_count());
-        let hist = DistanceHistogram::paper_buckets(&trace, &hard);
+        ]);
+        let hard = hard_set_for(&[hard_addr], addrs.len() as u64);
+        let hist = DistanceHistogram::paper_buckets(&addrs, &hard);
         assert_eq!(hist.total(), 3);
         assert_eq!(hist.count_at(3), 1);
         assert_eq!(hist.count_at(1), 1);
@@ -271,24 +268,12 @@ mod tests {
     #[test]
     fn long_gaps_pool_into_the_last_bucket() {
         let hard_addr = 0x100;
-        let mut b = TraceBuilder::new("hist");
-        b.push(BranchRecord::conditional(
-            BranchAddr::new(hard_addr),
-            Outcome::Taken,
-        ));
-        for i in 0..20u64 {
-            b.push(BranchRecord::conditional(
-                BranchAddr::new(0x200 + i * 4),
-                Outcome::Taken,
-            ));
-        }
-        b.push(BranchRecord::conditional(
-            BranchAddr::new(hard_addr),
-            Outcome::Taken,
-        ));
-        let trace = b.build();
-        let hard = hard_set_for(&[hard_addr], trace.conditional_count());
-        let hist = DistanceHistogram::paper_buckets(&trace, &hard);
+        let mut raw = vec![hard_addr];
+        raw.extend((0..20u64).map(|i| 0x200 + i * 4));
+        raw.push(hard_addr);
+        let addrs = column(&raw);
+        let hard = hard_set_for(&[hard_addr], addrs.len() as u64);
+        let hist = DistanceHistogram::paper_buckets(&addrs, &hard);
         assert_eq!(hist.total(), 1);
         assert_eq!(hist.count_at(8), 1);
         assert!((hist.percent_at(8) - 100.0).abs() < 1e-9);
@@ -296,19 +281,19 @@ mod tests {
 
     #[test]
     fn empty_or_singleton_traces_have_no_pairs() {
-        let trace = TraceBuilder::new("empty").build();
         let hard = hard_set_for(&[0x100], 0);
-        let hist = DistanceHistogram::paper_buckets(&trace, &hard);
+        let hist = DistanceHistogram::paper_buckets(&[], &hard);
         assert_eq!(hist.total(), 0);
         assert_eq!(hist.percent_at(1), 0.0);
         assert_eq!(hist.percent_closer_than(8), 0.0);
+        let single = DistanceHistogram::paper_buckets(&column(&[0x100]), &hard);
+        assert_eq!(single.total(), 0);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_max_distance_rejected() {
-        let trace = TraceBuilder::new("x").build();
         let hard = HardBranchSet::default();
-        let _ = DistanceHistogram::from_trace(&trace, &hard, 0);
+        let _ = DistanceHistogram::from_addrs(&[], &hard, 0);
     }
 }

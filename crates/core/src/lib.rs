@@ -28,7 +28,7 @@
 //!     builder.push(BranchRecord::conditional(addr, Outcome::from_bool(i % 2 == 0)));
 //! }
 //! let trace = builder.build();
-//! let profile = ProgramProfile::from_trace(&trace);
+//! let profile = ProgramProfile::from_interned(&trace.intern());
 //! let branch = profile.branch(addr).unwrap();
 //! // A perfectly alternating branch: ~50% taken but ~100% transitions.
 //! assert_eq!(branch.taken_class(BinningScheme::Paper11).unwrap().index(), 5);

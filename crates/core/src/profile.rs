@@ -3,7 +3,7 @@
 
 use crate::class::{BinningScheme, ClassId};
 use crate::rates::{TakenRate, TransitionRate};
-use btr_trace::{BranchAddr, Trace, TraceStats};
+use btr_trace::{BranchAddr, InternedTrace, TraceStats};
 use btr_wire::{MapBuilder, Value, Wire, WireError};
 use std::collections::BTreeMap;
 
@@ -97,9 +97,10 @@ impl ProgramProfile {
         ProgramProfile::default()
     }
 
-    /// Profiles a trace (conditional branches only).
-    pub fn from_trace(trace: &Trace) -> Self {
-        Self::from_stats(trace.stats())
+    /// Profiles an interned trace's conditional stream with one
+    /// [`TraceStats::from_interned`] fold over its columns.
+    pub fn from_interned(trace: &InternedTrace) -> Self {
+        Self::from_stats(&TraceStats::from_interned(trace))
     }
 
     /// Profiles pre-accumulated trace statistics.
@@ -357,7 +358,7 @@ mod tests {
             builder.push(BranchRecord::conditional(b, Outcome::Taken));
         }
         let trace = builder.build();
-        let profile = ProgramProfile::from_trace(&trace);
+        let profile = ProgramProfile::from_interned(&trace.intern());
         assert_eq!(profile.static_count(), 2);
         assert_eq!(profile.total_dynamic(), 7);
         let pa = profile.branch(a).unwrap();

@@ -94,7 +94,7 @@ impl ServeError {
     /// Classifies a trace-decode failure: client-caused malformations become
     /// 422s, a static-branch budget breach a 413, transport failures go
     /// through [`ServeError::from_io`].
-    pub fn from_trace(e: TraceError) -> ServeError {
+    fn from_trace(e: TraceError) -> ServeError {
         match e {
             TraceError::Io(io) => ServeError::from_io(io),
             TraceError::StaticBranchBudget { limit } => ServeError::BudgetExceeded {

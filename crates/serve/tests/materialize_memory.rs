@@ -119,7 +119,7 @@ fn materialize_peak_heap_per_conditional_record_is_bounded() {
     assert_eq!(*materialized.interned, trace.intern());
     assert_eq!(
         materialized.profile,
-        ProgramProfile::from_stats(trace.stats())
+        ProgramProfile::from_interned(&trace.intern())
     );
 
     // The stated bound: three copies of the 13 B column footprint per

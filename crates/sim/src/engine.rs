@@ -615,7 +615,7 @@ mod tests {
     fn run_dyn(engine: SimEngine, trace: &Trace, predictor: &mut dyn BranchPredictor) -> RunResult {
         let mut result = RunResult::default();
         let mut seen = 0u64;
-        for record in trace.conditional_records() {
+        for record in trace.iter().filter(|r| r.kind().is_conditional()) {
             let hit = predictor.predict(record.addr()) == record.outcome();
             predictor.update(record.addr(), record.outcome());
             seen += 1;

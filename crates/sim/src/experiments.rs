@@ -1,9 +1,9 @@
 //! One function per table / figure of the paper.
 //!
-//! Every experiment takes the shared [`SuiteData`] (generated traces, merged
-//! profile, PAs and GAs history sweeps) and returns structured data plus a
-//! printable rendering, so the same code backs the unit tests, the Criterion
-//! benches and the `reproduce` binary.
+//! Every experiment takes the shared [`SuiteData`] (the suite's interned
+//! columns, merged profile, PAs and GAs history sweeps) and returns
+//! structured data plus a printable rendering, so the same code backs the
+//! unit tests, the Criterion benches and the `reproduce` binary.
 
 use crate::config::PredictorFamily;
 use crate::engine::{column_sums, SimEngine};
@@ -25,7 +25,7 @@ use btr_predictors::gshare::GsharePredictor;
 use btr_predictors::hybrid::McFarlingHybrid;
 use btr_predictors::predictor::BranchPredictor;
 use btr_predictors::twolevel::TwoLevelPredictor;
-use btr_trace::{InternedTrace, Trace};
+use btr_trace::InternedTrace;
 use btr_workloads::spec::{Benchmark, SuiteConfig};
 use btr_workloads::table2::{
     PAPER_MISCLASSIFIED_GAS, PAPER_MISCLASSIFIED_PAS, PAPER_TAKEN_EASY_COVERAGE,
@@ -90,23 +90,22 @@ impl ExperimentContext {
         self
     }
 
-    /// Generates traces and runs both sweeps, producing the shared data every
-    /// experiment consumes. Traces are interned once and shared by the PAs
+    /// Generates the suite and runs both sweeps, producing the shared data
+    /// every experiment consumes. Each benchmark is generated, interned and
+    /// profiled in one pool task, and only its columns are kept
+    /// ([`SuiteRunner::intern_suite`]). The columns are shared by the PAs
     /// and GAs sweeps, which run on the work-stealing grid as one *fused*
     /// multi-history task per benchmark — every history-curve figure
-    /// (fig3/fig4, fig9–12, …) is backed by a single trace pass per
-    /// benchmark per family, bit-identical to the per-history runs.
+    /// (fig3/fig4, fig9–12, …) is backed by a single pass per benchmark per
+    /// family, bit-identical to the per-history runs.
     pub fn prepare(&self) -> SuiteData {
         let runner = SuiteRunner::new(self.suite)
             .with_benchmarks(self.benchmarks.clone())
             .with_threads(self.threads);
-        let traces = runner.generate_traces();
-        let profile = SuiteRunner::merged_profile(&traces);
-        let interned = runner.intern_traces(&traces);
+        let (interned, profile) = runner.intern_suite();
         let pas = runner.run_sweep_interned(&interned, PredictorFamily::PAs, &self.histories);
         let gas = runner.run_sweep_interned(&interned, PredictorFamily::GAs, &self.histories);
         SuiteData {
-            traces,
             interned,
             profile,
             pas,
@@ -115,12 +114,11 @@ impl ExperimentContext {
     }
 }
 
-/// Traces, profile and sweeps shared by all experiments.
+/// Columns, profile and sweeps shared by all experiments.
 #[derive(Debug, Clone)]
 pub struct SuiteData {
-    /// One generated trace per benchmark, in Table 1 order.
-    pub traces: Vec<Trace>,
-    /// The same traces interned (dense static-branch ids), in the same order.
+    /// One interned trace (conditional columns with dense static-branch ids)
+    /// per benchmark, in Table 1 order.
     pub interned: Vec<InternedTrace>,
     /// Merged per-branch profile of the whole suite.
     pub profile: ProgramProfile,
@@ -135,12 +133,12 @@ pub fn table1(ctx: &ExperimentContext, data: &SuiteData) -> (Vec<(String, u64, u
     let rows: Vec<(String, u64, u64)> = ctx
         .benchmarks
         .iter()
-        .zip(&data.traces)
+        .zip(&data.interned)
         .map(|(bench, trace)| {
             (
                 bench.label(),
                 bench.paper_dynamic_branches,
-                trace.conditional_count(),
+                trace.len() as u64,
             )
         })
         .collect();
@@ -373,12 +371,12 @@ pub fn fig15(
 ) -> (Vec<(String, DistanceHistogram)>, String) {
     let mut rows = Vec::new();
     let mut table_rows = Vec::new();
-    for trace in &data.traces {
-        let profile = ProgramProfile::from_trace(trace);
+    for (bench, trace) in ctx.benchmarks.iter().zip(&data.interned) {
+        let profile = ProgramProfile::from_interned(trace);
         let hard =
             HardBranchSet::from_profile(&profile, ctx.scheme, HardBranchCriteria::paper_5_5());
-        let hist = DistanceHistogram::paper_buckets(trace, &hard);
-        let label = trace.metadata().label();
+        let hist = DistanceHistogram::paper_buckets(trace.records().addrs(), &hard);
+        let label = bench.label();
         let mut row = vec![label.clone()];
         row.extend(hist.percentages().iter().map(|p| format!("{p:.1}")));
         table_rows.push(row);
@@ -504,26 +502,20 @@ pub fn ablation_confidence(
         ("jacobsen one-level".to_string(), ConfidenceStats::new()),
         ("jacobsen two-level".to_string(), ConfidenceStats::new()),
     ];
-    for trace in &data.traces {
+    for trace in &data.interned {
         let mut predictor = TwoLevelPredictor::gas_paper(8);
-        // Re-run the trace record by record so each estimator sees the same
-        // correctness stream the predictor produces. The estimators carry
-        // their tables from one trace to the next, so this stays sequential.
-        for record in trace.conditional_records() {
-            let correct = predictor.predict(record.addr()) == record.outcome();
-            predictor.update(record.addr(), record.outcome());
-            stats[0]
-                .1
-                .record(class_based.estimate(record.addr()), correct);
-            class_based.update(record.addr(), correct);
-            stats[1]
-                .1
-                .record(one_level.estimate(record.addr()), correct);
-            one_level.update(record.addr(), correct);
-            stats[2]
-                .1
-                .record(two_level.estimate(record.addr()), correct);
-            two_level.update(record.addr(), correct);
+        // Re-run the columns record by record so each estimator sees the
+        // same correctness stream the predictor produces (`access` is
+        // predict-then-update). The estimators carry their tables from one
+        // trace to the next, so this stays sequential.
+        for (addr, _, outcome) in trace.records().iter() {
+            let correct = predictor.access(addr, outcome);
+            stats[0].1.record(class_based.estimate(addr), correct);
+            class_based.update(addr, correct);
+            stats[1].1.record(one_level.estimate(addr), correct);
+            one_level.update(addr, correct);
+            stats[2].1.record(two_level.estimate(addr), correct);
+            two_level.update(addr, correct);
         }
     }
     let rows: Vec<Vec<String>> = stats
@@ -573,7 +565,7 @@ mod tests {
     #[test]
     fn quick_context_prepares_consistent_data() {
         let (ctx, data) = quick_data();
-        assert_eq!(data.traces.len(), ctx.benchmarks.len());
+        assert_eq!(data.interned.len(), ctx.benchmarks.len());
         assert!(data.profile.total_dynamic() > 0);
         assert_eq!(data.pas.history_lengths(), ctx.histories);
         assert_eq!(data.gas.history_lengths(), ctx.histories);

@@ -1,21 +1,19 @@
 //! Multi-threaded execution of the full benchmark suite.
 //!
-//! Earlier revisions parallelised with `std::thread::scope` plus a
-//! mutex-guarded shared work index, and split sweeps by history length only —
-//! so a sweep over fewer history lengths than cores left threads idle. A
-//! later revision flattened sweeps into a (benchmark × history) grid on a
-//! vendored work-stealing pool ([`stealpool`]); the grid dimension is now
-//! (benchmark × **1 fused task**): each task simulates every history length
-//! of the sweep from a single trace pass
-//! ([`crate::engine::SimEngine::run_fused`]), so the whole history curve of
-//! a benchmark costs one traversal instead of `histories.len()`. Per-task
-//! partial results are still merged deterministically by benchmark index.
+//! Everything runs on a vendored work-stealing pool ([`stealpool`]).
+//! Preparing the suite is one task per benchmark: generate, intern, drop the
+//! rows, fold the profile from the columns
+//! ([`SuiteRunner::intern_suite`]). A sweep is a (benchmark × history-group)
+//! grid whose every task is one [`SimEngine::run_batch`] lane, simulating
+//! all the group's history lengths in a single pass over the benchmark's
+//! columns ([`SuiteRunner::run_sweep_interned`]). Per-task results merge
+//! deterministically in benchmark order.
 
 use crate::config::PredictorFamily;
 use crate::engine::{BatchLane, RunResult, SimEngine};
 use crate::sweep::SweepResult;
 use btr_core::profile::ProgramProfile;
-use btr_trace::{InternedTrace, Trace};
+use btr_trace::InternedTrace;
 use btr_workloads::spec::{Benchmark, SuiteConfig};
 use stealpool::WorkStealingPool;
 
@@ -74,38 +72,33 @@ impl SuiteRunner {
         WorkStealingPool::new(self.threads)
     }
 
-    /// Generates every benchmark trace, in parallel, in benchmark order.
+    /// Generates, interns and profiles every benchmark, one pool task each:
+    /// the task generates the benchmark's rows, interns them, drops the rows
+    /// and folds the benchmark's profile from the columns
+    /// ([`ProgramProfile::from_interned`]). So beside the columns the suite
+    /// keeps, each worker holds at most one benchmark's rows at a time.
     ///
-    /// Each trace's [`Trace::stats`] are computed on the pool too: a trace
-    /// computes them on first read, and the suite reads them next
-    /// ([`SuiteRunner::merged_profile`]), which would otherwise pay for every
-    /// trace on one thread.
-    pub fn generate_traces(&self) -> Vec<Trace> {
-        self.pool().run(self.benchmarks.clone(), |_, bench| {
-            let trace = bench.generate(&self.config);
-            trace.stats();
-            trace
-        })
-    }
-
-    /// Interns every trace (dense static-branch ids) in parallel, preserving
-    /// order. Interning once per sweep amortises the pass across all
-    /// (family × history) simulations of the sweep.
-    pub fn intern_traces(&self, traces: &[Trace]) -> Vec<InternedTrace> {
-        self.pool().run(traces.iter().collect(), |_, t| t.intern())
-    }
-
-    /// Builds the merged suite profile from generated traces.
-    pub fn merged_profile(traces: &[Trace]) -> ProgramProfile {
+    /// Returns the interned traces in benchmark order and the suite profile,
+    /// the per-benchmark profiles merged in that same order.
+    pub fn intern_suite(&self) -> (Vec<InternedTrace>, ProgramProfile) {
+        let tasks = self.pool().run(self.benchmarks.clone(), |_, bench| {
+            let interned = bench.generate(&self.config).intern();
+            let profile = ProgramProfile::from_interned(&interned);
+            (interned, profile)
+        });
         let mut profile = ProgramProfile::new();
-        for trace in traces {
-            profile.merge(&ProgramProfile::from_trace(trace));
-        }
-        profile
+        let traces = tasks
+            .into_iter()
+            .map(|(interned, part)| {
+                profile.merge(&part);
+                interned
+            })
+            .collect();
+        (traces, profile)
     }
 
     /// Sweeps one predictor family over the given history lengths for all
-    /// interned traces (see [`SuiteRunner::intern_traces`]). Every benchmark
+    /// interned traces (see [`SuiteRunner::intern_suite`]). Every benchmark
     /// uses fresh predictor state per history length, exactly as the
     /// sequential [`crate::sweep::HistorySweep`] does.
     ///
@@ -192,11 +185,15 @@ mod tests {
     #[test]
     fn traces_are_generated_for_every_benchmark_in_order() {
         let runner = tiny_runner();
-        let traces = runner.generate_traces();
-        assert_eq!(traces.len(), 2);
-        assert_eq!(traces[0].metadata().benchmark, "compress");
-        assert_eq!(traces[1].metadata().benchmark, "li");
-        assert!(traces.iter().all(|t| t.conditional_count() > 0));
+        let (interned, _) = runner.intern_suite();
+        assert_eq!(interned.len(), 2);
+        for (bench, columns) in runner.benchmarks().iter().zip(&interned) {
+            assert_eq!(
+                columns.len() as u64,
+                bench.generate(runner.config()).conditional_count()
+            );
+            assert!(!columns.is_empty());
+        }
         assert_eq!(runner.benchmarks().len(), 2);
         assert_eq!(runner.config().seed, 3);
     }
@@ -204,40 +201,34 @@ mod tests {
     #[test]
     fn parallel_generation_matches_sequential_generation() {
         let runner = tiny_runner();
-        let parallel = runner.generate_traces();
-        let sequential: Vec<Trace> = runner
-            .benchmarks()
-            .iter()
-            .map(|b| b.generate(runner.config()))
-            .collect();
-        for (p, s) in parallel.iter().zip(&sequential) {
-            assert_eq!(p.records(), s.records());
-        }
+        let (parallel, _) = runner.intern_suite();
+        let (sequential, _) = runner.clone().with_threads(1).intern_suite();
+        assert_eq!(parallel, sequential);
     }
 
     #[test]
     fn interning_preserves_trace_order() {
         let runner = tiny_runner();
-        let traces = runner.generate_traces();
-        let interned = runner.intern_traces(&traces);
-        assert_eq!(interned.len(), traces.len());
-        for (t, i) in traces.iter().zip(&interned) {
-            assert_eq!(i.len() as u64, t.conditional_count());
-            assert_eq!(i.static_count(), t.static_conditional_count());
+        let (interned, _) = runner.intern_suite();
+        for (bench, i) in runner.benchmarks().iter().zip(&interned) {
+            let trace = bench.generate(runner.config());
+            assert_eq!(i, &trace.intern());
+            assert_eq!(i.static_count(), trace.static_conditional_count());
         }
     }
 
     #[test]
     fn parallel_sweep_matches_sequential_sweep() {
         let runner = tiny_runner();
-        let traces = runner.generate_traces();
-        let refs: Vec<&Trace> = traces.iter().collect();
+        let traces: Vec<_> = runner
+            .benchmarks()
+            .iter()
+            .map(|b| b.generate(runner.config()))
+            .collect();
+        let refs: Vec<_> = traces.iter().collect();
         let histories = vec![0, 2, 4];
-        let parallel = runner.run_sweep_interned(
-            &runner.intern_traces(&traces),
-            PredictorFamily::PAs,
-            &histories,
-        );
+        let parallel =
+            runner.run_sweep_interned(&runner.intern_suite().0, PredictorFamily::PAs, &histories);
         let sequential = HistorySweep::new(PredictorFamily::PAs, histories.clone()).run(&refs);
         assert_eq!(
             parallel, sequential,
@@ -248,11 +239,15 @@ mod tests {
     #[test]
     fn merged_profile_covers_all_traces() {
         let runner = tiny_runner();
-        let traces = runner.generate_traces();
-        let profile = SuiteRunner::merged_profile(&traces);
-        let total: u64 = traces.iter().map(|t| t.conditional_count()).sum();
+        let (interned, profile) = runner.intern_suite();
+        let total: u64 = interned.iter().map(|t| t.len() as u64).sum();
         assert_eq!(profile.total_dynamic(), total);
         assert!(profile.static_count() > 0);
+        let mut merged = ProgramProfile::new();
+        for trace in &interned {
+            merged.merge(&ProgramProfile::from_interned(trace));
+        }
+        assert_eq!(profile, merged);
     }
 
     #[test]

@@ -430,7 +430,7 @@ mod tests {
     #[test]
     fn alternating_class_prefers_short_history_with_pas() {
         let trace = mixed_trace();
-        let profile = ProgramProfile::from_trace(&trace);
+        let profile = ProgramProfile::from_interned(&trace.intern());
         let sweep = HistorySweep::new(PredictorFamily::PAs, vec![0, 1, 2, 4]);
         let result = sweep.run(&[&trace]);
         let matrix =
@@ -463,7 +463,7 @@ mod tests {
     #[test]
     fn joint_matrix_identifies_the_noisy_branch_as_worst() {
         let trace = mixed_trace();
-        let profile = ProgramProfile::from_trace(&trace);
+        let profile = ProgramProfile::from_interned(&trace.intern());
         let sweep = HistorySweep::new(PredictorFamily::GAs, vec![0, 4, 8]);
         let result = sweep.run(&[&trace]);
         let joint = result.joint_miss_matrix(&profile, BinningScheme::Paper11);

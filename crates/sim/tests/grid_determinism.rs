@@ -1,10 +1,13 @@
 //! Determinism guarantees of the work-stealing sweep grid (one fused
 //! multi-history task per benchmark): whatever the thread count or task
 //! schedule, the parallel sweep must equal the sequential [`HistorySweep`]
-//! bit for bit. (Both run the fused engine path; its bit-identity to the
-//! per-history dispatch runs is pinned separately by `fused_equivalence.rs`.)
+//! bit for bit, and [`ExperimentContext::prepare`] must hand every
+//! experiment the same [`SuiteData`]. (Both sweeps run the fused engine
+//! path; its bit-identity to the per-history dispatch runs is pinned
+//! separately by `fused_equivalence.rs`.)
 
 use btr_sim::config::PredictorFamily;
+use btr_sim::experiments::{ExperimentContext, SuiteData};
 use btr_sim::runner::SuiteRunner;
 use btr_sim::sweep::HistorySweep;
 use btr_trace::Trace;
@@ -27,6 +30,15 @@ fn runner_with_threads(threads: usize) -> SuiteRunner {
         .with_threads(threads)
 }
 
+/// The runner's benchmarks generated one by one, in order.
+fn generate(runner: &SuiteRunner) -> Vec<Trace> {
+    runner
+        .benchmarks()
+        .iter()
+        .map(|b| b.generate(runner.config()))
+        .collect()
+}
+
 fn sequential_reference(
     traces: &[Trace],
     family: PredictorFamily,
@@ -41,11 +53,11 @@ fn more_threads_than_histories_matches_sequential_bit_for_bit() {
     // 2 history lengths, 8 threads: the old per-history split would idle six
     // workers; the grid must both use them and stay deterministic.
     let runner = runner_with_threads(8);
-    let traces = runner.generate_traces();
+    let traces = generate(&runner);
+    let (interned, _) = runner.intern_suite();
     let histories = [0u32, 4];
     for family in [PredictorFamily::PAs, PredictorFamily::GAs] {
-        let parallel =
-            runner.run_sweep_interned(&runner.intern_traces(&traces), family, &histories);
+        let parallel = runner.run_sweep_interned(&interned, family, &histories);
         let sequential = sequential_reference(&traces, family, &histories);
         assert_eq!(parallel, sequential, "{} diverged", family.label());
     }
@@ -59,11 +71,11 @@ fn single_benchmark_with_many_threads_matches_sequential_bit_for_bit() {
     let runner = SuiteRunner::new(tiny_config())
         .with_benchmarks(vec![Benchmark::compress()])
         .with_threads(8);
-    let traces = runner.generate_traces();
+    let traces = generate(&runner);
+    let (interned, _) = runner.intern_suite();
     let histories: Vec<u32> = (0..=16).collect();
     for family in [PredictorFamily::PAs, PredictorFamily::GAs] {
-        let parallel =
-            runner.run_sweep_interned(&runner.intern_traces(&traces), family, &histories);
+        let parallel = runner.run_sweep_interned(&interned, family, &histories);
         let sequential = sequential_reference(&traces, family, &histories);
         assert_eq!(parallel, sequential, "{} diverged", family.label());
     }
@@ -72,13 +84,10 @@ fn single_benchmark_with_many_threads_matches_sequential_bit_for_bit() {
 #[test]
 fn single_thread_grid_matches_sequential_bit_for_bit() {
     let runner = runner_with_threads(1);
-    let traces = runner.generate_traces();
+    let traces = generate(&runner);
     let histories = [0u32, 1, 2, 8];
-    let parallel = runner.run_sweep_interned(
-        &runner.intern_traces(&traces),
-        PredictorFamily::PAs,
-        &histories,
-    );
+    let parallel =
+        runner.run_sweep_interned(&runner.intern_suite().0, PredictorFamily::PAs, &histories);
     let sequential = sequential_reference(&traces, PredictorFamily::PAs, &histories);
     assert_eq!(parallel, sequential);
 }
@@ -88,14 +97,12 @@ fn empty_benchmark_set_matches_sequential_empty_sweep() {
     let runner = SuiteRunner::new(tiny_config())
         .with_benchmarks(Vec::new())
         .with_threads(4);
-    let traces = runner.generate_traces();
-    assert!(traces.is_empty());
+    let traces = generate(&runner);
+    let (interned, profile) = runner.intern_suite();
+    assert!(traces.is_empty() && interned.is_empty());
+    assert_eq!(profile.total_dynamic(), 0);
     let histories = [0u32, 2];
-    let parallel = runner.run_sweep_interned(
-        &runner.intern_traces(&traces),
-        PredictorFamily::GAs,
-        &histories,
-    );
+    let parallel = runner.run_sweep_interned(&interned, PredictorFamily::GAs, &histories);
     let sequential = sequential_reference(&traces, PredictorFamily::GAs, &histories);
     assert_eq!(parallel, sequential);
     // Both produce one (empty) entry per history length.
@@ -108,21 +115,35 @@ fn grid_results_are_stable_across_thread_counts() {
     let histories = [0u32, 2, 6];
     let reference = {
         let runner = runner_with_threads(1);
-        let traces = runner.generate_traces();
-        runner.run_sweep_interned(
-            &runner.intern_traces(&traces),
-            PredictorFamily::GAs,
-            &histories,
-        )
+        runner.run_sweep_interned(&runner.intern_suite().0, PredictorFamily::GAs, &histories)
     };
     for threads in [2, 3, 5, 16] {
         let runner = runner_with_threads(threads);
-        let traces = runner.generate_traces();
-        let result = runner.run_sweep_interned(
-            &runner.intern_traces(&traces),
-            PredictorFamily::GAs,
-            &histories,
-        );
+        let result =
+            runner.run_sweep_interned(&runner.intern_suite().0, PredictorFamily::GAs, &histories);
         assert_eq!(result, reference, "thread count {threads} diverged");
     }
+}
+
+/// Asserts that two preparations agree on every field.
+fn assert_same_suite(a: &SuiteData, b: &SuiteData) {
+    assert_eq!(a.interned, b.interned);
+    assert_eq!(a.profile, b.profile);
+    assert_eq!(a.pas, b.pas);
+    assert_eq!(a.gas, b.gas);
+}
+
+#[test]
+fn prepared_suite_data_is_stable_across_thread_counts() {
+    let ctx = |threads| ExperimentContext {
+        suite: tiny_config(),
+        benchmarks: vec![Benchmark::compress(), Benchmark::li(), Benchmark::vortex()],
+        histories: vec![0, 2, 6],
+        threads,
+        ..ExperimentContext::quick()
+    };
+    let one = ctx(1).prepare();
+    let three = ctx(3).prepare();
+    assert_same_suite(&three, &one);
+    assert_eq!(one.interned.len(), 3);
 }

@@ -18,13 +18,10 @@ use btr_workloads::spec::{Benchmark, SuiteConfig};
 
 fn suite_traces() -> Vec<Trace> {
     let config = SuiteConfig::default().with_scale(4e-6).with_seed(11);
-    SuiteRunner::new(config)
-        .with_benchmarks(vec![
-            Benchmark::compress(),
-            Benchmark::li(),
-            Benchmark::vortex(),
-        ])
-        .generate_traces()
+    [Benchmark::compress(), Benchmark::li(), Benchmark::vortex()]
+        .iter()
+        .map(|b| b.generate(&config))
+        .collect()
 }
 
 #[test]
@@ -85,8 +82,7 @@ fn grid_runner_sweeps_also_persist_losslessly() {
     let runner = SuiteRunner::new(config)
         .with_benchmarks(vec![Benchmark::compress(), Benchmark::li()])
         .with_threads(2);
-    let traces = runner.generate_traces();
-    let interned = runner.intern_traces(&traces);
+    let (interned, _) = runner.intern_suite();
     let result = runner.run_sweep_interned(&interned, PredictorFamily::GAs, &[0, 2, 4]);
     assert_eq!(SweepResult::from_btrw(&result.to_btrw()).unwrap(), result);
     assert_eq!(

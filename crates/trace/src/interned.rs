@@ -306,16 +306,17 @@ impl InternedTrace {
         })
     }
 
-    /// Interns a slice of records, all of which must be conditional.
-    pub(crate) fn from_conditional_records(records: &[BranchRecord]) -> Self {
+    /// Interns the conditional records of `records`, in order, skipping
+    /// every other kind; `conditional` is their number, so each column is
+    /// allocated once at its final size.
+    pub(crate) fn from_records(records: &[BranchRecord], conditional: usize) -> Self {
         let mut interner = CachedInterner::new();
         let mut columns = ConditionalColumns {
-            addrs: Vec::with_capacity(records.len()),
-            ids: Vec::with_capacity(records.len()),
-            taken: Vec::with_capacity(records.len()),
+            addrs: Vec::with_capacity(conditional),
+            ids: Vec::with_capacity(conditional),
+            taken: Vec::with_capacity(conditional),
         };
-        for r in records {
-            debug_assert!(r.kind().is_conditional());
+        for r in records.iter().filter(|r| r.kind().is_conditional()) {
             let addr = r.addr();
             columns.push(addr, interner.intern(addr), r.outcome().is_taken());
         }
@@ -401,11 +402,7 @@ mod tests {
         let interned = trace.intern();
         assert_eq!(interned.len(), 100);
         assert!(!interned.is_empty());
-        for (original, (addr, id, outcome)) in trace
-            .conditional_records()
-            .iter()
-            .zip(interned.records().iter())
-        {
+        for (original, (addr, id, outcome)) in trace.iter().zip(interned.records().iter()) {
             assert_eq!(addr, original.addr());
             assert_eq!(outcome, original.outcome());
             assert_eq!(interned.addr_of(id), original.addr());

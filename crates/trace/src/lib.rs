@@ -16,7 +16,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use btr_trace::{BranchAddr, BranchKind, BranchRecord, Outcome, Trace, TraceBuilder};
+//! use btr_trace::{BranchAddr, BranchRecord, Outcome, Trace, TraceBuilder, TraceStats};
 //!
 //! let mut builder = TraceBuilder::new("demo");
 //! let addr = BranchAddr::new(0x4000_1000);
@@ -25,7 +25,9 @@
 //! }
 //! let trace: Trace = builder.build();
 //! assert_eq!(trace.len(), 8);
-//! assert_eq!(trace.stats().total_conditional(), 8);
+//! let stats = TraceStats::from_interned(&trace.intern());
+//! assert_eq!(stats.total_conditional(), 8);
+//! assert_eq!(stats.addr(addr).map(|s| s.transitions()), Some(7));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -11,8 +11,8 @@
 //! execution of a branch can never be a transition, so
 //! `transitions <= executions - 1` always holds for an executed branch.
 
-use crate::interned::ConditionalView;
-use crate::record::{BranchAddr, BranchRecord, Outcome};
+use crate::interned::{ConditionalView, InternedTrace};
+use crate::record::{BranchAddr, Outcome};
 use std::collections::BTreeMap;
 
 /// Raw outcome counts for a single static (per-address) conditional branch.
@@ -25,25 +25,6 @@ pub struct AddrStats {
 }
 
 impl AddrStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        AddrStats::default()
-    }
-
-    /// Records one dynamic execution with the given outcome.
-    pub fn observe(&mut self, outcome: Outcome) {
-        self.executions += 1;
-        if outcome.is_taken() {
-            self.taken += 1;
-        }
-        if let Some(prev) = self.last_outcome {
-            if prev != outcome {
-                self.transitions += 1;
-            }
-        }
-        self.last_outcome = Some(outcome);
-    }
-
     /// Total dynamic executions observed.
     pub fn executions(&self) -> u64 {
         self.executions
@@ -107,22 +88,12 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Creates an empty statistics table.
-    pub fn new() -> Self {
-        TraceStats::default()
-    }
-
-    /// Records one trace record.
-    pub fn observe(&mut self, record: &BranchRecord) {
-        if record.kind().is_conditional() {
-            self.total_conditional += 1;
-            self.per_addr
-                .entry(record.addr())
-                .or_default()
-                .observe(record.outcome());
-        } else {
-            self.total_other += 1;
-        }
+    /// The statistics of an interned trace's conditional stream: one
+    /// [`DenseTraceStats`] fold over its columns, converted once.
+    pub fn from_interned(trace: &InternedTrace) -> Self {
+        let mut dense = DenseTraceStats::new();
+        dense.observe_conditional(trace.records());
+        dense.into_trace_stats()
     }
 
     /// Total number of dynamic conditional branches observed.
@@ -162,10 +133,13 @@ const NO_OUTCOME: u32 = 2;
 /// The most records folded between two flushes, so no `u32` count overflows.
 const FLUSH_AT: u64 = u32::MAX as u64;
 
-/// Id-indexed statistics accumulator for streamed classification: it folds
-/// chunk columns into flat per-id counters and converts to the map-keyed
-/// [`TraceStats`] once at the end, bit-identically to observing every record
-/// through [`TraceStats::observe`] (`tests/dense_stats_equivalence.rs`).
+/// Id-indexed statistics accumulator, the one statistics fold: it folds
+/// conditional columns — decoded chunks in streamed classification, a whole
+/// [`InternedTrace`] in [`TraceStats::from_interned`] — into flat per-id
+/// counters and converts to the map-keyed [`TraceStats`] once at the end,
+/// bit-identically to the per-record, address-keyed row fold kept as the
+/// oracle in `tests/support/stats_reference.rs`
+/// (`tests/dense_stats_equivalence.rs`).
 ///
 /// * **Layout.** One `[u32; 4]` per dense interned id (16 B): executions,
 ///   taken, transitions and the last outcome (0 or 1; 2 before the first
@@ -173,12 +147,12 @@ const FLUSH_AT: u64 = u32::MAX as u64;
 /// * **Update.** Branch-free per record, with `t` the outcome bit:
 ///   `taken += t`, `transitions += (last ^ t == 1)`, `last = t`. The one
 ///   branch is the first-appearance push (`id == len`).
-/// * **Overflow.** A count grows by at most one per record, so
-///   [`DenseTraceStats::observe_chunk`] checks once per chunk whether the
-///   records since the last flush could pass `u32::MAX`, and if so splits
-///   the chunk there and adds the counts into `u64` totals. The totals are
-///   allocated at the first flush, which an upload under 2³² conditional
-///   records reaches only in [`DenseTraceStats::into_trace_stats`].
+/// * **Overflow.** A count grows by at most one per record, so the fold
+///   checks once per chunk (or column run) whether the records since the
+///   last flush could pass `u32::MAX`, and if so splits the run there and
+///   adds the counts into `u64` totals. The totals are allocated at the
+///   first flush, which an upload under 2³² conditional records reaches
+///   only in [`DenseTraceStats::into_trace_stats`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DenseTraceStats {
     /// Per-id `[executions, taken, transitions, last outcome]` since the
@@ -208,8 +182,17 @@ impl DenseTraceStats {
     /// defining record.
     pub fn observe_chunk(&mut self, chunk: &crate::TraceChunk) {
         let conditional = chunk.conditional();
-        self.total_conditional += conditional.len() as u64;
         self.total_other += (chunk.len() - conditional.len()) as u64;
+        self.observe_conditional(conditional);
+    }
+
+    /// Folds a run of conditional columns in, flushing whenever the records
+    /// since the last flush reach [`FLUSH_AT`]. Ids must continue this
+    /// accumulator's id table: a dense id first appears on its defining
+    /// record.
+    #[inline]
+    fn observe_conditional(&mut self, conditional: ConditionalView<'_>) {
+        self.total_conditional += conditional.len() as u64;
         let mut start = 0;
         while start < conditional.len() {
             if self.since_flush == FLUSH_AT {
@@ -286,19 +269,26 @@ impl DenseTraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::BranchKind;
+    use crate::record::{BranchKind, BranchRecord};
+    use crate::trace::Trace;
 
     fn rec(addr: u64, taken: bool) -> BranchRecord {
         BranchRecord::conditional(BranchAddr::new(addr), Outcome::from_bool(taken))
     }
 
+    /// The folded statistics of one branch executed with `outcomes`.
+    fn branch_stats(outcomes: impl IntoIterator<Item = bool>) -> AddrStats {
+        let trace: Trace = outcomes.into_iter().map(|taken| rec(0x10, taken)).collect();
+        TraceStats::from_interned(&trace.intern())
+            .addr(BranchAddr::new(0x10))
+            .copied()
+            .unwrap_or_default()
+    }
+
     #[test]
     fn addr_stats_count_taken_and_transitions() {
-        let mut s = AddrStats::new();
         // T T N T N N  -> taken 3/6, transitions: T->T no, T->N yes, N->T yes, T->N yes, N->N no = 3
-        for taken in [true, true, false, true, false, false] {
-            s.observe(Outcome::from_bool(taken));
-        }
+        let s = branch_stats([true, true, false, true, false, false]);
         assert_eq!(s.executions(), 6);
         assert_eq!(s.taken(), 3);
         assert_eq!(s.not_taken(), 3);
@@ -310,8 +300,7 @@ mod tests {
 
     #[test]
     fn first_execution_is_never_a_transition() {
-        let mut s = AddrStats::new();
-        s.observe(Outcome::Taken);
+        let s = branch_stats([true]);
         assert_eq!(s.executions(), 1);
         assert_eq!(s.transitions(), 0);
         assert_eq!(s.transition_fraction(), Some(0.0));
@@ -319,10 +308,7 @@ mod tests {
 
     #[test]
     fn perfectly_alternating_branch_has_max_transition_rate() {
-        let mut s = AddrStats::new();
-        for i in 0..100u32 {
-            s.observe(Outcome::from_bool(i % 2 == 0));
-        }
+        let s = branch_stats((0..100u32).map(|i| i % 2 == 0));
         assert_eq!(s.executions(), 100);
         assert_eq!(s.transitions(), 99);
         let tf = s.transition_fraction().unwrap();
@@ -331,17 +317,14 @@ mod tests {
 
     #[test]
     fn always_taken_branch_has_zero_transitions() {
-        let mut s = AddrStats::new();
-        for _ in 0..50 {
-            s.observe(Outcome::Taken);
-        }
+        let s = branch_stats([true; 50]);
         assert_eq!(s.taken_fraction(), Some(1.0));
         assert_eq!(s.transitions(), 0);
     }
 
     #[test]
     fn empty_stats_have_no_fractions() {
-        let s = AddrStats::new();
+        let s = AddrStats::default();
         assert_eq!(s.taken_fraction(), None);
         assert_eq!(s.transition_fraction(), None);
         assert_eq!(s.last_outcome(), None);
@@ -349,15 +332,15 @@ mod tests {
 
     #[test]
     fn trace_stats_partition_by_kind_and_address() {
-        let mut ts = TraceStats::new();
-        ts.observe(&rec(0x10, true));
-        ts.observe(&rec(0x10, false));
-        ts.observe(&rec(0x20, true));
-        ts.observe(&BranchRecord::new(
-            BranchAddr::new(0x30),
-            BranchKind::Call,
-            Outcome::Taken,
-        ));
+        let mut dense = DenseTraceStats::new();
+        let records = [
+            rec(0x10, true),
+            rec(0x10, false),
+            rec(0x20, true),
+            BranchRecord::new(BranchAddr::new(0x30), BranchKind::Call, Outcome::Taken),
+        ];
+        dense.observe_chunk(&chunk_after(&dense, &records));
+        let ts = dense.into_trace_stats();
         assert_eq!(ts.total_conditional(), 3);
         assert_eq!(ts.total_other(), 1);
         assert_eq!(ts.static_conditional_count(), 2);
@@ -369,23 +352,22 @@ mod tests {
 
     #[test]
     fn hottest_branch_finds_the_most_executed_address() {
-        let mut ts = TraceStats::new();
-        for _ in 0..5 {
-            ts.observe(&rec(0x40, true));
-        }
-        ts.observe(&rec(0x80, false));
+        let mut records = vec![rec(0x40, true); 5];
+        records.push(rec(0x80, false));
+        let trace = Trace::from_records(crate::TraceMetadata::named("hot"), records);
+        let ts = TraceStats::from_interned(&trace.intern());
         let (addr, stats) = ts.hottest_branch().unwrap();
         assert_eq!(addr, BranchAddr::new(0x40));
         assert_eq!(stats.executions(), 5);
     }
 
-    /// One chunk of conditional records, ids assigned in first-appearance
+    /// One chunk of `records`, conditional ids assigned in first-appearance
     /// order continuing from `stats`' id table.
-    fn chunk_after(stats: &DenseTraceStats, records: &[(u64, bool)]) -> crate::TraceChunk {
+    fn chunk_after(stats: &DenseTraceStats, records: &[BranchRecord]) -> crate::TraceChunk {
         let mut addrs = stats.addrs.clone();
         let mut chunk = crate::TraceChunk::empty();
-        for &(addr, taken) in records {
-            chunk.push(&rec(addr, taken), |addr| {
+        for record in records {
+            chunk.push(record, |addr| {
                 let id = addrs.iter().position(|&a| a == addr).unwrap_or_else(|| {
                     addrs.push(addr);
                     addrs.len() - 1
@@ -400,7 +382,7 @@ mod tests {
     fn dense_fold_flushes_exactly_next_to_u32_max() {
         let max = u64::from(u32::MAX);
         let mut dense = DenseTraceStats::new();
-        dense.observe_chunk(&chunk_after(&dense, &[(0x10, true), (0x20, false)]));
+        dense.observe_chunk(&chunk_after(&dense, &[rec(0x10, true), rec(0x20, false)]));
         assert!(dense.totals.is_empty(), "no flush below the bound");
 
         // Put both counters and the records since the last flush just under
@@ -423,7 +405,7 @@ mod tests {
                 transitions: 1,
                 last_outcome: Some(Outcome::NotTaken),
             },
-            AddrStats::new(),
+            AddrStats::default(),
         ];
 
         // 15 records: the first 3 reach the bound, the flush lands inside
@@ -444,8 +426,17 @@ mod tests {
                 0x20 => 1,
                 _ => 2,
             };
-            oracle[slot].observe(Outcome::from_bool(taken));
+            // The per-record update, written out independently of the fold.
+            let s = &mut oracle[slot];
+            s.executions += 1;
+            s.taken += u64::from(taken);
+            s.transitions += u64::from(s.last_outcome.is_some_and(|last| last.is_taken() != taken));
+            s.last_outcome = Some(Outcome::from_bool(taken));
         }
+        let records: Vec<BranchRecord> = records
+            .into_iter()
+            .map(|(addr, taken)| rec(addr, taken))
+            .collect();
         dense.observe_chunk(&chunk_after(&dense, &records));
 
         assert_eq!(dense.totals.len(), 2, "flushed once, before 0x30 appeared");
@@ -464,7 +455,7 @@ mod tests {
 
     #[test]
     fn empty_trace_stats_queries() {
-        let ts = TraceStats::new();
+        let ts = TraceStats::default();
         assert!(ts.hottest_branch().is_none());
         assert_eq!(ts.static_conditional_count(), 0);
     }

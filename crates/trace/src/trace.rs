@@ -1,9 +1,8 @@
 //! In-memory branch traces and their builder.
 
+use crate::interned::CachedInterner;
 use crate::record::BranchRecord;
-use crate::stats::TraceStats;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Descriptive metadata attached to a trace.
 ///
@@ -58,25 +57,19 @@ impl TraceMetadata {
 /// An immutable, in-memory sequence of dynamic branch executions.
 ///
 /// A `Trace` is its metadata and its records, plus a count of the
-/// non-conditional records. Everything else is derived on first read and
-/// kept: the per-address [`TraceStats`] ([`Trace::stats`]) and, for a trace
-/// that mixes in non-conditional records, the contiguous conditional subset
-/// every predictor simulation consumes ([`Trace::conditional_records`]). A
-/// trace that is only generated and interned never pays for either.
-#[derive(Debug, Clone)]
+/// non-conditional records. It keeps nothing derived: analyses read the
+/// conditional stream through [`Trace::intern`], whose columns are what
+/// every statistics fold and predictor simulation consumes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     metadata: TraceMetadata,
     records: Vec<BranchRecord>,
-    /// Number of non-conditional records. When zero, the conditional subset
-    /// is `records` itself and `conditional` is never filled.
+    /// Number of non-conditional records.
     other: usize,
-    conditional: OnceLock<Vec<BranchRecord>>,
-    stats: OnceLock<TraceStats>,
 }
 
 impl Trace {
-    /// Builds a trace directly from records. Statistics are computed on
-    /// first call to [`Trace::stats`].
+    /// Builds a trace directly from records.
     pub fn from_records(metadata: TraceMetadata, records: Vec<BranchRecord>) -> Self {
         let other = records
             .iter()
@@ -86,8 +79,6 @@ impl Trace {
             metadata,
             records,
             other,
-            conditional: OnceLock::new(),
-            stats: OnceLock::new(),
         }
     }
 
@@ -111,29 +102,12 @@ impl Trace {
         &self.records
     }
 
-    /// The conditional records as a contiguous slice, in trace order — the
-    /// stream predictor simulations iterate. For an all-conditional trace
-    /// this is the record vector itself; a mixed trace filters its records
-    /// on first call and keeps the copy.
-    pub fn conditional_records(&self) -> &[BranchRecord] {
-        if self.other == 0 {
-            &self.records
-        } else {
-            self.conditional.get_or_init(|| {
-                self.records
-                    .iter()
-                    .copied()
-                    .filter(|r| r.kind().is_conditional())
-                    .collect()
-            })
-        }
-    }
-
-    /// Interns the conditional-branch stream: every static branch gets a
-    /// dense `u32` id so per-branch simulation state can live in flat vectors
-    /// instead of address-keyed maps (see [`crate::interned::InternedTrace`]).
+    /// Interns the conditional-branch stream, skipping every other record:
+    /// each static branch gets a dense `u32` id so per-branch state can live
+    /// in flat vectors instead of address-keyed maps (see
+    /// [`crate::interned::InternedTrace`]).
     pub fn intern(&self) -> crate::interned::InternedTrace {
-        crate::interned::InternedTrace::from_conditional_records(self.conditional_records())
+        crate::interned::InternedTrace::from_records(&self.records, self.records.len() - self.other)
     }
 
     /// Iterates over the records.
@@ -141,43 +115,25 @@ impl Trace {
         self.records.iter()
     }
 
-    /// The raw statistics over the whole trace, computed on first call and
-    /// kept.
-    pub fn stats(&self) -> &TraceStats {
-        self.stats.get_or_init(|| {
-            let mut stats = TraceStats::new();
-            for r in &self.records {
-                stats.observe(r);
-            }
-            stats
-        })
-    }
-
     /// The number of conditional-branch records.
     pub fn conditional_count(&self) -> u64 {
         (self.records.len() - self.other) as u64
     }
 
-    /// The number of distinct static conditional branches.
+    /// The number of distinct static conditional branches: the id table
+    /// [`Trace::intern`] would build, without the columns.
     pub fn static_conditional_count(&self) -> usize {
-        self.stats().static_conditional_count()
+        let mut interner = CachedInterner::new();
+        for r in self.records.iter().filter(|r| r.kind().is_conditional()) {
+            interner.intern(r.addr());
+        }
+        interner.addrs().len()
     }
 
-    /// Concatenates another trace onto this one. Derived state is dropped
-    /// and recomputed on the next read.
+    /// Concatenates another trace onto this one.
     pub fn extend_from(&mut self, other: &Trace) {
         self.records.extend_from_slice(&other.records);
         self.other += other.other;
-        self.conditional = OnceLock::new();
-        self.stats = OnceLock::new();
-    }
-}
-
-/// Two traces are equal when their metadata and records are; whether a
-/// derived value has been computed yet does not matter.
-impl PartialEq for Trace {
-    fn eq(&self, other: &Self) -> bool {
-        self.metadata == other.metadata && self.records == other.records
     }
 }
 
@@ -319,27 +275,10 @@ mod tests {
         b.extend(records.clone());
         let via_builder = b.build();
         let via_records = Trace::from_records(TraceMetadata::named("t"), records);
-        // Filling one side's derived state does not make the traces differ.
-        assert_eq!(via_builder.stats().total_conditional(), 3);
         assert_eq!(via_builder, via_records);
-        assert_eq!(via_builder.stats(), via_records.stats());
+        assert_eq!(via_builder.intern(), via_records.intern());
+        assert_eq!(via_builder.static_conditional_count(), 2);
         assert_eq!(via_builder.records(), via_records.records());
-    }
-
-    #[test]
-    fn building_and_interning_leave_stats_uncomputed() {
-        let records = vec![rec(0x10, true), rec(0x10, false), rec(0x20, true)];
-        let mut b = TraceBuilder::new("t");
-        b.extend(records.clone());
-        let built = b.build();
-        let direct = Trace::from_records(TraceMetadata::named("t"), records);
-        for t in [&built, &direct] {
-            assert_eq!(t.intern().len(), 3);
-            assert_eq!(t.conditional_count(), 3);
-            assert!(t.stats.get().is_none());
-            assert_eq!(t.stats().static_conditional_count(), 2);
-            assert!(t.stats.get().is_some());
-        }
     }
 
     #[test]
@@ -377,20 +316,26 @@ mod tests {
         let a = Trace::from_records(TraceMetadata::named("a"), vec![rec(0x10, true)]);
         let b = Trace::from_records(
             TraceMetadata::named("b"),
-            vec![rec(0x10, false), rec(0x20, true)],
+            vec![
+                rec(0x10, false),
+                BranchRecord::new(BranchAddr::new(0x14), BranchKind::Call, Outcome::Taken),
+                rec(0x20, true),
+            ],
         );
         let mut merged = a.clone();
-        // Read the left side's stats first: extend_from must not keep them.
-        assert_eq!(merged.stats().total_conditional(), 1);
         merged.extend_from(&b);
-        assert_eq!(merged.len(), 3);
+        assert_eq!(merged.len(), 4);
         assert_eq!(merged.conditional_count(), 3);
         assert_eq!(merged.static_conditional_count(), 2);
         let concatenated = Trace::from_records(
             TraceMetadata::named("a"),
             [a.records(), b.records()].concat(),
         );
-        assert_eq!(merged.stats(), concatenated.stats());
+        assert_eq!(merged, concatenated);
+        let interned = merged.intern();
+        assert_eq!(interned, concatenated.intern());
+        assert_eq!(interned.records().ids(), &[0, 0, 1]);
+        assert_eq!(interned.records().taken(), &[true, false, true]);
     }
 
     #[test]
@@ -404,52 +349,6 @@ mod tests {
         assert!(s.contains("2 records"));
         let owned: Vec<_> = t.into_iter().collect();
         assert_eq!(owned.len(), 2);
-    }
-
-    #[test]
-    fn conditional_cache_is_lazy_for_all_conditional_traces() {
-        // All-conditional: the subset is the record vector itself, no copy.
-        let t: Trace = vec![rec(0x10, true), rec(0x20, false)]
-            .into_iter()
-            .collect();
-        assert_eq!(t.conditional_records().as_ptr(), t.records().as_ptr());
-        assert_eq!(t.conditional_records().len(), 2);
-
-        // First non-conditional record materializes the subset (builder path).
-        let mut b = TraceBuilder::new("mixed");
-        b.push(rec(0x10, true));
-        b.push(BranchRecord::new(
-            BranchAddr::new(0x14),
-            BranchKind::Call,
-            Outcome::Taken,
-        ));
-        b.push(rec(0x18, false));
-        let mixed = b.build();
-        assert_ne!(
-            mixed.conditional_records().as_ptr(),
-            mixed.records().as_ptr()
-        );
-        assert_eq!(
-            mixed.conditional_records(),
-            &[rec(0x10, true), rec(0x18, false)]
-        );
-
-        // extend_from: appending a mixed trace onto an all-conditional one
-        // materializes mid-stream and keeps the subset consistent.
-        let mut grown: Trace = vec![rec(0x30, true)].into_iter().collect();
-        grown.extend_from(&mixed);
-        assert_eq!(
-            grown.conditional_records(),
-            &[rec(0x30, true), rec(0x10, true), rec(0x18, false)]
-        );
-        // And all-conditional extension keeps the zero-copy representation.
-        let mut still_pure: Trace = vec![rec(0x40, true)].into_iter().collect();
-        let more: Trace = vec![rec(0x50, false)].into_iter().collect();
-        still_pure.extend_from(&more);
-        assert_eq!(
-            still_pure.conditional_records().as_ptr(),
-            still_pure.records().as_ptr()
-        );
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Equivalence suite pinning [`DenseTraceStats`] — the per-id counter fold
-//! that streamed classification runs over decoded chunks — to the
-//! per-record oracle [`Trace::stats`], which calls [`TraceStats::observe`]
-//! once per record into an address-keyed map.
+//! that streamed classification runs over decoded chunks and
+//! [`TraceStats::from_interned`] runs over a whole trace's columns — to the
+//! per-record oracle [`ReferenceStats`], which updates an address-keyed map
+//! once per row.
 //!
-//! The fold must give the same [`TraceStats`] (every per-address count, the
+//! The fold must give the same statistics (every per-address count, the
 //! last outcome and both totals) through both chunked decoders —
 //! [`FastBtrtReader`] for `BTRT` and the text [`ChunkedTraceReader`] — at
 //! every chunk size, under socket-shaped byte delivery, on the golden
-//! fixtures, and on arbitrary traces.
+//! fixtures, and on arbitrary traces; and over [`Trace::intern`]'s columns,
+//! which carry no non-conditional records.
 
 mod support;
 
@@ -19,6 +21,7 @@ use btr_trace::{
 use proptest::prelude::*;
 use std::io::Read;
 use support::btrt_reference;
+use support::stats_reference::ReferenceStats;
 
 /// The chunk sizes every input is folded under: degenerate, odd, small,
 /// `btrd`'s 16 Ki-record chunks and the readers' 64 Ki default.
@@ -60,7 +63,7 @@ impl Read for SocketReader<'_> {
 
 /// Folds every chunk of `stream` into a [`DenseTraceStats`], recycling the
 /// chunks as `btrd`'s upload stream does.
-fn fold(mut stream: impl ChunkStream) -> TraceStats {
+fn fold(mut stream: impl ChunkStream) -> ReferenceStats {
     let mut dense = DenseTraceStats::new();
     while let Some(chunk) = stream.pull() {
         let chunk = chunk.expect("a clean stream decodes");
@@ -70,14 +73,14 @@ fn fold(mut stream: impl ChunkStream) -> TraceStats {
     let static_count = dense.static_conditional_count();
     let stats = dense.into_trace_stats();
     assert_eq!(stats.static_conditional_count(), static_count);
-    stats
+    ReferenceStats::of(&stats)
 }
 
-fn fold_btrt(source: impl Read, chunk_records: usize) -> TraceStats {
+fn fold_btrt(source: impl Read, chunk_records: usize) -> ReferenceStats {
     fold(FastBtrtReader::new(source, chunk_records).expect("a valid header"))
 }
 
-fn fold_text(source: impl Read, chunk_records: usize) -> TraceStats {
+fn fold_text(source: impl Read, chunk_records: usize) -> ReferenceStats {
     fold(ChunkedTraceReader::text(source, chunk_records))
 }
 
@@ -93,23 +96,29 @@ fn encode_text(trace: &Trace) -> Vec<u8> {
     buf
 }
 
-/// Checks both formats of `trace` at every chunk size against the oracle.
+/// Checks both formats of `trace` at every chunk size, and its interned
+/// columns, against the oracle.
 fn check(trace: &Trace) {
-    let oracle = trace.stats();
+    let oracle = ReferenceStats::of_trace(trace);
     let btrt = encode_btrt(trace);
     let text = encode_text(trace);
     for chunk_records in CHUNK_SIZES {
         assert_eq!(
-            &fold_btrt(btrt.as_slice(), chunk_records),
+            fold_btrt(btrt.as_slice(), chunk_records),
             oracle,
             "BTRT, chunk size {chunk_records}"
         );
         assert_eq!(
-            &fold_text(text.as_slice(), chunk_records),
+            fold_text(text.as_slice(), chunk_records),
             oracle,
             "text, chunk size {chunk_records}"
         );
     }
+    assert_eq!(
+        ReferenceStats::of(&TraceStats::from_interned(&trace.intern())),
+        oracle.conditional_only(),
+        "interned columns"
+    );
 }
 
 fn fixture(name: &str) -> Vec<u8> {
@@ -158,8 +167,8 @@ fn dense_fold_matches_the_oracle_on_the_golden_fixtures() {
         let trace = btrt_reference::read_trace(bytes.as_slice()).expect("fixture decodes");
         for chunk_records in CHUNK_SIZES {
             assert_eq!(
-                &fold_btrt(bytes.as_slice(), chunk_records),
-                trace.stats(),
+                fold_btrt(bytes.as_slice(), chunk_records),
+                ReferenceStats::of_trace(&trace),
                 "{name}, chunk size {chunk_records}"
             );
         }
@@ -171,21 +180,24 @@ fn dense_fold_matches_the_oracle_on_the_golden_fixtures() {
 fn dense_fold_matches_the_oracle_on_the_adversarial_trace() {
     // Long enough that the 16 Ki chunks cut the stream several times.
     let trace = adversarial_trace(70_001);
-    let stats = trace.stats();
-    assert!(stats.total_other() > 0);
-    assert!(stats.iter().any(|(_, s)| s.transitions() > 0));
+    let stats = ReferenceStats::of_trace(&trace);
+    assert!(stats.total_other > 0);
+    assert!(stats.per_addr.values().any(|s| s.transitions > 0));
     assert!(stats
-        .iter()
-        .any(|(_, s)| s.last_outcome() == Some(Outcome::Taken)));
+        .per_addr
+        .values()
+        .any(|s| s.last_outcome == Some(Outcome::Taken)));
     assert!(stats
-        .iter()
-        .any(|(_, s)| s.last_outcome() == Some(Outcome::NotTaken)));
+        .per_addr
+        .values()
+        .any(|s| s.last_outcome == Some(Outcome::NotTaken)));
     check(&trace);
 }
 
 #[test]
 fn socket_shaped_reads_fold_identically() {
     let trace = adversarial_trace(1_031);
+    let oracle = ReferenceStats::of_trace(&trace);
     let btrt = encode_btrt(&trace);
     let text = encode_text(&trace);
     for max in [1usize, 2, 3, 5, 21] {
@@ -193,14 +205,14 @@ fn socket_shaped_reads_fold_identically() {
             for chunk_records in [7usize, 64] {
                 let btrt_reads = SocketReader::new(&btrt, max, interrupt);
                 assert_eq!(
-                    &fold_btrt(btrt_reads, chunk_records),
-                    trace.stats(),
+                    fold_btrt(btrt_reads, chunk_records),
+                    oracle,
                     "BTRT, max {max}, interrupt {interrupt}, chunk {chunk_records}"
                 );
                 let text_reads = SocketReader::new(&text, max, interrupt);
                 assert_eq!(
-                    &fold_text(text_reads, chunk_records),
-                    trace.stats(),
+                    fold_text(text_reads, chunk_records),
+                    oracle,
                     "text, max {max}, interrupt {interrupt}, chunk {chunk_records}"
                 );
             }

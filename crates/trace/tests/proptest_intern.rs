@@ -1,6 +1,6 @@
-//! Property-based tests for address interning and the cached conditional
-//! subset: `intern()` must round-trip addresses and preserve record order for
-//! any record mix.
+//! Property-based tests for address interning: `intern()` must keep exactly
+//! the conditional records, round-trip their addresses and preserve their
+//! order for any record mix.
 
 use btr_trace::{BranchAddr, BranchKind, BranchRecord, Outcome, Trace, TraceMetadata};
 use proptest::prelude::*;
@@ -31,22 +31,16 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 
 proptest! {
     #[test]
-    fn conditional_cache_equals_filtered_records(trace in arb_trace()) {
-        let filtered: Vec<BranchRecord> = trace
+    fn intern_round_trips_addresses_and_preserves_order(trace in arb_trace()) {
+        let interned = trace.intern();
+        let conditional: Vec<BranchRecord> = trace
             .records()
             .iter()
             .copied()
             .filter(|r| r.kind().is_conditional())
             .collect();
-        prop_assert_eq!(trace.conditional_records(), filtered.as_slice());
-        prop_assert_eq!(trace.conditional_records().len() as u64, trace.conditional_count());
-    }
-
-    #[test]
-    fn intern_round_trips_addresses_and_preserves_order(trace in arb_trace()) {
-        let interned = trace.intern();
-        let conditional = trace.conditional_records();
         prop_assert_eq!(interned.len(), conditional.len());
+        prop_assert_eq!(interned.len() as u64, trace.conditional_count());
         for (original, (addr, id, outcome)) in conditional.iter().zip(interned.records().iter()) {
             // Same stream, in order, with ids resolving back to the address.
             prop_assert_eq!(addr, original.addr());

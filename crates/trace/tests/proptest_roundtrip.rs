@@ -5,12 +5,13 @@ mod support;
 
 use btr_trace::io::{binary, text};
 use btr_trace::{
-    AddrStats, BranchAddr, BranchKind, BranchRecord, Outcome, Trace, TraceBuilder, TraceError,
-    TraceMetadata,
+    BranchAddr, BranchKind, BranchRecord, Outcome, Trace, TraceBuilder, TraceError, TraceMetadata,
+    TraceStats,
 };
 use btr_wire::Wire;
 use proptest::prelude::*;
 use support::btrt_reference;
+use support::stats_reference::{BranchCounts, ReferenceStats};
 
 fn arb_kind() -> impl Strategy<Value = BranchKind> {
     prop_oneof![
@@ -110,44 +111,58 @@ proptest! {
 
     #[test]
     fn stats_invariants_hold(outcomes in proptest::collection::vec(any::<bool>(), 0..500)) {
-        let mut stats = AddrStats::new();
+        let mut stats = BranchCounts::default();
         for taken in &outcomes {
             stats.observe(Outcome::from_bool(*taken));
         }
+        // The production fold over the same branch's interned column agrees.
+        let addr = BranchAddr::new(0x40);
+        let trace: Trace = outcomes
+            .iter()
+            .map(|&taken| BranchRecord::conditional(addr, Outcome::from_bool(taken)))
+            .collect();
+        let folded = TraceStats::from_interned(&trace.intern())
+            .addr(addr)
+            .copied()
+            .unwrap_or_default();
+        prop_assert_eq!(
+            (folded.executions(), folded.taken(), folded.transitions(), folded.last_outcome()),
+            (stats.executions, stats.taken, stats.transitions, stats.last_outcome)
+        );
         let n = outcomes.len() as u64;
-        prop_assert_eq!(stats.executions(), n);
-        prop_assert!(stats.taken() <= n);
+        prop_assert_eq!(stats.executions, n);
+        prop_assert!(stats.taken <= n);
         // A transition needs a predecessor, so there are at most n-1 of them.
         if n > 0 {
-            prop_assert!(stats.transitions() < n);
-            let tf = stats.taken_fraction().unwrap();
-            let xf = stats.transition_fraction().unwrap();
+            prop_assert!(stats.transitions < n);
+            let tf = folded.taken_fraction().unwrap();
+            let xf = folded.transition_fraction().unwrap();
             prop_assert!((0.0..=1.0).contains(&tf));
             prop_assert!((0.0..=1.0).contains(&xf));
         } else {
-            prop_assert_eq!(stats.transitions(), 0);
+            prop_assert_eq!(stats.transitions, 0);
         }
         // Recompute transitions independently.
         let expected_transitions = outcomes.windows(2).filter(|w| w[0] != w[1]).count() as u64;
-        prop_assert_eq!(stats.transitions(), expected_transitions);
+        prop_assert_eq!(stats.transitions, expected_transitions);
         let expected_taken = outcomes.iter().filter(|t| **t).count() as u64;
-        prop_assert_eq!(stats.taken(), expected_taken);
+        prop_assert_eq!(stats.taken, expected_taken);
     }
 
     #[test]
     fn trace_stats_totals_match_record_counts(trace in arb_trace()) {
-        let stats = trace.stats();
+        let stats = ReferenceStats::of_trace(&trace);
         let conditional = trace
             .records()
             .iter()
             .filter(|r| r.kind().is_conditional())
             .count() as u64;
-        prop_assert_eq!(stats.total_conditional(), conditional);
+        prop_assert_eq!(stats.total_conditional, conditional);
         prop_assert_eq!(
-            stats.total_other(),
+            stats.total_other,
             trace.len() as u64 - conditional
         );
-        let per_addr_sum: u64 = stats.iter().map(|(_, s)| s.executions()).sum();
+        let per_addr_sum: u64 = stats.per_addr.values().map(|s| s.executions).sum();
         prop_assert_eq!(per_addr_sum, conditional);
     }
 
@@ -221,6 +236,6 @@ proptest! {
         builder.extend(records.clone());
         let a = builder.build();
         let b = Trace::from_records(TraceMetadata::named("cmp"), records);
-        prop_assert_eq!(a.stats(), b.stats());
+        prop_assert_eq!(ReferenceStats::of_trace(&a), ReferenceStats::of_trace(&b));
     }
 }

@@ -1,7 +1,8 @@
 //! Test-only support shared by the integration suites: the reference `BTRT`
-//! decoder and an eager text reader.
+//! decoder, the reference statistics fold and an eager text reader.
 
 pub mod btrt_reference;
+pub mod stats_reference;
 
 use btr_trace::io::TextRecordReader;
 use btr_trace::{Result, Trace};

@@ -302,6 +302,12 @@ impl CfgProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btr_trace::TraceStats;
+
+    /// The trace's per-branch statistics.
+    fn stats_of(trace: &Trace) -> TraceStats {
+        TraceStats::from_interned(&trace.intern())
+    }
 
     impl CfgBuilder {
         /// Appends straight-line (branch-free) work; unit tests use it to give
@@ -321,7 +327,8 @@ mod tests {
         let program = b.build();
         assert_eq!(program.static_branches(), 1);
         let trace = program.interpret(8_000, 1);
-        let (addr, stats) = trace.stats().hottest_branch().unwrap();
+        let stats = stats_of(&trace);
+        let (addr, stats) = stats.hottest_branch().unwrap();
         assert_eq!(addr, BranchAddr::new(0x1000));
         // Back edge taken 7 of 8 times; transitions twice per 8 iterations.
         assert!((stats.taken_fraction().unwrap() - 7.0 / 8.0).abs() < 0.01);
@@ -333,7 +340,8 @@ mod tests {
         let mut b = CfgBuilder::new(0x2000);
         b.if_else(Condition::Random { p_taken: 0.5 }, 1, 1);
         let trace = b.build().interpret(20_000, 3);
-        let stats = trace.stats().addr(BranchAddr::new(0x2000)).unwrap();
+        let stats = stats_of(&trace);
+        let stats = stats.addr(BranchAddr::new(0x2000)).unwrap();
         assert!((stats.taken_fraction().unwrap() - 0.5).abs() < 0.02);
         assert!((stats.transition_fraction().unwrap() - 0.5).abs() < 0.02);
     }
@@ -352,7 +360,8 @@ mod tests {
             );
         });
         let trace = b.build().interpret(30_000, 5);
-        let stats = trace.stats().addr(BranchAddr::new(0x3008)).unwrap();
+        let stats = stats_of(&trace);
+        let stats = stats.addr(BranchAddr::new(0x3008)).unwrap();
         // The condition fires once per period of interpreter steps; the exact
         // rate depends on how many steps one loop iteration consumes, so just
         // check the branch is neither static nor unbiased-random: it must be
@@ -383,16 +392,9 @@ mod tests {
         let trace = program.interpret(5_000, 2);
         assert_eq!(trace.static_conditional_count(), 2);
         // Inner back edge executes roughly 5x as often as the outer one.
-        let outer = trace
-            .stats()
-            .addr(BranchAddr::new(0x4000))
-            .unwrap()
-            .executions();
-        let inner = trace
-            .stats()
-            .addr(BranchAddr::new(0x4008))
-            .unwrap()
-            .executions();
+        let stats = stats_of(&trace);
+        let outer = stats.addr(BranchAddr::new(0x4000)).unwrap().executions();
+        let inner = stats.addr(BranchAddr::new(0x4008)).unwrap().executions();
         assert!(inner > outer * 3, "inner {inner} outer {outer}");
     }
 

@@ -307,8 +307,7 @@ mod tests {
         g.add_branch(spec(0x1000, 0.9, 0.1, 4000, true));
         g.add_branch(spec(0x2000, 0.5, 0.5, 4000, false));
         g.add_branch(spec(0x3000, 0.5, 0.97, 4000, true));
-        let trace = g.generate();
-        let stats = trace.stats();
+        let stats = btr_trace::TraceStats::from_interned(&g.generate().intern());
         let s1 = stats.addr(BranchAddr::new(0x1000)).unwrap();
         assert!((s1.taken_fraction().unwrap() - 0.9).abs() < 0.03);
         assert!((s1.transition_fraction().unwrap() - 0.1).abs() < 0.03);

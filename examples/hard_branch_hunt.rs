@@ -20,10 +20,10 @@ fn main() {
         Benchmark::go(),
         Benchmark::ijpeg("vigo.ppm", 1_627_642_253),
     ] {
-        let trace = bench.generate(&config);
-        let profile = ProgramProfile::from_trace(&trace);
+        let trace = bench.generate(&config).intern();
+        let profile = ProgramProfile::from_interned(&trace);
         let hard = HardBranchSet::from_profile(&profile, scheme, HardBranchCriteria::paper_5_5());
-        let histogram = DistanceHistogram::paper_buckets(&trace, &hard);
+        let histogram = DistanceHistogram::paper_buckets(trace.records().addrs(), &hard);
 
         println!("== {} ==", bench.label());
         println!(

@@ -26,12 +26,15 @@ fn suite_miss_rate<P: BranchPredictor>(traces: &[InternedTrace], make: impl Fn()
 fn main() {
     let config = SuiteConfig::default().with_scale(2e-6).with_seed(9);
     let benchmarks = [Benchmark::vortex(), Benchmark::li(), Benchmark::go()];
-    let traces: Vec<_> = benchmarks.iter().map(|b| b.generate(&config)).collect();
+    let interned: Vec<InternedTrace> = benchmarks
+        .iter()
+        .map(|b| b.generate(&config).intern())
+        .collect();
 
     // Profile the whole mini-suite.
     let mut profile = ProgramProfile::new();
-    for trace in &traces {
-        profile.merge(&ProgramProfile::from_trace(trace));
+    for trace in &interned {
+        profile.merge(&ProgramProfile::from_interned(trace));
     }
     let scheme = BinningScheme::Paper11;
     let table = JointClassTable::from_profile(&profile, scheme);
@@ -65,7 +68,6 @@ fn main() {
     );
 
     // Materialise the hybrid and race it against baselines.
-    let interned: Vec<InternedTrace> = traces.iter().map(|t| t.intern()).collect();
     let classified = suite_miss_rate(&interned, || advisor.build_hybrid(&profile));
     let gshare = suite_miss_rate(&interned, || GsharePredictor::paper_sized(12));
     let pas = suite_miss_rate(&interned, || {

@@ -16,7 +16,7 @@ fn main() {
     println!("generated {trace}");
 
     // 2. Profile it: per-branch taken and transition rates.
-    let profile = ProgramProfile::from_trace(&trace);
+    let profile = ProgramProfile::from_interned(&trace.intern());
     println!(
         "profiled {} static branches, {} dynamic executions\n",
         profile.static_count(),

@@ -6,7 +6,7 @@
 
 use btr::prelude::*;
 use btr_trace::io::{binary, text};
-use btr_trace::{FastBtrtReader, InternedTrace, DEFAULT_CHUNK_RECORDS};
+use btr_trace::{FastBtrtReader, InternedTrace, TraceStats, DEFAULT_CHUNK_RECORDS};
 use btr_workloads::cfg::{CfgBuilder, Condition};
 use std::error::Error;
 
@@ -38,7 +38,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut reader = FastBtrtReader::new(binary_bytes.as_slice(), DEFAULT_CHUNK_RECORDS)?;
     let reread = InternedTrace::from_chunks(&mut reader)?;
     assert_eq!(reader.metadata(), trace.metadata());
-    assert_eq!(reread, trace.intern());
+    let interned = trace.intern();
+    assert_eq!(reread, interned);
     println!(
         "binary format: {} bytes ({:.2} bytes/record)",
         binary_bytes.len(),
@@ -63,8 +64,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // Profile and report the hottest branch.
-    let profile = ProgramProfile::from_trace(&trace);
-    let hottest = trace.stats().hottest_branch().expect("non-empty trace");
+    let stats = TraceStats::from_interned(&interned);
+    let profile = ProgramProfile::from_stats(&stats);
+    let hottest = stats.hottest_branch().expect("non-empty trace");
     let branch = profile.branch(hottest.0).expect("profiled branch");
     println!(
         "hottest branch {} executed {} times: taken rate {:.2}, transition rate {:.2}",

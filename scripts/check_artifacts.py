@@ -11,7 +11,12 @@ For every experiment the directory must hold a `.txt` (ASCII rendering),
    back as plain lists, matching JSON's single array syntax);
 3. cross-checks row counts between the structured data and the ASCII tables,
    per experiment kind, so a figure whose machine-readable artifact silently
-   dropped rows fails CI.
+   dropped rows fails CI;
+4. cross-checks artifacts against each other: the Figure 1 and Figure 2
+   distributions must weigh exactly the dynamic branches Table 1 counts, and
+   Figure 15 must list Table 1's benchmarks in Table 1's order. Table 1
+   counts each benchmark's interned columns, while the distributions come
+   from the profile fold, so this ties the two together.
 
 Usage: check_artifacts.py ARTIFACT_DIR
 """
@@ -179,6 +184,25 @@ def check_rows(name: str, data: dict, text: str):
         raise ValueError(f"no row-count rule for experiment {name!r}")
 
 
+def cross_check(directory: Path):
+    """Checks that the artifacts agree with each other (point 4 above)."""
+
+    def load(name: str) -> dict:
+        return json.loads((directory / f"{name}.json").read_text())
+
+    table1 = load("table1")["rows"]
+    generated = sum(row["generated_dynamic_branches"] for row in table1)
+    for name in ("fig1", "fig2"):
+        total = load(name)["distribution"]["total"]
+        assert total == generated, (
+            f"{name}: distribution weighs {total} dynamic branches, "
+            f"Table 1 generated {generated}"
+        )
+    labels = [row["benchmark"] for row in table1]
+    fig15 = [row["benchmark"] for row in load("fig15")["rows"]]
+    assert fig15 == labels, f"fig15: benchmarks {fig15} differ from Table 1's {labels}"
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -197,6 +221,12 @@ def main() -> int:
         except Exception as exc:  # noqa: BLE001 — report every failure
             print(f"FAIL  {name}: {exc}")
             failures += 1
+    try:
+        cross_check(directory)
+        print("ok    cross-artifact totals and labels")
+    except Exception as exc:  # noqa: BLE001 — report every failure
+        print(f"FAIL  cross-artifact: {exc}")
+        failures += 1
     if failures:
         print(f"{failures} artifact check(s) failed", file=sys.stderr)
         return 1

@@ -23,12 +23,12 @@
 //! ```
 //! use btr::prelude::*;
 //!
-//! // Generate a small synthetic benchmark trace.
+//! // Generate a small synthetic benchmark trace and intern it into columns.
 //! let suite = SuiteConfig::default().with_scale(1e-6).with_seed(7);
-//! let trace = Benchmark::compress().generate(&suite);
+//! let interned = Benchmark::compress().generate(&suite).intern();
 //!
 //! // Profile it and classify every static branch.
-//! let profile = ProgramProfile::from_trace(&trace);
+//! let profile = ProgramProfile::from_interned(&interned);
 //! let table = JointClassTable::from_profile(&profile, BinningScheme::Paper11);
 //! assert!(table.total_percentage() > 99.0);
 //! ```

@@ -18,7 +18,7 @@ fn mini_suite() -> (Vec<btr_trace::Trace>, ProgramProfile) {
         .collect();
     let mut profile = ProgramProfile::new();
     for t in &traces {
-        profile.merge(&ProgramProfile::from_trace(t));
+        profile.merge(&ProgramProfile::from_interned(&t.intern()));
     }
     (traces, profile)
 }

@@ -19,7 +19,9 @@ fn calibrated_profile() -> ProgramProfile {
         Benchmark::m88ksim(),
         Benchmark::vortex(),
     ] {
-        profile.merge(&ProgramProfile::from_trace(&bench.generate(&config)));
+        profile.merge(&ProgramProfile::from_interned(
+            &bench.generate(&config).intern(),
+        ));
     }
     profile
 }

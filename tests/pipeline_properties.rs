@@ -64,7 +64,7 @@ proptest! {
         let expected: u64 = specs.iter().map(|s| s.executions).sum();
         prop_assert_eq!(trace.conditional_count(), expected);
 
-        let profile = ProgramProfile::from_trace(&trace);
+        let profile = ProgramProfile::from_interned(&trace.intern());
         prop_assert_eq!(profile.total_dynamic(), expected);
 
         // Every profiled branch satisfies the transition-rate feasibility
@@ -112,7 +112,7 @@ proptest! {
         for chunk in FastBtrtReader::new(bytes.as_slice(), DEFAULT_CHUNK_RECORDS).unwrap() {
             stats.observe_chunk(&chunk.unwrap());
         }
-        let original = ProgramProfile::from_trace(&trace);
+        let original = ProgramProfile::from_interned(&trace.intern());
         let restored = ProgramProfile::from_stats(&stats.into_trace_stats());
         prop_assert_eq!(original, restored);
     }
