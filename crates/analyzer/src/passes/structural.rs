@@ -6,9 +6,7 @@
 //! * **bench-gate coverage** — every `[[bench]]` target registered in
 //!   `crates/bench/Cargo.toml` must be exercised by the CI `bench-baseline`
 //!   job (a `cargo bench --bench <name>` line in
-//!   `.github/workflows/ci.yml`), or be allowlisted with a reason (the
-//!   paper-figure reproduction benches run minutes and are gated indirectly
-//!   through the `reproduce` artifact checks);
+//!   `.github/workflows/ci.yml`), or be allowlisted with a reason;
 //! * **wire roundtrip coverage** — every public type with an
 //!   `impl Wire for T` in first-party library code must be named in at
 //!   least one file under a `tests/` directory, so no wire format ships

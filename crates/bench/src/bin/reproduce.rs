@@ -230,7 +230,7 @@ fn run_experiment(
             (out, envelope(name, vec![("rows", Value::List(rows))]))
         }
         "ablation-confidence" => {
-            let (rows, out) = experiments::ablation_confidence(ctx, data);
+            let (rows, out) = experiments::ablation_confidence(data);
             let rows = rows
                 .into_iter()
                 .map(|(estimator, stats)| {

@@ -6,7 +6,6 @@
 //! time. [`ClassConfidence`] implements the `btr-predictors`
 //! [`ConfidenceEstimator`] interface from a profiling pass.
 
-use crate::class::BinningScheme;
 use crate::profile::ProgramProfile;
 use btr_predictors::confidence::{Confidence, ConfidenceEstimator};
 use btr_trace::BranchAddr;
@@ -37,7 +36,7 @@ impl ClassConfidence {
     /// # Panics
     ///
     /// Panics if `threshold` is outside `(0, 0.5]`.
-    pub fn from_profile(profile: &ProgramProfile, _scheme: BinningScheme, threshold: f64) -> Self {
+    pub fn from_profile(profile: &ProgramProfile, threshold: f64) -> Self {
         assert!(
             threshold > 0.0 && threshold <= 0.5,
             "confidence threshold must be in (0, 0.5]"
@@ -102,7 +101,7 @@ mod tests {
 
     #[test]
     fn classification_drives_confidence() {
-        let est = ClassConfidence::from_profile(&profile(), BinningScheme::Paper11, 0.25);
+        let est = ClassConfidence::from_profile(&profile(), 0.25);
         assert_eq!(est.estimate(BranchAddr::new(0x10)), Confidence::High);
         assert_eq!(est.estimate(BranchAddr::new(0x20)), Confidence::Low);
         assert_eq!(est.estimate(BranchAddr::new(0x30)), Confidence::High);
@@ -114,7 +113,7 @@ mod tests {
 
     #[test]
     fn updates_do_not_change_static_assignments() {
-        let mut est = ClassConfidence::from_profile(&profile(), BinningScheme::Paper11, 0.25);
+        let mut est = ClassConfidence::from_profile(&profile(), 0.25);
         for _ in 0..100 {
             est.update(BranchAddr::new(0x20), true);
         }
@@ -123,8 +122,8 @@ mod tests {
 
     #[test]
     fn stricter_thresholds_flag_fewer_branches() {
-        let lenient = ClassConfidence::from_profile(&profile(), BinningScheme::Paper11, 0.1);
-        let strict = ClassConfidence::from_profile(&profile(), BinningScheme::Paper11, 0.49);
+        let lenient = ClassConfidence::from_profile(&profile(), 0.1);
+        let strict = ClassConfidence::from_profile(&profile(), 0.49);
         let high = |est: &ClassConfidence| {
             profile()
                 .iter()
@@ -137,6 +136,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "(0, 0.5]")]
     fn invalid_threshold_rejected() {
-        let _ = ClassConfidence::from_profile(&profile(), BinningScheme::Paper11, 0.9);
+        let _ = ClassConfidence::from_profile(&profile(), 0.9);
     }
 }

@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Prints `btrd listening on HOST:PORT` on stdout once the listener is
-//! bound (the smoke harness scrapes that line for the ephemeral port), then
-//! serves until killed.
+//! bound (the end-to-end benchmark scrapes that line for the ephemeral
+//! port), then serves until killed.
 
 use btr_serve::{Server, ServerConfig};
 use std::time::Duration;
@@ -69,4 +69,61 @@ fn apply_args(
 fn parse<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
     raw.parse()
         .map_err(|_| format!("{flag} wants an unsigned integer, got {raw:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn apply(args: &[&str]) -> Result<ServerConfig, String> {
+        let mut config = ServerConfig::default();
+        apply_args(&mut config, args.iter().map(|a| a.to_string()))?;
+        Ok(config)
+    }
+
+    #[test]
+    fn every_flag_sets_its_config_field() {
+        let config = apply(&[
+            "--addr",
+            "0.0.0.0:7070",
+            "--threads",
+            "3",
+            "--max-concurrent",
+            "5",
+            "--max-upload-bytes",
+            "1048576",
+            "--chunk-records",
+            "512",
+            "--max-static-branches",
+            "77",
+            "--timeout-ms",
+            "1500",
+            "--cache-entries",
+            "9",
+        ])
+        .expect("valid flags");
+        assert_eq!(config.addr, "0.0.0.0:7070");
+        assert_eq!(config.analysis_threads, 3);
+        assert_eq!(config.max_concurrent, 5);
+        assert_eq!(config.max_upload_bytes, 1 << 20);
+        assert_eq!(config.chunk_records, 512);
+        assert_eq!(config.max_static_branches, 77);
+        assert_eq!(config.request_timeout, Duration::from_millis(1500));
+        assert_eq!(config.cache_entries, 9);
+    }
+
+    #[test]
+    fn bad_usage_is_an_error() {
+        let unknown = apply(&["--port", "80"]).expect_err("unknown flag");
+        assert!(unknown.contains("unknown flag"), "{unknown}");
+        let missing = apply(&["--timeout-ms"]).expect_err("missing value");
+        assert!(missing.contains("--timeout-ms needs a value"), "{missing}");
+        let not_a_number = apply(&["--max-upload-bytes", "1MiB"]).expect_err("non-integer value");
+        assert!(
+            not_a_number.contains("--max-upload-bytes wants an unsigned integer"),
+            "{not_a_number}"
+        );
+        let negative = apply(&["--threads", "-1"]).expect_err("negative value");
+        assert!(negative.contains("unsigned integer"), "{negative}");
+    }
 }

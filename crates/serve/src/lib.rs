@@ -1,8 +1,8 @@
 //! # btr-serve
 //!
 //! `btrd`, the trace-classification daemon: the serving layer that turns the
-//! BTR analysis stack into a network service, plus the `btrd-load` smoke
-//! client that exercises it.
+//! BTR analysis stack into a network service, plus the blocking HTTP client
+//! ([`client`]) its tests and benches drive it with.
 //!
 //! The daemon speaks a dependency-free slice of HTTP/1.1 over
 //! `std::net::TcpListener`. Uploaded traces (`BTRT` binary or text) are

@@ -194,6 +194,12 @@ fn digest_replay_is_served_from_cache_without_an_upload() {
     assert_eq!(replay.header("x-btr-cache"), Some("hit"));
     assert_eq!(replay.body, first.body, "cache must replay identical bytes");
 
+    // Re-uploading the same bytes without a digest is content-addressed to
+    // the same digest.
+    let again = post(&addr, "/classify", btrt(3_000, 31));
+    assert_eq!(again.status, 200);
+    assert_eq!(again.header("x-btr-digest"), Some(digest.as_str()));
+
     // A different digest misses the cache and falls through to the (empty)
     // upload, which then fails as an unprocessable trace — never a hang.
     let miss = send(
@@ -720,7 +726,12 @@ fn shutdown_stops_the_accept_loop() {
     };
     let (handle, join) = Server::spawn(config).expect("ephemeral server must spawn");
     let addr = handle.addr().to_string();
-    assert_eq!(get(&addr, "/healthz").status, 200);
+    let health = get(&addr, "/healthz");
+    assert_eq!(health.status, 200);
+    assert!(json(&health)
+        .get("ok")
+        .and_then(Value::as_bool)
+        .expect("healthz answers an ok flag"));
     handle.shutdown();
     join.join()
         .expect("accept thread joins")

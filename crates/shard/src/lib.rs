@@ -62,12 +62,15 @@ use btr_sim::sweep::{HistorySweep, SweepResult};
 /// Runs the sequential reference for a spec: every benchmark trace through
 /// the fused [`HistorySweep`] — no sharding, no checkpoints. The sharded
 /// runner's merged result must match this bit for bit.
+///
+/// Each benchmark is generated and interned in turn and its rows dropped
+/// before the next one is generated, so only the suite's columns are held.
 pub fn run_sequential(spec: &SweepSpec) -> Result<SweepResult> {
     spec.validate()?;
     let traces: Vec<_> = spec
         .benchmarks
         .iter()
-        .map(|b| b.generate(&spec.config))
+        .map(|b| b.generate(&spec.config).intern())
         .collect();
     let refs: Vec<_> = traces.iter().collect();
     Ok(HistorySweep::new(spec.family, spec.histories.clone()).run(&refs))

@@ -3,11 +3,10 @@
 //! Every experiment takes the shared [`SuiteData`] (the suite's interned
 //! columns, merged profile, PAs and GAs history sweeps) and returns
 //! structured data plus a printable rendering, so the same code backs the
-//! unit tests, the Criterion benches and the `reproduce` binary.
+//! unit tests and the `reproduce` binary.
 
 use crate::config::PredictorFamily;
 use crate::engine::{column_sums, SimEngine};
-use crate::runner::SuiteRunner;
 use crate::sweep::SweepResult;
 use btr_core::advisor::HybridAdvisor;
 use btr_core::analysis::{ClassHistoryMatrix, ClassificationAnalysis, JointMissMatrix};
@@ -63,8 +62,8 @@ impl ExperimentContext {
         }
     }
 
-    /// A reduced context for tests and benches: a few benchmarks at a tiny
-    /// scale with a coarse history sweep.
+    /// A reduced context for tests, examples and `reproduce --quick`: a few
+    /// benchmarks at a tiny scale with a coarse history sweep.
     pub fn quick() -> Self {
         ExperimentContext {
             suite: SuiteConfig::default()
@@ -93,18 +92,15 @@ impl ExperimentContext {
     /// Generates the suite and runs both sweeps, producing the shared data
     /// every experiment consumes. Each benchmark is generated, interned and
     /// profiled in one pool task, and only its columns are kept
-    /// ([`SuiteRunner::intern_suite`]). The columns are shared by the PAs
-    /// and GAs sweeps, which run on the work-stealing grid as one *fused*
+    /// ([`ExperimentContext::intern_suite`]). The columns are shared by the
+    /// PAs and GAs sweeps, which run on the work-stealing grid as one *fused*
     /// multi-history task per benchmark — every history-curve figure
     /// (fig3/fig4, fig9–12, …) is backed by a single pass per benchmark per
     /// family, bit-identical to the per-history runs.
     pub fn prepare(&self) -> SuiteData {
-        let runner = SuiteRunner::new(self.suite)
-            .with_benchmarks(self.benchmarks.clone())
-            .with_threads(self.threads);
-        let (interned, profile) = runner.intern_suite();
-        let pas = runner.run_sweep_interned(&interned, PredictorFamily::PAs, &self.histories);
-        let gas = runner.run_sweep_interned(&interned, PredictorFamily::GAs, &self.histories);
+        let (interned, profile) = self.intern_suite();
+        let pas = self.run_sweep_interned(&interned, PredictorFamily::PAs, &self.histories);
+        let gas = self.run_sweep_interned(&interned, PredictorFamily::GAs, &self.histories);
         SuiteData {
             interned,
             profile,
@@ -490,11 +486,8 @@ pub fn ablation_hybrid(ctx: &ExperimentContext, data: &SuiteData) -> (Vec<(Strin
 
 /// Ablation A3: class-based confidence (§5.3) against Jacobsen's dynamic
 /// estimators, driving a GAs(h=8) predictor.
-pub fn ablation_confidence(
-    ctx: &ExperimentContext,
-    data: &SuiteData,
-) -> (Vec<(String, ConfidenceStats)>, String) {
-    let mut class_based = ClassConfidence::from_profile(&data.profile, ctx.scheme, 0.25);
+pub fn ablation_confidence(data: &SuiteData) -> (Vec<(String, ConfidenceStats)>, String) {
+    let mut class_based = ClassConfidence::from_profile(&data.profile, 0.25);
     let mut one_level = JacobsenOneLevel::new(12, 4);
     let mut two_level = JacobsenTwoLevel::new(12, 4, 4);
     let mut stats = vec![
@@ -741,7 +734,7 @@ mod tests {
         };
         assert_eq!(ablation_hybrid(&sequential, &data).0, hybrid);
 
-        let (confidence, r3) = ablation_confidence(&ctx, &data);
+        let (confidence, r3) = ablation_confidence(&data);
         assert_eq!(confidence.len(), 3);
         for (_, stats) in &confidence {
             assert!(stats.total() > 0);

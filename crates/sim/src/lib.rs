@@ -15,10 +15,10 @@
 //! * [`sweep`] — history-length sweeps (0–16) for PAs and GAs, producing the
 //!   class × history matrices of the paper's figures; one fused pass per
 //!   trace instead of one pass per history length.
-//! * [`runner`] — parallel execution of sweeps across the benchmark suite as
-//!   one fused task per benchmark on a vendored work-stealing pool.
 //! * [`experiments`] — one function per paper table/figure, returning both
-//!   structured data and a printable rendering.
+//!   structured data and a printable rendering, over the suite data that
+//!   [`experiments::ExperimentContext::prepare`] generates and sweeps on a
+//!   vendored work-stealing pool (one fused task per benchmark).
 //!
 //! ```
 //! use btr_predictors::twolevel::TwoLevelPredictor;
@@ -36,7 +36,7 @@
 pub mod config;
 pub mod engine;
 pub mod experiments;
-pub mod runner;
+mod runner;
 pub mod sweep;
 
 /// Commonly used items.
@@ -44,6 +44,5 @@ pub mod prelude {
     pub use crate::config::{PredictorFamily, PredictorKind, WarmupWindow};
     pub use crate::engine::{RunResult, SimEngine};
     pub use crate::experiments::ExperimentContext;
-    pub use crate::runner::SuiteRunner;
     pub use crate::sweep::{HistorySweep, SweepResult};
 }

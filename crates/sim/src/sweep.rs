@@ -15,7 +15,7 @@ use btr_core::analysis::{
 use btr_core::class::BinningScheme;
 use btr_core::distribution::Metric;
 use btr_core::profile::ProgramProfile;
-use btr_trace::Trace;
+use btr_trace::InternedTrace;
 use btr_wire::{MapBuilder, Value, Wire, WireError};
 use std::collections::BTreeSet;
 
@@ -323,7 +323,7 @@ impl HistorySweep {
         self.family
     }
 
-    /// Runs the sweep over a set of traces.
+    /// Runs the sweep over a set of interned traces.
     ///
     /// Each benchmark trace gets fresh predictor state per history length
     /// (matching `sim-bpred`, which simulates each benchmark independently);
@@ -333,7 +333,7 @@ impl HistorySweep {
     /// ([`SimEngine::run_fused`]) instead of one trace walk per length —
     /// bit-identical, since each length's pattern tables are independent
     /// state driven by the same shared history register.
-    pub fn run(&self, traces: &[&Trace]) -> SweepResult {
+    pub fn run(&self, traces: &[&InternedTrace]) -> SweepResult {
         let engine = SimEngine::new().with_warmup(self.warmup);
         let mut merged: Vec<(u32, RunResult)> = self
             .histories
@@ -341,9 +341,8 @@ impl HistorySweep {
             .map(|&history| (history, RunResult::default()))
             .collect();
         for (trace_idx, trace) in traces.iter().enumerate() {
-            let interned = trace.intern();
             let mut fused = self.family.fused_paper(&self.histories);
-            let results = engine.run_fused(&interned, &mut fused);
+            let results = engine.run_fused(trace, &mut fused);
             for ((_, acc), result) in merged.iter_mut().zip(results) {
                 // The first trace's results are moved into place wholesale;
                 // later traces merge counter-wise.
@@ -388,7 +387,7 @@ mod tests {
 
     /// A trace with one strongly biased branch, one alternating branch and
     /// one coin-flip branch — tiny but covering three very different classes.
-    fn mixed_trace() -> Trace {
+    fn mixed_trace() -> InternedTrace {
         let mut b = TraceBuilder::new("mixed");
         let biased = BranchAddr::new(0x1000);
         let alternating = BranchAddr::new(0x2000);
@@ -411,7 +410,7 @@ mod tests {
                 Outcome::from_bool((state >> 40) & 1 == 1),
             ));
         }
-        b.build()
+        b.build().intern()
     }
 
     #[test]
@@ -430,7 +429,7 @@ mod tests {
     #[test]
     fn alternating_class_prefers_short_history_with_pas() {
         let trace = mixed_trace();
-        let profile = ProgramProfile::from_interned(&trace.intern());
+        let profile = ProgramProfile::from_interned(&trace);
         let sweep = HistorySweep::new(PredictorFamily::PAs, vec![0, 1, 2, 4]);
         let result = sweep.run(&[&trace]);
         let matrix =
@@ -463,7 +462,7 @@ mod tests {
     #[test]
     fn joint_matrix_identifies_the_noisy_branch_as_worst() {
         let trace = mixed_trace();
-        let profile = ProgramProfile::from_interned(&trace.intern());
+        let profile = ProgramProfile::from_interned(&trace);
         let sweep = HistorySweep::new(PredictorFamily::GAs, vec![0, 4, 8]);
         let result = sweep.run(&[&trace]);
         let joint = result.joint_miss_matrix(&profile, BinningScheme::Paper11);

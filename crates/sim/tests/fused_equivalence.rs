@@ -12,7 +12,7 @@ use btr_predictors::fused::FusedSweepPredictor;
 use btr_predictors::swar::MAX_SWAR_IDS;
 use btr_sim::config::{PredictorFamily, PredictorKind, WarmupWindow};
 use btr_sim::engine::{result_from_dense, RunResult, SimEngine};
-use btr_sim::runner::SuiteRunner;
+use btr_sim::experiments::ExperimentContext;
 use btr_sim::sweep::HistorySweep;
 use btr_trace::io::binary;
 use btr_trace::{BranchAddr, BranchRecord, FastBtrtReader, Outcome, Trace, TraceBuilder};
@@ -303,7 +303,8 @@ fn fused_empty_trace_produces_one_empty_result_per_slot() {
 fn sweep_entry_points_match_per_history_reference() {
     let engine = SimEngine::new();
     let traces = [mixed_trace(4000, 0xace), mixed_trace(3000, 0xbed)];
-    let refs: Vec<&Trace> = traces.iter().collect();
+    let interned: Vec<_> = traces.iter().map(Trace::intern).collect();
+    let refs: Vec<_> = interned.iter().collect();
     let histories = vec![0u32, 2, 9, 16];
     for family in [PredictorFamily::PAs, PredictorFamily::GAs] {
         let fam = match family {
@@ -321,9 +322,11 @@ fn sweep_entry_points_match_per_history_reference() {
             }
         }
         let sweep = HistorySweep::new(family, histories.clone()).run(&refs);
-        let runner = SuiteRunner::new(SuiteConfig::default()).with_threads(3);
-        let interned: Vec<_> = traces.iter().map(Trace::intern).collect();
-        let grid = runner.run_sweep_interned(&interned, family, &histories);
+        let ctx = ExperimentContext {
+            threads: 3,
+            ..ExperimentContext::quick()
+        };
+        let grid = ctx.run_sweep_interned(&interned, family, &histories);
         for (slot, &history) in histories.iter().enumerate() {
             assert_eq!(
                 sweep.per_branch(history).unwrap(),

@@ -8,9 +8,8 @@
 
 use btr_sim::config::PredictorFamily;
 use btr_sim::experiments::{ExperimentContext, SuiteData};
-use btr_sim::runner::SuiteRunner;
 use btr_sim::sweep::HistorySweep;
-use btr_trace::Trace;
+use btr_trace::InternedTrace;
 use btr_workloads::spec::{Benchmark, SuiteConfig};
 
 fn tiny_config() -> SuiteConfig {
@@ -20,31 +19,36 @@ fn tiny_config() -> SuiteConfig {
         .with_min_executions_per_branch(120)
 }
 
-fn runner_with_threads(threads: usize) -> SuiteRunner {
-    SuiteRunner::new(tiny_config())
-        .with_benchmarks(vec![
-            Benchmark::compress(),
-            Benchmark::li(),
-            Benchmark::vortex(),
-        ])
-        .with_threads(threads)
+fn context(benchmarks: Vec<Benchmark>, threads: usize) -> ExperimentContext {
+    ExperimentContext {
+        suite: tiny_config(),
+        benchmarks,
+        threads,
+        ..ExperimentContext::quick()
+    }
 }
 
-/// The runner's benchmarks generated one by one, in order.
-fn generate(runner: &SuiteRunner) -> Vec<Trace> {
-    runner
-        .benchmarks()
+fn context_with_threads(threads: usize) -> ExperimentContext {
+    context(
+        vec![Benchmark::compress(), Benchmark::li(), Benchmark::vortex()],
+        threads,
+    )
+}
+
+/// The context's benchmarks generated and interned one by one, in order.
+fn generate(ctx: &ExperimentContext) -> Vec<InternedTrace> {
+    ctx.benchmarks
         .iter()
-        .map(|b| b.generate(runner.config()))
+        .map(|b| b.generate(&ctx.suite).intern())
         .collect()
 }
 
 fn sequential_reference(
-    traces: &[Trace],
+    traces: &[InternedTrace],
     family: PredictorFamily,
     histories: &[u32],
 ) -> btr_sim::sweep::SweepResult {
-    let refs: Vec<&Trace> = traces.iter().collect();
+    let refs: Vec<&InternedTrace> = traces.iter().collect();
     HistorySweep::new(family, histories.to_vec()).run(&refs)
 }
 
@@ -52,12 +56,12 @@ fn sequential_reference(
 fn more_threads_than_histories_matches_sequential_bit_for_bit() {
     // 2 history lengths, 8 threads: the old per-history split would idle six
     // workers; the grid must both use them and stay deterministic.
-    let runner = runner_with_threads(8);
-    let traces = generate(&runner);
-    let (interned, _) = runner.intern_suite();
+    let ctx = context_with_threads(8);
+    let traces = generate(&ctx);
+    let (interned, _) = ctx.intern_suite();
     let histories = [0u32, 4];
     for family in [PredictorFamily::PAs, PredictorFamily::GAs] {
-        let parallel = runner.run_sweep_interned(&interned, family, &histories);
+        let parallel = ctx.run_sweep_interned(&interned, family, &histories);
         let sequential = sequential_reference(&traces, family, &histories);
         assert_eq!(parallel, sequential, "{} diverged", family.label());
     }
@@ -68,14 +72,12 @@ fn single_benchmark_with_many_threads_matches_sequential_bit_for_bit() {
     // 1 benchmark, 8 threads, dense 0..=16: the fused sweep must split the
     // histories into enough fused groups to occupy the pool, and regrouping
     // must not change a single bit of the result.
-    let runner = SuiteRunner::new(tiny_config())
-        .with_benchmarks(vec![Benchmark::compress()])
-        .with_threads(8);
-    let traces = generate(&runner);
-    let (interned, _) = runner.intern_suite();
+    let ctx = context(vec![Benchmark::compress()], 8);
+    let traces = generate(&ctx);
+    let (interned, _) = ctx.intern_suite();
     let histories: Vec<u32> = (0..=16).collect();
     for family in [PredictorFamily::PAs, PredictorFamily::GAs] {
-        let parallel = runner.run_sweep_interned(&interned, family, &histories);
+        let parallel = ctx.run_sweep_interned(&interned, family, &histories);
         let sequential = sequential_reference(&traces, family, &histories);
         assert_eq!(parallel, sequential, "{} diverged", family.label());
     }
@@ -83,26 +85,23 @@ fn single_benchmark_with_many_threads_matches_sequential_bit_for_bit() {
 
 #[test]
 fn single_thread_grid_matches_sequential_bit_for_bit() {
-    let runner = runner_with_threads(1);
-    let traces = generate(&runner);
+    let ctx = context_with_threads(1);
+    let traces = generate(&ctx);
     let histories = [0u32, 1, 2, 8];
-    let parallel =
-        runner.run_sweep_interned(&runner.intern_suite().0, PredictorFamily::PAs, &histories);
+    let parallel = ctx.run_sweep_interned(&ctx.intern_suite().0, PredictorFamily::PAs, &histories);
     let sequential = sequential_reference(&traces, PredictorFamily::PAs, &histories);
     assert_eq!(parallel, sequential);
 }
 
 #[test]
 fn empty_benchmark_set_matches_sequential_empty_sweep() {
-    let runner = SuiteRunner::new(tiny_config())
-        .with_benchmarks(Vec::new())
-        .with_threads(4);
-    let traces = generate(&runner);
-    let (interned, profile) = runner.intern_suite();
+    let ctx = context(Vec::new(), 4);
+    let traces = generate(&ctx);
+    let (interned, profile) = ctx.intern_suite();
     assert!(traces.is_empty() && interned.is_empty());
     assert_eq!(profile.total_dynamic(), 0);
     let histories = [0u32, 2];
-    let parallel = runner.run_sweep_interned(&interned, PredictorFamily::GAs, &histories);
+    let parallel = ctx.run_sweep_interned(&interned, PredictorFamily::GAs, &histories);
     let sequential = sequential_reference(&traces, PredictorFamily::GAs, &histories);
     assert_eq!(parallel, sequential);
     // Both produce one (empty) entry per history length.
@@ -114,13 +113,13 @@ fn empty_benchmark_set_matches_sequential_empty_sweep() {
 fn grid_results_are_stable_across_thread_counts() {
     let histories = [0u32, 2, 6];
     let reference = {
-        let runner = runner_with_threads(1);
-        runner.run_sweep_interned(&runner.intern_suite().0, PredictorFamily::GAs, &histories)
+        let ctx = context_with_threads(1);
+        ctx.run_sweep_interned(&ctx.intern_suite().0, PredictorFamily::GAs, &histories)
     };
     for threads in [2, 3, 5, 16] {
-        let runner = runner_with_threads(threads);
+        let ctx = context_with_threads(threads);
         let result =
-            runner.run_sweep_interned(&runner.intern_suite().0, PredictorFamily::GAs, &histories);
+            ctx.run_sweep_interned(&ctx.intern_suite().0, PredictorFamily::GAs, &histories);
         assert_eq!(result, reference, "thread count {threads} diverged");
     }
 }

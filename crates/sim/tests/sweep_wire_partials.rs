@@ -10,24 +10,24 @@
 //! any sharding.
 
 use btr_sim::config::PredictorFamily;
-use btr_sim::runner::SuiteRunner;
+use btr_sim::experiments::ExperimentContext;
 use btr_sim::sweep::{HistorySweep, SweepResult};
-use btr_trace::Trace;
+use btr_trace::InternedTrace;
 use btr_wire::Wire;
 use btr_workloads::spec::{Benchmark, SuiteConfig};
 
-fn suite_traces() -> Vec<Trace> {
+fn suite_traces() -> Vec<InternedTrace> {
     let config = SuiteConfig::default().with_scale(4e-6).with_seed(11);
     [Benchmark::compress(), Benchmark::li(), Benchmark::vortex()]
         .iter()
-        .map(|b| b.generate(&config))
+        .map(|b| b.generate(&config).intern())
         .collect()
 }
 
 #[test]
 fn btrw_persisted_partials_remerge_bit_identically() {
     let traces = suite_traces();
-    let refs: Vec<&Trace> = traces.iter().collect();
+    let refs: Vec<&InternedTrace> = traces.iter().collect();
     for family in [PredictorFamily::PAs, PredictorFamily::GAs] {
         let sweep = HistorySweep::new(family, vec![0, 2, 4]);
         let joint = sweep.run(&refs);
@@ -57,7 +57,7 @@ fn btrw_persisted_partials_remerge_bit_identically() {
 #[test]
 fn json_persisted_partials_remerge_bit_identically() {
     let traces = suite_traces();
-    let refs: Vec<&Trace> = traces.iter().collect();
+    let refs: Vec<&InternedTrace> = traces.iter().collect();
     let sweep = HistorySweep::new(PredictorFamily::PAs, vec![0, 4]);
     let joint = sweep.run(&refs);
 
@@ -78,12 +78,14 @@ fn json_persisted_partials_remerge_bit_identically() {
 fn grid_runner_sweeps_also_persist_losslessly() {
     // The work-stealing grid produces SweepResults via from_parts; those
     // must persist exactly too (they are what the serving layer will ship).
-    let config = SuiteConfig::default().with_scale(4e-6).with_seed(11);
-    let runner = SuiteRunner::new(config)
-        .with_benchmarks(vec![Benchmark::compress(), Benchmark::li()])
-        .with_threads(2);
-    let (interned, _) = runner.intern_suite();
-    let result = runner.run_sweep_interned(&interned, PredictorFamily::GAs, &[0, 2, 4]);
+    let ctx = ExperimentContext {
+        suite: SuiteConfig::default().with_scale(4e-6).with_seed(11),
+        benchmarks: vec![Benchmark::compress(), Benchmark::li()],
+        threads: 2,
+        ..ExperimentContext::quick()
+    };
+    let (interned, _) = ctx.intern_suite();
+    let result = ctx.run_sweep_interned(&interned, PredictorFamily::GAs, &[0, 2, 4]);
     assert_eq!(SweepResult::from_btrw(&result.to_btrw()).unwrap(), result);
     assert_eq!(
         SweepResult::from_json(&result.to_json().unwrap()).unwrap(),

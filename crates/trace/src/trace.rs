@@ -129,12 +129,6 @@ impl Trace {
         }
         interner.addrs().len()
     }
-
-    /// Concatenates another trace onto this one.
-    pub fn extend_from(&mut self, other: &Trace) {
-        self.records.extend_from_slice(&other.records);
-        self.other += other.other;
-    }
 }
 
 impl fmt::Display for Trace {
@@ -309,33 +303,6 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.conditional_count(), 1);
         assert_eq!(t.static_conditional_count(), 1);
-    }
-
-    #[test]
-    fn extend_from_merges_statistics() {
-        let a = Trace::from_records(TraceMetadata::named("a"), vec![rec(0x10, true)]);
-        let b = Trace::from_records(
-            TraceMetadata::named("b"),
-            vec![
-                rec(0x10, false),
-                BranchRecord::new(BranchAddr::new(0x14), BranchKind::Call, Outcome::Taken),
-                rec(0x20, true),
-            ],
-        );
-        let mut merged = a.clone();
-        merged.extend_from(&b);
-        assert_eq!(merged.len(), 4);
-        assert_eq!(merged.conditional_count(), 3);
-        assert_eq!(merged.static_conditional_count(), 2);
-        let concatenated = Trace::from_records(
-            TraceMetadata::named("a"),
-            [a.records(), b.records()].concat(),
-        );
-        assert_eq!(merged, concatenated);
-        let interned = merged.intern();
-        assert_eq!(interned, concatenated.intern());
-        assert_eq!(interned.records().ids(), &[0, 0, 1]);
-        assert_eq!(interned.records().taken(), &[true, false, true]);
     }
 
     #[test]

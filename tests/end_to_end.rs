@@ -7,18 +7,18 @@ use btr::sim::sweep::HistorySweep;
 use btr_core::class::ClassId;
 use btr_core::distribution::Metric;
 
-fn mini_suite() -> (Vec<btr_trace::Trace>, ProgramProfile) {
+fn mini_suite() -> (Vec<btr_trace::InternedTrace>, ProgramProfile) {
     let config = SuiteConfig::default()
         .with_scale(2e-6)
         .with_seed(2024)
         .with_min_executions_per_branch(200);
     let traces: Vec<_> = [Benchmark::compress(), Benchmark::li(), Benchmark::m88ksim()]
         .iter()
-        .map(|b| b.generate(&config))
+        .map(|b| b.generate(&config).intern())
         .collect();
     let mut profile = ProgramProfile::new();
     for t in &traces {
-        profile.merge(&ProgramProfile::from_interned(&t.intern()));
+        profile.merge(&ProgramProfile::from_interned(t));
     }
     (traces, profile)
 }
@@ -42,7 +42,7 @@ fn transition_rate_certifies_more_easy_branches_than_taken_rate() {
 #[test]
 fn pas_handles_high_transition_classes_with_one_or_two_history_bits() {
     let (traces, profile) = mini_suite();
-    let refs: Vec<&btr_trace::Trace> = traces.iter().collect();
+    let refs: Vec<_> = traces.iter().collect();
     let sweep = HistorySweep::new(PredictorFamily::PAs, vec![0, 1, 2, 4]).run(&refs);
     let matrix =
         sweep.class_history_matrix(&profile, Metric::TransitionRate, BinningScheme::Paper11);
@@ -72,7 +72,7 @@ fn pas_handles_high_transition_classes_with_one_or_two_history_bits() {
 #[test]
 fn joint_5_5_class_is_the_hardest_region_for_both_predictors() {
     let (traces, profile) = mini_suite();
-    let refs: Vec<&btr_trace::Trace> = traces.iter().collect();
+    let refs: Vec<_> = traces.iter().collect();
     for family in [PredictorFamily::PAs, PredictorFamily::GAs] {
         let sweep = HistorySweep::new(family, vec![0, 2, 4, 8]).run(&refs);
         let joint = sweep.joint_miss_matrix(&profile, BinningScheme::Paper11);
@@ -103,11 +103,10 @@ fn classified_hybrid_is_competitive_with_monolithic_baselines() {
     let mut gas_misses = 0.0;
     let mut total = 0.0;
     for trace in &traces {
-        let trace = trace.intern();
         let mut hybrid = advisor.build_hybrid(&profile);
         let mut gas = TwoLevelPredictor::new(TwoLevelConfig::gas_paper(12));
-        let h = engine.run(&trace, &mut hybrid);
-        let g = engine.run(&trace, &mut gas);
+        let h = engine.run(trace, &mut hybrid);
+        let g = engine.run(trace, &mut gas);
         hybrid_misses += h.overall.misses() as f64;
         gas_misses += g.overall.misses() as f64;
         total += h.overall.lookups as f64;
