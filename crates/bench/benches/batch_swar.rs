@@ -13,15 +13,15 @@
 //! * `swar/…` — one lane through `run_batch`: the bit-sliced replay, 32
 //!   two-bit counters trained per word operation.
 //!
-//! The `≥ 2×` acceptance target for the SWAR tier is declared here as
-//! `min_ratio` rows appended to `$CRITERION_JSON` and enforced by
-//! `scripts/bench_gate.py` within the *current* run.
+//! The SWAR tier's floors over the fused rows are declared ratio pairs: the
+//! stand-in interleaves each pair's samples and appends a `min_ratio` row to
+//! `$CRITERION_JSON`, which `scripts/bench_gate.py` enforces on the median
+//! per-pair ratio within the *current* run.
 
 use btr_predictors::fused::FusedSweepPredictor;
 use btr_sim::engine::{BatchLane, SimEngine};
 use btr_trace::{BranchAddr, BranchRecord, Outcome, Trace, TraceBuilder};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use std::io::Write;
 
 /// A trace shaped like the generated suite: a few thousand static branches
 /// with mixed biased/alternating/noisy behaviours (same generator as the
@@ -45,28 +45,6 @@ fn synthetic_trace(n: usize) -> Trace {
     b.build()
 }
 
-/// Appends a `min_ratio` constraint row to `$CRITERION_JSON` for
-/// `scripts/bench_gate.py`: in the same run, `id`'s per-point rate must be
-/// at least `min_ratio ×` the rate of `reference`. Declared here, next to
-/// the benchmarks it binds, so the floor travels with the bench artifact.
-fn declare_ratio_floor(id: &str, reference: &str, min_ratio: f64) {
-    let Ok(path) = std::env::var("CRITERION_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let line = format!("{{\"id\":{id:?},\"ref\":{reference:?},\"min_ratio\":{min_ratio}}}\n");
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut file| file.write_all(line.as_bytes()));
-    if let Err(err) = written {
-        eprintln!("batch_swar: cannot append ratio floor to {path}: {err}");
-    }
-}
-
 fn bench_batch_swar(c: &mut Criterion) {
     let trace = synthetic_trace(200_000);
     let interned = trace.intern();
@@ -75,41 +53,38 @@ fn bench_batch_swar(c: &mut Criterion) {
     let records = interned.len() as u64;
     let engine = SimEngine::new();
 
+    // Regression floors for the SWAR tier's win over the scalar fused path,
+    // measured in-run (same box, interleaved samples) so shared-runner
+    // wall-clock noise mostly cancels. Observed in-run ratios on the
+    // reference box: GAs 1.7–2.15×, gshare 1.6–1.87×, PAs 1.6–2.5×; the
+    // floors sit well below the worst observed run so an innocent PR does
+    // not flake, while still failing loudly if the tier loses a meaningful
+    // slice of its advantage.
     type FusedFactory = fn(&[u32]) -> FusedSweepPredictor;
-    let families: Vec<(&str, FusedFactory)> = vec![
-        ("PAs", FusedSweepPredictor::pas_paper),
-        ("GAs", FusedSweepPredictor::gas_paper),
-        ("gshare", FusedSweepPredictor::gshare_paper),
+    let families: Vec<(&str, FusedFactory, f64)> = vec![
+        ("PAs", FusedSweepPredictor::pas_paper, 1.4),
+        ("GAs", FusedSweepPredictor::gas_paper, 1.5),
+        ("gshare", FusedSweepPredictor::gshare_paper, 1.5),
     ];
 
     let mut group = c.benchmark_group("batch_swar");
     group.sample_size(10);
-    for (label, factory) in &families {
-        // Scalar fused reference: identical work and accounting to
-        // `fused_sweep/fused/{label}`, re-measured here so the SWAR ratio
-        // floors compare within one run on one machine.
-        group.throughput(Throughput::Elements(records * points));
-        group.bench_function(format!("fused/{label}"), |b| {
-            b.iter(|| engine.run_fused(&interned, &mut factory(&histories)))
-        });
+    group.throughput(Throughput::Elements(records * points));
+    for (label, factory, floor) in &families {
         // The SWAR tier: one `run_batch` lane, planned onto SWAR by the same
-        // driver that runs every streamed `/sweep`.
-        group.bench_function(format!("swar/{label}"), |b| {
-            b.iter(|| engine.run_batch(&[&interned], vec![BatchLane::new(0, factory(&histories))]))
-        });
+        // driver that runs every streamed `/sweep`, against the scalar fused
+        // reference: identical work and accounting to
+        // `fused_sweep/fused/{label}`, re-measured here as the pair's
+        // reference.
+        group.bench_ratio_pair(
+            format!("swar/{label}"),
+            || engine.run_batch(&[&interned], vec![BatchLane::new(0, factory(&histories))]),
+            format!("fused/{label}"),
+            || engine.run_fused(&interned, &mut factory(&histories)),
+            *floor,
+        );
     }
     group.finish();
-
-    // Regression floors for the SWAR tier's win over the scalar fused path,
-    // measured in-run (same box, same load) so shared-runner wall-clock
-    // noise mostly cancels. Observed in-run ratios on the reference box:
-    // GAs 1.7–2.15×, gshare 1.6–1.87×, PAs 1.6–2.5×; the floors sit
-    // well below the worst observed run so an innocent PR does not flake,
-    // while still failing loudly if the tier loses a meaningful slice of
-    // its advantage.
-    declare_ratio_floor("batch_swar/swar/PAs", "batch_swar/fused/PAs", 1.4);
-    declare_ratio_floor("batch_swar/swar/GAs", "batch_swar/fused/GAs", 1.5);
-    declare_ratio_floor("batch_swar/swar/gshare", "batch_swar/fused/gshare", 1.5);
 }
 
 criterion_group!(benches, bench_batch_swar);

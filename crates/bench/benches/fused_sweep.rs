@@ -95,7 +95,7 @@ fn bench_fused_sweep(c: &mut Criterion) {
             b.iter(|| {
                 let chunks = FastBtrtReader::new(bytes.as_slice(), 64 * 1024).unwrap();
                 engine
-                    .run_fused_streamed(chunks, &mut fused_factory(&histories))
+                    .run_fused_streamed(chunks, &histories, 1, fused_factory)
                     .unwrap()
             })
         });

@@ -72,7 +72,9 @@ fn bench_streaming(c: &mut Criterion) {
                     let chunks =
                         btrt_reference::chunked(encoded.as_slice(), chunk_records).unwrap();
                     engine
-                        .run_fused_streamed(chunks, &mut PredictorFamily::PAs.fused_paper(&[8]))
+                        .run_fused_streamed(chunks, &[8], 1, |h| {
+                            PredictorFamily::PAs.fused_paper(h)
+                        })
                         .unwrap()
                 })
             },

@@ -13,9 +13,13 @@
 //! [`ProgramProfile::from_stats`] bulk-builds the profile from that sorted
 //! map. Classification ([`run_classify`]) drains the stream and a sweep
 //! ([`run_sweep`]) feeds it to the fused engine: `btrd`'s only two paths.
-//! Both hold one chunk plus the interning, statistics and per-slot tables,
-//! independent of upload length (`tests/serve_memory.rs`); the
-//! distinct-branch tables are capped by the static-branch budget.
+//! The stream stays on the request's thread; a sweep shares each decoded
+//! chunk read-only with one scoped helper per extra group of history slots
+//! (the pool's width), one chunk behind the decoder. Both paths hold a
+//! chunk (two while a sweep's helpers replay) plus the interning,
+//! statistics and per-slot tables, independent of upload length
+//! (`tests/serve_memory.rs`); the distinct-branch tables are capped by the
+//! static-branch budget.
 //!
 //! [`materialize_sweep`] and [`sweep_document`] are the in-process sweep
 //! reference that the benchmark's oracle and the e2e suite check replies
@@ -238,7 +242,10 @@ pub fn run_classify<R: Read>(
 /// Streams `body` once through the fused multi-history engine
 /// ([`SimEngine::run_fused_streamed`]) and renders the sweep document: the
 /// full [`SweepResult`] plus the class × history miss matrix for the
-/// requested metric. Per-history class aggregation fans out across `pool`.
+/// requested metric. The engine runs `pool.threads()` wide: the calling
+/// thread reads, decodes and replays the first group of history slots while
+/// scoped helpers replay the rest. Per-history class aggregation then fans
+/// out across `pool`. The document is byte-identical at every width.
 ///
 /// # Errors
 ///
@@ -256,7 +263,9 @@ pub fn run_sweep<R: Read>(
 ) -> Result<AnalysisOutcome, ServeError> {
     let mut stream = UploadStream::open(body, format, budgets)?;
     let results =
-        SimEngine::new().run_fused_streamed(&mut stream, &mut family.fused_paper(histories))?;
+        SimEngine::new().run_fused_streamed(&mut stream, histories, pool.threads(), |h| {
+            family.fused_paper(h)
+        })?;
     let upload = stream.finish();
     Ok(render_sweep(
         &upload.metadata,

@@ -6,6 +6,10 @@
 //!      [--timeout-ms N] [--cache-entries N]
 //! ```
 //!
+//! `--threads` (default 2) sizes the per-request analysis pool and is also
+//! the width of the `/sweep` engine: each sweep's history slots are split
+//! across that many threads, the request's own included.
+//!
 //! Prints `btrd listening on HOST:PORT` on stdout once the listener is
 //! bound (the end-to-end benchmark scrapes that line for the ephemeral
 //! port), then serves until killed.

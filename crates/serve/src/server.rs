@@ -37,7 +37,12 @@ use stealpool::WorkStealingPool;
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
     pub addr: String,
-    /// Worker threads for per-request post-processing fan-out.
+    /// Worker threads for per-request post-processing fan-out, and the
+    /// width of each `/sweep`'s engine: its history slots split into this
+    /// many groups (at most one per slot), replayed by the request's thread
+    /// and `analysis_threads - 1` scoped helpers. With `max_concurrent`
+    /// admitted requests, at most `max_concurrent × (analysis_threads - 1)`
+    /// helpers are live; 1 runs every sweep on the request's thread alone.
     pub analysis_threads: usize,
     /// Analyses admitted concurrently; excess requests are 503ed.
     pub max_concurrent: usize,

@@ -351,6 +351,90 @@ fn static_branch_budget_maps_to_a_413_budget_error() {
 }
 
 #[test]
+fn a_budget_breach_partway_through_a_split_sweep_is_a_413() {
+    // Two analysis threads split the dense sweep into two slot groups, and
+    // 8-record chunks put the breach (the 17th of 64 sites) in the third
+    // chunk, after the helper has replayed two.
+    let (addr, handle) = spawn(|config| {
+        config.analysis_threads = 2;
+        config.chunk_records = 8;
+        config.max_static_branches = 16;
+    });
+    let body = btrt(2_000, 64);
+    let target = "/sweep?histories=0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16";
+    let resp = post(&addr, target, body.clone());
+    assert_eq!(resp.status, 413, "body: {}", resp.text());
+    assert_eq!(error_code(&resp), "budget-exceeded");
+    let budgets = Budgets {
+        chunk_records: 8,
+        max_static_branches: 16,
+    };
+    let histories: Vec<u32> = (0..=16).collect();
+    let err = analysis::run_sweep(
+        body.as_slice(),
+        BodyFormat::Btrt,
+        BinningScheme::Paper11,
+        btr_core::distribution::Metric::TransitionRate,
+        btr_sim::config::PredictorFamily::PAs,
+        &histories,
+        budgets,
+        &WorkStealingPool::new(2),
+    )
+    .expect_err("the split sweep enforces the budget");
+    assert_eq!(err.status(), 413, "{err}");
+    // The cut-off request left nothing wedged: the next sweep is answered.
+    let ok = post(&addr, target, btrt(2_000, 16));
+    assert_eq!(ok.status, 200, "body: {}", ok.text());
+    assert_eq!(handle.metrics().batched_lanes, 1);
+}
+
+#[test]
+fn sweeps_are_byte_identical_at_every_width() {
+    // `run_sweep` splits the engine across as many slot groups as its pool
+    // has threads; the document must not change by a byte, for either body
+    // format, either family, or a chunking that spreads the upload.
+    let trace = trace(6_000, 97);
+    let mut btrt_body = Vec::new();
+    binary::write_trace(&mut btrt_body, &trace).expect("in-memory encode");
+    let mut text_body = Vec::new();
+    btr_trace::io::text::write_trace(&mut text_body, &trace).expect("in-memory encode");
+    let budgets = Budgets {
+        chunk_records: 500,
+        max_static_branches: ServerConfig::default().max_static_branches,
+    };
+    let dense: Vec<u32> = (0..=16).collect();
+    let cases = [
+        (BodyFormat::Btrt, &btrt_body, "pas", &dense[..]),
+        (BodyFormat::Text, &text_body, "pas", &dense[..]),
+        (BodyFormat::Btrt, &btrt_body, "gas", &[0, 3, 7, 12][..]),
+    ];
+    for (format, body, family, histories) in cases {
+        let family = analysis::parse_family(Some(family)).expect("family");
+        let document = |threads: usize| {
+            let outcome = analysis::run_sweep(
+                body.as_slice(),
+                format,
+                BinningScheme::Paper11,
+                btr_core::distribution::Metric::TransitionRate,
+                family,
+                histories,
+                budgets,
+                &WorkStealingPool::new(threads),
+            )
+            .expect("valid upload");
+            outcome.value.to_json().expect("finite document")
+        };
+        let reference = document(1);
+        for threads in 2..=4 {
+            assert!(
+                document(threads) == reference,
+                "{format:?} {family:?} sweep changed at {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
 fn saturation_is_a_clean_503_with_retry_after() {
     // One admission slot, held by an upload whose body never arrives: once
     // the in-flight gauge shows it admitted, every further analysis is over

@@ -204,6 +204,8 @@ impl Coordinator {
         let mut commits: u64 = 0;
         // The in-process launcher's decoded traces, one per bound file.
         let mut decoded: BTreeMap<Option<String>, InternedTrace> = BTreeMap::new();
+        // Its last finished attempt, until it settles.
+        let mut just_ran: Option<(u32, worker::Attempt)> = None;
 
         loop {
             // Reap exited workers and kill stragglers past their deadline.
@@ -227,10 +229,25 @@ impl Coordinator {
             }
             running = alive;
 
-            // Settle finished attempts by validating the checkpoint on disk.
+            // Settle finished attempts by reading the checkpoint on disk. An
+            // in-process attempt whose bytes are on disk unchanged is
+            // adopted as computed; any other checkpoint (a worker process's,
+            // or one a fault or an earlier commit left) is decoded and
+            // validated.
             for unit_id in std::mem::take(&mut finished) {
                 let unit = &units[unit_id as usize];
-                if let Ok(partial) = self.dir.load_partial(unit) {
+                let attempt = just_ran
+                    .take()
+                    .filter(|(ran, _)| *ran == unit_id)
+                    .map(|(_, attempt)| attempt);
+                let settled = self
+                    .dir
+                    .read_partial(unit_id)
+                    .and_then(|bytes| match attempt {
+                        Some(attempt) if attempt.bytes == bytes => Ok(attempt.result),
+                        _ => OutDir::decode_partial(unit, &bytes),
+                    });
+                if let Ok(partial) = settled {
                     fold(unit_id, partial);
                     commits += 1;
                     remaining -= 1;
@@ -312,8 +329,13 @@ impl Coordinator {
                         };
                         // Nonce folds the attempt in so racing temp files of
                         // one unit never collide.
-                        worker::execute_and_commit(&self.dir, unit, trace, fault, attempt)?;
+                        let run =
+                            worker::execute_and_commit(&self.dir, unit, trace, fault, attempt)?;
+                        just_ran = Some((unit_id, run));
                         finished.push(unit_id);
+                        // Settle it before the next unit runs, so at most one
+                        // attempt's result and bytes are held at a time.
+                        break;
                     }
                 }
             }

@@ -115,9 +115,14 @@ impl OutDir {
         result: &SweepResult,
         nonce: u32,
     ) -> Result<bool> {
+        self.commit_encoded(unit, &result.to_btrw(), nonce)
+    }
+
+    /// [`OutDir::commit_partial`] for a result already encoded as `BTRW`.
+    pub(crate) fn commit_encoded(&self, unit: &UnitSpec, bytes: &[u8], nonce: u32) -> Result<bool> {
         let path = self.partial_path(unit.unit_id);
         let tmp = tmp_sibling(&path, nonce);
-        fs::write(&tmp, result.to_btrw())
+        fs::write(&tmp, bytes)
             .map_err(|e| ShardError::io(format!("writing {}", tmp.display()), e))?;
         if self.load_partial(unit).is_ok() {
             // A previous attempt committed first; its checkpoint wins.
@@ -134,10 +139,19 @@ impl OutDir {
     /// family and history group, and carry the unit's source label. Torn or
     /// corrupted checkpoints surface as errors and never merge.
     pub fn load_partial(&self, unit: &UnitSpec) -> Result<SweepResult> {
-        let path = self.partial_path(unit.unit_id);
-        let bytes = fs::read(&path)
-            .map_err(|e| ShardError::io(format!("reading {}", path.display()), e))?;
-        let result = SweepResult::from_btrw(&bytes)?;
+        Self::decode_partial(unit, &self.read_partial(unit.unit_id)?)
+    }
+
+    /// The raw bytes of unit `unit_id`'s checkpoint, unvalidated.
+    pub(crate) fn read_partial(&self, unit_id: u32) -> Result<Vec<u8>> {
+        let path = self.partial_path(unit_id);
+        fs::read(&path).map_err(|e| ShardError::io(format!("reading {}", path.display()), e))
+    }
+
+    /// Decodes and validates checkpoint `bytes` for `unit`, as
+    /// [`OutDir::load_partial`] does.
+    pub(crate) fn decode_partial(unit: &UnitSpec, bytes: &[u8]) -> Result<SweepResult> {
+        let result = SweepResult::from_btrw(bytes)?;
         if result.family() != unit.family {
             return Err(ShardError::bad_manifest(format!(
                 "partial {} belongs to family {}, unit wants {}",

@@ -7,12 +7,15 @@
 //! coordinator validates the partial after every worker exit (clean, crash
 //! or kill) and adopts it if valid — that is what makes
 //! [`FaultKind::CrashAfterCommit`] safe — so the codes below only classify
-//! failures for humans reading logs.
+//! failures for humans reading logs. An in-process attempt hands back its
+//! result and encoding ([`Attempt`]), so a checkpoint equal to those bytes
+//! is adopted without a second decode.
 
 use crate::error::{Result, ShardError};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::manifest::{Manifest, OutDir};
 use crate::unit::UnitSpec;
+use btr_sim::sweep::SweepResult;
 use btr_trace::InternedTrace;
 use btr_wire::Wire;
 use std::fs;
@@ -50,57 +53,77 @@ pub fn run_worker(out_root: &Path, unit_id: u32, attempt: u32) -> Result<i32> {
         return Ok(EXIT_STALL_EXPIRED);
     }
     let trace = unit.load_trace()?;
-    let clean = execute_and_commit(&dir, &unit, &trace, decision, std::process::id())?;
-    Ok(if clean { EXIT_OK } else { EXIT_INJECTED })
+    let attempt = execute_and_commit(&dir, &unit, &trace, decision, std::process::id())?;
+    Ok(if attempt.clean {
+        EXIT_OK
+    } else {
+        EXIT_INJECTED
+    })
+}
+
+/// One attempt at a unit, as [`execute_and_commit`] ran it.
+#[derive(Debug)]
+pub struct Attempt {
+    /// Whether the attempt should report a clean exit.
+    pub clean: bool,
+    /// The unit's labeled result.
+    pub result: SweepResult,
+    /// The result's `BTRW` encoding: the bytes the attempt committed, or
+    /// would have committed had no fault struck. A checkpoint on disk that
+    /// equals them needs no decode to be trusted.
+    pub bytes: Vec<u8>,
 }
 
 /// Executes a unit over its decoded `trace` and commits its checkpoint,
-/// applying a (non-stall) injected fault to the commit path. Returns whether
-/// the attempt should report a clean exit. Shared by the worker binary and
-/// the coordinator's in-process launcher, so fault semantics cannot drift
-/// between the two.
+/// applying a (non-stall) injected fault to the commit path. Returns the
+/// attempt: whether it should report a clean exit, plus the result and its
+/// encoding. Shared by the worker binary and the coordinator's in-process
+/// launcher, so fault semantics cannot drift between the two.
 pub fn execute_and_commit(
     dir: &OutDir,
     unit: &UnitSpec,
     trace: &InternedTrace,
     fault: Option<FaultKind>,
     nonce: u32,
-) -> Result<bool> {
+) -> Result<Attempt> {
     let result = unit.execute_over(trace)?.with_source(unit.source_label());
-    match fault {
+    let bytes = result.to_btrw();
+    let clean = match fault {
         None => {
-            dir.commit_partial(unit, &result, nonce)?;
-            Ok(true)
+            dir.commit_encoded(unit, &bytes, nonce)?;
+            true
         }
-        Some(FaultKind::CrashBeforeCommit) | Some(FaultKind::Stall) => {
-            // Die with the finished result still in memory: nothing durable.
-            Ok(false)
-        }
+        // Die with the finished result still in memory: nothing durable.
+        Some(FaultKind::CrashBeforeCommit) | Some(FaultKind::Stall) => false,
         Some(FaultKind::CrashAfterCommit) => {
-            dir.commit_partial(unit, &result, nonce)?;
-            Ok(false)
+            dir.commit_encoded(unit, &bytes, nonce)?;
+            false
         }
         Some(FaultKind::TornWrite) => {
             // Bypass write-temp-then-rename and leave half a checkpoint at
             // the final path, as a power loss on a non-atomic filesystem
             // would. Validation must reject it and the unit must re-run.
-            let bytes = result.to_btrw();
             let path = dir.partial_path(unit.unit_id);
             fs::write(&path, &bytes[..bytes.len() / 2])
                 .map_err(|e| ShardError::io(format!("torn write to {}", path.display()), e))?;
-            Ok(false)
+            false
         }
         Some(FaultKind::CorruptPartial) => {
             // Commit a checkpoint with a flipped payload bit and report
             // success: only decode-time validation (canonical encodings,
             // overall-equals-per-branch-sums, source labels) can catch it.
-            let mut bytes = result.to_btrw();
-            let last = bytes.len() - 1;
-            bytes[last] ^= 0x55;
-            dir.write_atomic(&dir.partial_path(unit.unit_id), &bytes, nonce)?;
-            Ok(true)
+            let mut corrupt = bytes.clone();
+            let last = corrupt.len() - 1;
+            corrupt[last] ^= 0x55;
+            dir.write_atomic(&dir.partial_path(unit.unit_id), &corrupt, nonce)?;
+            true
         }
-    }
+    };
+    Ok(Attempt {
+        clean,
+        result,
+        bytes,
+    })
 }
 
 #[cfg(test)]
@@ -141,7 +164,12 @@ mod tests {
     fn clean_execution_commits_a_valid_partial() {
         let dir = temp_dir("clean");
         let (unit, trace) = tiny_unit();
-        assert!(execute_and_commit(&dir, &unit, &trace, None, 1).expect("unit executes"));
+        let attempt = execute_and_commit(&dir, &unit, &trace, None, 1).expect("unit executes");
+        assert!(attempt.clean);
+        assert_eq!(
+            dir.read_partial(unit.unit_id).expect("committed"),
+            attempt.bytes
+        );
         let partial = dir
             .load_partial(&unit)
             .expect("committed partial validates");
@@ -156,15 +184,21 @@ mod tests {
         assert!(
             !execute_and_commit(&dir, &unit, &trace, Some(FaultKind::TornWrite), 1)
                 .expect("torn attempt runs")
+                .clean
         );
         assert!(dir.load_partial(&unit).is_err(), "torn partial rejected");
         assert!(
             execute_and_commit(&dir, &unit, &trace, Some(FaultKind::CorruptPartial), 2)
                 .expect("corrupt attempt runs")
+                .clean
         );
         assert!(dir.load_partial(&unit).is_err(), "corrupt partial rejected");
         // A clean retry replaces the invalid checkpoint.
-        assert!(execute_and_commit(&dir, &unit, &trace, None, 3).expect("retry runs"));
+        assert!(
+            execute_and_commit(&dir, &unit, &trace, None, 3)
+                .expect("retry runs")
+                .clean
+        );
         assert!(dir.load_partial(&unit).is_ok());
         let _ = fs::remove_dir_all(dir.root());
     }
@@ -175,12 +209,16 @@ mod tests {
         let (unit, trace) = tiny_unit();
         assert!(
             execute_and_commit(&dir, &unit, &trace, Some(FaultKind::CrashAfterCommit), 1)
-                .map(|clean| !clean)
+                .map(|attempt| !attempt.clean)
                 .expect("first attempt commits then crashes")
         );
         let first = dir.load_partial(&unit).expect("first checkpoint is valid");
         // The re-issued duplicate completes but must yield to the first.
-        assert!(execute_and_commit(&dir, &unit, &trace, None, 2).expect("duplicate runs"));
+        assert!(
+            execute_and_commit(&dir, &unit, &trace, None, 2)
+                .expect("duplicate runs")
+                .clean
+        );
         assert_eq!(dir.load_partial(&unit).expect("still valid"), first);
         let _ = fs::remove_dir_all(dir.root());
     }

@@ -202,6 +202,46 @@ fn persistent_failures_exhaust_the_retry_budget() {
     let _ = fs::remove_dir_all(dir.root());
 }
 
+/// The in-process launcher settles an attempt from its own bytes only when
+/// the checkpoint on disk matches them: a torn or corrupted checkpoint is
+/// decoded, rejected and re-run every time (so a fault on every attempt
+/// exhausts the budget), while a commit that landed intact before its
+/// attempt "crashed" is adopted.
+#[test]
+fn in_process_settle_adopts_only_checkpoints_equal_to_the_attempt() {
+    let spec = small_spec();
+    for kind in [
+        FaultKind::TornWrite,
+        FaultKind::CorruptPartial,
+        FaultKind::CrashAfterCommit,
+    ] {
+        let dir = fresh_dir(&format!("settle-{}", kind.name()));
+        let mut plan = FaultPlan::every_first_attempt(5);
+        plan.kinds = vec![kind];
+        plan.max_faults_per_unit = u32::MAX;
+        let config = CoordinatorConfig {
+            retry_budget: 2,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(2),
+            fault_plan: Some(plan),
+            launcher: Launcher::InProcess,
+            ..CoordinatorConfig::default()
+        };
+        let outcome = Coordinator::new(dir.clone(), config).run(spec.clone());
+        match (kind, outcome) {
+            (FaultKind::CrashAfterCommit, Ok(merged)) => {
+                assert_eq!(merged.to_btrw(), sequential_bytes(&spec));
+            }
+            (_, Err(ShardError::RetryBudgetExhausted { attempts, .. })) => {
+                assert_ne!(kind, FaultKind::CrashAfterCommit);
+                assert_eq!(attempts, 3, "{}", kind.name());
+            }
+            (_, other) => panic!("{}: unexpected outcome {other:?}", kind.name()),
+        }
+        let _ = fs::remove_dir_all(dir.root());
+    }
+}
+
 #[test]
 fn run_refuses_a_directory_that_already_holds_a_sweep() {
     let spec = small_spec();

@@ -15,7 +15,12 @@
 //!   runner); and [`SimEngine::run_prefix`], one lane over a borrowed
 //!   prefix of a trace (every `btr-shard` unit). All three feed one planned
 //!   driver that runs the bit-sliced SWAR tier while the sweep fits it and
-//!   the scalar fused tier after.
+//!   the scalar fused tier after. The streamed sweep alone runs on more than
+//!   one thread: given a width above 1 it cuts the history slots into
+//!   contiguous groups, keeps the decoder and group 0 on the calling thread
+//!   and replays every other group on a scoped helper, one chunk behind the
+//!   decoder. `run_batch` and `run_prefix` stay single-threaded; their
+//!   callers parallelise across lanes and units.
 //! * [`SimEngine::run_window_dispatch`] — one window of a trace on a fresh
 //!   [`DispatchPredictor`] after a warmup replay ([`WarmupWindow`]). Over
 //!   the full range it is the monomorphized per-predictor reference the
@@ -36,8 +41,12 @@ use btr_predictors::dispatch::DispatchPredictor;
 use btr_predictors::fused::{FusedBlock, FusedSweepPredictor};
 use btr_predictors::predictor::{BranchPredictor, PredictionStats};
 use btr_predictors::swar::{self, CounterLut, SwarBlock, SwarScratch};
+use btr_trace::io::chunked::TraceChunk;
 use btr_trace::{BranchAddr, ChunkStream, ConditionalView, InternedTrace};
 use btr_wire::{MapBuilder, Value, Wire, WireError};
+use core::ops::Range;
+use std::sync::{mpsc, Arc};
+use std::thread;
 
 /// Number of records per [`FusedBlock`] in the fused engine paths: small
 /// enough that the block scratch plus one slot's PHT plus one slot's hit row
@@ -153,6 +162,41 @@ impl<'f> PlannedSweep<'f> {
         }
         self.acc.into_results(addrs)
     }
+}
+
+/// What the decoding thread of a split streamed sweep sends each helper:
+/// every chunk with the static-branch count so far, then the final id →
+/// address table.
+enum GroupJob<'a> {
+    Chunk(Arc<TraceChunk>, usize),
+    Finish(&'a [BranchAddr]),
+}
+
+/// The calling thread's own per-record work in a split streamed sweep
+/// (reading and digesting the body, decoding, folding statistics), in
+/// history-slot replays: [`slot_groups`] gives group 0 that many fewer
+/// slots' worth of the sweep. Tuned on `btrd`'s dense PAs 0..=16 `/sweep`
+/// at width 2, digest included: split as 0..=5 | 6..=16 it took 0.725 of
+/// the width-1 time, against 0.710 for 0..=4 | 5..=16 and 0.721 for
+/// 0..=6 | 7..=16 (within noise) and 0.766 for 0..=8 | 9..=16 (medians of
+/// interleaved runs over nine 150k-record uploads on 2 vCPUs).
+const DECODE_SLOTS: usize = 4;
+
+/// Cuts a sweep over `histories` into `width.min(histories.len())`
+/// contiguous, non-empty slot ranges, in slot order: a fixed function of
+/// its inputs. The `g`-th cut balances the groups' slots with
+/// [`DECODE_SLOTS`] more on group 0, the decoder's.
+fn slot_groups(histories: &[u32], width: usize) -> Vec<Range<usize>> {
+    let slots = histories.len();
+    let width = width.clamp(1, slots.max(1));
+    let mut cuts = vec![0];
+    for g in 1..width {
+        let ideal = (g * (slots + DECODE_SLOTS) / width).saturating_sub(DECODE_SLOTS);
+        let prev = cuts[cuts.len() - 1];
+        cuts.push(ideal.clamp(prev + 1, slots - (width - g)));
+    }
+    cuts.push(slots);
+    cuts.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
 /// Hands `drive` each block of `records` (the first at absolute stream
@@ -496,34 +540,131 @@ impl SimEngine {
 
     /// The fused sweep over a [`ChunkStream`]: the whole history curve from
     /// **one** chunked decode pass, without materialising the trace (peak
-    /// memory is one chunk plus the per-slot and per-id tables). Consumed
-    /// chunks are recycled, so a recycling reader (e.g.
-    /// [`btr_trace::FastBtrtReader`]) streams with zero per-chunk allocation.
+    /// memory is one chunk, two when split, plus the per-slot and per-id
+    /// tables).
+    /// Consumed chunks are recycled, so a recycling reader (e.g.
+    /// [`btr_trace::FastBtrtReader`]) streams with zero per-chunk
+    /// allocation. `build` makes the fused predictor for a slice of
+    /// `histories` (e.g. [`crate::config::PredictorFamily::fused_paper`]).
     ///
-    /// Each chunk goes to the planned driver behind [`SimEngine::run_batch`]:
-    /// SWAR while [`ChunkStream::addrs`] fits it, scalar fused after. Chunks
-    /// must arrive in stream order with ids from one persistent interner.
-    /// Results are bit-identical to the eager [`SimEngine::run_fused`] over
-    /// the same records — pinned by `tests/fused_equivalence.rs`.
+    /// The sweep runs as `width.min(histories.len())` contiguous history-slot
+    /// groups (`slot_groups`), each its own predictor and planned driver:
+    /// SWAR while [`ChunkStream::addrs`] fits it, scalar fused after. The
+    /// calling thread keeps the stream, decodes, and runs group 0; each
+    /// other group runs on a scoped helper thread that replays chunk `k`
+    /// while the caller decodes chunk `k + 1`, so at most two chunks are in
+    /// flight. Width 1 spawns no thread. Chunks must arrive in stream order
+    /// with ids from one persistent interner. Results, one per history in
+    /// `histories` order, are bit-identical to the eager
+    /// [`SimEngine::run_fused`] over the same records at every width —
+    /// pinned by `tests/fused_equivalence.rs`.
     ///
     /// # Errors
     ///
-    /// Propagates the first decode error the chunk stream yields.
-    pub fn run_fused_streamed<S>(
+    /// Propagates the first decode error the chunk stream yields, after every
+    /// helper has stopped.
+    pub fn run_fused_streamed<S, B>(
         &self,
         mut chunks: S,
-        fused: &mut FusedSweepPredictor,
+        histories: &[u32],
+        width: usize,
+        build: B,
     ) -> btr_trace::Result<Vec<RunResult>>
     where
         S: ChunkStream,
+        B: Fn(&[u32]) -> FusedSweepPredictor,
     {
-        let mut planned = PlannedSweep::new(fused, self.warmup);
+        let groups = slot_groups(histories, width);
+        if groups.len() > 1 {
+            let fused = groups.into_iter().map(|g| build(&histories[g])).collect();
+            return self.run_split_streamed(chunks, fused);
+        }
+        let mut fused = build(histories);
+        let mut planned = PlannedSweep::new(&mut fused, self.warmup);
         while let Some(chunk) = chunks.pull() {
             let chunk = chunk?;
             planned.feed(chunk.conditional(), chunks.addrs().len());
             chunks.recycle(chunk);
         }
         Ok(planned.finish(chunks.addrs()))
+    }
+
+    /// [`SimEngine::run_fused_streamed`] over two or more slot groups: group
+    /// 0 on the calling thread, one scoped helper per other group. Each chunk
+    /// goes to every helper as a shared [`Arc`] over a bounded channel, and
+    /// is recycled once every helper has acked it; the caller pulls chunk
+    /// `k + 1` before it waits for the acks of chunk `k`.
+    fn run_split_streamed<S: ChunkStream>(
+        &self,
+        mut chunks: S,
+        mut fused: Vec<FusedSweepPredictor>,
+    ) -> btr_trace::Result<Vec<RunResult>> {
+        let (lead, rest) = fused.split_first_mut().expect("at least two groups");
+        let warmup = self.warmup;
+        thread::scope(|scope| {
+            let mut helpers = Vec::with_capacity(rest.len());
+            for group in rest {
+                // Two chunks in flight at most, so sends never block.
+                let (job_tx, job_rx) = mpsc::sync_channel::<GroupJob<'_>>(2);
+                let (ack_tx, ack_rx) = mpsc::channel::<()>();
+                let handle = scope.spawn(move || {
+                    let mut planned = PlannedSweep::new(group, warmup);
+                    while let Ok(job) = job_rx.recv() {
+                        match job {
+                            GroupJob::Chunk(chunk, static_count) => {
+                                planned.feed(chunk.conditional(), static_count);
+                                drop(chunk);
+                                if ack_tx.send(()).is_err() {
+                                    break;
+                                }
+                            }
+                            GroupJob::Finish(addrs) => return Some(planned.finish(addrs)),
+                        }
+                    }
+                    None
+                });
+                helpers.push((job_tx, ack_rx, handle));
+            }
+            let mut planned = PlannedSweep::new(lead, warmup);
+            let mut in_flight: Option<Arc<TraceChunk>> = None;
+            // Waits for every helper's ack of `chunk`, then recycles it. A
+            // helper that is gone (it panicked) never acks; the scope
+            // re-raises its panic on exit.
+            let retire = |chunks: &mut S, chunk: Arc<TraceChunk>| {
+                if helpers.iter().all(|(_, acks, _)| acks.recv().is_ok()) {
+                    if let Ok(chunk) = Arc::try_unwrap(chunk) {
+                        chunks.recycle(chunk);
+                    }
+                }
+            };
+            while let Some(chunk) = chunks.pull() {
+                let chunk = Arc::new(chunk?);
+                let static_count = chunks.addrs().len();
+                for (jobs, _, _) in &helpers {
+                    let _ = jobs.send(GroupJob::Chunk(Arc::clone(&chunk), static_count));
+                }
+                planned.feed(chunk.conditional(), static_count);
+                if let Some(done) = in_flight.replace(chunk) {
+                    retire(&mut chunks, done);
+                }
+            }
+            if let Some(done) = in_flight.take() {
+                retire(&mut chunks, done);
+            }
+            let addrs = chunks.addrs();
+            for (jobs, _, _) in &helpers {
+                let _ = jobs.send(GroupJob::Finish(addrs));
+            }
+            let mut results = planned.finish(addrs);
+            for (jobs, _, handle) in helpers {
+                drop(jobs);
+                let group = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                results.extend(group.expect("a finished helper returns its group"));
+            }
+            Ok(results)
+        })
     }
 
     /// The monomorphized body of [`SimEngine::run`] and
@@ -771,6 +912,42 @@ mod tests {
             let via_fast = run_full_window(engine, &interned, kind);
             assert_eq!(via_dyn, via_fast, "warmup {warmup} diverged");
             assert_eq!(via_dyn, engine.run(&interned, &mut *boxed(kind)));
+        }
+    }
+
+    #[test]
+    fn slot_groups_are_contiguous_non_empty_and_balanced() {
+        let dense: Vec<u32> = (0..=16).collect();
+        assert_eq!(slot_groups(&dense, 1), vec![0..17]);
+        assert_eq!(slot_groups(&dense, 2), vec![0..6, 6..17]);
+        assert_eq!(slot_groups(&dense, 3), vec![0..3, 3..10, 10..17]);
+        assert_eq!(slot_groups(&[0, 3, 16], 2), vec![0..1, 1..3]);
+        assert_eq!(slot_groups(&[5], 4), vec![0..1]);
+        assert_eq!(slot_groups(&[0, 3, 16], 0), vec![0..3]);
+        for histories in [
+            dense,
+            vec![0, 3, 16],
+            vec![12, 0, 7],
+            vec![1, 2],
+            (0..=17).collect(),
+        ] {
+            for width in 1..=6 {
+                let groups = slot_groups(&histories, width);
+                assert_eq!(
+                    groups.len(),
+                    width.min(histories.len()),
+                    "{histories:?} w{width}"
+                );
+                assert_eq!(groups[0].start, 0);
+                assert_eq!(groups[groups.len() - 1].end, histories.len());
+                for pair in groups.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start);
+                }
+                assert!(
+                    groups.iter().all(|g| !g.is_empty()),
+                    "{histories:?} w{width}"
+                );
+            }
         }
     }
 

@@ -6,7 +6,8 @@
 //! **bit-identical** to one full-range [`SimEngine::run_window_dispatch`]
 //! pass per history length with the standalone paper predictor — across families (PAs, GAs,
 //! gshare), history sets (dense 0..=16, sparse, singleton, unsorted),
-//! warmup settings, and arbitrary chunkings of the streamed path.
+//! warmup settings, arbitrary chunkings of the streamed path, and the
+//! streamed path's split across 1–4 threads.
 
 use btr_predictors::fused::FusedSweepPredictor;
 use btr_predictors::swar::MAX_SWAR_IDS;
@@ -220,7 +221,7 @@ fn streamed_fused_is_bit_identical_to_eager_fused() {
             for chunk_records in [1usize, 7, 4096, 10_000_000] {
                 let chunks = FastBtrtReader::new(buf.as_slice(), chunk_records).unwrap();
                 let streamed = engine
-                    .run_fused_streamed(chunks, &mut family.fused(&histories))
+                    .run_fused_streamed(chunks, &histories, 1, |h| family.fused(h))
                     .unwrap();
                 assert_eq!(
                     eager,
@@ -254,7 +255,7 @@ fn streamed_fused_honours_warmup_and_matches_per_history() {
                 let reference = per_history_reference(&engine, &trace, family, &histories);
                 let chunks = FastBtrtReader::new(buf.as_slice(), 256).unwrap();
                 let streamed = engine
-                    .run_fused_streamed(chunks, &mut family.fused(&histories))
+                    .run_fused_streamed(chunks, &histories, 1, |h| family.fused(h))
                     .unwrap();
                 assert_eq!(
                     streamed,
@@ -275,12 +276,79 @@ fn streamed_fused_propagates_decode_errors() {
     buf.truncate(buf.len() - 3);
     let chunks = FastBtrtReader::new(buf.as_slice(), 64).unwrap();
     let err = SimEngine::new()
-        .run_fused_streamed(chunks, &mut FusedSweepPredictor::gas_paper(&[0, 8]))
+        .run_fused_streamed(chunks, &[0, 8], 1, FusedSweepPredictor::gas_paper)
         .unwrap_err();
     assert!(
         matches!(err, btr_trace::TraceError::TruncatedRecord { .. }),
         "{err:?}"
     );
+}
+
+/// The split streamed driver — `width` contiguous slot groups, group 0 on
+/// the decoding thread and one scoped helper per other group — is
+/// bit-identical to the eager `run_fused` across families, dense, sparse,
+/// singleton and unsorted history lists, widths 1–4, chunk sizes and
+/// warmups.
+#[test]
+fn split_streamed_sweep_is_bit_identical_to_run_fused() {
+    let trace = mixed_trace(2000, 0x5_9117);
+    let mut buf = Vec::new();
+    binary::write_trace(&mut buf, &trace).unwrap();
+    let interned = trace.intern();
+    for warmup in [0u64, 500] {
+        let engine = SimEngine::new().with_warmup(warmup);
+        for family in Family::all() {
+            for histories in history_sets() {
+                let eager = engine.run_fused(&interned, &mut family.fused(&histories));
+                for width in 1..=4 {
+                    for chunk_records in [1usize, 7, 4096] {
+                        let chunks = FastBtrtReader::new(buf.as_slice(), chunk_records).unwrap();
+                        let split = engine
+                            .run_fused_streamed(chunks, &histories, width, |h| family.fused(h))
+                            .unwrap();
+                        assert_eq!(
+                            split,
+                            eager,
+                            "{} {histories:?} diverged at width {width}, chunk \
+                             {chunk_records}, warmup {warmup}",
+                            family.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every group of a split sweep plans its own tier from the same
+/// static-branch counts, so over [`wide_trace`] each one starts on SWAR and
+/// falls back to the scalar tier inside the chunk that crosses
+/// [`MAX_SWAR_IDS`] — and the joined results still match `run_fused`.
+#[test]
+fn split_streamed_sweep_switches_tier_in_every_group() {
+    let trace = wide_trace();
+    let mut buf = Vec::new();
+    binary::write_trace(&mut buf, &trace).unwrap();
+    let interned = trace.intern();
+    let engine = SimEngine::new();
+    let histories: Vec<u32> = (0..=16).collect();
+    for family in Family::all() {
+        let eager = engine.run_fused(&interned, &mut family.fused(&histories));
+        for width in 2..=4 {
+            for chunk_records in [7usize, 4096] {
+                let chunks = FastBtrtReader::new(buf.as_slice(), chunk_records).unwrap();
+                let split = engine
+                    .run_fused_streamed(chunks, &histories, width, |h| family.fused(h))
+                    .unwrap();
+                assert_eq!(
+                    split,
+                    eager,
+                    "{} diverged at width {width}, chunk {chunk_records}",
+                    family.label()
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -375,6 +443,7 @@ proptest! {
         len in 0u64..1200,
         chunk_records in 1usize..400,
         family_pick in 0usize..3,
+        width in 1usize..=4,
     ) {
         let family = Family::all()[family_pick];
         let trace = mixed_trace(len, seed);
@@ -385,7 +454,7 @@ proptest! {
         let eager = engine.run_fused(&trace.intern(), &mut family.fused(&histories));
         let chunks = FastBtrtReader::new(buf.as_slice(), chunk_records).unwrap();
         let streamed = engine
-            .run_fused_streamed(chunks, &mut family.fused(&histories))
+            .run_fused_streamed(chunks, &histories, width, |h| family.fused(h))
             .unwrap();
         prop_assert_eq!(eager, streamed);
     }

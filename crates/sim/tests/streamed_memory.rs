@@ -2,7 +2,8 @@
 //! multi-million-record synthetic trace sweeps through
 //! `SimEngine::run_fused_streamed` (PAs, h = 8) with peak heap growth
 //! bounded by the chunk size (plus the per-static-branch tables), not by
-//! trace length.
+//! trace length; split across two threads (PAs, h = 4 and 8), it holds at
+//! most one chunk more.
 //!
 //! The whole test binary runs under a counting global allocator (integration
 //! tests are their own crates, so the workspace's `forbid(unsafe_code)` lib
@@ -91,12 +92,15 @@ impl Iterator for SyntheticRecords {
     }
 }
 
-#[test]
-fn streamed_peak_memory_is_bounded_by_chunk_size_not_trace_length() {
-    let records: u64 = 10_000_000;
-    let statics: u64 = 1024;
-    let chunk_records = DEFAULT_CHUNK_RECORDS; // 65_536
-
+/// Peak heap growth of one streamed sweep over `records` synthetic records
+/// at `width`, after checking the sweep scored every record.
+fn streamed_peak(
+    records: u64,
+    statics: u64,
+    chunk_records: usize,
+    histories: &[u32],
+    width: usize,
+) -> usize {
     let source = SyntheticRecords::new(records, statics, 0xfeed_f00d);
     let reader = ChunkedTraceReader::from_records(
         TraceMetadata::named("synthetic-10e7"),
@@ -104,18 +108,29 @@ fn streamed_peak_memory_is_bounded_by_chunk_size_not_trace_length() {
         source,
         chunk_records,
     );
-    let mut fused = PredictorFamily::PAs.fused_paper(&[8]);
-
     let baseline = LIVE.load(Ordering::SeqCst);
     PEAK.store(baseline, Ordering::SeqCst);
-    let result = SimEngine::new()
-        .run_fused_streamed(reader, &mut fused)
-        .expect("synthetic stream cannot fail")
-        .remove(0);
+    let results = SimEngine::new()
+        .run_fused_streamed(reader, histories, width, |h| {
+            PredictorFamily::PAs.fused_paper(h)
+        })
+        .expect("synthetic stream cannot fail");
     let peak_delta = PEAK.load(Ordering::SeqCst).saturating_sub(baseline);
+    assert_eq!(results.len(), histories.len());
+    for result in results {
+        assert_eq!(result.overall.lookups, records);
+        assert_eq!(result.per_branch.len(), statics as usize);
+    }
+    peak_delta
+}
 
-    assert_eq!(result.overall.lookups, records);
-    assert_eq!(result.per_branch.len(), statics as usize);
+/// One test, so the rows never share the counting allocator's high-water
+/// mark with a concurrently running test.
+#[test]
+fn streamed_peak_memory_is_bounded_by_chunk_size_not_trace_length() {
+    let records: u64 = 10_000_000;
+    let statics: u64 = 1024;
+    let chunk_records = DEFAULT_CHUNK_RECORDS; // 65_536
 
     // What the eager path would at minimum hold: the full record vector
     // (before even interning it).
@@ -128,20 +143,26 @@ fn streamed_peak_memory_is_bounded_by_chunk_size_not_trace_length() {
         + std::mem::size_of::<u32>()
         + std::mem::size_of::<bool>();
     let bound = 8 * chunk_records * record_footprint + (1 << 21);
-    assert!(
-        peak_delta < bound,
-        "peak heap growth {peak_delta} B exceeds the chunk-size bound {bound} B"
-    );
-    assert!(
-        peak_delta < eager_floor / 4,
-        "peak heap growth {peak_delta} B is not meaningfully below the \
-         eager-materialisation floor {eager_floor} B"
-    );
-    println!(
-        "[streamed-memory] {records} records: peak heap growth {:.2} MiB \
-         (eager floor {:.2} MiB, bound {:.2} MiB)",
-        peak_delta as f64 / (1024.0 * 1024.0),
-        eager_floor as f64 / (1024.0 * 1024.0),
-        bound as f64 / (1024.0 * 1024.0),
-    );
+    // A split sweep (width 2) holds one more chunk in flight while the
+    // helper replays the previous one.
+    let split_bound = bound + chunk_records * record_footprint;
+    for (histories, width, bound) in [(&[8][..], 1, bound), (&[4, 8][..], 2, split_bound)] {
+        let peak_delta = streamed_peak(records, statics, chunk_records, histories, width);
+        assert!(
+            peak_delta < bound,
+            "width {width}: peak heap growth {peak_delta} B exceeds the chunk-size bound {bound} B"
+        );
+        assert!(
+            peak_delta < eager_floor / 4,
+            "width {width}: peak heap growth {peak_delta} B is not meaningfully below the \
+             eager-materialisation floor {eager_floor} B"
+        );
+        println!(
+            "[streamed-memory] {records} records, width {width}: peak heap growth {:.2} MiB \
+             (eager floor {:.2} MiB, bound {:.2} MiB)",
+            peak_delta as f64 / (1024.0 * 1024.0),
+            eager_floor as f64 / (1024.0 * 1024.0),
+            bound as f64 / (1024.0 * 1024.0),
+        );
+    }
 }

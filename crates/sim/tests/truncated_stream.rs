@@ -4,6 +4,7 @@
 //! torn-checkpoint story: a worker reading a half-written trace capture has
 //! to fail loudly, not score garbage.
 
+use btr_sim::config::PredictorFamily;
 use btr_sim::engine::SimEngine;
 use btr_trace::io::binary;
 use btr_trace::{
@@ -39,11 +40,41 @@ fn run_fused_streamed_over_a_torn_trace_errors_too() {
     let buf = encoded(&trace);
     let torn = &buf[..buf.len() - 3];
     let reader = FastBtrtReader::new(torn, 8).expect("header is intact");
-    let mut fused = btr_sim::config::PredictorFamily::PAs.fused_paper(&[0, 2, 4]);
     let err = SimEngine::new()
-        .run_fused_streamed(reader, &mut fused)
+        .run_fused_streamed(reader, &[0, 2, 4], 1, |h| {
+            PredictorFamily::PAs.fused_paper(h)
+        })
         .expect_err("torn stream must not produce a sweep");
     assert!(matches!(err, TraceError::TruncatedRecord { .. }), "{err:?}");
+}
+
+/// A torn trace under a split sweep (width 2: a helper thread replays the
+/// second slot group): the same typed error, whichever chunk the tear lands
+/// in, with the helper stopped and joined — no hang and no panic. The sweep
+/// runs on a watchdog thread so a hang fails the test instead of stalling it.
+#[test]
+fn a_split_sweep_over_a_torn_trace_errors_and_joins_its_helpers() {
+    let trace = mixed_trace(150);
+    let buf = encoded(&trace);
+    for (cut, chunk_records) in [(3usize, 1usize), (3, 8), (3, 4096), (40, 8)] {
+        let torn = buf[..buf.len() - cut].to_vec();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let reader = FastBtrtReader::new(torn.as_slice(), chunk_records).expect("header");
+            let outcome = SimEngine::new().run_fused_streamed(reader, &[0, 2, 4, 8], 2, |h| {
+                PredictorFamily::PAs.fused_paper(h)
+            });
+            let _ = done_tx.send(outcome);
+        });
+        let outcome = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the split sweep returns (a panic or hang never does)");
+        let err = outcome.expect_err("torn stream must not produce a sweep");
+        assert!(
+            matches!(err, TraceError::TruncatedRecord { .. }),
+            "cut {cut}, chunk {chunk_records}: {err:?}"
+        );
+    }
 }
 
 #[test]

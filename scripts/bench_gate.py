@@ -13,18 +13,24 @@ Benchmarks without a `per_sec` field fall back to comparing `mean_ns`
 file are reported but never fail the gate — benches come and go across PRs.
 
 Benches may also append *constraint* rows of the form
-`{"id": ..., "ref": ..., "min_ratio": N}` (see `declare_ratio_floor` in the
-bench sources). Each one asserts that, within the CURRENT file alone,
-`per_sec[id] >= min_ratio * per_sec[ref]`. Because both sides are measured
-in the same run, the check is immune to shared-runner speed differences,
-and it runs even when no baseline file is available — it is a property of
-the current build, not a diff.
+`{"id": ..., "ref": ..., "min_ratio": N, "pair_ratios": [...]}` (the
+criterion stand-in's `bench_ratio_pair`). Each one asserts that, within the
+CURRENT file alone, `id` runs at least `min_ratio` times as fast as `ref`.
+The stand-in interleaves the two benchmarks' samples in alternating order
+(A, B, then B, A, ...) and records A's rate over B's for every sample pair;
+the gate takes the median of those, so load that comes and goes during the
+run cancels instead of landing on one side. A constraint row without
+`pair_ratios` is malformed and fails the gate. Because both sides are
+measured in the same run, the check is immune to shared-runner speed
+differences, and it runs even when no baseline file is available — it is a
+property of the current build, not a diff.
 
 Usage: bench_gate.py BASELINE.json CURRENT.json [--threshold 0.15]
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -33,7 +39,8 @@ def load(path):
 
     Measurement rows keep the last write per id. Constraint rows — those
     carrying a `min_ratio` — are collected in file order as
-    (id, ref, min_ratio) tuples.
+    (id, ref, min_ratio, pair_ratios) tuples; `ref` or `pair_ratios` is None
+    when the row lacks it, and `check_ratio_floors` fails such a row.
     """
     rates = {}
     constraints = []
@@ -51,11 +58,11 @@ def load(path):
             if bench_id is None:
                 continue
             if row.get("min_ratio") is not None:
-                ref = row.get("ref")
-                if ref is None:
-                    print(f"{path}:{line_no}: min_ratio row lacks 'ref'; skipping")
-                    continue
-                constraints.append((bench_id, ref, float(row["min_ratio"])))
+                pairs = row.get("pair_ratios")
+                pairs = [float(r) for r in pairs] if pairs else None
+                constraints.append(
+                    (bench_id, row.get("ref"), float(row["min_ratio"]), pairs)
+                )
                 continue
             if row.get("per_sec"):
                 rates[bench_id] = float(row["per_sec"])
@@ -66,27 +73,23 @@ def load(path):
     return rates, constraints
 
 
-def check_ratio_floors(rates, constraints):
-    """Verifies every in-run ratio floor against the current file's rates.
+def check_ratio_floors(constraints):
+    """Verifies every in-run ratio floor on the median of its pair ratios.
 
-    Prints an aligned summary table pairing each constraint's measured ratio
-    with its declared floor, and returns the list of violation strings
-    (empty when all floors hold).
+    Prints an aligned summary table pairing each constraint's median
+    per-pair ratio with its declared floor, and returns the list of
+    violation strings (empty when all floors hold). A constraint row without
+    a `ref` or without pairs is a violation of its own.
     """
     violations = []
     rows = []
-    for bench_id, ref, min_ratio in constraints:
-        num = rates.get(bench_id)
-        den = rates.get(ref)
-        if num is None or den is None:
-            missing = bench_id if num is None else ref
-            rows.append((f"{bench_id} / {ref}", None, min_ratio, "MISSING"))
-            violations.append(
-                f"{bench_id} >= {min_ratio}x {ref}: measurement for "
-                f"'{missing}' missing from the current file"
-            )
+    for bench_id, ref, min_ratio, pairs in constraints:
+        if ref is None or not pairs:
+            lacks = "'ref'" if ref is None else "'pair_ratios'"
+            rows.append((f"{bench_id} / {ref}", None, min_ratio, "MALFORMED"))
+            violations.append(f"{bench_id} >= {min_ratio}x: constraint row lacks {lacks}")
             continue
-        ratio = num / den
+        ratio = statistics.median(pairs)
         status = "OK" if ratio >= min_ratio else "BELOW FLOOR"
         rows.append((f"{bench_id} / {ref}", ratio, min_ratio, status))
         if ratio < min_ratio:
@@ -100,10 +103,10 @@ def check_ratio_floors(rates, constraints):
 def print_constraint_table(rows):
     """Prints the aligned in-run ratio-floor table.
 
-    `rows` is a list of (constraint, measured, floor, status) with `measured`
-    possibly None (a side of the ratio missing from the current file).
+    `rows` is a list of (constraint, measured, floor, status) with
+    `measured` None for a malformed constraint row.
     """
-    headers = ("constraint", "measured", "floor", "status")
+    headers = ("constraint", "median pair", "floor", "status")
     rendered = [
         (
             constraint,
@@ -183,7 +186,7 @@ def main():
     ratio_failures = []
     if constraints:
         print(f"in-run ratio floors ({len(constraints)} declared):")
-        ratio_failures = check_ratio_floors(current, constraints)
+        ratio_failures = check_ratio_floors(constraints)
         print()
 
     if not baseline:
